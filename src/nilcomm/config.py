@@ -15,12 +15,15 @@ class EngineConfig:
 
     construction_cap: largest element count a constructor may produce.
     decision_cap: largest (a, r, m) triple count an exhaustive scan may visit.
-    tabulate_threshold: structures up to this size precompute operation tables.
+    tabulate_threshold: structures up to this size (a module's ring too)
+        store int32 operation tables; larger ones compute operations per
+        call and materialize a table only for an exhaustive scan.
     full_check_budget: triple budget for exhaustive axiom checks at construction.
     validation_samples: sampled axiom triples used above that budget.
     seed: base seed for every sampled procedure.
     sample_count: default sample count for witness-mode verification runs.
-    threads: worker count for partitioned decision scans.
+    threads: accepted for compatibility and ignored: every exhaustive scan
+        runs its blocks in order on one thread, stopping at the first hit.
     force: lift decision-cap refusals.
     """
 

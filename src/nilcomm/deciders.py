@@ -10,17 +10,18 @@ happens silently; it is a separate, labeled mode.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
 from typing import Callable
+
+import numpy as np
 
 from .config import EngineConfig, resolve
 from .errors import DecisionCapError, InvalidParameterError
 from .modules import FiniteModule, cyclic_submodule
 from .nilpotency import is_nilpotent_squared, nil_set
 from .reports import CONFIRMED, REFUTED, CheckReport
-from .rings import FiniteRing, nil_ring_set
+from .rings import FiniteRing, first_true, nil_ring_set, scan
 
 PROP_SEMICOMMUTATIVE = "semicommutative"
 PROP_WEAKLY = "weakly-semicommutative"
@@ -91,37 +92,40 @@ def _ring_renders(ring: FiniteRing, triple) -> tuple[str, str, str]:
 # Scan machinery
 
 
-def _scan_block(module, trigger, violates, a_range):
-    """Least violating (a, m, r) with a in a_range, or None."""
-    act = module.act
-    for a in a_range:
-        for m in module.elements():
-            if not trigger(a, m):
-                continue
-            rm = None
-            for r in module.ring.elements():
-                if violates(a, r, m):
-                    rm = r
-                    break
-            if rm is not None:
-                return (a, m, rm)
-    return None
+def _scan(act: np.ndarray, zero: int, prop: str, nil=None, squares=None):
+    """Least violation (a, m, r) of a property over an action table, or None.
+
+    A violation is a triggered (a, m) and an r with bad[a, r*m].  Each block
+    of a gathers act[a, act[:, ms]] for its triggered columns ms only; the
+    C-order least hit keeps the (a, m, r) order of the least witness."""
+    if prop == PROP_REDUCED_I:
+        trigger = lambda a: act[squares[a]] == zero
+    elif prop == PROP_NIL_SEMI:
+        trigger = lambda a: nil[act[a]]
+    else:
+        trigger = lambda a: act[a] == zero
+    if prop in (PROP_WEAKLY, PROP_NIL_SEMI):
+        bad = lambda a: ~nil[act[a]]
+    elif prop == PROP_REDUCED_II:
+        bad = lambda a: _nonzero_images(act[a], zero)
+    else:
+        bad = lambda a: act[a] != zero
+
+    def block(lo, hi):
+        hot = trigger(slice(lo, hi))
+        ms = np.flatnonzero(hot.any(axis=0))
+        hit = first_true(bad(slice(lo, hi))[:, act[:, ms].T] & hot[:, ms, None], lo)
+        return None if hit is None else (hit[0], int(ms[hit[1]]), hit[2])
+
+    return scan(act.shape[0], act.size, block)
 
 
-def _scan_module(module, trigger, violates, threads: int):
-    """Partitioned exhaustive scan returning the least violation or None."""
-    nr = module.ring.size
-    if threads <= 1 or nr < 4:
-        return _scan_block(module, trigger, violates, range(nr))
-    blocks = min(threads * 4, nr)
-    bounds = [(i * nr) // blocks for i in range(blocks + 1)]
-    ranges = [range(bounds[i], bounds[i + 1]) for i in range(blocks)
-              if bounds[i] < bounds[i + 1]]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        found = list(pool.map(
-            lambda rg: _scan_block(module, trigger, violates, rg), ranges))
-    hits = [f for f in found if f is not None]
-    return min(hits) if hits else None
+def _nonzero_images(rows: np.ndarray, zero: int) -> np.ndarray:
+    """Per row a of the action table, the nonzero elements of aM."""
+    image = np.zeros(rows.shape, dtype=bool)
+    np.put_along_axis(image, rows, True, axis=1)
+    image[:, zero] = False
+    return image
 
 
 def _predicates(module: FiniteModule, prop: str, nil_member: Callable[[int], bool]):
@@ -142,33 +146,6 @@ def _predicates(module: FiniteModule, prop: str, nil_member: Callable[[int], boo
         return (lambda a, m: act(mul(a, a), m) == zero,
                 lambda a, r, m: act(a, act(r, m)) != zero)
     raise InvalidParameterError(f"unknown module property {prop!r}")
-
-
-def _scan_reduced_ii(module: FiniteModule, threads: int):
-    """Reduced condition (ii): am = 0 forces aM and Rm to meet only in 0.
-
-    Returns (triple, explanation) for the least violation, else None.  The
-    witness r satisfies act(r, m) = act(a, x) != 0 for some x, recorded in
-    the explanation.
-    """
-    act = module.act
-    zero = module.zero
-    for a in module.ring.elements():
-        a_image = {act(a, x) for x in module.elements()}
-        a_image.discard(zero)
-        if not a_image:
-            continue
-        for m in module.elements():
-            if act(a, m) != zero:
-                continue
-            for r in module.ring.elements():
-                w = act(r, m)
-                if w != zero and w in a_image:
-                    x = next(x for x in module.elements() if act(a, x) == w)
-                    expl = (f"a*x = r*m = {module.render(w)} != 0 with "
-                            f"x = {module.render(x)}")
-                    return (a, m, r), expl
-    return None
 
 
 def _sampled_scan(module, trigger, violates, count: int, seed: int):
@@ -230,26 +207,23 @@ def decide(module: FiniteModule, prop: str, config: EngineConfig | None = None,
     if mode == "witness" or (mode == "auto" and not allowed):
         return _witness_only(module, prop, witness_hint, desc, cfg)
 
-    if prop == PROP_REDUCED_II:
-        hit = _scan_reduced_ii(module, cfg.threads)
-        if hit is None:
-            return Verdict(prop, True, METHOD_EXHAUSTIVE, None, desc)
-        (a, m, r), expl = hit
-        return Verdict(prop, False, METHOD_EXHAUSTIVE, (a, r, m), desc,
-                       explanation=expl,
-                       witness_render=_module_renders(module, (a, r, m)))
-
+    nil = squares = None
     if prop in (PROP_WEAKLY, PROP_NIL_SEMI):
-        nils = nil_set(module, cfg)
-        nil_member = lambda x: x in nils
-    else:
-        nil_member = lambda x: False
-    trigger, violates = _predicates(module, prop, nil_member)
-    hit = _scan_module(module, trigger, violates, cfg.threads)
+        nil = nil_set(module, cfg).flags()
+    if prop == PROP_REDUCED_I:
+        squares = module.ring.squares()
+    hit = _scan(module.act_table(), module.zero, prop, nil, squares)
     if hit is None:
         return Verdict(prop, True, METHOD_EXHAUSTIVE, None, desc)
     a, m, r = hit
+    expl = ""
+    if prop == PROP_REDUCED_II:
+        # r*m = a*x != 0 for the least such x
+        w = module.act(r, m)
+        x = next(x for x in module.elements() if module.act(a, x) == w)
+        expl = f"a*x = r*m = {module.render(w)} != 0 with x = {module.render(x)}"
     return Verdict(prop, False, METHOD_EXHAUSTIVE, (a, r, m), desc,
+                   explanation=expl,
                    witness_render=_module_renders(module, (a, r, m)))
 
 
@@ -318,7 +292,7 @@ def is_reduced_ii(module, config=None, **kw) -> Verdict:
 
 def _decide_ring(ring: FiniteRing, prop: str,
                  config: EngineConfig | None = None) -> Verdict:
-    cfg = resolve(config)
+    cfg = resolve(config if config is not None else ring.config)
     desc = ring.descriptor
     triples = ring.size ** 3
     if triples > cfg.decision_cap and not cfg.force:
@@ -327,24 +301,18 @@ def _decide_ring(ring: FiniteRing, prop: str,
             f"{cfg.decision_cap}; re-run with force to override",
             cfg.decision_cap,
         )
-    mul = ring.mul
-    zero = ring.zero
-    if prop == PROP_RING_SEMI:
-        trigger = lambda a, b: mul(a, b) == zero
-        violates = lambda a, r, b: mul(a, mul(r, b)) != zero
-    else:
-        nils = nil_ring_set(ring)
-        trigger = lambda a, b: mul(a, b) in nils
-        violates = lambda a, r, b: mul(a, mul(r, b)) not in nils
-    for a in ring.elements():
-        for b in ring.elements():
-            if not trigger(a, b):
-                continue
-            for r in ring.elements():
-                if violates(a, r, b):
-                    return Verdict(prop, False, METHOD_EXHAUSTIVE, (a, r, b), desc,
-                                   witness_render=_ring_renders(ring, (a, r, b)))
-    return Verdict(prop, True, METHOD_EXHAUSTIVE, None, desc)
+    # the ring acting on itself, with the module scan's trigger and violation
+    nil = None
+    if prop == PROP_RING_NIL_SEMI:
+        nil = np.zeros(ring.size, dtype=bool)
+        nil[sorted(nil_ring_set(ring))] = True
+    hit = _scan(ring.mul_table(), ring.zero,
+                PROP_SEMICOMMUTATIVE if nil is None else PROP_NIL_SEMI, nil)
+    if hit is None:
+        return Verdict(prop, True, METHOD_EXHAUSTIVE, None, desc)
+    a, b, r = hit
+    return Verdict(prop, False, METHOD_EXHAUSTIVE, (a, r, b), desc,
+                   witness_render=_ring_renders(ring, (a, r, b)))
 
 
 def ring_is_semicommutative(ring: FiniteRing, config=None) -> Verdict:

@@ -1,12 +1,15 @@
 """Finite left modules over finite rings, indexed like the rings are.
 
-A module exposes add/act/neg on dense ids, a descriptor in the structure
-DSL, and the same tabulate-small / compute-large split as the rings.  The
-regular module shares its ring's bound operations outright.
+A module exposes add/act/neg on dense ids, their vectorized forms
+vadd/vact/vneg on id arrays, a descriptor in the structure DSL, and the same
+tabulate-small / compute-large split as the rings.  The regular module
+shares its ring's bound operations and tables outright.
 """
 
 from __future__ import annotations
 
+import math
+from functools import reduce
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -21,18 +24,26 @@ from .errors import (
     SizeCapError,
 )
 from .rings import (
+    _OP_CELLS,
     FULL,
     SPECIAL_UPPER,
     UPPER,
     V_TYPE,
     FiniteRing,
     MatrixShape,
+    MixedRadix,
     RingHom,
     _MatrixLayout,
     _stable_seed,
+    componentwise,
+    elementwise,
+    first_true,
+    grid_product,
     make_matrix_ring,
-    shape_fill,
-    shape_read,
+    op_table,
+    row_blocks,
+    scan,
+    table_ops,
 )
 
 _MODULE_PREFIX = {FULL: "matmod", UPPER: "trimod", SPECIAL_UPPER: "smod", V_TYPE: "vmod"}
@@ -64,46 +75,63 @@ class FiniteModule:
         self._nil_cache = None
         self._torsion_cache = None
 
-    # Structural operations supplied by subclasses.
+    # Structural operations supplied by subclasses, pointwise or vectorized
+    # as for rings; each falls back on its partner.
     def _add(self, m: int, n: int) -> int:
-        raise NotImplementedError
+        return int(self._vadd(m, n))
 
     def _act(self, r: int, m: int) -> int:
-        raise NotImplementedError
+        return int(self._vact(r, m))
 
     def _neg(self, m: int) -> int:
-        # (-1) * m is the additive inverse in any unitary module
-        return self._act(self.ring.neg(self.ring.one), m)
+        return int(self._vneg(m))
+
+    def _vadd(self, m, n):
+        return elementwise(self._add, m, n)
+
+    def _vact(self, r, m):
+        return elementwise(self._act, r, m)
+
+    def _vneg(self, m):
+        return elementwise(self._neg, m)
 
     def _seal(self, validate: bool = True, share_ring_ops: bool = False) -> None:
+        ring = self.ring
+        threshold = self.config.tabulate_threshold
         if share_ring_ops:
-            self.add = self.ring.add
-            self.act = self.ring.mul
-            self.neg = self.ring.neg
-            self.tabulated = self.ring.tabulated
+            self.add, self.act, self.neg = ring.add, ring.mul, ring.neg
+            self.vadd, self.vact, self.vneg = ring.vadd, ring.vmul, ring.vneg
+            self.vsum = ring.vsum
+            self.tabulated = ring.tabulated
+        elif self.size <= threshold and ring.size <= threshold:
+            add = op_table(self._vadd, self.size, self.size)
+            act = op_table(self._vact, ring.size, self.size)
+            neg = self._vneg(np.arange(self.size)).astype(np.int32)
+            self._add_rows, self._act_rows, self._neg_row = add, act, neg
+            (self.add, self.act, self.neg,
+             self.vadd, self.vact, self.vneg) = table_ops(add, act, neg)
+            self.tabulated = True
         else:
-            threshold = self.config.tabulate_threshold
-            if self.size <= threshold and self.ring.size <= threshold:
-                add_rows = [[self._add(a, b) for b in range(self.size)]
-                            for a in range(self.size)]
-                act_rows = [[self._act(r, m) for m in range(self.size)]
-                            for r in range(self.ring.size)]
-                neg_row = [self._neg(m) for m in range(self.size)]
-                self._add_rows, self._act_rows, self._neg_row = add_rows, act_rows, neg_row
-                self.add = lambda a, b, _t=add_rows: _t[a][b]
-                self.act = lambda r, m, _t=act_rows: _t[r][m]
-                self.neg = lambda m, _t=neg_row: _t[m]
-                self.tabulated = True
-            else:
-                self.add = self._add
-                self.act = self._act
-                self.neg = self._neg
+            self.add, self.act, self.neg = self._add, self._act, self._neg
+            self.vadd, self.vact, self.vneg = self._vadd, self._vact, self._vneg
         if validate:
             check_module_axioms(self)
 
     add: Callable[[int, int], int]
     act: Callable[[int, int], int]
     neg: Callable[[int], int]
+
+    def vsum(self, x: np.ndarray, axis: int) -> np.ndarray:
+        return reduce(self.vadd, np.moveaxis(x, axis, 0))
+
+    def add_table(self) -> np.ndarray:
+        """The addition table: the stored one, else built from the ops."""
+        return self._add_rows if self.tabulated else op_table(self.vadd, self.size, self.size)
+
+    def act_table(self) -> np.ndarray:
+        """The |R| x |M| action table: the stored one, else built."""
+        return (self._act_rows if self.tabulated
+                else op_table(self.vact, self.ring.size, self.size))
 
     def sub(self, m: int, n: int) -> int:
         return self.add(m, self.neg(n))
@@ -131,14 +159,11 @@ class RegularModule(FiniteModule):
         self.zero = ring.zero
         self._seal(share_ring_ops=True)
 
-    def _add(self, m, n):
-        return self.ring.add(m, n)
+    def add_table(self):
+        return self.ring.add_table()
 
-    def _act(self, r, m):
-        return self.ring.mul(r, m)
-
-    def _neg(self, m):
-        return self.ring.neg(m)
+    def act_table(self):
+        return self.ring.mul_table()
 
     def render(self, m):
         return self.ring.render(m)
@@ -156,46 +181,18 @@ class MatrixModule(_MatrixLayout, FiniteModule):
                 f"got one over {base_module.ring.descriptor}"
             )
         ring = make_matrix_ring(shape, base_ring, config)
-        self.shape = shape
         self.base = base_module
-        self.positions = shape.free_positions()
-        self._radix = base_module.size
-        self._entry_zero = base_module.zero
-        size = base_module.size ** len(self.positions)
+        size = base_module.size ** len(shape.free_positions())
         descriptor = f"{_MODULE_PREFIX[shape.kind]}({shape.n}, {base_module.descriptor})"
         super().__init__(ring, size, descriptor, config)
-        self.zero = self._encode_digits([base_module.zero] * len(self.positions))
+        self._lay_out(shape, base_module)
+        self.zero = self.codec.encode([base_module.zero] * len(self.positions))
         self._seal()
 
-    def _add(self, m, n):
-        badd = self.base.add
-        dm = self._decode_digits(m)
-        dn = self._decode_digits(n)
-        return self._encode_digits([badd(x, y) for x, y in zip(dm, dn)])
-
-    def _neg(self, m):
-        bneg = self.base.neg
-        return self._encode_digits([bneg(x) for x in self._decode_digits(m)])
-
-    def _act(self, r, m):
-        A = self.ring.entries(r)           # grid of base-ring ids
-        K = self.entries(m)                # grid of base-module ids
+    def _vact(self, r, m):
         base = self.base
-        badd, bact, zero = base.add, base.act, base.zero
-        rzero = self.ring.base.zero
-        n = self.shape.n
-        C = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            Ai = A[i]
-            Ci = C[i]
-            for k in range(n):
-                aik = Ai[k]
-                if aik == rzero:
-                    continue
-                Kk = K[k]
-                for j in range(n):
-                    Ci[j] = badd(Ci[j], bact(aik, Kk[j]))
-        return self.from_entries(C)
+        return self.ungrid(grid_product(self.ring.grid(r), self.grid(m),
+                                        base.vact, base.vsum))
 
     def render(self, m):
         return self._render_grid(m, self.base.render)
@@ -218,39 +215,25 @@ class ProductModule(FiniteModule):
                     f"{ring.descriptor} and {f.ring.descriptor}"
                 )
         self.factors = factors
-        self.radices = tuple(f.size for f in factors)
-        size = 1
-        for s in self.radices:
-            size *= s
+        size = math.prod(f.size for f in factors)
         descriptor = "prodmod(" + ", ".join(f.descriptor for f in factors) + ")"
         super().__init__(ring, size, descriptor, config)
-        self.zero = self._encode([f.zero for f in factors])
+        self.codec = MixedRadix(f.size for f in factors)
+        self.zero = self.codec.encode([f.zero for f in factors])
         self._seal()
 
-    def _encode(self, comps) -> int:
-        eid = 0
-        for c, s in zip(comps, self.radices):
-            eid = eid * s + c
-        return eid
+    def _vadd(self, m, n):
+        return componentwise(self.codec, [f.vadd for f in self.factors], m, n)
 
-    def _decode(self, eid: int):
-        comps = [0] * len(self.radices)
-        for i in range(len(comps) - 1, -1, -1):
-            eid, comps[i] = divmod(eid, self.radices[i])
-        return comps
+    def _vact(self, r, m):
+        return componentwise(self.codec, [f.vact for f in self.factors], m,
+                             left=(r,))
 
-    def _add(self, m, n):
-        cm, cn = self._decode(m), self._decode(n)
-        return self._encode([f.add(x, y) for f, x, y in zip(self.factors, cm, cn)])
-
-    def _act(self, r, m):
-        return self._encode([f.act(r, x) for f, x in zip(self.factors, self._decode(m))])
-
-    def _neg(self, m):
-        return self._encode([f.neg(x) for f, x in zip(self.factors, self._decode(m))])
+    def _vneg(self, m):
+        return componentwise(self.codec, [f.vneg for f in self.factors], m)
 
     def render(self, m):
-        comps = self._decode(m)
+        comps = self.codec.decode(m)
         return "(" + ", ".join(f.render(c) for f, c in zip(self.factors, comps)) + ")"
 
 
@@ -263,9 +246,16 @@ class SubModule(FiniteModule):
         embedding = tuple(sorted(set(embedded_ids)))
         if parent.zero not in embedding:
             raise InvalidParameterError(f"{descriptor}: submodule must contain zero")
+        if embedding[0] < 0 or embedding[-1] >= parent.size:
+            raise InvalidParameterError(
+                f"{descriptor}: embedded ids must be elements of {parent.descriptor}")
         self.parent = parent
         self.embedding = embedding
         self.index_of = {pid: i for i, pid in enumerate(embedding)}
+        self._emb = np.array(embedding)
+        # parent id -> submodule id, -1 outside the submodule
+        self._pos = np.full(parent.size, -1)
+        self._pos[self._emb] = np.arange(len(embedding))
         super().__init__(parent.ring, len(embedding), descriptor, config)
         self.zero = self.index_of[parent.zero]
         self._validate_closed()
@@ -273,34 +263,32 @@ class SubModule(FiniteModule):
 
     def _validate_closed(self):
         parent = self.parent
-        members = self.index_of
-        for a in self.embedding:
-            for b in self.embedding:
-                if parent.add(a, b) not in members:
-                    raise InvalidParameterError(
-                        f"{self.descriptor}: not closed under addition at "
-                        f"({parent.render(a)}, {parent.render(b)})"
-                    )
-        for r in parent.ring.elements():
-            for a in self.embedding:
-                if parent.act(r, a) not in members:
-                    raise InvalidParameterError(
-                        f"{self.descriptor}: not closed under the ring action at "
-                        f"(r={parent.ring.render(r)}, {parent.render(a)})"
-                    )
+        add_hit, act_hit = escapes(parent, self._pos >= 0)
+        if add_hit is not None:
+            a, b = (self.embedding[i] for i in add_hit)
+            raise InvalidParameterError(
+                f"{self.descriptor}: not closed under addition at "
+                f"({parent.render(a)}, {parent.render(b)})"
+            )
+        if act_hit is not None:
+            r, i = act_hit
+            raise InvalidParameterError(
+                f"{self.descriptor}: not closed under the ring action at "
+                f"(r={parent.ring.render(r)}, {parent.render(self.embedding[i])})"
+            )
 
     def embed(self, m: int) -> int:
         """Parent id of a submodule element."""
         return self.embedding[m]
 
-    def _add(self, m, n):
-        return self.index_of[self.parent.add(self.embedding[m], self.embedding[n])]
+    def _vadd(self, m, n):
+        return self._pos[self.parent.vadd(self._emb[m], self._emb[n])]
 
-    def _act(self, r, m):
-        return self.index_of[self.parent.act(r, self.embedding[m])]
+    def _vact(self, r, m):
+        return self._pos[self.parent.vact(r, self._emb[m])]
 
-    def _neg(self, m):
-        return self.index_of[self.parent.neg(self.embedding[m])]
+    def _vneg(self, m):
+        return self._pos[self.parent.vneg(self._emb[m])]
 
     def render(self, m):
         return self.parent.render(self.embedding[m])
@@ -317,74 +305,54 @@ class QuotientModule(FiniteModule):
                 f"quotient wants a submodule of {parent.descriptor}, got "
                 f"{sub.descriptor}"
             )
-        nset = set(sub.embedding)
-        for pid in nset:
-            if not 0 <= pid < parent.size:
-                raise InvalidParameterError(
-                    f"quotient: embedded id {pid} is not an element of "
-                    f"{parent.descriptor}"
-                )
         self.parent = parent
         self.sub = sub
-        coset_of = [-1] * parent.size
-        reps: list[int] = []
-        for m in parent.elements():
-            if coset_of[m] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(m)
-            for x in nset:
-                coset_of[parent.add(m, x)] = cid
-            if coset_of[m] != cid:
-                raise AxiomError(
-                    f"quot({parent.descriptor}, ...): coset of {m} does not "
-                    "contain it; the subset is not closed"
-                )
-        self.coset_of = coset_of
-        self.reps = tuple(reps)
+        emb = sub._emb
+        # each coset m + N is represented by its least element
+        least = np.concatenate([
+            parent.vadd(np.arange(lo, hi)[:, None], emb).min(axis=1)
+            for lo, hi in row_blocks(parent.size, len(emb) * _OP_CELLS)])
+        reps, coset = np.unique(least, return_inverse=True)
+        if not np.array_equal(np.flatnonzero(coset == coset[parent.zero]), emb):
+            raise AxiomError(
+                f"quot({parent.descriptor}, ...): the cosets of the subset do "
+                "not partition the module; the subset is not closed"
+            )
+        self.reps, self.coset_of = reps, coset
         descriptor = f"quot({parent.descriptor}, {sub.descriptor})"
         super().__init__(parent.ring, len(reps), descriptor, config)
-        self.zero = coset_of[parent.zero]
+        self.zero = int(coset[parent.zero])
         self._validate_well_defined()
         self._seal()
 
     def _validate_well_defined(self):
-        parent = self.parent
-        coset_of = self.coset_of
-        members: list[list[int]] = [[] for _ in self.reps]
-        for m in parent.elements():
-            members[coset_of[m]].append(m)
-        for ca, group_a in enumerate(members):
-            for cb, group_b in enumerate(members):
-                expect = coset_of[parent.add(self.reps[ca], self.reps[cb])]
-                for p in group_a:
-                    for q in group_b:
-                        if coset_of[parent.add(p, q)] != expect:
-                            raise AxiomError(
-                                f"{self.descriptor}: addition is not well defined "
-                                f"at cosets ({ca}, {cb})"
-                            )
-        for r in parent.ring.elements():
-            for cid, group in enumerate(members):
-                expect = coset_of[parent.act(r, self.reps[cid])]
-                for p in group:
-                    if coset_of[parent.act(r, p)] != expect:
-                        raise AxiomError(
-                            f"{self.descriptor}: the action is not well defined "
-                            f"at (r={r}, coset {cid})"
-                        )
+        # p + q and r * p must land in the coset the representatives give
+        parent, coset, ids = self.parent, self.coset_of, np.arange(self.parent.size)
+        cosets = np.arange(self.size)
+        add = self._vadd(cosets[:, None], cosets)
+        hit = scan(parent.size, parent.size * _OP_CELLS, lambda lo, hi: first_true(
+            coset[parent.vadd(ids[lo:hi, None], ids)] != add[coset[lo:hi, None], coset], lo))
+        if hit is not None:
+            raise AxiomError(f"{self.descriptor}: addition is not well defined "
+                             f"at cosets ({coset[hit[0]]}, {coset[hit[1]]})")
+        act = self._vact(np.arange(parent.ring.size)[:, None], cosets)
+        hit = scan(parent.ring.size, parent.size * _OP_CELLS, lambda lo, hi: first_true(
+            coset[parent.vact(np.arange(lo, hi)[:, None], ids)] != act[lo:hi][:, coset], lo))
+        if hit is not None:
+            raise AxiomError(f"{self.descriptor}: the action is not well defined "
+                             f"at (r={hit[0]}, coset {coset[hit[1]]})")
 
-    def _add(self, m, n):
-        return self.coset_of[self.parent.add(self.reps[m], self.reps[n])]
+    def _vadd(self, m, n):
+        return self.coset_of[self.parent.vadd(self.reps[m], self.reps[n])]
 
-    def _act(self, r, m):
-        return self.coset_of[self.parent.act(r, self.reps[m])]
+    def _vact(self, r, m):
+        return self.coset_of[self.parent.vact(r, self.reps[m])]
 
-    def _neg(self, m):
-        return self.coset_of[self.parent.neg(self.reps[m])]
+    def _vneg(self, m):
+        return self.coset_of[self.parent.vneg(self.reps[m])]
 
     def render(self, m):
-        return f"[{self.parent.render(self.reps[m])}]"
+        return f"[{self.parent.render(int(self.reps[m]))}]"
 
 
 class InducedModule(FiniteModule):
@@ -400,22 +368,36 @@ class InducedModule(FiniteModule):
             )
         self.hom = hom
         self.base = base
+        self._map = np.array(hom.map)
         descriptor = f"induced({hom.descriptor}, {base.descriptor})"
         super().__init__(hom.source, base.size, descriptor, config)
         self.zero = base.zero
         self._seal()
 
-    def _add(self, m, n):
-        return self.base.add(m, n)
+    def _vadd(self, m, n):
+        return self.base.vadd(m, n)
 
-    def _act(self, r, m):
-        return self.base.act(self.hom.map[r], m)
+    def _vact(self, r, m):
+        return self.base.vact(self._map[r], m)
 
-    def _neg(self, m):
-        return self.base.neg(m)
+    def _vneg(self, m):
+        return self.base.vneg(m)
 
     def render(self, m):
         return self.base.render(m)
+
+
+def escapes(module: FiniteModule, inside: np.ndarray):
+    """Where a subset (a bool mask over ids) leaks out: the least (i, j) with
+    members[i] + members[j] outside and the least (r, j) with r * members[j]
+    outside, each None when the subset is closed."""
+    members = np.flatnonzero(inside)
+    k = len(members)
+    add_hit = scan(k, k * _OP_CELLS, lambda lo, hi: first_true(
+        ~inside[module.vadd(members[lo:hi, None], members)], lo))
+    act_hit = scan(module.ring.size, k * _OP_CELLS, lambda lo, hi: first_true(
+        ~inside[module.vact(np.arange(lo, hi)[:, None], members)], lo))
+    return add_hit, act_hit
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +440,18 @@ def submodule_generated(module: FiniteModule, gens: Iterable[int],
             raise InvalidParameterError(
                 f"generator {g} is not in {module.descriptor}"
             )
-    members: set[int] = set()
-    queue = [module.zero] + list(gens)
-    while queue:
-        x = queue.pop()
-        if x in members:
-            continue
-        members.add(x)
-        for r in module.ring.elements():
-            y = module.act(r, x)
-            if y not in members:
-                queue.append(y)
-        for y in list(members):
-            s = module.add(x, y)
-            if s not in members:
-                queue.append(s)
+    inside = np.zeros(module.size, dtype=bool)
+    inside[[module.zero, *gens]] = True
+    while True:  # add every sum and multiple of the members until none is new
+        members = np.flatnonzero(inside)
+        for lo, hi in row_blocks(len(members), len(members) * _OP_CELLS):
+            inside[module.vadd(members[lo:hi, None], members)] = True
+        for lo, hi in row_blocks(module.ring.size, len(members) * _OP_CELLS):
+            inside[module.vact(np.arange(lo, hi)[:, None], members)] = True
+        if inside.sum() == len(members):
+            break
     gens_text = "{" + ", ".join(str(g) for g in gens) + "}"
-    return SubModule(module, sorted(members),
+    return SubModule(module, np.flatnonzero(inside).tolist(),
                      f"gen({module.descriptor}, {gens_text})", config)
 
 
@@ -536,27 +513,53 @@ def check_module_axioms(module: FiniteModule, exhaustive: bool | None = None,
             raise AxiomError(f"{desc}: neg fails at {m}")
 
     if exhaustive:
-        group_triples = ((a, b, c) for a in range(nm) for b in range(nm)
-                         for c in range(nm))
-        mixed = ((r, s, m) for r in range(nr) for s in range(nr) for m in range(nm))
-        dist = ((r, m, n) for r in range(nr) for m in range(nm) for n in range(nm))
-    else:
-        group_triples = ((rng.randrange(nm), rng.randrange(nm), rng.randrange(nm))
-                         for _ in range(count))
-        mixed = ((rng.randrange(nr), rng.randrange(nr), rng.randrange(nm))
-                 for _ in range(count))
-        dist = ((rng.randrange(nr), rng.randrange(nm), rng.randrange(nm))
-                for _ in range(count))
-    for a, b, c in group_triples:
+        _scan_laws(module)
+        return
+    for _ in range(count):
+        a, b, c = rng.randrange(nm), rng.randrange(nm), rng.randrange(nm)
         if add(a, b) != add(b, a):
             raise AxiomError(f"{desc}: module addition not commutative at ({a}, {b})")
         if add(add(a, b), c) != add(a, add(b, c)):
             raise AxiomError(f"{desc}: module addition not associative at ({a}, {b}, {c})")
-    for r, s, m in mixed:
+    for _ in range(count):
+        r, s, m = rng.randrange(nr), rng.randrange(nr), rng.randrange(nm)
         if act(radd(r, s), m) != add(act(r, m), act(s, m)):
             raise AxiomError(f"{desc}: (r+s)m != rm+sm at ({r}, {s}, {m})")
         if act(rmul(r, s), m) != act(r, act(s, m)):
             raise AxiomError(f"{desc}: (rs)m != r(sm) at ({r}, {s}, {m})")
-    for r, m, n in dist:
+    for _ in range(count):
+        r, m, n = rng.randrange(nr), rng.randrange(nm), rng.randrange(nm)
         if act(r, add(m, n)) != add(act(r, m), act(r, n)):
             raise AxiomError(f"{desc}: r(m+n) != rm+rn at ({r}, {m}, {n})")
+
+
+def _scan_laws(module: FiniteModule) -> None:
+    """Every (a, b, c), (r, s, m) and (r, m, n) law by the scan kernel, first
+    failure as a triple loop in that order meets it."""
+    add, act = module.add_table(), module.act_table()
+    radd, rmul = module.ring.add_table(), module.ring.mul_table()
+    nm, nr = module.size, module.ring.size
+
+    def group(lo, hi):
+        pa = add[lo:hi]
+        comm = np.broadcast_to((pa != add[:, lo:hi].T)[:, :, None], (hi - lo, nm, nm))
+        return np.stack([comm, add[pa] != np.take(pa, add, axis=1)], axis=-1)
+
+    def mixed(lo, hi):
+        ar = act[lo:hi]
+        return np.stack([act[radd[lo:hi]] != add[ar[:, None, :], act[None, :, :]],
+                         act[rmul[lo:hi]] != np.take(ar, act, axis=1)], axis=-1)
+
+    def dist(lo, hi):
+        ar = act[lo:hi]
+        return (np.take(ar, add, axis=1) != add[ar[:, :, None], ar[:, None, :]])[..., None]
+
+    for broken, rows, cells, messages in (
+            (group, nm, 2 * nm * nm, ("module addition not commutative at ({0}, {1})",
+                                      "module addition not associative at ({0}, {1}, {2})")),
+            (mixed, nr, 2 * nr * nm, ("(r+s)m != rm+sm at ({0}, {1}, {2})",
+                                      "(rs)m != r(sm) at ({0}, {1}, {2})")),
+            (dist, nr, nm * nm, ("r(m+n) != rm+rn at ({0}, {1}, {2})",))):
+        hit = scan(rows, cells, lambda lo, hi: first_true(broken(lo, hi), lo))
+        if hit is not None:
+            raise AxiomError(f"{module.descriptor}: " + messages[hit[3]].format(*hit))

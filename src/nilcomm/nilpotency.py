@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import EngineConfig, resolve
 from .errors import DecisionCapError
-from .modules import FiniteModule
-from .rings import regular_elements
+from .modules import FiniteModule, escapes
+from .rings import regular_elements, row_blocks
 
 
 @dataclass
@@ -34,6 +36,12 @@ class NilSet:
 
     def members(self) -> list[int]:
         return [m for m in self.module.elements() if self.mask >> m & 1]
+
+    def flags(self) -> np.ndarray:
+        """Membership as a bool array indexed by element id."""
+        n = self.module.size
+        packed = np.frombuffer(self.mask.to_bytes((n + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
 
     @property
     def count(self) -> int:
@@ -151,33 +159,31 @@ def nil_set(module: FiniteModule, config: EngineConfig | None = None) -> NilSet:
             f"exceeds cap {cfg.decision_cap}",
             cfg.decision_cap,
         )
-    mask = 0
-    witnesses: dict[int, tuple[int, int]] = {}
-    for m in module.elements():
-        ok, t = is_nilpotent_squared(module, m)
-        if ok:
-            mask |= 1 << m
-            if t is not None:
-                witnesses[m] = (t, 2)
-    result = NilSet(module, mask, witnesses)
+    # the squared criterion for every m at once: the least t with t*m != 0
+    # and (t*t)*m = 0, scanning blocks of t in order
+    act, zero, nr = module.act_table(), module.zero, module.ring.size
+    squares = module.ring.squares()
+    least = np.full(module.size, -1)
+    for lo, hi in row_blocks(nr, module.size):
+        hit = (act[lo:hi] != zero) & (act[squares[lo:hi]] == zero)
+        found = hit.any(axis=0) & (least < 0)
+        least[found] = lo + hit[:, found].argmax(axis=0)
+    least[zero] = -1
+    members = least >= 0
+    members[zero] = True
+    witnesses = {m: (t, 2) for m, t in enumerate(least.tolist()) if t >= 0}
+    result = NilSet(module, _bitmask(members), witnesses)
     module._nil_cache = result
     return result
+
+
+def _bitmask(flags: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def is_nil_module(module: FiniteModule, config: EngineConfig | None = None) -> bool:
     """True when every element of the module is nilpotent."""
     return nil_set(module, config).covers_module()
-
-
-def _closed_under(module: FiniteModule, mask: int) -> tuple[bool, bool]:
-    members = [m for m in module.elements() if mask >> m & 1]
-    add_closed = all(mask >> module.add(a, b) & 1 for a in members for b in members)
-    act_closed = all(
-        mask >> module.act(r, a) & 1
-        for r in module.ring.elements()
-        for a in members
-    )
-    return add_closed, act_closed
 
 
 def torsion_sets(module: FiniteModule,
@@ -193,29 +199,15 @@ def torsion_sets(module: FiniteModule,
             f"{cfg.decision_cap}",
             cfg.decision_cap,
         )
-    ring = module.ring
-    act = module.act
-    zero = module.zero
-    rzero = ring.zero
-    regulars = regular_elements(ring)
-    tor_mask = 0
-    t_mask = 0
-    for m in module.elements():
-        if m == zero:
-            tor_mask |= 1 << m
-            t_mask |= 1 << m
-            continue
-        for r in ring.elements():
-            if r == rzero:
-                continue
-            if act(r, m) == zero:
-                tor_mask |= 1 << m
-                if r in regulars:
-                    t_mask |= 1 << m
-                    break
-    tor_add, tor_act = _closed_under(module, tor_mask)
-    t_add, t_act = _closed_under(module, t_mask)
-    result = TorsionSets(module, tor_mask, t_mask, tor_add, tor_act, t_add, t_act)
+    killed = module.act_table() == module.zero
+    killed[module.ring.zero] = False
+    tor = killed.any(axis=0)
+    t = killed[sorted(regular_elements(module.ring))].any(axis=0)
+    tor[module.zero] = t[module.zero] = True
+    tor_add, tor_act = (hit is None for hit in escapes(module, tor))
+    t_add, t_act = (hit is None for hit in escapes(module, t))
+    result = TorsionSets(module, _bitmask(tor), _bitmask(t), tor_add, tor_act,
+                         t_add, t_act)
     module._torsion_cache = result
     return result
 

@@ -1,19 +1,25 @@
 """Finite unital rings addressed by dense integer element ids.
 
-Every ring exposes total add/mul/neg operations on ids 0..size-1 and a
+Every ring exposes total add/mul/neg operations on ids 0..size-1, the same
+operations vadd/vmul/vneg over broadcasting numpy id arrays, and a
 descriptor string that doubles as its canonical serialized form (the same
-expressions the structure DSL parses).  Small rings precompute operation
-tables; larger ones evaluate operations structurally per call.  Matrix
-elements are indexed as base-|R| digit strings over the shape's free
-positions in row-major order, first position most significant, so id 0 is
-always the zero matrix when the base ring's zero has id 0.
+expressions the structure DSL parses).  Small rings store int32 operation
+tables built by the vectorized operations; larger ones evaluate operations
+structurally per call.  Matrix elements are indexed as base-|R| digit
+strings over the shape's free positions in row-major order, first position
+most significant, so id 0 is always the zero matrix when the base ring's
+zero has id 0.
+
+The array layer below (one mixed-radix codec, table building and the block
+scan kernel) also carries the modules, nil sets and deciders.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -125,6 +131,113 @@ def _stable_seed(config: EngineConfig, descriptor: str) -> int:
     return (config.seed << 16) ^ zlib.crc32(descriptor.encode("utf-8"))
 
 
+# ---------------------------------------------------------------------------
+# Array layer: the codec, operation tables and the block scan kernel
+
+
+class MixedRadix:
+    """Ids as mixed-radix digit strings, first digit most significant."""
+
+    def __init__(self, radices: Iterable[int]):
+        self.radices = tuple(radices)
+        self.weights = np.cumprod((1,) + self.radices[:0:-1], dtype=np.int64)[::-1]
+        self._radix = np.array(self.radices, dtype=np.int64)
+
+    def encode(self, digits) -> int:
+        """Id of one digit string; rejects out-of-range digits."""
+        eid = 0
+        for d, r in zip(digits, self.radices):
+            if not 0 <= d < r:
+                raise InvalidParameterError(
+                    f"entry id {d} out of range for base of size {r}")
+            eid = eid * r + d
+        return eid
+
+    def decode(self, eid: int) -> list[int]:
+        return self.digits(eid).tolist()
+
+    def digits(self, ids) -> np.ndarray:
+        """Digit strings of an id array, along a new last axis."""
+        return np.asarray(ids)[..., None] // self.weights % self._radix
+
+    def ids(self, digits) -> np.ndarray:
+        """Ids of digit strings laid along the last axis."""
+        return digits @ self.weights
+
+
+# A block of a scan or a table build holds at most _BLOCK_CELLS cells, so
+# temporaries stay small at any size; a structural op may take _OP_CELLS
+# cells per id pair (a 4x4 matrix product grid), so its blocks are narrower.
+_BLOCK_CELLS = 1 << 16
+_OP_CELLS = 64
+
+
+def row_blocks(rows: int, cells_per_row: int) -> list[tuple[int, int]]:
+    step = max(1, _BLOCK_CELLS // max(1, cells_per_row))
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def op_table(op, rows: int, cols: int) -> np.ndarray:
+    """rows x cols int32 table of a vectorized op over all id pairs."""
+    out = np.empty((rows, cols), dtype=np.int32)
+    right = np.arange(cols)
+    for lo, hi in row_blocks(rows, cols * _OP_CELLS):
+        out[lo:hi] = op(np.arange(lo, hi)[:, None], right)
+    return out
+
+
+def table_ops(add: np.ndarray, op: np.ndarray, neg: np.ndarray):
+    """Pointwise add/op/neg, then vectorized ones, over three tables; the
+    pointwise ones index memoryviews of the rows (plain ints, no copies)."""
+    add_rows, op_rows = [memoryview(r) for r in add], [memoryview(r) for r in op]
+    return ((lambda a, b: add_rows[a][b]), (lambda a, b: op_rows[a][b]),
+            memoryview(neg).__getitem__,
+            (lambda a, b: add[a, b]), (lambda a, b: op[a, b]), neg.__getitem__)
+
+
+def elementwise(op, *ids) -> np.ndarray:
+    """A pointwise op applied across broadcast id arrays."""
+    return np.vectorize(op, otypes=[np.int64])(*ids)
+
+
+def digitwise(codec: MixedRadix, op, *ids) -> np.ndarray:
+    """Ids whose digit strings are op applied to the operands' digit strings."""
+    return codec.ids(op(*(codec.digits(x) for x in ids)))
+
+
+def grid_product(a: np.ndarray, b: np.ndarray, vmul, vsum) -> np.ndarray:
+    """Matrix product of id grids under an entry product (a ring's or an
+    action) and an entry sum."""
+    return vsum(vmul(a[..., :, :, None], b[..., None, :, :]), -2)
+
+
+def componentwise(codec: MixedRadix, ops, *ids, left=()) -> np.ndarray:
+    """Product-structure ids whose i-th digit is ops[i](*left, i-th digits)."""
+    digits = [codec.digits(x) for x in ids]
+    return codec.ids(np.stack([op(*left, *(d[..., i] for d in digits))
+                               for i, op in enumerate(ops)], axis=-1))
+
+
+def first_true(mask: np.ndarray, row: int = 0):
+    """C-order least True index as ints (first one offset by row), or None."""
+    if not mask.any():
+        return None
+    idx = np.unravel_index(int(mask.argmax()), mask.shape)
+    return (int(idx[0]) + row, *(int(x) for x in idx[1:]))
+
+
+def scan(rows: int, cells_per_row: int, block):
+    """The least hit over row blocks: block(lo, hi) returns the least hit
+    among rows lo..hi-1 (a tuple led by the row) or None.  Blocks run in row
+    order and stop at the first hit."""
+    return next(filter(None, (block(lo, hi) for lo, hi in row_blocks(rows, cells_per_row))),
+                None)
+
+
+# ---------------------------------------------------------------------------
+# Rings
+
+
 class FiniteRing:
     """Base class: a finite associative ring with identity on ids 0..size-1."""
 
@@ -149,22 +262,26 @@ class FiniteRing:
         self._neg_row = None
         self._commutative: bool | None = None
 
-    # Structural operations supplied by subclasses.
+    # Structural operations supplied by subclasses: either the pointwise
+    # _add/_mul/_neg on ids or the vectorized _vadd/_vmul/_vneg on id
+    # arrays.  Each falls back on its partner.
     def _add(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return int(self._vadd(a, b))
 
     def _mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return int(self._vmul(a, b))
 
     def _neg(self, a: int) -> int:
-        raise NotImplementedError
+        return int(self._vneg(a))
 
-    def _table_rows(self):
-        n = self.size
-        add_rows = [[self._add(a, b) for b in range(n)] for a in range(n)]
-        mul_rows = [[self._mul(a, b) for b in range(n)] for a in range(n)]
-        neg_row = [self._neg(a) for a in range(n)]
-        return add_rows, mul_rows, neg_row
+    def _vadd(self, a, b):
+        return elementwise(self._add, a, b)
+
+    def _vmul(self, a, b):
+        return elementwise(self._mul, a, b)
+
+    def _vneg(self, a):
+        return elementwise(self._neg, a)
 
     def _seal(self, validate: bool = True) -> None:
         """Finalize construction: reject the trivial ring, bind ops, validate."""
@@ -172,17 +289,17 @@ class FiniteRing:
             raise InvalidParameterError(
                 f"{self.descriptor}: the trivial ring (0 = 1) is rejected"
             )
-        if self.size <= self.config.tabulate_threshold:
-            add_rows, mul_rows, neg_row = self._table_rows()
-            self._add_rows, self._mul_rows, self._neg_row = add_rows, mul_rows, neg_row
-            self.add = lambda a, b, _t=add_rows: _t[a][b]
-            self.mul = lambda a, b, _t=mul_rows: _t[a][b]
-            self.neg = lambda a, _t=neg_row: _t[a]
+        n = self.size
+        if n <= self.config.tabulate_threshold:
+            add, mul = op_table(self._vadd, n, n), op_table(self._vmul, n, n)
+            neg = self._vneg(np.arange(n)).astype(np.int32)
+            self._add_rows, self._mul_rows, self._neg_row = add, mul, neg
+            (self.add, self.mul, self.neg,
+             self.vadd, self.vmul, self.vneg) = table_ops(add, mul, neg)
             self.tabulated = True
         else:
-            self.add = self._add
-            self.mul = self._mul
-            self.neg = self._neg
+            self.add, self.mul, self.neg = self._add, self._mul, self._neg
+            self.vadd, self.vmul, self.vneg = self._vadd, self._vmul, self._vneg
         if validate:
             check_ring_axioms(self)
 
@@ -190,6 +307,22 @@ class FiniteRing:
     add: Callable[[int, int], int]
     mul: Callable[[int, int], int]
     neg: Callable[[int], int]
+
+    def vsum(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """Sum of an id array along one axis."""
+        return reduce(self.vadd, np.moveaxis(x, axis, 0))
+
+    def add_table(self) -> np.ndarray:
+        """The addition table: the stored one, else built from the ops."""
+        return self._add_rows if self.tabulated else op_table(self.vadd, self.size, self.size)
+
+    def mul_table(self) -> np.ndarray:
+        return self._mul_rows if self.tabulated else op_table(self.vmul, self.size, self.size)
+
+    def squares(self) -> np.ndarray:
+        """t * t for every element t."""
+        return np.concatenate([self.vmul(t, t) for t in (
+            np.arange(lo, hi) for lo, hi in row_blocks(self.size, _OP_CELLS))])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -214,23 +347,15 @@ class FiniteRing:
 
     def is_commutative(self) -> bool:
         if self._commutative is None:
-            if self.tabulated:
-                t = np.asarray(self._mul_rows)
-                self._commutative = bool((t == t.T).all())
-            else:
-                pairs = self.size * self.size
-                if pairs > self.config.decision_cap and not self.config.force:
-                    raise DecisionCapError(
-                        f"{self.descriptor}: commutativity scan of {pairs} pairs "
-                        f"exceeds cap {self.config.decision_cap}",
-                        self.config.decision_cap,
-                    )
-                mul = self.mul
-                self._commutative = all(
-                    mul(a, b) == mul(b, a)
-                    for a in range(self.size)
-                    for b in range(a + 1, self.size)
+            pairs = self.size * self.size
+            if (not self.tabulated and pairs > self.config.decision_cap
+                    and not self.config.force):
+                raise DecisionCapError(
+                    f"{self.descriptor}: commutativity scan of {pairs} pairs "
+                    f"exceeds cap {self.config.decision_cap}",
+                    self.config.decision_cap,
                 )
+            self._commutative = bool(_commuting(self).all())
         return self._commutative
 
     def __repr__(self):
@@ -254,6 +379,7 @@ class ZnRing(FiniteRing):
         self.one = 1
         self._seal()
 
+    # plain arithmetic serves ints and (int64) id arrays alike
     def _add(self, a, b):
         return (a + b) % self.n
 
@@ -263,72 +389,76 @@ class ZnRing(FiniteRing):
     def _neg(self, a):
         return (-a) % self.n
 
-    def _table_rows(self):
-        r = np.arange(self.n, dtype=np.int64)
-        add = (r[:, None] + r[None, :]) % self.n
-        mul = (r[:, None] * r[None, :]) % self.n
-        neg = (-r) % self.n
-        return add.tolist(), mul.tolist(), neg.tolist()
+    _vadd, _vmul, _vneg = _add, _mul, _neg
+
+    def vsum(self, x, axis):
+        return x.sum(axis, dtype=np.int64) % self.n
 
 
 class _MatrixLayout:
-    """Digit encoding shared by matrix rings and matrix modules."""
+    """Base-|B| digits over one shape's free positions, shared by matrix
+    rings and matrix modules; grid() and ungrid() convert whole id arrays to
+    entry grids and back."""
 
-    shape: MatrixShape
-    positions: tuple[tuple[int, int], ...]
-    _radix: int
-    _entry_zero: int
+    def _lay_out(self, shape: MatrixShape, entries) -> None:
+        self.shape = shape
+        self.positions = shape.free_positions()
+        p = len(self.positions)
+        self.codec = MixedRadix([entries.size] * p)
+        self._entry_zero = entries.zero
+        digit = np.array(shape_fill(shape, self.positions, range(p), -1))
+        self._forced = digit < 0
+        # an id divided by a weight past its top digit reads digit 0
+        self._cell_weight = np.where(self._forced, entries.size ** p,
+                                     self.codec.weights[digit])
+        self._free = tuple(np.array(ix) for ix in zip(*self.positions))
 
-    def _encode_digits(self, digits) -> int:
-        radix = self._radix
-        eid = 0
-        for d in digits:
-            if not 0 <= d < radix:
-                raise InvalidParameterError(
-                    f"entry id {d} out of range for base of size {radix}"
-                )
-            eid = eid * radix + d
-        return eid
+    def grid(self, ids) -> np.ndarray:
+        """Entry ids of each element as an n x n grid on two new last axes."""
+        cells = np.asarray(ids)[..., None, None] // self._cell_weight % self.codec.radices[0]
+        if self._entry_zero:
+            cells = np.where(self._forced, self._entry_zero, cells)
+        return cells
 
-    def _decode_digits(self, eid: int):
-        radix = self._radix
-        digits = [0] * len(self.positions)
-        for i in range(len(digits) - 1, -1, -1):
-            eid, digits[i] = divmod(eid, radix)
-        return digits
+    def ungrid(self, cells: np.ndarray) -> np.ndarray:
+        """Ids of entry grids lying in the shape."""
+        return self.codec.ids(cells[(..., *self._free)])
+
+    def _vadd(self, a, b):
+        return digitwise(self.codec, self.base.vadd, a, b)
+
+    def _vneg(self, a):
+        return digitwise(self.codec, self.base.vneg, a)
 
     def entries(self, eid: int):
         """Full n-by-n grid of base ids for one element."""
-        return shape_fill(self.shape, self.positions, self._decode_digits(eid), self._entry_zero)
+        return shape_fill(self.shape, self.positions, self.codec.decode(eid),
+                          self._entry_zero)
 
     def from_entries(self, rows) -> int:
         """Element id of an entry grid; rejects grids outside the shape."""
         digits = shape_read(self.shape, self.positions, rows, self._entry_zero,
                             what=getattr(self, "descriptor", "matrix"))
-        return self._encode_digits(digits)
+        return self.codec.encode(digits)
+
+    def _with_cells(self, cells, value: int) -> int:
+        n = self.shape.n
+        rows = [[self._entry_zero] * n for _ in range(n)]
+        for i, j in cells:
+            rows[i][j] = value
+        return self.from_entries(rows)
 
     def unit(self, i: int, j: int, value: int) -> int:
         """Element with value at (i, j) and zeros elsewhere, if admissible."""
-        n = self.shape.n
-        rows = [[self._entry_zero] * n for _ in range(n)]
-        rows[i][j] = value
-        return self.from_entries(rows)
+        return self._with_cells([(i, j)], value)
 
     def scalar(self, value: int) -> int:
         """value times the identity matrix."""
-        n = self.shape.n
-        rows = [[self._entry_zero] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = value
-        return self.from_entries(rows)
+        return self._with_cells([(i, i) for i in range(self.shape.n)], value)
 
     def superdiag(self, value: int, k: int = 1) -> int:
         """value on superdiagonal k (the matrix value * V^k), zeros elsewhere."""
-        n = self.shape.n
-        rows = [[self._entry_zero] * n for _ in range(n)]
-        for i in range(n - k):
-            rows[i][i + k] = value
-        return self.from_entries(rows)
+        return self._with_cells([(i, i + k) for i in range(self.shape.n - k)], value)
 
     def _render_grid(self, eid: int, render_entry) -> str:
         rows = self.entries(eid)
@@ -343,46 +473,19 @@ class MatrixRing(_MatrixLayout, FiniteRing):
     def __init__(self, shape: MatrixShape, base: FiniteRing,
                  config: EngineConfig | None = None):
         config = resolve(config)
-        self.shape = shape
         self.base = base
-        self.positions = shape.free_positions()
-        self._radix = base.size
-        self._entry_zero = base.zero
-        size = base.size ** len(self.positions)
+        size = base.size ** len(shape.free_positions())
         prefix = _SHAPE_PREFIX[shape.kind]
         super().__init__(size, f"{prefix}({shape.n}, {base.descriptor})", config)
-        self.zero = self._encode_digits([base.zero] * len(self.positions))
+        self._lay_out(shape, base)
+        self.zero = self.codec.encode([base.zero] * len(self.positions))
         self.one = self.scalar(base.one)
         self._seal()
 
-    def _add(self, a, b):
-        badd = self.base.add
-        da = self._decode_digits(a)
-        db = self._decode_digits(b)
-        return self._encode_digits([badd(x, y) for x, y in zip(da, db)])
-
-    def _neg(self, a):
-        bneg = self.base.neg
-        return self._encode_digits([bneg(x) for x in self._decode_digits(a)])
-
-    def _mul(self, a, b):
-        A = self.entries(a)
-        B = self.entries(b)
+    def _vmul(self, a, b):
         base = self.base
-        badd, bmul, zero = base.add, base.mul, base.zero
-        n = self.shape.n
-        C = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            Ai = A[i]
-            Ci = C[i]
-            for k in range(n):
-                aik = Ai[k]
-                if aik == zero:
-                    continue
-                Bk = B[k]
-                for j in range(n):
-                    Ci[j] = badd(Ci[j], bmul(aik, Bk[j]))
-        return self.from_entries(C)
+        return self.ungrid(grid_product(self.grid(a), self.grid(b),
+                                        base.vmul, base.vsum))
 
     def render(self, a):
         return self._render_grid(a, self.base.render)
@@ -397,41 +500,25 @@ class ProductRing(FiniteRing):
         if not factors:
             raise InvalidParameterError("product ring needs at least one factor")
         self.factors = factors
-        self.radices = tuple(f.size for f in factors)
-        size = 1
-        for s in self.radices:
-            size *= s
+        size = math.prod(f.size for f in factors)
         descriptor = "prod(" + ", ".join(f.descriptor for f in factors) + ")"
         super().__init__(size, descriptor, config)
-        self.zero = self._encode([f.zero for f in factors])
-        self.one = self._encode([f.one for f in factors])
+        self.codec = MixedRadix(f.size for f in factors)
+        self.zero = self.codec.encode([f.zero for f in factors])
+        self.one = self.codec.encode([f.one for f in factors])
         self._seal()
 
-    def _encode(self, comps) -> int:
-        eid = 0
-        for c, s in zip(comps, self.radices):
-            eid = eid * s + c
-        return eid
+    def _vadd(self, a, b):
+        return componentwise(self.codec, [f.vadd for f in self.factors], a, b)
 
-    def _decode(self, eid: int):
-        comps = [0] * len(self.radices)
-        for i in range(len(comps) - 1, -1, -1):
-            eid, comps[i] = divmod(eid, self.radices[i])
-        return comps
+    def _vmul(self, a, b):
+        return componentwise(self.codec, [f.vmul for f in self.factors], a, b)
 
-    def _add(self, a, b):
-        ca, cb = self._decode(a), self._decode(b)
-        return self._encode([f.add(x, y) for f, x, y in zip(self.factors, ca, cb)])
-
-    def _mul(self, a, b):
-        ca, cb = self._decode(a), self._decode(b)
-        return self._encode([f.mul(x, y) for f, x, y in zip(self.factors, ca, cb)])
-
-    def _neg(self, a):
-        return self._encode([f.neg(x) for f, x in zip(self.factors, self._decode(a))])
+    def _vneg(self, a):
+        return componentwise(self.codec, [f.vneg for f in self.factors], a)
 
     def render(self, a):
-        comps = self._decode(a)
+        comps = self.codec.decode(a)
         return "(" + ", ".join(f.render(c) for f, c in zip(self.factors, comps)) + ")"
 
 
@@ -448,56 +535,36 @@ class PolyQuotientRing(FiniteRing):
             raise InvalidParameterError(f"polyq needs degree bound >= 1, got {n}")
         self.base = base
         self.degree = n
-        size = base.size ** n
-        super().__init__(size, f"polyq({base.descriptor}, {n})", config)
-        self.zero = self._encode([base.zero] * n)
-        self.one = self._encode([base.one] + [base.zero] * (n - 1))
+        super().__init__(base.size ** n, f"polyq({base.descriptor}, {n})", config)
+        self.codec = MixedRadix([base.size] * n)
+        self._shift = np.arange(n) - np.arange(n)[:, None]  # k - i at (i, k)
+        self.zero = self.codec.encode([base.zero] * n)
+        self.one = self.codec.encode([base.one] + [base.zero] * (n - 1))
         self._seal()
 
-    def _encode(self, coeffs) -> int:
-        radix = self.base.size
-        eid = 0
-        for c in coeffs:
-            eid = eid * radix + c
-        return eid
-
     def coefficients(self, eid: int):
-        radix = self.base.size
-        coeffs = [0] * self.degree
-        for i in range(self.degree - 1, -1, -1):
-            eid, coeffs[i] = divmod(eid, radix)
-        return coeffs
+        return self.codec.decode(eid)
 
     def from_coefficients(self, coeffs) -> int:
         if len(coeffs) != self.degree:
             raise InvalidParameterError(
                 f"{self.descriptor}: expected {self.degree} coefficients"
             )
-        return self._encode(coeffs)
+        return self.codec.encode(coeffs)
 
-    def _add(self, a, b):
-        badd = self.base.add
-        return self._encode([badd(x, y) for x, y in
-                             zip(self.coefficients(a), self.coefficients(b))])
+    def _vadd(self, a, b):
+        return digitwise(self.codec, self.base.vadd, a, b)
 
-    def _neg(self, a):
-        bneg = self.base.neg
-        return self._encode([bneg(x) for x in self.coefficients(a)])
+    def _vneg(self, a):
+        return digitwise(self.codec, self.base.vneg, a)
 
-    def _mul(self, a, b):
-        ca = self.coefficients(a)
-        cb = self.coefficients(b)
-        base = self.base
-        out = [base.zero] * self.degree
-        for i, x in enumerate(ca):
-            if x == base.zero:
-                continue
-            for j in range(self.degree - i):
-                y = cb[j]
-                if y == base.zero:
-                    continue
-                out[i + j] = base.add(out[i + j], base.mul(x, y))
-        return self._encode(out)
+    def _vmul(self, a, b):
+        # truncated convolution: c_k is the sum of a_i * b_(k-i) over i <= k,
+        # so row i of the shifted b holds the coefficients of x^i b
+        base, shift = self.base, self._shift
+        shifted = np.where(shift >= 0, self.codec.digits(b)[..., shift], base.zero)
+        return self.codec.ids(base.vsum(
+            base.vmul(self.codec.digits(a)[..., :, None], shifted), -2))
 
     def render(self, a):
         coeffs = self.coefficients(a)
@@ -554,51 +621,33 @@ def center(ring: FiniteRing) -> frozenset[int]:
             f"{ring.config.decision_cap}",
             ring.config.decision_cap,
         )
-    mul = ring.mul
-    out = []
-    for c in ring.elements():
-        if all(mul(c, r) == mul(r, c) for r in ring.elements()):
-            out.append(c)
-    return frozenset(out)
+    return frozenset(np.flatnonzero(_commuting(ring)).tolist())
+
+
+def _against_all(ring: FiniteRing, test) -> np.ndarray:
+    """For each element s, whether test(s, r) holds for every element r."""
+    ids = np.arange(ring.size)
+    return np.concatenate([test(ids[lo:hi, None], ids).all(axis=1)
+                           for lo, hi in row_blocks(ring.size, ring.size * _OP_CELLS)])
+
+
+def _commuting(ring: FiniteRing) -> np.ndarray:
+    return _against_all(ring, lambda c, r: ring.vmul(c, r) == ring.vmul(r, c))
 
 
 def regular_elements(ring: FiniteRing) -> frozenset[int]:
     """Nonzero elements that are neither left nor right zero divisors."""
-    mul = ring.mul
-    zero = ring.zero
-    out = []
-    for s in ring.elements():
-        if s == zero:
-            continue
-        ok = True
-        for r in ring.elements():
-            if r == zero:
-                continue
-            if mul(s, r) == zero or mul(r, s) == zero:
-                ok = False
-                break
-        if ok:
-            out.append(s)
-    return frozenset(out)
+    mul, zero = ring.vmul, ring.zero
+    regular = _against_all(ring, lambda s, r: (r == zero) | (
+        (mul(s, r) != zero) & (mul(r, s) != zero)))
+    regular[zero] = False
+    return frozenset(np.flatnonzero(regular).tolist())
 
 
 def nil_ring_set(ring: FiniteRing) -> frozenset[int]:
     """Elements with a^k = 0 for some k >= 1, by power iteration."""
-    mul = ring.mul
-    zero = ring.zero
-    out = []
-    for a in ring.elements():
-        x = a
-        seen = set()
-        while True:
-            if x == zero:
-                out.append(a)
-                break
-            if x in seen:
-                break
-            seen.add(x)
-            x = mul(x, a)
-    return frozenset(out)
+    return frozenset(a for a in ring.elements()
+                     if nilpotency_degree(ring, a) is not None)
 
 
 def nilpotency_degree(ring: FiniteRing, a: int) -> int | None:
@@ -661,17 +710,12 @@ def make_ring_hom(source: FiniteRing, target: FiniteRing, mapping,
             f"{source.config.decision_cap}",
             source.config.decision_cap,
         )
-    for a in source.elements():
-        fa = table[a]
-        for b in source.elements():
-            if table[source.add(a, b)] != target.add(fa, table[b]):
-                raise InvalidHomError(
-                    f"hom is not additive at ({a}, {b})", pair=(a, b)
-                )
-            if table[source.mul(a, b)] != target.mul(fa, table[b]):
-                raise InvalidHomError(
-                    f"hom is not multiplicative at ({a}, {b})", pair=(a, b)
-                )
+    hit = _first_broken_pair(source, target, table)
+    if hit is not None:
+        a, b, law = hit
+        raise InvalidHomError(
+            f"hom is not {('additive', 'multiplicative')[law]} at ({a}, {b})",
+            pair=(a, b))
     surjective = len(set(table)) == target.size
     if descriptor is None:
         descriptor = f"hom({source.descriptor}, {target.descriptor})"
@@ -711,35 +755,35 @@ def verify_theta_iso(base: FiniteRing, n: int,
             f"theta check over {pairs} pairs exceeds cap {config.decision_cap}",
             config.decision_cap,
         )
-    theta = [pring.from_coefficients(vring._decode_digits(a)) for a in vring.elements()]
+    theta = [pring.from_coefficients(vring.codec.decode(a)) for a in vring.elements()]
     if len(set(theta)) != vring.size or vring.size != pring.size:
         return False
     if theta[vring.zero] != pring.zero or theta[vring.one] != pring.one:
         return False
-    for a in vring.elements():
-        ta = theta[a]
-        for b in vring.elements():
-            if theta[vring.add(a, b)] != pring.add(ta, theta[b]):
-                return False
-            if theta[vring.mul(a, b)] != pring.mul(ta, theta[b]):
-                return False
-    return True
+    return _first_broken_pair(vring, pring, theta) is None
+
+
+def _first_broken_pair(source: FiniteRing, target: FiniteRing, table):
+    """Least (a, b, law) where the id map breaks a + b (law 0) or a * b
+    (law 1), or None when it preserves both."""
+    t = np.asarray(table)
+    ids = np.arange(source.size)
+
+    def broken(lo, hi):
+        a = ids[lo:hi, None]
+        return np.stack([t[source.vadd(a, ids)] != target.vadd(t[a], t),
+                         t[source.vmul(a, ids)] != target.vmul(t[a], t)], axis=-1)
+
+    return scan(source.size, 2 * source.size * _OP_CELLS,
+                lambda lo, hi: first_true(broken(lo, hi), lo))
 
 
 # ---------------------------------------------------------------------------
 # Axiom validation
 
 
-def _np_ring_tables(ring: FiniteRing):
-    add = np.asarray(ring._add_rows, dtype=np.int64)
-    mul = np.asarray(ring._mul_rows, dtype=np.int64)
-    neg = np.asarray(ring._neg_row, dtype=np.int64)
-    return add, mul, neg
-
-
-def _first_bad(eq: np.ndarray):
-    idx = np.argwhere(~eq)
-    return tuple(int(x) for x in idx[0])
+_RING_LAWS = ("add not associative", "mul not associative",
+              "left distributivity fails", "right distributivity fails")
 
 
 def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
@@ -765,14 +809,15 @@ def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
             cfg.decision_cap,
         )
 
-    if ring.tabulated:
-        add, mul, neg = _np_ring_tables(ring)
+    if ring.tabulated or exhaustive:
+        add, mul = ring.add_table(), ring.mul_table()
         ar = np.arange(n)
+        neg = ring.vneg(ar)
         for name, t in (("add", add), ("mul", mul)):
             if t.min() < 0 or t.max() >= n:
                 raise AxiomError(f"{desc}: {name} table has out-of-range ids")
         if not (add == add.T).all():
-            a, b = _first_bad(add == add.T)
+            a, b = first_true(add != add.T)
             raise AxiomError(f"{desc}: add is not commutative at ({a}, {b})")
         if not (add[ring.zero] == ar).all():
             raise AxiomError(f"{desc}: zero is not an additive identity")
@@ -781,36 +826,30 @@ def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
         if not (mul[ring.one] == ar).all() or not (mul[:, ring.one] == ar).all():
             raise AxiomError(f"{desc}: one is not a multiplicative identity")
         if exhaustive:
-            for a in range(n):
-                if not (add[add[a]] == add[a][add]).all():
-                    b, c = _first_bad(add[add[a]] == add[a][add])
-                    raise AxiomError(f"{desc}: add not associative at ({a}, {b}, {c})")
-                if not (mul[mul[a]] == mul[a][mul]).all():
-                    b, c = _first_bad(mul[mul[a]] == mul[a][mul])
-                    raise AxiomError(f"{desc}: mul not associative at ({a}, {b}, {c})")
-                left = mul[a][add]
-                right = add[mul[a][:, None], mul[a][None, :]]
-                if not (left == right).all():
-                    b, c = _first_bad(left == right)
-                    raise AxiomError(
-                        f"{desc}: left distributivity fails at ({a}, {b}, {c})"
-                    )
-                left = mul[add, a]
-                col = mul[:, a]
-                right = add[col[:, None], col[None, :]]
-                if not (left == right).all():
-                    b, c = _first_bad(left == right)
-                    raise AxiomError(
-                        f"{desc}: right distributivity fails at ({a}, {b}, {c})"
-                    )
+            mul_t = mul.T
+
+            def broken(lo, hi):
+                # (a, law, b, c) order: every law for one a before the next a
+                pa, ma, mt = add[lo:hi], mul[lo:hi], mul_t[lo:hi]
+                return np.stack([
+                    add[pa] != np.take(pa, add, axis=1),
+                    mul[ma] != np.take(ma, mul, axis=1),
+                    np.take(ma, add, axis=1) != add[ma[:, :, None], ma[:, None, :]],
+                    np.take(mt, add, axis=1) != add[mt[:, :, None], mt[:, None, :]],
+                ], axis=1)
+
+            hit = scan(n, 4 * n * n, lambda lo, hi: first_true(broken(lo, hi), lo))
+            if hit is not None:
+                a, law, b, c = hit
+                raise AxiomError(f"{desc}: {_RING_LAWS[law]} at ({a}, {b}, {c})")
             return
 
-    # Sampled (or non-tabulated) regime: spot identities plus random triples.
+    # Sampled regime: spot identities plus random triples.
     add_op, mul_op, neg_op = ring.add, ring.mul, ring.neg
     zero, one = ring.zero, ring.one
     rng = Random(_stable_seed(cfg, desc))
     count = samples if samples is not None else cfg.validation_samples
-    if exhaustive or n <= count:
+    if n <= count:
         unit_iter: Iterable[int] = range(n)
     else:
         unit_iter = (rng.randrange(n) for _ in range(count))
@@ -821,12 +860,8 @@ def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
             raise AxiomError(f"{desc}: neg fails at {a}")
         if mul_op(one, a) != a or mul_op(a, one) != a:
             raise AxiomError(f"{desc}: one is not a multiplicative identity at {a}")
-    if exhaustive:
-        triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
-    else:
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(count))
-    for a, b, c in triples:
+    for _ in range(count):
+        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
         if add_op(a, b) != add_op(b, a):
             raise AxiomError(f"{desc}: add is not commutative at ({a}, {b})")
         if add_op(add_op(a, b), c) != add_op(a, add_op(b, c)):

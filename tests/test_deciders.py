@@ -163,6 +163,17 @@ def test_ring_deciders():
     assert ring_is_nil_semicommutative(t2).holds is True
 
 
+def test_ring_deciders_follow_the_ring_config():
+    # 125 triples: past a cap of 100, so only force lets the scan run
+    forced = make_zn(5, DEFAULT_CONFIG.with_overrides(decision_cap=100, force=True))
+    assert ring_is_semicommutative(forced).holds is True
+    assert ring_is_nil_semicommutative(forced).holds is True
+    capped = make_zn(5, DEFAULT_CONFIG.with_overrides(decision_cap=100))
+    for decider in (ring_is_semicommutative, ring_is_nil_semicommutative):
+        with pytest.raises(DecisionCapError):
+            decider(capped)
+
+
 def test_witness_verifiers(m2z2_module, t2z4_module, v2z2_module, t2z2_module):
     ring = m2z2_module.ring
     e12 = ring.unit(0, 1, 1)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from nilcomm import (
@@ -25,6 +26,7 @@ from nilcomm import (
     zn_reduction_hom,
 )
 from nilcomm.config import DEFAULT_CONFIG
+from nilcomm.rings import PolyQuotientRing
 
 
 def test_zn_basics():
@@ -289,3 +291,18 @@ def test_non_surjective_hom_detected():
 ])
 def test_theta_isomorphism(base_n, n):
     assert verify_theta_iso(make_zn(base_n), n)
+
+
+def test_theta_check_catches_a_wrong_polynomial_product(monkeypatch):
+    # the product of Z_3[x]/(x^2 - x): a ring of the same size with the same
+    # zero and one, but x * x = x where the shift matrices give V * V = 0
+    def folded(self, a, b):
+        (a0, a1), (b0, b1) = (np.moveaxis(self.codec.digits(x), -1, 0) for x in (a, b))
+        return self.codec.ids(np.stack([a0 * b0 % 3, (a0 * b1 + a1 * b0 + a1 * b1) % 3],
+                                       axis=-1))
+
+    monkeypatch.setattr(PolyQuotientRing, "_vmul", folded)
+    ring = make_poly_quotient_ring(make_zn(3), 2)  # passes the ring axioms
+    x = ring.from_coefficients([0, 1])
+    assert ring.mul(x, x) == x
+    assert not verify_theta_iso(make_zn(3), 2)
