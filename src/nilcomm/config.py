@@ -19,7 +19,8 @@ class EngineConfig:
         store int32 operation tables; larger ones compute operations per
         call and materialize a table only for an exhaustive scan.
     full_check_budget: triple budget for exhaustive axiom checks at construction.
-    validation_samples: sampled axiom triples used above that budget.
+    validation_samples: sampled axiom triples per law family (one for
+        rings, three for modules) used above that budget.
     seed: base seed for every sampled procedure.
     sample_count: default sample count for witness-mode verification runs.
     threads: accepted for compatibility and ignored: every exhaustive scan

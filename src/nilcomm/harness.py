@@ -9,6 +9,7 @@ the suite verifies claims rather than assuming them.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from random import Random
@@ -988,9 +989,12 @@ def run_check(check_id: str, config: EngineConfig | None = None,
         report = CheckReport(check_id, _REGISTRY[check_id].claim, SKIPPED,
                              {"reason": f"cap: {exc}"})
     except Exception as exc:  # a failed check must not abort the suite
+        from traceback import extract_tb
+        frame = extract_tb(exc.__traceback__)[-1]  # where it was raised
         report = CheckReport(check_id, _REGISTRY[check_id].claim, SKIPPED,
                              {"reason": "internal-error",
-                              "error": f"{type(exc).__name__}: {exc}"})
+                              "error": f"{type(exc).__name__}: {exc}",
+                              "at": f"{os.path.basename(frame.filename)}:{frame.lineno}"})
     report.runtime_ms = int((time.perf_counter() - start) * 1000)
     return report
 

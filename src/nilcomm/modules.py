@@ -36,7 +36,9 @@ from .rings import (
     _MatrixLayout,
     _stable_seed,
     componentwise,
+    draw_ids,
     elementwise,
+    first_broken,
     first_true,
     grid_product,
     make_matrix_ring,
@@ -469,13 +471,21 @@ def induced_module(hom: RingHom, module: FiniteModule,
 # Axiom validation
 
 
+# The messages of each law family: (a, b, c), (r, s, m) and (r, m, n).
+_MODULE_LAWS = (("module addition not commutative at ({0}, {1})",
+                 "module addition not associative at ({0}, {1}, {2})"),
+                ("(r+s)m != rm+sm at ({0}, {1}, {2})", "(rs)m != r(sm) at ({0}, {1}, {2})"),
+                ("r(m+n) != rm+rn at ({0}, {1}, {2})",))
+
+
 def check_module_axioms(module: FiniteModule, exhaustive: bool | None = None,
                         samples: int | None = None) -> None:
     """Verify the unitary left module axioms, raising AxiomError on failure.
 
-    The full regime scans every (r, s, m) and (r, m, n) combination; the
-    sampled regime draws random ones.  exhaustive=None picks from the
-    construction budget.
+    The full regime scans every (a, b, c), (r, s, m) and (r, m, n)
+    combination; the sampled regime draws `samples` of each family at once
+    and checks them in blocks.  exhaustive=None picks from the construction
+    budget.
     """
     cfg = module.config
     ring = module.ring
@@ -493,44 +503,30 @@ def check_module_axioms(module: FiniteModule, exhaustive: bool | None = None,
             cfg.decision_cap,
         )
 
-    add, act, neg = module.add, module.act, module.neg
-    radd, rmul = ring.add, ring.mul
+    vadd, vact, radd, rmul = module.vadd, module.vact, ring.vadd, ring.vmul
     zero = module.zero
     rng = Random(_stable_seed(cfg, desc))
     count = samples if samples is not None else cfg.validation_samples
 
-    # Unitary action and additive identity, checked elementwise when feasible.
-    if exhaustive or nm <= count:
-        unit_iter: Iterable[int] = range(nm)
-    else:
-        unit_iter = (rng.randrange(nm) for _ in range(count))
-    for m in unit_iter:
-        if act(ring.one, m) != m:
-            raise AxiomError(f"{desc}: act(1, m) != m at m={m}")
-        if add(zero, m) != m:
-            raise AxiomError(f"{desc}: zero is not an additive identity at {m}")
-        if add(m, neg(m)) != zero:
-            raise AxiomError(f"{desc}: neg fails at {m}")
+    # Unitary action and additive identity, at every element when feasible.
+    spots = (np.arange(nm)[:, None] if exhaustive or nm <= count
+             else draw_ids(rng, count, nm))
+    first_broken(module, spots, lambda m: (
+        vact(ring.one, m) != m, vadd(zero, m) != m, vadd(m, module.vneg(m)) != zero),
+        ("act(1, m) != m at m={0}", "zero is not an additive identity at {0}",
+         "neg fails at {0}"))
 
     if exhaustive:
         _scan_laws(module)
         return
-    for _ in range(count):
-        a, b, c = rng.randrange(nm), rng.randrange(nm), rng.randrange(nm)
-        if add(a, b) != add(b, a):
-            raise AxiomError(f"{desc}: module addition not commutative at ({a}, {b})")
-        if add(add(a, b), c) != add(a, add(b, c)):
-            raise AxiomError(f"{desc}: module addition not associative at ({a}, {b}, {c})")
-    for _ in range(count):
-        r, s, m = rng.randrange(nr), rng.randrange(nr), rng.randrange(nm)
-        if act(radd(r, s), m) != add(act(r, m), act(s, m)):
-            raise AxiomError(f"{desc}: (r+s)m != rm+sm at ({r}, {s}, {m})")
-        if act(rmul(r, s), m) != act(r, act(s, m)):
-            raise AxiomError(f"{desc}: (rs)m != r(sm) at ({r}, {s}, {m})")
-    for _ in range(count):
-        r, m, n = rng.randrange(nr), rng.randrange(nm), rng.randrange(nm)
-        if act(r, add(m, n)) != add(act(r, m), act(r, n)):
-            raise AxiomError(f"{desc}: r(m+n) != rm+rn at ({r}, {m}, {n})")
+    families = (
+        ((nm, nm, nm), lambda a, b, c: (vadd(a, b) != vadd(b, a),
+                                        vadd(vadd(a, b), c) != vadd(a, vadd(b, c)))),
+        ((nr, nr, nm), lambda r, s, m: (vact(radd(r, s), m) != vadd(vact(r, m), vact(s, m)),
+                                        vact(rmul(r, s), m) != vact(r, vact(s, m)))),
+        ((nr, nm, nm), lambda r, m, n: (vact(r, vadd(m, n)) != vadd(vact(r, m), vact(r, n)),)))
+    for (sizes, laws), messages in zip(families, _MODULE_LAWS):
+        first_broken(module, draw_ids(rng, count, *sizes), laws, messages)
 
 
 def _scan_laws(module: FiniteModule) -> None:
@@ -554,12 +550,9 @@ def _scan_laws(module: FiniteModule) -> None:
         ar = act[lo:hi]
         return (np.take(ar, add, axis=1) != add[ar[:, :, None], ar[:, None, :]])[..., None]
 
-    for broken, rows, cells, messages in (
-            (group, nm, 2 * nm * nm, ("module addition not commutative at ({0}, {1})",
-                                      "module addition not associative at ({0}, {1}, {2})")),
-            (mixed, nr, 2 * nr * nm, ("(r+s)m != rm+sm at ({0}, {1}, {2})",
-                                      "(rs)m != r(sm) at ({0}, {1}, {2})")),
-            (dist, nr, nm * nm, ("r(m+n) != rm+rn at ({0}, {1}, {2})",))):
+    for broken, rows, cells, messages in zip(
+            (group, mixed, dist), (nm, nr, nr), (2 * nm * nm, 2 * nr * nm, nm * nm),
+            _MODULE_LAWS):
         hit = scan(rows, cells, lambda lo, hi: first_true(broken(lo, hi), lo))
         if hit is not None:
             raise AxiomError(f"{module.descriptor}: " + messages[hit[3]].format(*hit))

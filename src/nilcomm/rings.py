@@ -347,14 +347,8 @@ class FiniteRing:
 
     def is_commutative(self) -> bool:
         if self._commutative is None:
-            pairs = self.size * self.size
-            if (not self.tabulated and pairs > self.config.decision_cap
-                    and not self.config.force):
-                raise DecisionCapError(
-                    f"{self.descriptor}: commutativity scan of {pairs} pairs "
-                    f"exceeds cap {self.config.decision_cap}",
-                    self.config.decision_cap,
-                )
+            if not self.tabulated:
+                _guard_pairs(self, "commutativity")
             self._commutative = bool(_commuting(self).all())
         return self._commutative
 
@@ -614,14 +608,16 @@ def make_poly_quotient_ring(base: FiniteRing, n: int,
 
 def center(ring: FiniteRing) -> frozenset[int]:
     """Elements commuting with the whole ring, computed exhaustively."""
-    pairs = ring.size * ring.size
-    if pairs > ring.config.decision_cap and not ring.config.force:
-        raise DecisionCapError(
-            f"{ring.descriptor}: center scan of {pairs} pairs exceeds cap "
-            f"{ring.config.decision_cap}",
-            ring.config.decision_cap,
-        )
+    _guard_pairs(ring, "center")
     return frozenset(np.flatnonzero(_commuting(ring)).tolist())
+
+
+def _guard_pairs(ring: FiniteRing, what: str) -> None:
+    """Refuse a scan over every element pair past the decision cap unless forced."""
+    pairs, cap = ring.size * ring.size, ring.config.decision_cap
+    if pairs > cap and not ring.config.force:
+        raise DecisionCapError(
+            f"{ring.descriptor}: {what} scan of {pairs} pairs exceeds cap {cap}", cap)
 
 
 def _against_all(ring: FiniteRing, test) -> np.ndarray:
@@ -637,6 +633,7 @@ def _commuting(ring: FiniteRing) -> np.ndarray:
 
 def regular_elements(ring: FiniteRing) -> frozenset[int]:
     """Nonzero elements that are neither left nor right zero divisors."""
+    _guard_pairs(ring, "regular element")
     mul, zero = ring.vmul, ring.zero
     regular = _against_all(ring, lambda s, r: (r == zero) | (
         (mul(s, r) != zero) & (mul(r, s) != zero)))
@@ -646,6 +643,7 @@ def regular_elements(ring: FiniteRing) -> frozenset[int]:
 
 def nil_ring_set(ring: FiniteRing) -> frozenset[int]:
     """Elements with a^k = 0 for some k >= 1, by power iteration."""
+    _guard_pairs(ring, "nil set")
     return frozenset(a for a in ring.elements()
                      if nilpotency_degree(ring, a) is not None)
 
@@ -791,8 +789,9 @@ def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
     """Verify the ring axioms, raising AxiomError on the first failure.
 
     exhaustive=None picks a regime from the construction budget: a full
-    triple scan when size^3 fits, sampling otherwise.  exhaustive=True
-    forces the full scan (guarded by the decision cap).
+    triple scan when size^3 fits, else `samples` random triples drawn at
+    once and checked in blocks.  exhaustive=True forces the full scan
+    (guarded by the decision cap).
     """
     cfg = ring.config
     n = ring.size
@@ -844,31 +843,39 @@ def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
                 raise AxiomError(f"{desc}: {_RING_LAWS[law]} at ({a}, {b}, {c})")
             return
 
-    # Sampled regime: spot identities plus random triples.
-    add_op, mul_op, neg_op = ring.add, ring.mul, ring.neg
-    zero, one = ring.zero, ring.one
+    # Sampled regime: spot identities plus random triples, drawn in bulk.
+    zero, one, vadd, vmul, vneg = ring.zero, ring.one, ring.vadd, ring.vmul, ring.vneg
     rng = Random(_stable_seed(cfg, desc))
     count = samples if samples is not None else cfg.validation_samples
-    if n <= count:
-        unit_iter: Iterable[int] = range(n)
-    else:
-        unit_iter = (rng.randrange(n) for _ in range(count))
-    for a in unit_iter:
-        if add_op(zero, a) != a:
-            raise AxiomError(f"{desc}: zero is not an additive identity at {a}")
-        if add_op(a, neg_op(a)) != zero:
-            raise AxiomError(f"{desc}: neg fails at {a}")
-        if mul_op(one, a) != a or mul_op(a, one) != a:
-            raise AxiomError(f"{desc}: one is not a multiplicative identity at {a}")
-    for _ in range(count):
-        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        if add_op(a, b) != add_op(b, a):
-            raise AxiomError(f"{desc}: add is not commutative at ({a}, {b})")
-        if add_op(add_op(a, b), c) != add_op(a, add_op(b, c)):
-            raise AxiomError(f"{desc}: add not associative at ({a}, {b}, {c})")
-        if mul_op(mul_op(a, b), c) != mul_op(a, mul_op(b, c)):
-            raise AxiomError(f"{desc}: mul not associative at ({a}, {b}, {c})")
-        if mul_op(a, add_op(b, c)) != add_op(mul_op(a, b), mul_op(a, c)):
-            raise AxiomError(f"{desc}: left distributivity fails at ({a}, {b}, {c})")
-        if mul_op(add_op(b, c), a) != add_op(mul_op(b, a), mul_op(c, a)):
-            raise AxiomError(f"{desc}: right distributivity fails at ({a}, {b}, {c})")
+    spots = np.arange(n)[:, None] if n <= count else draw_ids(rng, count, n)
+    first_broken(ring, spots, lambda a: (
+        vadd(zero, a) != a, vadd(a, vneg(a)) != zero,
+        (vmul(one, a) != a) | (vmul(a, one) != a)),
+        ("zero is not an additive identity at {0}", "neg fails at {0}",
+         "one is not a multiplicative identity at {0}"))
+    first_broken(ring, draw_ids(rng, count, n, n, n), lambda a, b, c: (
+        vadd(a, b) != vadd(b, a), vadd(vadd(a, b), c) != vadd(a, vadd(b, c)),
+        vmul(vmul(a, b), c) != vmul(a, vmul(b, c)),
+        vmul(a, vadd(b, c)) != vadd(vmul(a, b), vmul(a, c)),
+        vmul(vadd(b, c), a) != vadd(vmul(b, a), vmul(c, a))),
+        ("add is not commutative at ({0}, {1})",
+         *(law + " at ({0}, {1}, {2})" for law in _RING_LAWS)))
+
+
+def draw_ids(rng: Random, count: int, *sizes: int) -> np.ndarray:
+    """count rows of seeded ids drawn at once, column j below sizes[j]; the
+    modulo bias is at most size / 2**64."""
+    raw = np.frombuffer(rng.randbytes(8 * count * len(sizes)), dtype="<u8")
+    return (raw.reshape(count, len(sizes)) % np.array(sizes, dtype=np.uint64)).astype(np.int64)
+
+
+def first_broken(structure, samples: np.ndarray, laws, messages) -> None:
+    """AxiomError at the first sample row (in draw order) breaking a law, then
+    the first law: laws(*columns) gives one mask per law for a block of rows,
+    and messages[law] is formatted with the row's ids.  Table lookups take
+    one cell per id; structural ops take up to _OP_CELLS."""
+    hit = scan(len(samples), 1 if structure.tabulated else _OP_CELLS,
+               lambda lo, hi: first_true(np.stack(laws(*samples[lo:hi].T), axis=-1), lo))
+    if hit is not None:
+        raise AxiomError(f"{structure.descriptor}: "
+                         + messages[hit[1]].format(*samples[hit[0]].tolist()))

@@ -236,6 +236,8 @@ def test_tor_t_and_t_submodule_checks():
 
 
 def test_internal_error_becomes_skipped_report(monkeypatch):
+    import inspect
+
     import nilcomm.harness as harness
 
     def boom(cfg, opts):
@@ -248,6 +250,9 @@ def test_internal_error_becomes_skipped_report(monkeypatch):
     report = run_check("theta_iso")
     assert report.status == "skipped"
     assert report.detail["reason"] == "internal-error"
+    assert report.detail["error"] == "RuntimeError: synthetic failure"
+    # the innermost frame: the raise in boom
+    assert report.detail["at"] == f"test_harness.py:{inspect.getsourcelines(boom)[1] + 1}"
     assert exit_code([report]) == 1
 
 

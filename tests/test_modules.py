@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 
 from nilcomm import (
@@ -13,6 +16,7 @@ from nilcomm import (
     identity_hom,
     induced_module,
     make_product_module,
+    make_product_ring,
     make_zn,
     matrix_module,
     quotient_module,
@@ -174,6 +178,47 @@ def test_module_axiom_check_catches_broken_action():
 
     with pytest.raises(AxiomError):
         BadAction()
+
+
+class _TwistedAction(FiniteModule):
+    """Z(n) acted on by Z(n) x Z(n) through (a, b) m = (2a - b) m: additive
+    and unital in r, but (rs)m != r(sm) for most triples.  Built unvalidated,
+    so a test can run the check itself."""
+
+    def __init__(self, n, config):
+        ring = make_product_ring([make_zn(n, config)] * 2, config)
+        super().__init__(ring, n, f"twisted({n})", config)
+        self.n = n
+        self.zero = 0
+        self._seal(validate=False)
+
+    def _vadd(self, m, k):
+        return (m + k) % self.n
+
+    def _vneg(self, m):
+        return (-m) % self.n
+
+    def _vact(self, r, m):
+        a, b = np.divmod(r, self.n)  # the product ring's first factor leads
+        return ((2 * a - b) * m) % self.n
+
+
+def test_sampled_module_check_catches_a_planted_action_defect():
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0)
+    messages = []
+    for _ in range(2):  # two fresh modules under one config
+        module = _TwistedAction(12, cfg)
+        nr, nm = module.ring.size, module.size
+        assert max(nr * nr * nm, nr * nm * nm, nm ** 3) > cfg.full_check_budget
+        with pytest.raises(AxiomError) as err:
+            check_module_axioms(module)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    r, s, m = map(int, re.fullmatch(
+        r"twisted\(12\): \(rs\)m != r\(sm\) at \((\d+), (\d+), (\d+)\)",
+        messages[0]).groups())
+    ring = module.ring
+    assert module.act(ring.mul(r, s), m) != module.act(r, module.act(s, m))
 
 
 def test_nested_matrix_free_position_counts():

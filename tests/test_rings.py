@@ -1,3 +1,6 @@
+import re
+from random import Random
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from nilcomm import (
     UPPER,
     V_TYPE,
     AxiomError,
+    DecisionCapError,
     FiniteRing,
     InvalidHomError,
     InvalidParameterError,
@@ -26,7 +30,7 @@ from nilcomm import (
     zn_reduction_hom,
 )
 from nilcomm.config import DEFAULT_CONFIG
-from nilcomm.rings import PolyQuotientRing
+from nilcomm.rings import PolyQuotientRing, ZnRing, _stable_seed, draw_ids
 
 
 def test_zn_basics():
@@ -262,6 +266,68 @@ def test_full_axiom_validation_on_small_structures(t2z4_module, m2z2_module):
 
 def test_sampled_axiom_validation_on_large_ring(m4z2_module):
     check_ring_axioms(m4z2_module.ring, exhaustive=False, samples=2000)
+
+
+class _SkewZn(ZnRing):
+    """Z(n) with a planted product defect: a * b gains 1 when a, b > 1.  Zero,
+    negatives and one still behave, so only the sampled triples can catch it.
+    Built unvalidated, so a test can run the check itself."""
+
+    def _seal(self, validate=True):
+        super()._seal(validate=False)
+
+    def _mul(self, a, b):
+        return (a * b + (a > 1) * (b > 1)) % self.n
+
+    _vmul = _mul
+
+
+# each ring law of a sampled triple, replayed through the pointwise ops
+_RING_LAW_REPLAYS = {
+    "add is not commutative": lambda r, a, b, c: r.add(a, b) != r.add(b, a),
+    "add not associative":
+        lambda r, a, b, c: r.add(r.add(a, b), c) != r.add(a, r.add(b, c)),
+    "mul not associative":
+        lambda r, a, b, c: r.mul(r.mul(a, b), c) != r.mul(a, r.mul(b, c)),
+    "left distributivity fails":
+        lambda r, a, b, c: r.mul(a, r.add(b, c)) != r.add(r.mul(a, b), r.mul(a, c)),
+    "right distributivity fails":
+        lambda r, a, b, c: r.mul(r.add(b, c), a) != r.add(r.mul(b, a), r.mul(c, a)),
+}
+
+
+def test_sampled_ring_check_reports_the_first_drawn_broken_triple():
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0)
+    messages = []
+    for _ in range(2):  # two fresh rings under one config
+        ring = _SkewZn(50, cfg)
+        assert not ring.tabulated and ring.size ** 3 > cfg.full_check_budget
+        with pytest.raises(AxiomError) as err:
+            check_ring_axioms(ring)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    law, ids = re.fullmatch(r"Z\(50\): (.+) at \(([\d, ]+)\)", messages[0]).groups()
+    named = [int(x) for x in ids.split(", ")]
+    # the named ids break the named law when replayed pointwise (the
+    # commutativity message names two ids; its law ignores a third)
+    assert _RING_LAW_REPLAYS[law](ring, *named, *[0] * (3 - len(named)))
+    # and they lead the first drawn triple to break a law, that law the first
+    rng = Random(_stable_seed(cfg, ring.descriptor))  # 50 <= samples: no spot draws
+    triple, first_law = next(
+        (t, name) for t in draw_ids(rng, cfg.validation_samples, 50, 50, 50).tolist()
+        for name, broken in _RING_LAW_REPLAYS.items() if broken(ring, *t))
+    assert (first_law, triple[:len(named)]) == (law, named)
+
+
+def test_pair_scans_honour_the_decision_cap():
+    capped = make_zn(8, DEFAULT_CONFIG.with_overrides(decision_cap=63))
+    for pair_scan in (center, regular_elements, nil_ring_set):
+        with pytest.raises(DecisionCapError):
+            pair_scan(capped)
+    forced = make_zn(8, DEFAULT_CONFIG.with_overrides(decision_cap=63, force=True))
+    assert center(forced) == frozenset(range(8))
+    assert regular_elements(forced) == frozenset({1, 3, 5, 7})
+    assert nil_ring_set(forced) == frozenset({0, 2, 4, 6})
 
 
 def test_ring_hom_validation():
