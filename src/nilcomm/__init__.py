@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .config import DEFAULT_CONFIG, EngineConfig
 from .deciders import (
     Verdict,
-    check_submodule_equivalence,
     is_nil_semicommutative,
     is_reduced_i,
     is_reduced_ii,
@@ -41,6 +40,7 @@ from .harness import (
     check_hom_transfer,
     check_lemma_matrix_nil,
     check_lemma_squarefree,
+    check_submodule_equivalence,
     check_t_submodule,
     check_tor_t_sets,
     check_torsion_free_props,

@@ -45,20 +45,17 @@ _CROSS = "✗"
 
 
 def _config_from_args(args) -> "EngineConfig":
-    cfg = DEFAULT_CONFIG
     cap = cap_from_env(None)
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         cap = args.cap
     overrides = {}
     if cap is not None:
         overrides["decision_cap"] = cap
-    if getattr(args, "force", False):
+    if args.force:
         overrides["force"] = True
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    return DEFAULT_CONFIG.with_overrides(**overrides) if overrides else DEFAULT_CONFIG
 
 
 def _document(descriptor: str, results: list, runtime_ms: int, timing: bool) -> dict:
@@ -349,7 +346,7 @@ def cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser, seed=False, threads=False):
+def _add_common(parser):
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--cap", type=int, default=None,
                         help="decision cap in (a, r, m) triples "
@@ -358,10 +355,7 @@ def _add_common(parser, seed=False, threads=False):
                         help="run exhaustive scans past the cap")
     parser.add_argument("--timing", action="store_true",
                         help="report real runtimes (off for reproducible output)")
-    if seed:
-        parser.add_argument("--seed", type=int, default=None)
-    if threads:
-        parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,12 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr", help="module expression, e.g. 'regular(Z(4))'")
     p.add_argument("--properties", default=None,
                    help="comma-separated subset of: " + ", ".join(MODULE_PROPERTIES))
-    _add_common(p, seed=True, threads=True)
+    _add_common(p)
     p.set_defaults(func=cmd_classify)
 
     p = subs.add_parser("nilset", help="list nilpotent elements with witnesses")
     p.add_argument("expr")
-    _add_common(p, seed=True, threads=True)
+    _add_common(p)
     p.set_defaults(func=cmd_nilset)
 
     p = subs.add_parser("verify-paper", help="run the named claim registry")
@@ -394,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="upper modulus for the square-free check")
     p.add_argument("--samples", type=int, default=1000,
                    help="sample count for witness-mode checks")
-    _add_common(p, seed=True, threads=True)
+    _add_common(p)
     p.set_defaults(func=cmd_verify_paper)
 
     p = subs.add_parser("search", help="scan a family for a property pattern")
@@ -404,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="2..10", help="range, e.g. 2..50")
     p.add_argument("--p", type=int, default=2,
                    help="base prime for tn/vn/matn families")
-    _add_common(p, seed=True, threads=True)
+    _add_common(p)
     p.set_defaults(func=cmd_search)
     return parser
 

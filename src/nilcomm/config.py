@@ -23,8 +23,6 @@ class EngineConfig:
         rings, three for modules) used above that budget.
     seed: base seed for every sampled procedure.
     sample_count: default sample count for witness-mode verification runs.
-    threads: accepted for compatibility and ignored: every exhaustive scan
-        runs its blocks in order on one thread, stopping at the first hit.
     force: lift decision-cap refusals.
     """
 
@@ -35,7 +33,6 @@ class EngineConfig:
     validation_samples: int = 2000
     seed: int = DEFAULT_SEED
     sample_count: int = 1000
-    threads: int = 1
     force: bool = False
 
     def with_overrides(self, **kw) -> "EngineConfig":

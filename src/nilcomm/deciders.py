@@ -18,9 +18,8 @@ import numpy as np
 
 from .config import EngineConfig, resolve
 from .errors import DecisionCapError, InvalidParameterError
-from .modules import FiniteModule, cyclic_submodule
+from .modules import FiniteModule
 from .nilpotency import is_nilpotent_squared, nil_set
-from .reports import CONFIRMED, REFUTED, CheckReport
 from .rings import FiniteRing, first_true, nil_ring_set, scan
 
 PROP_SEMICOMMUTATIVE = "semicommutative"
@@ -76,6 +75,28 @@ class Verdict:
             "descriptor": self.descriptor,
             "explanation": self.explanation,
         }
+
+    def witness_payload(self, expect: bool | None = None) -> dict:
+        """The replayable witness of this failing verdict (see triple_witness)."""
+        return triple_witness(self.property, self.descriptor, self.witness, expect)
+
+
+def triple_witness(prop: str, descriptor: str, triple,
+                   expect: bool | None = None) -> dict:
+    """The witness payload of a refuted claim for the violating triple
+    (a, r, m) of one property on the module named by descriptor.
+
+    A semicommutativity violation replays as one; a weak or a
+    nil-semicommutativity violation (am is nilpotent in both) replays as a
+    nil-semicommutativity violation.  expect, when given, is what the
+    replay must return."""
+    a, r, m = triple
+    kind = ("not-semicommutative" if prop == PROP_SEMICOMMUTATIVE
+            else "not-nil-semicommutative")
+    payload = {"kind": kind, "descriptor": descriptor, "a": a, "r": r, "m": m}
+    if expect is not None:
+        payload["expect"] = expect
+    return payload
 
 
 def _module_renders(module: FiniteModule, triple) -> tuple[str, str, str]:
@@ -347,66 +368,3 @@ def verify_not_nil_semicommutative_witness(module: FiniteModule, a: int, r: int,
     am_nil, _ = is_nilpotent_squared(module, act(a, m))
     arm_nil, _ = is_nilpotent_squared(module, act(a, act(r, m)))
     return am_nil and not arm_nil
-
-
-# ---------------------------------------------------------------------------
-# Cyclic submodule equivalence
-
-
-def check_submodule_equivalence(module: FiniteModule,
-                                config: EngineConfig | None = None) -> CheckReport:
-    """Compare nil-semicommutativity of a module against all of its cyclic
-    submodules; the two are asserted equivalent."""
-    cfg = resolve(config if config is not None else module.config)
-    whole = decide(module, PROP_NIL_SEMI, cfg, mode="exhaustive")
-    seen: dict[tuple[int, ...], dict] = {}
-    for m in module.elements():
-        # the orbit alone identifies the submodule; build each one once
-        key = tuple(sorted({module.act(r, m) for r in module.ring.elements()}))
-        if key in seen:
-            seen[key]["generators"].append(m)
-            continue
-        sub = cyclic_submodule(module, m, cfg)
-        verdict = decide(sub, PROP_NIL_SEMI, cfg, mode="exhaustive")
-        seen[key] = {
-            "descriptor": sub.descriptor,
-            "generators": [m],
-            "size": sub.size,
-            "holds": verdict.holds,
-            "witness": verdict.to_json_dict()["witness"],
-        }
-    subs = list(seen.values())
-    all_hold = all(entry["holds"] for entry in subs)
-    equivalent = bool(whole.holds) == all_hold
-    detail = {
-        "descriptor": module.descriptor,
-        "module_holds": whole.holds,
-        "module_witness": whole.to_json_dict()["witness"],
-        "cyclic_submodules": subs,
-        "all_submodules_hold": all_hold,
-        "equivalent": equivalent,
-    }
-    if not equivalent:
-        bad = whole if not whole.holds else None
-        if bad is not None and bad.witness is not None:
-            a, r, m = bad.witness
-            detail["witness"] = {
-                "kind": "not-nil-semicommutative",
-                "descriptor": module.descriptor,
-                "a": a, "r": r, "m": m,
-            }
-        else:
-            first_bad = next(e for e in subs if not e["holds"])
-            w = first_bad["witness"]
-            detail["witness"] = {
-                "kind": "not-nil-semicommutative",
-                "descriptor": first_bad["descriptor"],
-                "a": w["a"], "r": w["r"], "m": w["m"],
-            }
-    return CheckReport(
-        check_id="submodule_equivalence",
-        claim="a module is nil-semicommutative exactly when every cyclic "
-              "submodule is",
-        status=CONFIRMED if equivalent else REFUTED,
-        detail=detail,
-    )

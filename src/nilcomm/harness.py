@@ -18,17 +18,15 @@ from .config import EngineConfig, resolve
 from .deciders import (
     PROP_NIL_SEMI,
     PROP_SEMICOMMUTATIVE,
-    PROP_WEAKLY,
-    check_submodule_equivalence,
-    decide,
     is_nil_semicommutative,
     is_semicommutative,
     is_weakly_semicommutative,
     ring_is_nil_semicommutative,
+    triple_witness,
     verify_nonsemicommutative_witness,
     verify_not_nil_semicommutative_witness,
 )
-from .errors import DecisionCapError, InvalidParameterError, NilcommError
+from .errors import DecisionCapError, InvalidParameterError
 from .localization import (
     check_localization_transfer,
     localize_module,
@@ -62,7 +60,6 @@ from .rings import (
     MatrixShape,
     RingHom,
     identity_hom,
-    make_matrix_ring,
     make_zn,
     nil_ring_set,
     nilpotency_degree,
@@ -137,6 +134,19 @@ def _verdict_entry(v) -> dict:
     return strip_runtime(v.to_json_dict())
 
 
+def _report(check_id: str, detail: dict, witness: dict | None = None) -> CheckReport:
+    """A registered check's report: refuted exactly when it carries a
+    witness, which goes last in the detail; confirmed otherwise."""
+    if witness is not None:
+        detail["witness"] = witness
+    return CheckReport(check_id, _REGISTRY[check_id].claim,
+                       CONFIRMED if witness is None else REFUTED, detail)
+
+
+def _skipped(check_id: str, detail: dict) -> CheckReport:
+    return CheckReport(check_id, _REGISTRY[check_id].claim, SKIPPED, detail)
+
+
 # ---------------------------------------------------------------------------
 # Single-instance check operations (public; the registry wraps them)
 
@@ -153,14 +163,9 @@ def check_lemma_squarefree(n_max: int, config: EngineConfig | None = None) -> Ch
                                "square_free": _is_square_free(n),
                                "witness": witness})
     detail = {"n_max": n_max, "checked": n_max - 1, "mismatches": mismatches}
-    if mismatches:
-        detail["witness"] = {"kind": "squarefree-mismatch", "n": mismatches[0]["n"]}
-    return CheckReport(
-        check_id="lemma_squarefree",
-        claim=_REGISTRY["lemma_squarefree"].claim,
-        status=REFUTED if mismatches else CONFIRMED,
-        detail=detail,
-    )
+    return _report("lemma_squarefree", detail,
+                   {"kind": "squarefree-mismatch", "n": mismatches[0]["n"]}
+                   if mismatches else None)
 
 
 def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteModule,
@@ -173,7 +178,6 @@ def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteMo
     if shape_n < 2:
         raise InvalidParameterError("the matrix nil claim needs n >= 2")
     module = matrix_module(MatrixShape(FULL, shape_n), base, base_module, cfg)
-    claim = _REGISTRY["matrix_nil_coverage"].claim
     pairs = module.ring.size * module.size
     if sample is None and pairs <= cfg.decision_cap:
         nils = nil_set(module, cfg)
@@ -185,12 +189,8 @@ def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteMo
             "nil_size": nils.count,
             "covered": covered,
         }
-        if not covered:
-            gap = next(m for m in module.elements() if m not in nils)
-            detail["witness"] = {"kind": "matrix-nil-gap",
-                                 "descriptor": module.descriptor, "m": gap}
-        return CheckReport("matrix_nil_coverage", claim,
-                           CONFIRMED if covered else REFUTED, detail)
+        gap = None if covered else next(m for m in module.elements() if m not in nils)
+        return _report("matrix_nil_coverage", detail, _nil_gap(module, gap))
 
     count = sample if sample is not None else cfg.sample_count
     rng = Random(cfg.seed)
@@ -219,12 +219,14 @@ def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteMo
         "passes": count - len(failures),
         "failures": failures,
     }
-    if failures:
-        detail["witness"] = {"kind": "matrix-nil-gap",
-                             "descriptor": module.descriptor,
-                             "m": failures[0]["m"]}
-    return CheckReport("matrix_nil_coverage", claim,
-                       CONFIRMED if not failures else REFUTED, detail)
+    return _report("matrix_nil_coverage", detail,
+                   _nil_gap(module, failures[0]["m"] if failures else None))
+
+
+def _nil_gap(module: FiniteModule, m: int | None) -> dict | None:
+    """The witness of a non-nilpotent element m of the module, if any."""
+    return (None if m is None else
+            {"kind": "matrix-nil-gap", "descriptor": module.descriptor, "m": m})
 
 
 def check_example_zpn(p: int, n: int, config: EngineConfig | None = None) -> CheckReport:
@@ -252,19 +254,12 @@ def check_example_zpn(p: int, n: int, config: EngineConfig | None = None) -> Che
         "pinned_triple": {"a": pinned[0], "r": pinned[1], "m": pinned[2],
                           "verified": pinned_ok},
     }
+    witness = None
     if not ok:
-        if semi.holds is False:
-            a, r, m = semi.witness
-            detail["witness"] = {"kind": "not-semicommutative",
-                                 "descriptor": module.descriptor,
-                                 "a": a, "r": r, "m": m}
-        else:
-            detail["witness"] = {"kind": "not-nil-semicommutative",
-                                 "descriptor": module.descriptor,
-                                 "a": pinned[0], "r": pinned[1], "m": pinned[2],
-                                 "expect": False}
-    return CheckReport("zpn_hierarchy", _REGISTRY["zpn_hierarchy"].claim,
-                       CONFIRMED if ok else REFUTED, detail)
+        witness = (semi.witness_payload() if semi.holds is False else
+                   triple_witness(PROP_NIL_SEMI, module.descriptor, pinned,
+                                  expect=False))
+    return _report("zpn_hierarchy", detail, witness)
 
 
 def check_example_matrix(shape_n: int, base_size: int,
@@ -273,10 +268,8 @@ def check_example_matrix(shape_n: int, base_size: int,
     """Full matrix modules are nil-semicommutative for n >= 2 while an
     explicit construction breaks semicommutativity at n >= 4."""
     cfg = resolve(config)
-    claim = _REGISTRY["matrix_semicommutativity"].claim
     base = make_zn(base_size, cfg)
     detail: dict = {}
-    status = CONFIRMED
     if shape_n == 2:
         module = _mat_mod(FULL, 2, base_size, cfg)
         nil = is_nil_semicommutative(module, cfg, mode="exhaustive")
@@ -286,13 +279,8 @@ def check_example_matrix(shape_n: int, base_size: int,
             "nil_semicommutative": _verdict_entry(nil),
             "semicommutative_observed": _verdict_entry(semi),
         }
-        if nil.holds is not True:
-            status = REFUTED
-            a, r, m = nil.witness
-            detail["witness"] = {"kind": "not-nil-semicommutative",
-                                 "descriptor": module.descriptor,
-                                 "a": a, "r": r, "m": m}
-        return CheckReport("matrix_semicommutativity", claim, status, detail)
+        return _report("matrix_semicommutativity", detail,
+                       None if nil.holds is True else nil.witness_payload())
 
     # n >= 4: replay the printed construction over the given base
     module = matrix_module(MatrixShape(FULL, shape_n), base,
@@ -326,13 +314,11 @@ def check_example_matrix(shape_n: int, base_size: int,
     sampled = check_lemma_matrix_nil(shape_n, base, regular_module(base, cfg),
                                      sample=sample or cfg.sample_count, config=cfg)
     detail["sampled_nil"] = strip_runtime(sampled.detail)
+    witness = None
     if not replay_ok or sampled.status != CONFIRMED:
-        status = REFUTED
-        detail["witness"] = {"kind": "not-semicommutative",
-                             "descriptor": module.descriptor,
-                             "a": A, "r": L, "m": K,
-                             "expect": replay_ok}
-    return CheckReport("matrix_semicommutativity", claim, status, detail)
+        witness = triple_witness(PROP_SEMICOMMUTATIVE, module.descriptor,
+                                 (A, L, K), expect=replay_ok)
+    return _report("matrix_semicommutativity", detail, witness)
 
 
 def _not_nil_semicommutative_instance(check_id: str, module: FiniteModule,
@@ -342,7 +328,6 @@ def _not_nil_semicommutative_instance(check_id: str, module: FiniteModule,
     the module must fail nil-semicommutativity by full scan and the given
     triple must verify as a violation.  nil_cert = (p_element, power) shows
     act(p^power, a*m) = 0 with act(p, a*m) != 0."""
-    claim = _REGISTRY[check_id].claim
     verdict = is_nil_semicommutative(module, cfg, mode="exhaustive")
     a, r, m = witness_triple
     triple_ok = verify_not_nil_semicommutative_witness(module, a, r, m, config=cfg)
@@ -360,12 +345,8 @@ def _not_nil_semicommutative_instance(check_id: str, module: FiniteModule,
                            "m_render": module.render(m)},
         "nil_certificate": {"p": p_elem, "power": power, "verified": cert_ok},
     }
-    if not ok:
-        detail["witness"] = {"kind": "not-nil-semicommutative",
-                             "descriptor": module.descriptor,
-                             "a": a, "r": r, "m": m,
-                             "expect": triple_ok}
-    return CheckReport(check_id, claim, CONFIRMED if ok else REFUTED, detail)
+    return _report(check_id, detail, None if ok else triple_witness(
+        PROP_NIL_SEMI, module.descriptor, witness_triple, expect=triple_ok))
 
 
 def check_example_tn(p: int, n: int, config: EngineConfig | None = None) -> CheckReport:
@@ -415,11 +396,10 @@ def check_torsion_free_props(module: FiniteModule,
     """Torsion-free modules have nil set {0} and the three semicommutativity
     properties all hold (hence coincide)."""
     cfg = resolve(config if config is not None else module.config)
-    claim = _REGISTRY["torsion_free_collapse"].claim
     if not is_torsion_free(module, cfg):
-        return CheckReport("torsion_free_collapse", claim, SKIPPED,
-                           {"descriptor": module.descriptor,
-                            "reason": "module is not torsion-free"})
+        return _skipped("torsion_free_collapse",
+                        {"descriptor": module.descriptor,
+                         "reason": "module is not torsion-free"})
     nils = nil_set(module, cfg)
     nil_trivial = nils.members() == [module.zero]
     verdicts = {
@@ -429,7 +409,6 @@ def check_torsion_free_props(module: FiniteModule,
                                                             mode="exhaustive"),
     }
     all_hold = all(v.holds is True for v in verdicts.values())
-    ok = nil_trivial and all_hold
     detail = {
         "descriptor": module.descriptor,
         "nil_members": nils.members(),
@@ -437,21 +416,15 @@ def check_torsion_free_props(module: FiniteModule,
         "verdicts": {k: _verdict_entry(v) for k, v in verdicts.items()},
         "all_hold": all_hold,
     }
+    witness = None
     if not nil_trivial:
         bad = next(m for m in nils.members() if m != module.zero)
-        detail["witness"] = {"kind": "nilpotent-element",
-                             "descriptor": module.descriptor,
-                             "m": bad, "expect": True}
+        witness = {"kind": "nilpotent-element", "descriptor": module.descriptor,
+                   "m": bad, "expect": True}
     elif not all_hold:
-        bad_v = next(v for v in verdicts.values() if v.holds is not True)
-        a, r, m = bad_v.witness
-        kind = ("not-semicommutative"
-                if bad_v.property == PROP_SEMICOMMUTATIVE else
-                "not-nil-semicommutative")
-        detail["witness"] = {"kind": kind, "descriptor": module.descriptor,
-                             "a": a, "r": r, "m": m}
-    return CheckReport("torsion_free_collapse", claim,
-                       CONFIRMED if ok else REFUTED, detail)
+        witness = next(v for v in verdicts.values()
+                       if v.holds is not True).witness_payload()
+    return _report("torsion_free_collapse", detail, witness)
 
 
 def check_commutative_ring_prop(ring: FiniteRing,
@@ -460,7 +433,6 @@ def check_commutative_ring_prop(ring: FiniteRing,
     degree above two, a nil-semicommutative ring gives a
     nil-semicommutative regular module."""
     cfg = resolve(config)
-    claim = _REGISTRY["commutative_nilpotency_transfer"].claim
     if not ring.is_commutative():
         raise InvalidParameterError(
             f"{ring.descriptor}: this transfer statement wants a commutative ring")
@@ -487,14 +459,9 @@ def check_commutative_ring_prop(ring: FiniteRing,
     }
     if not hypothesis:
         detail["reason"] = "hypothesis fails: some nonzero nilpotent has degree <= 2"
-        return CheckReport("commutative_nilpotency_transfer", claim, SKIPPED, detail)
-    if not implication_ok:
-        a, r, m = module_v.witness
-        detail["witness"] = {"kind": "not-nil-semicommutative",
-                             "descriptor": module_v.descriptor,
-                             "a": a, "r": r, "m": m}
-        return CheckReport("commutative_nilpotency_transfer", claim, REFUTED, detail)
-    return CheckReport("commutative_nilpotency_transfer", claim, CONFIRMED, detail)
+        return _skipped("commutative_nilpotency_transfer", detail)
+    return _report("commutative_nilpotency_transfer", detail,
+                   None if implication_ok else module_v.witness_payload())
 
 
 def check_hom_transfer(hom: RingHom, module: FiniteModule,
@@ -502,11 +469,9 @@ def check_hom_transfer(hom: RingHom, module: FiniteModule,
     """Along a surjective ring hom, a module and its pullback agree on
     nil-semicommutativity."""
     cfg = resolve(config)
-    claim = _REGISTRY["hom_transfer"].claim
     if not hom.surjective:
-        return CheckReport("hom_transfer", claim, SKIPPED,
-                           {"hom": hom.descriptor,
-                            "reason": "the hom is not surjective"})
+        return _skipped("hom_transfer", {"hom": hom.descriptor,
+                                         "reason": "the hom is not surjective"})
     target_v = is_nil_semicommutative(module, cfg, mode="exhaustive")
     pulled = induced_module(hom, module, cfg)
     source_v = is_nil_semicommutative(pulled, cfg, mode="exhaustive")
@@ -519,21 +484,15 @@ def check_hom_transfer(hom: RingHom, module: FiniteModule,
         "source_verdict": _verdict_entry(source_v),
         "agree": agree,
     }
-    if not agree:
-        failing = target_v if target_v.holds is False else source_v
-        a, r, m = failing.witness
-        detail["witness"] = {"kind": "not-nil-semicommutative",
-                             "descriptor": failing.descriptor,
-                             "a": a, "r": r, "m": m}
-    return CheckReport("hom_transfer", claim,
-                       CONFIRMED if agree else REFUTED, detail)
+    failing = target_v if target_v.holds is False else source_v
+    return _report("hom_transfer", detail,
+                   None if agree else failing.witness_payload())
 
 
 def check_tor_t_sets(config: EngineConfig | None = None) -> CheckReport:
     """In the Z_6-module Z_6, 3 is torsion but not regular-torsion, and the
     regular-torsion set collapses to {0}."""
     cfg = resolve(config)
-    claim = _REGISTRY["torsion_vs_regular_torsion"].claim
     module = _reg_zn(6, cfg)
     ts = torsion_sets(module, cfg)
     facts = {
@@ -545,11 +504,9 @@ def check_tor_t_sets(config: EngineConfig | None = None) -> CheckReport:
     ok = (facts["tor"] == [0, 2, 3, 4] and facts["t"] == [0]
           and facts["three_in_tor"] and not facts["three_in_t"])
     detail = {"descriptor": module.descriptor, **facts}
-    if not ok:
-        detail["witness"] = {"kind": "annihilator", "descriptor": module.descriptor,
-                             "r": 2, "m": 3, "expect_zero": True}
-    return CheckReport("torsion_vs_regular_torsion", claim,
-                       CONFIRMED if ok else REFUTED, detail)
+    return _report("torsion_vs_regular_torsion", detail, None if ok else
+                   {"kind": "annihilator", "descriptor": module.descriptor,
+                    "r": 2, "m": 3, "expect_zero": True})
 
 
 def check_t_submodule(module: FiniteModule,
@@ -557,18 +514,16 @@ def check_t_submodule(module: FiniteModule,
     """For a nil-semicommutative module over a finite domain (hence a
     field), the regular-torsion set is a submodule."""
     cfg = resolve(config if config is not None else module.config)
-    claim = _REGISTRY["t_set_submodule"].claim
     ring = module.ring
     from .rings import regular_elements
     if len(regular_elements(ring)) != ring.size - 1:
-        return CheckReport("t_set_submodule", claim, SKIPPED,
-                           {"descriptor": module.descriptor,
-                            "reason": "the ring is not a domain"})
+        return _skipped("t_set_submodule", {"descriptor": module.descriptor,
+                                            "reason": "the ring is not a domain"})
     verdict = is_nil_semicommutative(module, cfg, mode="exhaustive")
     if verdict.holds is not True:
-        return CheckReport("t_set_submodule", claim, SKIPPED,
-                           {"descriptor": module.descriptor,
-                            "reason": "the module is not nil-semicommutative"})
+        return _skipped("t_set_submodule",
+                        {"descriptor": module.descriptor,
+                         "reason": "the module is not nil-semicommutative"})
     ts = torsion_sets(module, cfg)
     ok = ts.t_is_submodule
     detail = {
@@ -577,10 +532,59 @@ def check_t_submodule(module: FiniteModule,
         "t_closed_add": ts.t_closed_add,
         "t_closed_act": ts.t_closed_act,
     }
-    if not ok:
-        detail["witness"] = {"kind": "t-closure", "descriptor": module.descriptor}
-    return CheckReport("t_set_submodule", claim,
-                       CONFIRMED if ok else REFUTED, detail)
+    return _report("t_set_submodule", detail, None if ok else
+                   {"kind": "t-closure", "descriptor": module.descriptor})
+
+
+def _cyclic_submodules(module: FiniteModule, cfg: EngineConfig):
+    """Yield each distinct cyclic submodule Rm once, at its least generator
+    m, with the list of its generators; the list fills in as the scan of
+    the module's elements goes on."""
+    generators: dict[tuple[int, ...], list[int]] = {}
+    for m in module.elements():
+        # the orbit alone identifies the submodule; build each one once
+        key = tuple(sorted({module.act(r, m) for r in module.ring.elements()}))
+        if key in generators:
+            generators[key].append(m)
+        else:
+            generators[key] = [m]
+            yield cyclic_submodule(module, m, cfg), generators[key]
+
+
+def check_submodule_equivalence(module: FiniteModule,
+                                config: EngineConfig | None = None) -> CheckReport:
+    """Compare nil-semicommutativity of a module against all of its cyclic
+    submodules; the two are asserted equivalent."""
+    cfg = resolve(config if config is not None else module.config)
+    whole = is_nil_semicommutative(module, cfg, mode="exhaustive")
+    verdicts = []
+    subs = []
+    for sub, generators in _cyclic_submodules(module, cfg):
+        verdict = is_nil_semicommutative(sub, cfg, mode="exhaustive")
+        verdicts.append(verdict)
+        subs.append({
+            "descriptor": sub.descriptor,
+            "generators": generators,
+            "size": sub.size,
+            "holds": verdict.holds,
+            "witness": verdict.to_json_dict()["witness"],
+        })
+    all_hold = all(v.holds for v in verdicts)
+    equivalent = bool(whole.holds) == all_hold
+    detail = {
+        "descriptor": module.descriptor,
+        "module_holds": whole.holds,
+        "module_witness": whole.to_json_dict()["witness"],
+        "cyclic_submodules": subs,
+        "all_submodules_hold": all_hold,
+        "equivalent": equivalent,
+    }
+    witness = None
+    if not equivalent:
+        failing = (whole if whole.holds is False
+                   else next(v for v in verdicts if not v.holds))
+        witness = failing.witness_payload()
+    return _report("submodule_equivalence", detail, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -588,22 +592,25 @@ def check_t_submodule(module: FiniteModule,
 
 
 def _merge(check_id: str, reports: list[CheckReport]) -> CheckReport:
-    claim = _REGISTRY[check_id].claim
-    statuses = [r.status for r in reports]
-    if REFUTED in statuses:
-        status = REFUTED
-    elif all(s == SKIPPED for s in statuses):
-        status = SKIPPED
-    else:
-        status = CONFIRMED
+    """One report over several instance reports: refuted by the first
+    refuted instance's witness, skipped when every instance skipped."""
     detail: dict = {"instances": [strip_runtime(r.to_json_dict()) for r in reports]}
-    for r in reports:
-        if r.status == REFUTED and "witness" in r.detail:
-            detail["witness"] = r.detail["witness"]
-            break
-    if status == SKIPPED:
+    if all(r.status == SKIPPED for r in reports):
         detail["reason"] = "; ".join(r.detail.get("reason", "") for r in reports)
-    return CheckReport(check_id, claim, status, detail)
+        return _skipped(check_id, detail)
+    return _report(check_id, detail, next(
+        (r.detail["witness"] for r in reports if r.status == REFUTED), None))
+
+
+def _first_witness(check_id: str, instances) -> CheckReport:
+    """One report over (entry, witness) instances, refuted by the first
+    instance that carries a witness."""
+    entries = []
+    witness = None
+    for entry, found in instances:
+        entries.append(entry)
+        witness = witness or found
+    return _report(check_id, {"instances": entries}, witness)
 
 
 @_register("lemma_squarefree",
@@ -682,7 +689,6 @@ def _run_torsion_free(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
            "the squared and the power nilpotency criteria agree on every "
            "element of every test module")
 def _run_criterion_equivalence(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    claim = _REGISTRY["criterion_equivalence"].claim
     modules = [_reg_zn(n, cfg) for n in range(2, 13)]
     modules += [
         _mat_mod(UPPER, 2, 2, cfg),
@@ -705,12 +711,10 @@ def _run_criterion_equivalence(cfg: EngineConfig, opts: HarnessOptions) -> Check
         "elements_checked": checked,
         "disagreements": disagreements,
     }
-    if disagreements:
-        first = disagreements[0]
-        detail["witness"] = {"kind": "criterion-mismatch",
-                             "descriptor": first["descriptor"], "m": first["m"]}
-    return CheckReport("criterion_equivalence", claim,
-                       REFUTED if disagreements else CONFIRMED, detail)
+    first = disagreements[0] if disagreements else None
+    return _report("criterion_equivalence", detail, first and {
+        "kind": "criterion-mismatch", "descriptor": first["descriptor"],
+        "m": first["m"]})
 
 
 @_register("submodule_equivalence",
@@ -720,12 +724,8 @@ def _run_submodule_equivalence(cfg: EngineConfig, opts: HarnessOptions) -> Check
     modules = [_reg_zn(4, cfg), _reg_zn(3, cfg), _reg_zn(6, cfg),
                _mat_mod(UPPER, 2, 2, cfg), _mat_mod(FULL, 2, 2, cfg),
                _mat_mod(UPPER, 2, 4, cfg)]
-    reports = []
-    for module in modules:
-        rep = check_submodule_equivalence(module, cfg)
-        rep.check_id = "submodule_equivalence"
-        reports.append(rep)
-    return _merge("submodule_equivalence", reports)
+    return _merge("submodule_equivalence",
+                  [check_submodule_equivalence(module, cfg) for module in modules])
 
 
 @_register("commutative_nilpotency_transfer",
@@ -772,7 +772,6 @@ def _run_t_submodule(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
            "fraction classes, class counts and projection maps of central "
            "localizations behave as computed partitions require")
 def _run_localization_wellformed(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    claim = _REGISTRY["localization_wellformed"].claim
     z12 = make_zn(12, cfg)
     s12 = multiplicative_closure(z12, [2], cfg)
     loc = localize_ring(z12, s12, cfg)
@@ -798,11 +797,9 @@ def _run_localization_wellformed(cfg: EngineConfig, opts: HarnessOptions) -> Che
         "projection_respects_action": proj_act,
         "unit_set_projection_bijective": unit_bijective,
     }
-    if not ok:
-        detail["witness"] = {"kind": "class-count", "descriptor": loc.descriptor,
-                             "expected": 3, "got": loc.size}
-    return CheckReport("localization_wellformed", claim,
-                       CONFIRMED if ok else REFUTED, detail)
+    return _report("localization_wellformed", detail, None if ok else
+                   {"kind": "class-count", "descriptor": loc.descriptor,
+                    "expected": 3, "got": loc.size})
 
 
 @_register("localization_transfer",
@@ -827,16 +824,10 @@ def _run_localization_transfer(cfg: EngineConfig, opts: HarnessOptions) -> Check
            "a nil module is semicommutative, nil-semicommutative and weakly "
            "semicommutative")
 def _run_nil_module_properties(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    claim = _REGISTRY["nil_module_properties"].claim
-    zero_mod = cyclic_submodule(_reg_zn(4, cfg), 0, cfg)
-    instances = []
-    status = CONFIRMED
-    witness = None
-    for module in (zero_mod, _mat_mod(FULL, 2, 2, cfg)):
+    def instance(module):
         if not is_nil_module(module, cfg):
-            instances.append({"descriptor": module.descriptor,
-                              "reason": "not a nil module, skipped"})
-            continue
+            return {"descriptor": module.descriptor,
+                    "reason": "not a nil module, skipped"}, None
         semi = is_semicommutative(module, cfg, mode="exhaustive")
         weak = is_weakly_semicommutative(module, cfg, mode="exhaustive")
         nil = is_nil_semicommutative(module, cfg, mode="exhaustive")
@@ -847,115 +838,70 @@ def _run_nil_module_properties(cfg: EngineConfig, opts: HarnessOptions) -> Check
             "weakly_semicommutative": _verdict_entry(weak),
             "nil_semicommutative": _verdict_entry(nil),
         }
-        instances.append(entry)
-        if weak.holds is not True or nil.holds is not True or semi.holds is not True:
-            status = REFUTED
-            bad = next(v for v in (semi, weak, nil) if v.holds is not True)
-            a, r, m = bad.witness
-            kind = ("not-semicommutative" if bad.property == PROP_SEMICOMMUTATIVE
-                    else "not-nil-semicommutative")
-            if witness is None:
-                witness = {"kind": kind, "descriptor": module.descriptor,
-                           "a": a, "r": r, "m": m}
-    detail = {"instances": instances}
-    if witness is not None:
-        detail["witness"] = witness
-    return CheckReport("nil_module_properties", claim, status, detail)
+        bad = next((v for v in (semi, weak, nil) if v.holds is not True), None)
+        return entry, bad and bad.witness_payload()
+
+    zero_mod = cyclic_submodule(_reg_zn(4, cfg), 0, cfg)
+    return _first_witness("nil_module_properties",
+                          [instance(m) for m in (zero_mod, _mat_mod(FULL, 2, 2, cfg))])
 
 
 @_register("submodules_inherit",
            "every cyclic submodule of a nil-semicommutative module is "
            "nil-semicommutative")
 def _run_submodules_inherit(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    claim = _REGISTRY["submodules_inherit"].claim
-    pair = make_product_module([_reg_zn(2, cfg), _reg_zn(2, cfg)], cfg)
-    parents = [_mat_mod(FULL, 2, 2, cfg), _reg_zn(3, cfg), _reg_zn(6, cfg), pair]
-    instances = []
-    status = CONFIRMED
-    witness = None
-    for module in parents:
+    def instance(module):
         whole = is_nil_semicommutative(module, cfg, mode="exhaustive")
         if whole.holds is not True:
-            instances.append({"descriptor": module.descriptor,
-                              "reason": "parent not nil-semicommutative, skipped"})
-            continue
-        seen = set()
-        bad_sub = None
+            return {"descriptor": module.descriptor,
+                    "reason": "parent not nil-semicommutative, skipped"}, None
         count = 0
-        for m in module.elements():
-            key = tuple(sorted({module.act(r, m) for r in module.ring.elements()}))
-            if key in seen:
-                continue
-            seen.add(key)
-            sub = cyclic_submodule(module, m, cfg)
+        bad = None
+        for sub, _ in _cyclic_submodules(module, cfg):
             count += 1
             v = is_nil_semicommutative(sub, cfg, mode="exhaustive")
             if v.holds is not True:
-                bad_sub = (sub, v)
+                bad = v
                 break
-        entry = {"descriptor": module.descriptor,
+        return ({"descriptor": module.descriptor,
                  "distinct_cyclic_submodules": count,
-                 "all_inherit": bad_sub is None}
-        instances.append(entry)
-        if bad_sub is not None:
-            status = REFUTED
-            sub, v = bad_sub
-            a, r, m = v.witness
-            if witness is None:
-                witness = {"kind": "not-nil-semicommutative",
-                           "descriptor": sub.descriptor, "a": a, "r": r, "m": m}
-    detail = {"instances": instances}
-    if witness is not None:
-        detail["witness"] = witness
-    return CheckReport("submodules_inherit", claim, status, detail)
+                 "all_inherit": bad is None}, bad and bad.witness_payload())
+
+    pair = make_product_module([_reg_zn(2, cfg), _reg_zn(2, cfg)], cfg)
+    parents = [_mat_mod(FULL, 2, 2, cfg), _reg_zn(3, cfg), _reg_zn(6, cfg), pair]
+    return _first_witness("submodules_inherit", [instance(m) for m in parents])
 
 
 @_register("quotient_by_torsion",
            "for a torsion-free module, nil-semicommutativity agrees with "
            "that of the quotient by its torsion submodule")
 def _run_quotient_by_torsion(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    claim = _REGISTRY["quotient_by_torsion"].claim
-    pair = make_product_module([_reg_zn(3, cfg), _reg_zn(3, cfg)], cfg)
-    modules = [_reg_zn(3, cfg), _reg_zn(5, cfg), pair, _reg_zn(4, cfg)]
-    instances = []
-    status = CONFIRMED
-    witness = None
-    for module in modules:
+    def instance(module):
         if not is_torsion_free(module, cfg):
-            instances.append({"descriptor": module.descriptor,
-                              "reason": "not torsion-free, skipped"})
-            continue
+            return {"descriptor": module.descriptor,
+                    "reason": "not torsion-free, skipped"}, None
         ts = torsion_sets(module, cfg)
         torsion_sub = submodule_generated(module, ts.tor_members(), cfg)
         quotient = quotient_module(module, torsion_sub, cfg)
         whole = is_nil_semicommutative(module, cfg, mode="exhaustive")
         quot_v = is_nil_semicommutative(quotient, cfg, mode="exhaustive")
         agree = whole.holds == quot_v.holds
-        instances.append({
-            "descriptor": module.descriptor,
-            "quotient_descriptor": quotient.descriptor,
-            "module_holds": whole.holds,
-            "quotient_holds": quot_v.holds,
-            "agree": agree,
-        })
-        if not agree:
-            status = REFUTED
-            failing = whole if whole.holds is False else quot_v
-            a, r, m = failing.witness
-            if witness is None:
-                witness = {"kind": "not-nil-semicommutative",
-                           "descriptor": failing.descriptor, "a": a, "r": r, "m": m}
-    detail = {"instances": instances}
-    if witness is not None:
-        detail["witness"] = witness
-    return CheckReport("quotient_by_torsion", claim, status, detail)
+        failing = whole if whole.holds is False else quot_v
+        return ({"descriptor": module.descriptor,
+                 "quotient_descriptor": quotient.descriptor,
+                 "module_holds": whole.holds,
+                 "quotient_holds": quot_v.holds,
+                 "agree": agree}, None if agree else failing.witness_payload())
+
+    pair = make_product_module([_reg_zn(3, cfg), _reg_zn(3, cfg)], cfg)
+    modules = [_reg_zn(3, cfg), _reg_zn(5, cfg), pair, _reg_zn(4, cfg)]
+    return _first_witness("quotient_by_torsion", [instance(m) for m in modules])
 
 
 @_register("theta_iso",
            "reading shift-polynomial coefficients as truncated polynomial "
            "coefficients is a ring isomorphism")
 def _run_theta(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    claim = _REGISTRY["theta_iso"].claim
     cases = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2), (6, 2)]
     results = []
     bad = None
@@ -964,11 +910,8 @@ def _run_theta(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
         results.append({"base": f"Z({base_n})", "n": n, "isomorphic": ok})
         if not ok and bad is None:
             bad = (base_n, n)
-    detail = {"instances": results}
-    if bad is not None:
-        detail["witness"] = {"kind": "theta-failure", "base_n": bad[0], "n": bad[1]}
-    return CheckReport("theta_iso", claim,
-                       CONFIRMED if bad is None else REFUTED, detail)
+    return _report("theta_iso", {"instances": results}, bad and
+                   {"kind": "theta-failure", "base_n": bad[0], "n": bad[1]})
 
 
 # ---------------------------------------------------------------------------
@@ -986,15 +929,14 @@ def run_check(check_id: str, config: EngineConfig | None = None,
     try:
         report = _REGISTRY[check_id].runner(cfg, opts)
     except DecisionCapError as exc:
-        report = CheckReport(check_id, _REGISTRY[check_id].claim, SKIPPED,
-                             {"reason": f"cap: {exc}"})
+        report = _skipped(check_id, {"reason": f"cap: {exc}"})
     except Exception as exc:  # a failed check must not abort the suite
         from traceback import extract_tb
         frame = extract_tb(exc.__traceback__)[-1]  # where it was raised
-        report = CheckReport(check_id, _REGISTRY[check_id].claim, SKIPPED,
-                             {"reason": "internal-error",
-                              "error": f"{type(exc).__name__}: {exc}",
-                              "at": f"{os.path.basename(frame.filename)}:{frame.lineno}"})
+        report = _skipped(check_id, {
+            "reason": "internal-error",
+            "error": f"{type(exc).__name__}: {exc}",
+            "at": f"{os.path.basename(frame.filename)}:{frame.lineno}"})
     report.runtime_ms = int((time.perf_counter() - start) * 1000)
     return report
 

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .modules import FiniteModule
 from .nilpotency import nil_set
-from .reports import CONFIRMED, REFUTED, SKIPPED, CheckReport
+from .reports import CheckReport
 from .rings import FiniteRing, center
 
 
@@ -309,22 +309,13 @@ def check_localization_transfer(module: FiniteModule, mset: MultiplicativeSet,
     """Run the nil-semicommutativity decider on a module and on its
     localization and report whether the two verdicts agree, as the
     transfer statement asserts they must."""
-    from .deciders import PROP_NIL_SEMI, decide  # local import avoids a cycle
+    from .deciders import PROP_NIL_SEMI, decide  # local imports avoid a cycle
+    from .harness import _report
 
     cfg = resolve(config if config is not None else module.config)
-    claim = ("a module is nil-semicommutative exactly when its localization "
-             "at a central multiplicative set is")
-    try:
-        source = decide(module, PROP_NIL_SEMI, cfg, mode="exhaustive")
-        localized = localize_module(module, mset, cfg)
-        loc_verdict = decide(localized, PROP_NIL_SEMI, cfg, mode="exhaustive")
-    except DecisionCapError as exc:
-        return CheckReport(
-            check_id="localization_transfer",
-            claim=claim,
-            status=SKIPPED,
-            detail={"reason": str(exc)},
-        )
+    source = decide(module, PROP_NIL_SEMI, cfg, mode="exhaustive")
+    localized = localize_module(module, mset, cfg)
+    loc_verdict = decide(localized, PROP_NIL_SEMI, cfg, mode="exhaustive")
     agree = source.holds == loc_verdict.holds
     detail = {
         "descriptor": module.descriptor,
@@ -335,17 +326,6 @@ def check_localization_transfer(module: FiniteModule, mset: MultiplicativeSet,
         "localized": loc_verdict.to_json_dict(),
         "agree": agree,
     }
-    if not agree:
-        failing = source if source.holds is False else loc_verdict
-        a, r, m = failing.witness
-        detail["witness"] = {
-            "kind": "not-nil-semicommutative",
-            "descriptor": failing.descriptor,
-            "a": a, "r": r, "m": m,
-        }
-    return CheckReport(
-        check_id="localization_transfer",
-        claim=claim,
-        status=CONFIRMED if agree else REFUTED,
-        detail=detail,
-    )
+    failing = source if source.holds is False else loc_verdict
+    return _report("localization_transfer", detail,
+                   None if agree else failing.witness_payload())

@@ -15,9 +15,9 @@ STATUSES = (CONFIRMED, REFUTED, SKIPPED)
 class CheckReport:
     """Outcome of one named check.
 
-    status is one of confirmed / refuted / skipped.  Refuted reports carry a
-    witness payload in detail["witness"] that a single evaluation can replay;
-    skipped reports carry detail["reason"].
+    status is one of confirmed / refuted / skipped.  A report is refuted
+    exactly when it carries a witness payload in detail["witness"], which a
+    single evaluation can replay; skipped reports carry detail["reason"].
     """
 
     check_id: str

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nilcomm.cli import main
+from nilcomm.config import DEFAULT_CONFIG
 
 
 def run_cli(capsys, *argv):
@@ -47,12 +48,21 @@ def test_classify_property_selection(capsys):
     assert "unknown property" in err
 
 
-def test_classify_output_is_byte_identical_across_runs_and_threads(capsys):
+def test_classify_output_is_byte_identical_across_runs(capsys):
     args = ("classify", "trimod(2, regular(Z(4)))", "--format", "json")
-    _, first, _ = run_cli(capsys, *args, "--threads", "1")
-    _, second, _ = run_cli(capsys, *args, "--threads", "2")
-    _, third, _ = run_cli(capsys, *args, "--threads", "1")
-    assert first == second == third
+    runs = [run_cli(capsys, *args) for _ in range(3)]
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    first, second, third = (out for _, out, _ in runs)
+    assert first and first == second == third
+
+
+def test_threads_flag_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "classify", "regular(Z(4))",
+                             "--threads", "2")
+    assert code == 1 and out == ""
+    assert "--threads" in err
+    with pytest.raises(TypeError):
+        DEFAULT_CONFIG.with_overrides(threads=2)
 
 
 def test_classify_timing_flag(capsys):
@@ -120,6 +130,17 @@ def test_verify_paper_selection_and_exit_codes(capsys):
 
     code, _, err = run_cli(capsys, "verify-paper", "--only", "missing_check")
     assert code == 1
+
+
+def test_verify_paper_cap_names_the_first_capped_scan(capsys):
+    code, out, _ = run_cli(capsys, "verify-paper", "--only",
+                           "localization_transfer", "--cap", "10",
+                           "--format", "json")
+    assert code == 0
+    (report,) = json.loads(out)["results"]
+    assert report["status"] == "skipped"
+    assert report["detail"]["reason"].startswith(
+        "cap: regular(Z(3)): nil-semicommutative scan of 27")
 
 
 def test_verify_paper_embeds_version_and_selection(capsys):

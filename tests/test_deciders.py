@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -22,9 +23,9 @@ from nilcomm import (
 )
 from nilcomm.config import DEFAULT_CONFIG
 from nilcomm.deciders import MODULE_PROPERTIES, PROP_NIL_SEMI, PROP_SEMICOMMUTATIVE, decide
-from nilcomm.rings import FULL
+from nilcomm.rings import FULL, UPPER
 
-from conftest import zn_module
+from conftest import mat_mod, zn_module
 
 
 def brute_min_violation(module, trigger, violates):
@@ -94,12 +95,14 @@ def test_witness_minimality_matches_brute_force(z4_module, m2z2_module):
     assert decide(m2z2_module, PROP_SEMICOMMUTATIVE).witness == (a, r, m)
 
 
-def test_thread_count_does_not_change_verdicts(t2z4_module):
-    results = []
-    for threads in (1, 2, 3):
-        cfg = DEFAULT_CONFIG.with_overrides(threads=threads)
-        results.append(decide(t2z4_module, PROP_NIL_SEMI, cfg).to_json_dict())
+def test_repeated_decisions_are_identical(t2z4_module):
+    # the shared module (nil set cached after the first call) and two fresh
+    # builds of it must give the same verdict bytes
+    modules = (t2z4_module, mat_mod(UPPER, 2, 4), mat_mod(UPPER, 2, 4))
+    results = [json.dumps(decide(m, PROP_NIL_SEMI, DEFAULT_CONFIG).to_json_dict())
+               for m in modules]
     assert results[0] == results[1] == results[2]
+    assert json.loads(results[0])["holds"] is False
 
 
 def test_zero_module_holds_everything(z4_module):

@@ -4,12 +4,14 @@ import pytest
 
 from nilcomm import (
     InvalidParameterError,
+    NilcommError,
     ParseError,
     elaborate,
     elaborate_text,
     parse_structure,
     pretty,
 )
+from nilcomm.config import DEFAULT_CONFIG
 from nilcomm.dsl import StructureExpr
 
 
@@ -116,11 +118,22 @@ def _random_ast(rng, kind, depth):
 
 
 def test_round_trip_over_random_asts():
+    # small caps keep each elaboration cheap; whatever an expression does
+    # wrong must surface as a typed NilcommError, never as another exception
+    cfg = DEFAULT_CONFIG.with_overrides(construction_cap=256,
+                                        decision_cap=2 ** 12)
     rng = random.Random(20240817)
+    built = 0
     for _ in range(250):
         kind = rng.choice(["ring", "module", "hom"])
         ast = _random_ast(rng, kind, 2)
         assert parse_structure(pretty(ast)) == ast
+        try:
+            elaborate(ast, cfg)
+            built += 1
+        except NilcommError:
+            pass
+    assert built > 100
 
 
 @pytest.mark.parametrize("text,size", [

@@ -3,6 +3,7 @@ import pytest
 from nilcomm import (
     FULL,
     UPPER,
+    DecisionCapError,
     InvalidParameterError,
     MatrixShape,
     MultiplicativeSet,
@@ -20,6 +21,8 @@ from nilcomm import (
     regular_module,
     reverify_refutation,
 )
+
+from nilcomm.config import DEFAULT_CONFIG
 
 from conftest import zn_module
 
@@ -111,6 +114,15 @@ def test_transfer_identity_set_on_field():
     z3 = make_zn(3)
     rep = check_localization_transfer(zn_module(3), multiplicative_closure(z3, []))
     assert rep.status == "confirmed"
+
+
+def test_transfer_raises_at_the_decision_cap():
+    # a cap is not the check's to report: run_check turns it into "cap: ..."
+    cfg = DEFAULT_CONFIG.with_overrides(decision_cap=10)
+    z3 = make_zn(3, cfg)
+    with pytest.raises(DecisionCapError, match=r"regular\(Z\(3\)\)"):
+        check_localization_transfer(regular_module(z3, cfg),
+                                    multiplicative_closure(z3, [], cfg), cfg)
 
 
 def test_transfer_z12_zero_divisor_set_is_refuted_with_witness():
