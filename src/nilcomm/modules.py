@@ -40,7 +40,6 @@ from .rings import (
     elementwise,
     first_broken,
     first_true,
-    grid_product,
     make_matrix_ring,
     op_table,
     row_blocks,
@@ -103,7 +102,7 @@ class FiniteModule:
         if share_ring_ops:
             self.add, self.act, self.neg = ring.add, ring.mul, ring.neg
             self.vadd, self.vact, self.vneg = ring.vadd, ring.vmul, ring.vneg
-            self.vsum = ring.vsum
+            self.vmatact = ring.vmatmul
             self.tabulated = ring.tabulated
         elif self.size <= threshold and ring.size <= threshold:
             add = op_table(self._vadd, self.size, self.size)
@@ -123,8 +122,11 @@ class FiniteModule:
     act: Callable[[int, int], int]
     neg: Callable[[int], int]
 
-    def vsum(self, x: np.ndarray, axis: int) -> np.ndarray:
-        return reduce(self.vadd, np.moveaxis(x, axis, 0))
+    def vmatact(self, r: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """A ring-entry grid acting on a module-entry grid, (..., n, k) x
+        (..., k, p) id arrays, under this module's + and action."""
+        products = self.vact(r[..., :, :, None], m[..., None, :, :])
+        return reduce(self.vadd, np.moveaxis(products, -2, 0))
 
     def add_table(self) -> np.ndarray:
         """The addition table: the stored one, else built from the ops."""
@@ -192,9 +194,7 @@ class MatrixModule(_MatrixLayout, FiniteModule):
         self._seal()
 
     def _vact(self, r, m):
-        base = self.base
-        return self.ungrid(grid_product(self.ring.grid(r), self.grid(m),
-                                        base.vact, base.vsum))
+        return self.ungrid(self.base.vmatact(self.ring.grid(r), self.grid(m)))
 
     def render(self, m):
         return self._render_grid(m, self.base.render)

@@ -16,7 +16,7 @@ import numpy as np
 from .config import EngineConfig, resolve
 from .errors import DecisionCapError
 from .modules import FiniteModule, escapes
-from .rings import regular_elements, row_blocks
+from .rings import _OP_CELLS, first_true, regular_elements, row_blocks, scan
 
 
 @dataclass
@@ -108,13 +108,14 @@ def is_nilpotent_squared(module: FiniteModule, m: int,
     """Squared criterion; returns (verdict, least witness t or None)."""
     if m == module.zero:
         return True, None
-    act = module.act
-    mul = module.ring.mul
-    zero = module.zero
-    for t in module.ring.elements():
-        if act(t, m) != zero and act(mul(t, t), m) == zero:
-            return True, t
-    return False, None
+    vact, vmul, zero = module.vact, module.ring.vmul, module.zero
+
+    def block(lo, hi):
+        t = np.arange(lo, hi)
+        return first_true((vact(t, m) != zero) & (vact(vmul(t, t), m) == zero), lo)
+
+    hit = scan(module.ring.size, 1 if module.tabulated else _OP_CELLS, block)
+    return (False, None) if hit is None else (True, hit[0])
 
 
 def is_nilpotent_power(module: FiniteModule, m: int,

@@ -205,12 +205,6 @@ def digitwise(codec: MixedRadix, op, *ids) -> np.ndarray:
     return codec.ids(op(*(codec.digits(x) for x in ids)))
 
 
-def grid_product(a: np.ndarray, b: np.ndarray, vmul, vsum) -> np.ndarray:
-    """Matrix product of id grids under an entry product (a ring's or an
-    action) and an entry sum."""
-    return vsum(vmul(a[..., :, :, None], b[..., None, :, :]), -2)
-
-
 def componentwise(codec: MixedRadix, ops, *ids, left=()) -> np.ndarray:
     """Product-structure ids whose i-th digit is ops[i](*left, i-th digits)."""
     digits = [codec.digits(x) for x in ids]
@@ -308,9 +302,11 @@ class FiniteRing:
     mul: Callable[[int, int], int]
     neg: Callable[[int], int]
 
-    def vsum(self, x: np.ndarray, axis: int) -> np.ndarray:
-        """Sum of an id array along one axis."""
-        return reduce(self.vadd, np.moveaxis(x, axis, 0))
+    def vmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products of entry grids, (..., n, k) x (..., k, p) id arrays, under
+        this ring's + and x."""
+        products = self.vmul(a[..., :, :, None], b[..., None, :, :])
+        return reduce(self.vadd, np.moveaxis(products, -2, 0))
 
     def add_table(self) -> np.ndarray:
         """The addition table: the stored one, else built from the ops."""
@@ -385,8 +381,12 @@ class ZnRing(FiniteRing):
 
     _vadd, _vmul, _vneg = _add, _mul, _neg
 
-    def vsum(self, x, axis):
-        return x.sum(axis, dtype=np.int64) % self.n
+    def vmatmul(self, a, b):
+        if (type(self)._vadd, type(self)._vmul) != (ZnRing._vadd, ZnRing._vmul):
+            return super().vmatmul(a, b)  # a subclass with its own arithmetic
+        # each of the k summed products is below n**2 and n**k is within the
+        # construction cap, so the int64 sum stays below cap**2 (2**40 by default)
+        return np.matmul(a, b) % self.n
 
 
 class _MatrixLayout:
@@ -477,9 +477,7 @@ class MatrixRing(_MatrixLayout, FiniteRing):
         self._seal()
 
     def _vmul(self, a, b):
-        base = self.base
-        return self.ungrid(grid_product(self.grid(a), self.grid(b),
-                                        base.vmul, base.vsum))
+        return self.ungrid(self.base.vmatmul(self.grid(a), self.grid(b)))
 
     def render(self, a):
         return self._render_grid(a, self.base.render)
@@ -553,12 +551,12 @@ class PolyQuotientRing(FiniteRing):
         return digitwise(self.codec, self.base.vneg, a)
 
     def _vmul(self, a, b):
-        # truncated convolution: c_k is the sum of a_i * b_(k-i) over i <= k,
-        # so row i of the shifted b holds the coefficients of x^i b
+        # truncated convolution: c_k sums a_i * b_(k-i) over i <= k, so c is
+        # the row of a's coefficients times the shifted b, whose row i is x^i b
         base, shift = self.base, self._shift
         shifted = np.where(shift >= 0, self.codec.digits(b)[..., shift], base.zero)
-        return self.codec.ids(base.vsum(
-            base.vmul(self.codec.digits(a)[..., :, None], shifted), -2))
+        return self.codec.ids(
+            base.vmatmul(self.codec.digits(a)[..., None, :], shifted)[..., 0, :])
 
     def render(self, a):
         coeffs = self.coefficients(a)

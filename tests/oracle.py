@@ -74,3 +74,23 @@ def torsion_masks(act, mul, zero, ring_zero):
                 tor |= 1 << m
                 t |= (r in regular) << m
     return tor, t
+
+
+def grid_product(a, b, mul, add, zero):
+    """Entry grids a (n x k) times b (k x p) by the triple loop, the entries
+    multiplied by mul (a ring's product or an action) and summed by add."""
+    out = [[zero] * len(b[0]) for _ in a]
+    for i, row in enumerate(a):
+        for j in range(len(b[0])):
+            for t, x in enumerate(row):
+                out[i][j] = add(out[i][j], mul(x, b[t][j]))
+    return out
+
+
+def truncated_product(a, b, mul, add, zero):
+    """Coefficients of a * b with every term of degree len(a) or more dropped."""
+    out = [zero] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:len(a) - i]):
+            out[i + j] = add(out[i + j], mul(x, y))
+    return out

@@ -1,4 +1,5 @@
 import re
+from random import Random
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nilcomm import (
     ShapeMismatchError,
     check_module_axioms,
     cyclic_submodule,
+    elaborate_text,
     identity_hom,
     induced_module,
     make_product_module,
@@ -26,7 +28,9 @@ from nilcomm import (
 )
 from nilcomm.config import DEFAULT_CONFIG
 from nilcomm.modules import SubModule
+from nilcomm.rings import draw_ids
 
+import oracle
 from conftest import mat_mod, zn_module
 
 
@@ -229,3 +233,33 @@ def test_nested_matrix_free_position_counts():
     nested = matrix_module(MatrixShape(UPPER, 2), t2, mat_mod(UPPER, 2, 2), light)
     assert nested.size == t2.size ** 3
     assert nested.ring.size == t2.size ** 3
+
+
+def _loop_act(module, r, m):
+    """r * m by the plain loop over the entries, through the base's pointwise ops."""
+    base = module.base
+    return module.from_entries(oracle.grid_product(
+        module.ring.entries(r), module.entries(m), base.act, base.add, base.zero))
+
+
+@pytest.mark.parametrize("expr", [
+    "matmod(2, regular(Z(3)))", "trimod(3, regular(Z(2)))", "smod(3, regular(Z(3)))",
+    "vmod(3, regular(Z(4)))", "trimod(2, prodmod(regular(Z(2)), regular(Z(2))))"])
+@pytest.mark.parametrize("tabulate", [True, False])
+def test_matrix_actions_match_the_plain_loop(expr, tabulate):
+    module = elaborate_text(
+        expr, DEFAULT_CONFIG.with_overrides(tabulate_threshold=1024 if tabulate else 0))
+    assert module.tabulated is tabulate
+    r, m = (x.ravel() for x in np.meshgrid(np.arange(module.ring.size), np.arange(module.size)))
+    want = [_loop_act(module, x, y) for x, y in zip(r.tolist(), m.tolist())]
+    assert module.vact(r, m).tolist() == want
+    assert module.act_table()[r, m].tolist() == want
+
+
+def test_untabulated_actions_match_the_plain_loop_on_drawn_ids(m4z2_module):
+    module = m4z2_module
+    assert not module.tabulated
+    r, m = draw_ids(Random(6), 64, module.ring.size, module.size).T
+    want = [_loop_act(module, x, y) for x, y in zip(r.tolist(), m.tolist())]
+    assert module.vact(r, m).tolist() == want
+    assert [module.act(x, y) for x, y in zip(r.tolist(), m.tolist())] == want

@@ -3,6 +3,7 @@ import pytest
 from nilcomm import (
     DecisionCapError,
     cyclic_submodule,
+    elaborate_text,
     is_nil_module,
     is_nilpotent_power,
     is_nilpotent_squared,
@@ -14,6 +15,7 @@ from nilcomm import (
     torsion_sets,
 )
 from nilcomm.config import DEFAULT_CONFIG
+from nilcomm.harness import _light_config
 
 from conftest import zn_module
 
@@ -82,6 +84,31 @@ def test_squared_criterion_examples(z6_module, z12_module):
     assert is_nilpotent_squared(z12_module, 1) == (True, 6)
     assert is_nilpotent_squared(z12_module, 0) == (True, None)
     assert is_nilpotent_squared(z6_module, 1) == (False, None)
+
+
+def _loop_squared(module, m):
+    """The squared criterion by a plain loop over the ring, least t first."""
+    act, mul, zero = module.act, module.ring.mul, module.zero
+    if m == zero:
+        return True, None
+    for t in module.ring.elements():
+        if act(t, m) != zero and act(mul(t, t), m) == zero:
+            return True, t
+    return False, None
+
+
+@pytest.mark.parametrize("expr,light", [
+    ("trimod(2, regular(Z(4)))", False),
+    ("matmod(2, regular(Z(4)))", False),
+    ("regular(Z(360))", True),
+    ("matmod(2, regular(Z(4)))", True),
+])
+def test_squared_criterion_matches_the_plain_loop(expr, light, monkeypatch):
+    module = elaborate_text(expr, _light_config(DEFAULT_CONFIG) if light else None)
+    assert module.tabulated is not light
+    monkeypatch.setattr(module, "act_table", lambda: pytest.fail("built an action table"))
+    assert ([is_nilpotent_squared(module, m) for m in module.elements()]
+            == [_loop_squared(module, m) for m in module.elements()])
 
 
 def test_power_criterion_examples(z6_module):

@@ -25,7 +25,9 @@ small_rings = st.one_of(
     st.integers(2, 16).map(lambda n: f"Z({n})"),
     st.sampled_from(["T(2, Z(2))", "T(2, Z(3))", "S(2, Z(3))", "S(3, Z(2))",
                      "V(2, Z(4))", "V(3, Z(3))", "M(2, Z(2))", "polyq(Z(2), 4)",
-                     "polyq(Z(3), 2)", "prod(Z(2), Z(6))", "prod(Z(3), polyq(Z(2), 2))"]),
+                     "polyq(Z(3), 2)", "prod(Z(2), Z(6))", "prod(Z(3), polyq(Z(2), 2))",
+                     # matrices whose entries are not Z(n): the generic entry product
+                     "S(2, prod(Z(2), Z(2)))", "V(2, polyq(Z(2), 2))"]),
 )
 
 
@@ -36,7 +38,8 @@ def modules(draw):
         st.sampled_from(["matmod(2, regular(Z(2)))", "trimod(2, regular(Z(2)))",
                          "trimod(2, regular(Z(3)))", "trimod(3, regular(Z(2)))",
                          "smod(2, regular(Z(4)))", "smod(3, regular(Z(2)))",
-                         "vmod(2, regular(Z(5)))", "vmod(3, regular(Z(3)))"]),
+                         "vmod(2, regular(Z(5)))", "vmod(3, regular(Z(3)))",
+                         "trimod(2, prodmod(regular(Z(2)), regular(Z(2))))"]),
         # a generator whose powers never reach 0
         st.integers(2, 16).flatmap(lambda n: st.integers(1, n - 1).filter(
             lambda s: all(pow(s, k, n) for k in range(1, n))).map(
@@ -62,6 +65,10 @@ def modules(draw):
 @given(modules())
 # a quotient whose ring is larger than the module
 @example("quot(induced(zred(8, 4), regular(Z(4))), gen(induced(zred(8, 4), regular(Z(4))), {2}))")
+# matrix entries that are not Z(n), whatever the draws reach
+@example("regular(S(2, prod(Z(2), Z(2))))")
+@example("regular(V(2, polyq(Z(2), 2)))")
+@example("trimod(2, prodmod(regular(Z(2)), regular(Z(2))))")
 def test_engine_matches_oracle(expr):
     module = elaborate_text(expr)
     nr, nm = module.ring.size, module.size

@@ -18,6 +18,7 @@ from nilcomm import (
     SizeCapError,
     center,
     check_ring_axioms,
+    elaborate_text,
     make_matrix_ring,
     make_poly_quotient_ring,
     make_product_ring,
@@ -30,7 +31,9 @@ from nilcomm import (
     zn_reduction_hom,
 )
 from nilcomm.config import DEFAULT_CONFIG
-from nilcomm.rings import PolyQuotientRing, ZnRing, _stable_seed, draw_ids
+from nilcomm.rings import MatrixRing, PolyQuotientRing, ZnRing, _stable_seed, draw_ids
+
+import oracle
 
 
 def test_zn_basics():
@@ -372,3 +375,56 @@ def test_theta_check_catches_a_wrong_polynomial_product(monkeypatch):
     x = ring.from_coefficients([0, 1])
     assert ring.mul(x, x) == x
     assert not verify_theta_iso(make_zn(3), 2)
+
+
+def _loop_mul(ring, a, b):
+    """a * b by the plain loop over the entries, through the base's pointwise ops."""
+    base = ring.base
+    if isinstance(ring, PolyQuotientRing):
+        return ring.from_coefficients(oracle.truncated_product(
+            ring.coefficients(a), ring.coefficients(b), base.mul, base.add, base.zero))
+    return ring.from_entries(oracle.grid_product(
+        ring.entries(a), ring.entries(b), base.mul, base.add, base.zero))
+
+
+@pytest.mark.parametrize("expr", ["M(2, Z(3))", "T(3, Z(2))", "S(3, Z(3))", "V(3, Z(4))",
+                                  "polyq(Z(4), 3)", "S(2, prod(Z(2), Z(2)))"])
+@pytest.mark.parametrize("tabulate", [True, False])
+def test_entry_products_match_the_plain_loop(expr, tabulate):
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=1024 if tabulate else 0)
+    ring = elaborate_text(expr, cfg)
+    assert ring.tabulated is tabulate
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(ring.size), np.arange(ring.size)))
+    want = [_loop_mul(ring, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert ring.vmul(a, b).tolist() == want
+    assert ring.mul_table()[a, b].tolist() == want
+
+
+def test_untabulated_products_match_the_plain_loop_on_drawn_ids(m4z2_module):
+    ring = m4z2_module.ring
+    assert not ring.tabulated
+    a, b = draw_ids(Random(5), 64, ring.size, ring.size).T
+    want = [_loop_mul(ring, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert ring.vmul(a, b).tolist() == want
+    assert [ring.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == want
+
+
+class _UncheckedMatrixRing(MatrixRing):
+    """A matrix ring built without its axiom check, so its entries may be
+    a ring with a planted defect."""
+
+    def _seal(self, validate=True):
+        super()._seal(validate=False)
+
+
+@pytest.mark.parametrize("tabulate", [True, False])
+def test_matrix_products_keep_a_planted_entry_defect(tabulate):
+    # Z(3) with 2 * 2 = 2: a Z(n) subclass must not take the plain Z(n) product
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=1024 if tabulate else 0)
+    shape = MatrixShape(FULL, 2)
+    ring = _UncheckedMatrixRing(shape, _SkewZn(3, cfg), cfg)
+    honest = make_matrix_ring(shape, make_zn(3, cfg), cfg)
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(ring.size), np.arange(ring.size)))
+    got = ring.vmul(a, b).tolist()
+    assert got == [_loop_mul(ring, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert got != honest.vmul(a, b).tolist()
