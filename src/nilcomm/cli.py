@@ -76,8 +76,6 @@ def _emit(doc: dict, fmt: str, render_text) -> None:
 
 
 def _witness_text(w) -> str:
-    if w is None:
-        return ""
     parts = [f"a={w['a']}", f"r={w['r']}", f"m={w['m']}"]
     text = f"  witness ({', '.join(parts)})"
     if "a_render" in w:
@@ -95,12 +93,9 @@ def _render_classify(doc: dict):
             yield f"  nil set: {entry['size']} of {entry['module_size']} elements {shown}"
             continue
         holds = entry["holds"]
-        mark = _CHECK if holds else (_CROSS if holds is False else "?")
-        line = f"  {entry['property']:24s} {mark}"
-        if holds is False:
+        line = f"  {entry['property']:24s} {_CHECK if holds else _CROSS}"
+        if not holds:
             line += _witness_text(entry["witness"])
-        elif holds is None:
-            line += f"  ({entry['method']}: {entry['explanation']})"
         yield line
 
 
@@ -121,7 +116,7 @@ def cmd_classify(args) -> int:
                     f"{', '.join(MODULE_PROPERTIES)}")
     results = []
     for prop in props:
-        verdict = decide(module, prop, cfg, mode="exhaustive")
+        verdict = decide(module, prop, cfg)
         results.append(verdict.to_json_dict())
     nils = nil_set(module, cfg)
     results.append({
@@ -308,7 +303,7 @@ def cmd_search(args) -> int:
         try:
             module = elaborate(parse_structure(expr), cfg)
             verdicts = {
-                prop: decide(module, prop, cfg, mode="exhaustive").holds
+                prop: decide(module, prop, cfg).holds
                 for prop in MODULE_PROPERTIES
             }
         except NilcommError as exc:
@@ -385,9 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated check ids; known ids: "
                         + ", ".join(registered_ids()))
     p.add_argument("--nmax", type=int, default=1000,
-                   help="upper modulus for the square-free check")
+                   help="upper modulus for the square-free check (at least 2)")
     p.add_argument("--samples", type=int, default=1000,
-                   help="sample count for witness-mode checks")
+                   help="random nonzero elements on which the 4x4 matrix nil "
+                        "checks replay the single-unit witness (at least 1)")
     _add_common(p)
     p.set_defaults(func=cmd_verify_paper)
 

@@ -14,7 +14,9 @@ class EngineConfig:
     """Caps and defaults governing construction, validation and decisions.
 
     construction_cap: largest element count a constructor may produce.
-    decision_cap: largest (a, r, m) triple count an exhaustive scan may visit.
+    decision_cap: largest (a, r, m) triple count a decision may visit.
+        Decisions are always exhaustive scans; past the cap they refuse with
+        DecisionCapError, as do nil and torsion sets past it in (t, m) pairs.
     tabulate_threshold: structures up to this size (a module's ring too)
         store int32 operation tables; larger ones compute operations per
         call and materialize a table only for an exhaustive scan.
@@ -22,8 +24,7 @@ class EngineConfig:
     validation_samples: sampled axiom triples per law family (one for
         rings, three for modules) used above that budget.
     seed: base seed for every sampled procedure.
-    sample_count: default sample count for witness-mode verification runs.
-    force: lift decision-cap refusals.
+    force: lift every decision-cap refusal.
     """
 
     construction_cap: int = 2 ** 20
@@ -32,7 +33,6 @@ class EngineConfig:
     full_check_budget: int = 2 ** 16
     validation_samples: int = 2000
     seed: int = DEFAULT_SEED
-    sample_count: int = 1000
     force: bool = False
 
     def with_overrides(self, **kw) -> "EngineConfig":

@@ -1,26 +1,33 @@
 """Deciders for the module and ring semicommutativity properties.
 
-Each decider scans the full (a, r, m) space under the decision cap and
-returns a Verdict: holds, or fails with the lexicographically least
-violating triple in (a, m, r) order.  Above the cap the decider either
-refuses (exhaustive mode) or degrades to witness-only mode, where a
-supplied witness can still settle the answer negatively.  Sampling never
-happens silently; it is a separate, labeled mode.
+Each property follows one pattern: a trigger on am (zero, or nilpotent)
+forces a condition on aRm.  _PROPERTIES defines each module property once,
+as a row of three tests over id arrays: the trigger's multiplier (a, or a^2),
+the trigger test on that product times m, and the violation test on x = rm
+given a.  Two evaluators read the table:
+
+- decide scans the full (a, r, m) space over the action table and returns a
+  Verdict: holds, or fails with the lexicographically least violating triple
+  in (a, m, r) order.  Above the decision cap it refuses unless the config
+  sets force.  The ring deciders run the same scan over the multiplication
+  table.
+- replay evaluates a row on given triples through vact/vmul, with nil
+  membership by the squared criterion, so nothing is tabulated and no size
+  limit applies.  The two witness verifiers are one call into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .config import EngineConfig, resolve
 from .errors import DecisionCapError, InvalidParameterError
 from .modules import FiniteModule
-from .nilpotency import is_nilpotent_squared, nil_set
-from .rings import FiniteRing, first_true, nil_ring_set, scan
+from .nilpotency import nil_set, squared_killers
+from .rings import _OP_CELLS, FiniteRing, first_true, nil_ring_set, row_blocks, scan
 
 PROP_SEMICOMMUTATIVE = "semicommutative"
 PROP_WEAKLY = "weakly-semicommutative"
@@ -30,30 +37,18 @@ PROP_REDUCED_II = "reduced-ii"
 PROP_RING_SEMI = "ring-semicommutative"
 PROP_RING_NIL_SEMI = "ring-nil-semicommutative"
 
-MODULE_PROPERTIES = (
-    PROP_SEMICOMMUTATIVE,
-    PROP_WEAKLY,
-    PROP_NIL_SEMI,
-    PROP_REDUCED_I,
-    PROP_REDUCED_II,
-)
-RING_PROPERTIES = (PROP_RING_SEMI, PROP_RING_NIL_SEMI)
-
 METHOD_EXHAUSTIVE = "exhaustive"
-METHOD_WITNESS = "witness-only"
-METHOD_SAMPLED = "sampled"
 
 
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of one property decision.
 
-    witness is the violating triple (a, r, m) when holds is False; holds is
-    None when the method could not settle the property.
+    witness is the violating triple (a, r, m) when holds is False.
     """
 
     property: str
-    holds: bool | None
+    holds: bool
     method: str
     witness: tuple[int, int, int] | None
     descriptor: str
@@ -99,241 +94,198 @@ def triple_witness(prop: str, descriptor: str, triple,
     return payload
 
 
-def _module_renders(module: FiniteModule, triple) -> tuple[str, str, str]:
+def _renders(ring: FiniteRing, target, triple) -> tuple[str, str, str]:
+    """The triple (a, r, m) rendered: a and r in the ring, m in the target."""
     a, r, m = triple
-    return (module.ring.render(a), module.ring.render(r), module.render(m))
-
-
-def _ring_renders(ring: FiniteRing, triple) -> tuple[str, str, str]:
-    a, r, b = triple
-    return (ring.render(a), ring.render(r), ring.render(b))
+    return (ring.render(a), ring.render(r), target.render(m))
 
 
 # ---------------------------------------------------------------------------
-# Scan machinery
+# The property table
 
 
-def _scan(act: np.ndarray, zero: int, prop: str, nil=None, squares=None):
-    """Least violation (a, m, r) of a property over an action table, or None.
+class _Property(NamedTuple):
+    """One module property: (a, r, m) violates it when trigger(multiplier(a)
+    * m) holds and violation(a, r * m) does.  Each test takes its
+    evaluator's ops and id arrays, and returns a bool array."""
 
-    A violation is a triggered (a, m) and an r with bad[a, r*m].  Each block
-    of a gathers act[a, act[:, ms]] for its triggered columns ms only; the
-    C-order least hit keeps the (a, m, r) order of the least witness."""
-    if prop == PROP_REDUCED_I:
-        trigger = lambda a: act[squares[a]] == zero
-    elif prop == PROP_NIL_SEMI:
-        trigger = lambda a: nil[act[a]]
-    else:
-        trigger = lambda a: act[a] == zero
-    if prop in (PROP_WEAKLY, PROP_NIL_SEMI):
-        bad = lambda a: ~nil[act[a]]
-    elif prop == PROP_REDUCED_II:
-        bad = lambda a: _nonzero_images(act[a], zero)
-    else:
-        bad = lambda a: act[a] != zero
+    multiplier: Callable
+    trigger: Callable
+    violation: Callable
+
+
+def _a(ops, a):
+    return a
+
+
+def _a_squared(ops, a):
+    return ops.mul(a, a)
+
+
+def _is_zero(ops, y):
+    return y == ops.zero
+
+
+def _is_nil(ops, y):
+    return ops.nil(y)
+
+
+def _ax_nonzero(ops, a, x):
+    return ops.act(a, x) != ops.zero
+
+
+def _ax_not_nil(ops, a, x):
+    return ~ops.nil(ops.act(a, x))
+
+
+def _nonzero_in_image(ops, a, x):
+    return (x != ops.zero) & ops.in_image(a, x)
+
+
+_PROPERTIES = {
+    PROP_SEMICOMMUTATIVE: _Property(_a, _is_zero, _ax_nonzero),
+    PROP_WEAKLY: _Property(_a, _is_zero, _ax_not_nil),
+    PROP_NIL_SEMI: _Property(_a, _is_nil, _ax_not_nil),
+    PROP_REDUCED_I: _Property(_a_squared, _is_zero, _ax_nonzero),
+    PROP_REDUCED_II: _Property(_a, _is_zero, _nonzero_in_image),
+}
+MODULE_PROPERTIES = tuple(_PROPERTIES)
+
+# the ring acting on itself, under the module rows
+_RING_ROWS = {PROP_RING_SEMI: PROP_SEMICOMMUTATIVE, PROP_RING_NIL_SEMI: PROP_NIL_SEMI}
+
+
+def _row(prop: str) -> _Property:
+    if prop not in _PROPERTIES:
+        raise InvalidParameterError(f"unknown module property {prop!r}")
+    return _PROPERTIES[prop]
+
+
+def _refuse_above_cap(desc: str, prop: str, triples: int, cfg: EngineConfig,
+                      unit: str) -> None:
+    if triples > cfg.decision_cap and not cfg.force:
+        raise DecisionCapError(
+            f"{desc}: {prop} scan of {triples} {unit} exceeds cap "
+            f"{cfg.decision_cap}; re-run with force to override",
+            cfg.decision_cap,
+        )
+
+
+# ---------------------------------------------------------------------------
+# The exhaustive scan over an action table
+
+
+class _TableOps:
+    """The scan's ops: products read from the action table, whose rows are
+    every a (a column) and whose columns every x of M; nil flags computed on
+    first use."""
+
+    def __init__(self, table: np.ndarray, zero: int, mul, nil_flags):
+        self.table, self.zero, self.mul = table, zero, mul
+        self.rows = np.arange(table.shape[0])[:, None]
+        self.cols = np.arange(table.shape[1])
+        self._nil_flags, self._flags = nil_flags, None
+
+    def act(self, a, x):
+        # every row against every column is the table itself, not a gather
+        return self.table if a is self.rows and x is self.cols else self.table[a, x]
+
+    def nil(self, y):
+        if self._flags is None:
+            self._flags = self._nil_flags()
+        return self._flags[y]
+
+    def in_image(self, a, x):
+        """x in aM, for a column a of rows and a row x of ids."""
+        rows = self.act(a, self.cols)
+        image = np.zeros(rows.shape, dtype=bool)
+        np.put_along_axis(image, rows, True, axis=1)
+        return image[:, x]
+
+
+def _scan(ops: _TableOps, row: _Property):
+    """Least violation (a, m, r) of a property row over the table, or None.
+
+    The trigger and bad[a, x] (the violation test on x = r*m) are evaluated
+    once, for every row a over all of M.  Each block of rows then gathers
+    bad at act[:, ms].T for its triggered columns ms only; the C-order least
+    hit keeps the (a, m, r) order of the least witness."""
+    act, a, every = ops.table, ops.rows, ops.cols
+    hot = row.trigger(ops, ops.act(row.multiplier(ops, a), every))
+    bad = row.violation(ops, a, every)
 
     def block(lo, hi):
-        hot = trigger(slice(lo, hi))
-        ms = np.flatnonzero(hot.any(axis=0))
-        hit = first_true(bad(slice(lo, hi))[:, act[:, ms].T] & hot[:, ms, None], lo)
+        ms = np.flatnonzero(hot[lo:hi].any(axis=0))
+        hit = first_true(bad[lo:hi, act[:, ms].T] & hot[lo:hi, ms, None], lo)
         return None if hit is None else (hit[0], int(ms[hit[1]]), hit[2])
 
     return scan(act.shape[0], act.size, block)
 
 
-def _nonzero_images(rows: np.ndarray, zero: int) -> np.ndarray:
-    """Per row a of the action table, the nonzero elements of aM."""
-    image = np.zeros(rows.shape, dtype=bool)
-    np.put_along_axis(image, rows, True, axis=1)
-    image[:, zero] = False
-    return image
-
-
-def _predicates(module: FiniteModule, prop: str, nil_member: Callable[[int], bool]):
-    """Trigger and violation predicates for one module property."""
-    act = module.act
-    mul = module.ring.mul
-    zero = module.zero
-    if prop == PROP_SEMICOMMUTATIVE:
-        return (lambda a, m: act(a, m) == zero,
-                lambda a, r, m: act(a, act(r, m)) != zero)
-    if prop == PROP_WEAKLY:
-        return (lambda a, m: act(a, m) == zero,
-                lambda a, r, m: not nil_member(act(a, act(r, m))))
-    if prop == PROP_NIL_SEMI:
-        return (lambda a, m: nil_member(act(a, m)),
-                lambda a, r, m: not nil_member(act(a, act(r, m))))
-    if prop == PROP_REDUCED_I:
-        return (lambda a, m: act(mul(a, a), m) == zero,
-                lambda a, r, m: act(a, act(r, m)) != zero)
-    raise InvalidParameterError(f"unknown module property {prop!r}")
-
-
-def _sampled_scan(module, trigger, violates, count: int, seed: int):
-    rng = Random(seed)
-    nr = module.ring.size
-    nm = module.size
-    for _ in range(count):
-        a = rng.randrange(nr)
-        m = rng.randrange(nm)
-        if not trigger(a, m):
-            continue
-        r = rng.randrange(nr)
-        if violates(a, r, m):
-            return (a, m, r)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Module deciders
-
-
-def decide(module: FiniteModule, prop: str, config: EngineConfig | None = None,
-           mode: str = "auto", witness_hint=None,
-           sample: int | None = None) -> Verdict:
-    """Decide one module property.
-
-    mode "exhaustive" refuses above the decision cap; "auto" degrades to
-    witness-only there; "witness" skips the scan outright.  sample=N runs a
-    labeled sampled scan instead (never the default).
-    """
+def decide(module: FiniteModule, prop: str,
+           config: EngineConfig | None = None) -> Verdict:
+    """Decide one module property by exhaustive scan; above the decision cap
+    raise DecisionCapError unless the config sets force."""
     cfg = resolve(config if config is not None else module.config)
+    row = _row(prop)
     desc = module.descriptor
-    if prop not in MODULE_PROPERTIES:
-        raise InvalidParameterError(f"unknown module property {prop!r}")
-
-    triples = module.ring.size * module.ring.size * module.size
-    allowed = triples <= cfg.decision_cap or cfg.force
-
-    if sample is not None:
-        nil_member = _pointwise_nil(module)
-        if prop == PROP_REDUCED_II:
-            raise InvalidParameterError("reduced-ii has no sampled mode")
-        trigger, violates = _predicates(module, prop, nil_member)
-        hit = _sampled_scan(module, trigger, violates, sample, cfg.seed)
-        if hit is not None:
-            a, m, r = hit
-            return Verdict(prop, False, METHOD_SAMPLED, (a, r, m), desc,
-                           explanation=f"violation found within {sample} samples",
-                           witness_render=_module_renders(module, (a, r, m)))
-        return Verdict(prop, None, METHOD_SAMPLED, None, desc,
-                       explanation=f"no violation in {sample} samples")
-
-    if mode == "exhaustive" and not allowed:
-        raise DecisionCapError(
-            f"{desc}: {prop} scan of {triples} (a, r, m) triples exceeds cap "
-            f"{cfg.decision_cap}; re-run with force to override",
-            cfg.decision_cap,
-        )
-    if mode == "witness" or (mode == "auto" and not allowed):
-        return _witness_only(module, prop, witness_hint, desc, cfg)
-
-    nil = squares = None
-    if prop in (PROP_WEAKLY, PROP_NIL_SEMI):
-        nil = nil_set(module, cfg).flags()
-    if prop == PROP_REDUCED_I:
-        squares = module.ring.squares()
-    hit = _scan(module.act_table(), module.zero, prop, nil, squares)
+    _refuse_above_cap(desc, prop, module.ring.size ** 2 * module.size, cfg,
+                      "(a, r, m) triples")
+    act = module.act_table()
+    hit = _scan(_TableOps(act, module.zero, module.ring.vmul,
+                          lambda: nil_set(module, cfg).flags()), row)
     if hit is None:
         return Verdict(prop, True, METHOD_EXHAUSTIVE, None, desc)
     a, m, r = hit
     expl = ""
     if prop == PROP_REDUCED_II:
         # r*m = a*x != 0 for the least such x
-        w = module.act(r, m)
-        x = next(x for x in module.elements() if module.act(a, x) == w)
+        w = int(act[r, m])
+        x = int(np.flatnonzero(act[a] == w)[0])
         expl = f"a*x = r*m = {module.render(w)} != 0 with x = {module.render(x)}"
     return Verdict(prop, False, METHOD_EXHAUSTIVE, (a, r, m), desc,
                    explanation=expl,
-                   witness_render=_module_renders(module, (a, r, m)))
+                   witness_render=_renders(module.ring, module, (a, r, m)))
 
 
-def _pointwise_nil(module: FiniteModule) -> Callable[[int], bool]:
-    """Nil membership by per-element scan, for structures too big to tabulate."""
-    if module._nil_cache is not None:
-        cached = module._nil_cache
-        return lambda x: x in cached
-    memo: dict[int, bool] = {}
-
-    def member(x: int) -> bool:
-        got = memo.get(x)
-        if got is None:
-            got = is_nilpotent_squared(module, x)[0]
-            memo[x] = got
-        return got
-
-    return member
-
-
-def _witness_only(module, prop, hint, desc, cfg) -> Verdict:
-    if hint is None:
-        return Verdict(prop, None, METHOD_WITNESS, None, desc,
-                       explanation="above the decision cap and no witness supplied")
-    a, r, m = hint
-    nil_member = _pointwise_nil(module)
-    if prop == PROP_REDUCED_II:
-        raise InvalidParameterError("reduced-ii has no witness-only mode")
-    trigger, violates = _predicates(module, prop, nil_member)
-    if trigger(a, m) and violates(a, r, m):
-        return Verdict(prop, False, METHOD_WITNESS, (a, r, m), desc,
-                       explanation="supplied witness verified",
-                       witness_render=_module_renders(module, (a, r, m)))
-    return Verdict(prop, None, METHOD_WITNESS, None, desc,
-                   explanation="supplied witness did not verify")
-
-
-def is_semicommutative(module, config=None, **kw) -> Verdict:
+def is_semicommutative(module, config=None) -> Verdict:
     """am = 0 forces aRm = 0."""
-    return decide(module, PROP_SEMICOMMUTATIVE, config, **kw)
+    return decide(module, PROP_SEMICOMMUTATIVE, config)
 
 
-def is_weakly_semicommutative(module, config=None, **kw) -> Verdict:
+def is_weakly_semicommutative(module, config=None) -> Verdict:
     """am = 0 forces aRm inside the nil set."""
-    return decide(module, PROP_WEAKLY, config, **kw)
+    return decide(module, PROP_WEAKLY, config)
 
 
-def is_nil_semicommutative(module, config=None, **kw) -> Verdict:
+def is_nil_semicommutative(module, config=None) -> Verdict:
     """am nilpotent forces aRm inside the nil set."""
-    return decide(module, PROP_NIL_SEMI, config, **kw)
+    return decide(module, PROP_NIL_SEMI, config)
 
 
-def is_reduced_i(module, config=None, **kw) -> Verdict:
+def is_reduced_i(module, config=None) -> Verdict:
     """a^2 m = 0 forces aRm = 0."""
-    return decide(module, PROP_REDUCED_I, config, **kw)
+    return decide(module, PROP_REDUCED_I, config)
 
 
-def is_reduced_ii(module, config=None, **kw) -> Verdict:
+def is_reduced_ii(module, config=None) -> Verdict:
     """am = 0 forces aM and Rm to intersect only in zero."""
-    return decide(module, PROP_REDUCED_II, config, **kw)
-
-
-# ---------------------------------------------------------------------------
-# Ring deciders
+    return decide(module, PROP_REDUCED_II, config)
 
 
 def _decide_ring(ring: FiniteRing, prop: str,
                  config: EngineConfig | None = None) -> Verdict:
     cfg = resolve(config if config is not None else ring.config)
     desc = ring.descriptor
-    triples = ring.size ** 3
-    if triples > cfg.decision_cap and not cfg.force:
-        raise DecisionCapError(
-            f"{desc}: {prop} scan of {triples} triples exceeds cap "
-            f"{cfg.decision_cap}; re-run with force to override",
-            cfg.decision_cap,
-        )
-    # the ring acting on itself, with the module scan's trigger and violation
-    nil = None
-    if prop == PROP_RING_NIL_SEMI:
-        nil = np.zeros(ring.size, dtype=bool)
-        nil[sorted(nil_ring_set(ring))] = True
-    hit = _scan(ring.mul_table(), ring.zero,
-                PROP_SEMICOMMUTATIVE if nil is None else PROP_NIL_SEMI, nil)
+    _refuse_above_cap(desc, prop, ring.size ** 3, cfg, "triples")
+    nil = lambda: np.isin(np.arange(ring.size), list(nil_ring_set(ring)))
+    hit = _scan(_TableOps(ring.mul_table(), ring.zero, ring.vmul, nil),
+                _PROPERTIES[_RING_ROWS[prop]])
     if hit is None:
         return Verdict(prop, True, METHOD_EXHAUSTIVE, None, desc)
     a, b, r = hit
     return Verdict(prop, False, METHOD_EXHAUSTIVE, (a, r, b), desc,
-                   witness_render=_ring_renders(ring, (a, r, b)))
+                   witness_render=_renders(ring, ring, (a, r, b)))
 
 
 def ring_is_semicommutative(ring: FiniteRing, config=None) -> Verdict:
@@ -347,24 +299,50 @@ def ring_is_nil_semicommutative(ring: FiniteRing, config=None) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Single-shot witness verification (no size restriction)
+# Replay of given triples (no size restriction)
+
+
+class _PointwiseOps:
+    """The replay's ops: products through vact/vmul, nil membership by the
+    squared criterion; nothing is tabulated."""
+
+    def __init__(self, module: FiniteModule):
+        self.module, self.zero = module, module.zero
+        self.act, self.mul = module.vact, module.ring.vmul
+
+    def nil(self, y):
+        return (y == self.zero) | (squared_killers(self.module, y) >= 0)
+
+    def in_image(self, a, x):
+        """x in aM for each pair of id arrays a and x, over blocks of M."""
+        module = self.module
+        found = np.zeros(len(a), dtype=bool)
+        cells = len(a) * (1 if module.tabulated else _OP_CELLS)
+        for lo, hi in row_blocks(module.size, cells):
+            found |= (self.act(a[:, None], np.arange(lo, hi)) == x[:, None]).any(axis=1)
+        return found
+
+
+def replay(module: FiniteModule, prop: str, a, r, m) -> np.ndarray:
+    """Where the triples (a, r, m), given as equal-length id arrays, violate
+    prop on module; the violation test runs on triggered triples only."""
+    row, ops = _row(prop), _PointwiseOps(module)
+    a, r, m = np.asarray(a), np.asarray(r), np.asarray(m)
+    hot = np.flatnonzero(row.trigger(ops, ops.act(row.multiplier(ops, a), m)))
+    out = np.zeros(len(a), dtype=bool)
+    out[hot] = row.violation(ops, a[hot], ops.act(r[hot], m[hot]))
+    return out
 
 
 def verify_nonsemicommutative_witness(module: FiniteModule, a: int, r: int,
                                       m: int) -> bool:
     """True when am = 0 yet a(rm) != 0: a semicommutativity violation."""
-    act = module.act
-    zero = module.zero
-    return act(a, m) == zero and act(a, act(r, m)) != zero
+    return bool(replay(module, PROP_SEMICOMMUTATIVE, [a], [r], [m])[0])
 
 
 def verify_not_nil_semicommutative_witness(module: FiniteModule, a: int, r: int,
                                            m: int,
                                            config: EngineConfig | None = None) -> bool:
     """True when am is nilpotent yet a(rm) is not: a nil-semicommutativity
-    violation.  Nilpotency of both products is decided by the squared
-    criterion's full scan over the ring."""
-    act = module.act
-    am_nil, _ = is_nilpotent_squared(module, act(a, m))
-    arm_nil, _ = is_nilpotent_squared(module, act(a, act(r, m)))
-    return am_nil and not arm_nil
+    violation, nilpotency decided by the squared criterion over the ring."""
+    return bool(replay(module, PROP_NIL_SEMI, [a], [r], [m])[0])

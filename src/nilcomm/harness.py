@@ -68,12 +68,19 @@ from .rings import (
 )
 
 
+DEFAULT_SAMPLES = 1000
+
+
 @dataclass(frozen=True)
 class HarnessOptions:
     """Desk-scale parameters for the registered checks."""
 
     nmax: int = 1000
-    samples: int = 1000
+    samples: int = DEFAULT_SAMPLES
+
+    def __post_init__(self):
+        _at_least("nmax", self.nmax, 2)
+        _at_least("samples", self.samples, 1)
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,12 @@ def _mat_mod(kind: str, n: int, base_n: int, cfg: EngineConfig) -> FiniteModule:
     return matrix_module(MatrixShape(kind, n), base, regular_module(base, cfg), cfg)
 
 
+def _at_least(name: str, value: int, least: int) -> None:
+    """Refuse a count that would confirm a claim on no instances."""
+    if value < least:
+        raise InvalidParameterError(f"{name} must be at least {least}, got {value}")
+
+
 def _is_square_free(n: int) -> bool:
     d = 2
     while d * d <= n:
@@ -153,6 +166,7 @@ def _skipped(check_id: str, detail: dict) -> CheckReport:
 
 def check_lemma_squarefree(n_max: int, config: EngineConfig | None = None) -> CheckReport:
     """1 is nilpotent in the Z_n-module Z_n exactly when n is not square free."""
+    _at_least("nmax", n_max, 2)
     cfg = _light_config(resolve(config))
     mismatches = []
     for n in range(2, n_max + 1):
@@ -172,11 +186,14 @@ def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteMo
                            sample: int | None = None,
                            config: EngineConfig | None = None) -> CheckReport:
     """Every element of the full matrix module over the full matrix ring is
-    nilpotent (n >= 2); below the cap by full scan, above it by replaying
-    the constructive single-unit witness on random nonzero matrices."""
+    nilpotent (n >= 2); below the cap by full scan, above it (or when sample
+    is given) by replaying the constructive single-unit witness on sample
+    random nonzero matrices, DEFAULT_SAMPLES by default."""
     cfg = resolve(config)
     if shape_n < 2:
         raise InvalidParameterError("the matrix nil claim needs n >= 2")
+    if sample is not None:
+        _at_least("samples", sample, 1)
     module = matrix_module(MatrixShape(FULL, shape_n), base, base_module, cfg)
     pairs = module.ring.size * module.size
     if sample is None and pairs <= cfg.decision_cap:
@@ -192,7 +209,7 @@ def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteMo
         gap = None if covered else next(m for m in module.elements() if m not in nils)
         return _report("matrix_nil_coverage", detail, _nil_gap(module, gap))
 
-    count = sample if sample is not None else cfg.sample_count
+    count = sample if sample is not None else DEFAULT_SAMPLES
     rng = Random(cfg.seed)
     ring = module.ring
     failures = []
@@ -237,9 +254,9 @@ def check_example_zpn(p: int, n: int, config: EngineConfig | None = None) -> Che
     if n < 2:
         raise InvalidParameterError("the prime-power split needs n >= 2")
     module = _reg_zn(p ** n, cfg)
-    semi = is_semicommutative(module, cfg, mode="exhaustive")
-    weak = is_weakly_semicommutative(module, cfg, mode="exhaustive")
-    nil = is_nil_semicommutative(module, cfg, mode="exhaustive")
+    semi = is_semicommutative(module, cfg)
+    weak = is_weakly_semicommutative(module, cfg)
+    nil = is_nil_semicommutative(module, cfg)
     pinned = (1, p ** (n - 1) % p ** n, 1)
     pinned_ok = verify_not_nil_semicommutative_witness(module, *pinned, config=cfg)
     ok = (semi.holds is True and weak.holds is True and nil.holds is False
@@ -264,16 +281,18 @@ def check_example_zpn(p: int, n: int, config: EngineConfig | None = None) -> Che
 
 def check_example_matrix(shape_n: int, base_size: int,
                          config: EngineConfig | None = None,
-                         sample: int | None = None) -> CheckReport:
+                         sample: int = DEFAULT_SAMPLES) -> CheckReport:
     """Full matrix modules are nil-semicommutative for n >= 2 while an
-    explicit construction breaks semicommutativity at n >= 4."""
+    explicit construction breaks semicommutativity at n >= 4; for n >= 4
+    the nil claim rests on sample witness replays."""
+    _at_least("samples", sample, 1)
     cfg = resolve(config)
     base = make_zn(base_size, cfg)
     detail: dict = {}
     if shape_n == 2:
         module = _mat_mod(FULL, 2, base_size, cfg)
-        nil = is_nil_semicommutative(module, cfg, mode="exhaustive")
-        semi = is_semicommutative(module, cfg, mode="exhaustive")
+        nil = is_nil_semicommutative(module, cfg)
+        semi = is_semicommutative(module, cfg)
         detail["full"] = {
             "descriptor": module.descriptor,
             "nil_semicommutative": _verdict_entry(nil),
@@ -312,7 +331,7 @@ def check_example_matrix(shape_n: int, base_size: int,
         "witness_verified": witness_ok,
     }
     sampled = check_lemma_matrix_nil(shape_n, base, regular_module(base, cfg),
-                                     sample=sample or cfg.sample_count, config=cfg)
+                                     sample=sample, config=cfg)
     detail["sampled_nil"] = strip_runtime(sampled.detail)
     witness = None
     if not replay_ok or sampled.status != CONFIRMED:
@@ -328,7 +347,7 @@ def _not_nil_semicommutative_instance(check_id: str, module: FiniteModule,
     the module must fail nil-semicommutativity by full scan and the given
     triple must verify as a violation.  nil_cert = (p_element, power) shows
     act(p^power, a*m) = 0 with act(p, a*m) != 0."""
-    verdict = is_nil_semicommutative(module, cfg, mode="exhaustive")
+    verdict = is_nil_semicommutative(module, cfg)
     a, r, m = witness_triple
     triple_ok = verify_not_nil_semicommutative_witness(module, a, r, m, config=cfg)
     am = module.act(a, m)
@@ -403,10 +422,9 @@ def check_torsion_free_props(module: FiniteModule,
     nils = nil_set(module, cfg)
     nil_trivial = nils.members() == [module.zero]
     verdicts = {
-        "semicommutative": is_semicommutative(module, cfg, mode="exhaustive"),
-        "nil_semicommutative": is_nil_semicommutative(module, cfg, mode="exhaustive"),
-        "weakly_semicommutative": is_weakly_semicommutative(module, cfg,
-                                                            mode="exhaustive"),
+        "semicommutative": is_semicommutative(module, cfg),
+        "nil_semicommutative": is_nil_semicommutative(module, cfg),
+        "weakly_semicommutative": is_weakly_semicommutative(module, cfg),
     }
     all_hold = all(v.holds is True for v in verdicts.values())
     detail = {
@@ -446,8 +464,7 @@ def check_commutative_ring_prop(ring: FiniteRing,
         if deg is not None and deg <= 2:
             hypothesis = False
     ring_v = ring_is_nil_semicommutative(ring, cfg)
-    module_v = is_nil_semicommutative(regular_module(ring, cfg), cfg,
-                                      mode="exhaustive")
+    module_v = is_nil_semicommutative(regular_module(ring, cfg), cfg)
     implication_ok = (not ring_v.holds) or bool(module_v.holds)
     detail = {
         "descriptor": ring.descriptor,
@@ -472,9 +489,9 @@ def check_hom_transfer(hom: RingHom, module: FiniteModule,
     if not hom.surjective:
         return _skipped("hom_transfer", {"hom": hom.descriptor,
                                          "reason": "the hom is not surjective"})
-    target_v = is_nil_semicommutative(module, cfg, mode="exhaustive")
+    target_v = is_nil_semicommutative(module, cfg)
     pulled = induced_module(hom, module, cfg)
-    source_v = is_nil_semicommutative(pulled, cfg, mode="exhaustive")
+    source_v = is_nil_semicommutative(pulled, cfg)
     agree = target_v.holds == source_v.holds
     detail = {
         "hom": hom.descriptor,
@@ -519,7 +536,7 @@ def check_t_submodule(module: FiniteModule,
     if len(regular_elements(ring)) != ring.size - 1:
         return _skipped("t_set_submodule", {"descriptor": module.descriptor,
                                             "reason": "the ring is not a domain"})
-    verdict = is_nil_semicommutative(module, cfg, mode="exhaustive")
+    verdict = is_nil_semicommutative(module, cfg)
     if verdict.holds is not True:
         return _skipped("t_set_submodule",
                         {"descriptor": module.descriptor,
@@ -556,11 +573,11 @@ def check_submodule_equivalence(module: FiniteModule,
     """Compare nil-semicommutativity of a module against all of its cyclic
     submodules; the two are asserted equivalent."""
     cfg = resolve(config if config is not None else module.config)
-    whole = is_nil_semicommutative(module, cfg, mode="exhaustive")
+    whole = is_nil_semicommutative(module, cfg)
     verdicts = []
     subs = []
     for sub, generators in _cyclic_submodules(module, cfg):
-        verdict = is_nil_semicommutative(sub, cfg, mode="exhaustive")
+        verdict = is_nil_semicommutative(sub, cfg)
         verdicts.append(verdict)
         subs.append({
             "descriptor": sub.descriptor,
@@ -828,9 +845,9 @@ def _run_nil_module_properties(cfg: EngineConfig, opts: HarnessOptions) -> Check
         if not is_nil_module(module, cfg):
             return {"descriptor": module.descriptor,
                     "reason": "not a nil module, skipped"}, None
-        semi = is_semicommutative(module, cfg, mode="exhaustive")
-        weak = is_weakly_semicommutative(module, cfg, mode="exhaustive")
-        nil = is_nil_semicommutative(module, cfg, mode="exhaustive")
+        semi = is_semicommutative(module, cfg)
+        weak = is_weakly_semicommutative(module, cfg)
+        nil = is_nil_semicommutative(module, cfg)
         entry = {
             "descriptor": module.descriptor,
             "nil_module": True,
@@ -851,7 +868,7 @@ def _run_nil_module_properties(cfg: EngineConfig, opts: HarnessOptions) -> Check
            "nil-semicommutative")
 def _run_submodules_inherit(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
     def instance(module):
-        whole = is_nil_semicommutative(module, cfg, mode="exhaustive")
+        whole = is_nil_semicommutative(module, cfg)
         if whole.holds is not True:
             return {"descriptor": module.descriptor,
                     "reason": "parent not nil-semicommutative, skipped"}, None
@@ -859,7 +876,7 @@ def _run_submodules_inherit(cfg: EngineConfig, opts: HarnessOptions) -> CheckRep
         bad = None
         for sub, _ in _cyclic_submodules(module, cfg):
             count += 1
-            v = is_nil_semicommutative(sub, cfg, mode="exhaustive")
+            v = is_nil_semicommutative(sub, cfg)
             if v.holds is not True:
                 bad = v
                 break
@@ -883,8 +900,8 @@ def _run_quotient_by_torsion(cfg: EngineConfig, opts: HarnessOptions) -> CheckRe
         ts = torsion_sets(module, cfg)
         torsion_sub = submodule_generated(module, ts.tor_members(), cfg)
         quotient = quotient_module(module, torsion_sub, cfg)
-        whole = is_nil_semicommutative(module, cfg, mode="exhaustive")
-        quot_v = is_nil_semicommutative(quotient, cfg, mode="exhaustive")
+        whole = is_nil_semicommutative(module, cfg)
+        quot_v = is_nil_semicommutative(quotient, cfg)
         agree = whole.holds == quot_v.holds
         failing = whole if whole.holds is False else quot_v
         return ({"descriptor": module.descriptor,

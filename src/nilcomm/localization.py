@@ -313,9 +313,9 @@ def check_localization_transfer(module: FiniteModule, mset: MultiplicativeSet,
     from .harness import _report
 
     cfg = resolve(config if config is not None else module.config)
-    source = decide(module, PROP_NIL_SEMI, cfg, mode="exhaustive")
+    source = decide(module, PROP_NIL_SEMI, cfg)
     localized = localize_module(module, mset, cfg)
-    loc_verdict = decide(localized, PROP_NIL_SEMI, cfg, mode="exhaustive")
+    loc_verdict = decide(localized, PROP_NIL_SEMI, cfg)
     agree = source.holds == loc_verdict.holds
     detail = {
         "descriptor": module.descriptor,

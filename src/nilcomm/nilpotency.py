@@ -16,7 +16,7 @@ import numpy as np
 from .config import EngineConfig, resolve
 from .errors import DecisionCapError
 from .modules import FiniteModule, escapes
-from .rings import _OP_CELLS, first_true, regular_elements, row_blocks, scan
+from .rings import _OP_CELLS, regular_elements, row_blocks
 
 
 @dataclass
@@ -103,19 +103,38 @@ class TorsionSets:
         }
 
 
+def squared_killers(module: FiniteModule, ms: np.ndarray | None = None) -> np.ndarray:
+    """The squared criterion over an id array ms: for each m, the least t
+    with t*m != 0 and (t*t)*m = 0, or -1 where there is none (m = 0 among
+    them).  Blocks of t run in order and stop once every nonzero m has its
+    t.  ms None means all of M, read from rows of the action table; an id
+    array goes through vact, so nothing is tabulated."""
+    zero, ring = module.zero, module.ring
+    if ms is None:
+        ms, times, cells = np.arange(module.size), module.act_table().__getitem__, 1
+    else:
+        times = lambda t: module.vact(t[:, None], ms)
+        cells = 1 if module.tabulated else _OP_CELLS
+    least = np.full(len(ms), -1)
+    open_ = ms != zero
+    for lo, hi in row_blocks(ring.size, len(ms) * cells):
+        t = np.arange(lo, hi)
+        hit = (times(t) != zero) & (times(ring.vmul(t, t)) == zero)
+        found = hit.any(axis=0) & open_
+        least[found] = lo + hit.argmax(axis=0)[found]
+        open_[found] = False
+        if not open_.any():
+            break
+    return least
+
+
 def is_nilpotent_squared(module: FiniteModule, m: int,
                          config: EngineConfig | None = None):
     """Squared criterion; returns (verdict, least witness t or None)."""
     if m == module.zero:
         return True, None
-    vact, vmul, zero = module.vact, module.ring.vmul, module.zero
-
-    def block(lo, hi):
-        t = np.arange(lo, hi)
-        return first_true((vact(t, m) != zero) & (vact(vmul(t, t), m) == zero), lo)
-
-    hit = scan(module.ring.size, 1 if module.tabulated else _OP_CELLS, block)
-    return (False, None) if hit is None else (True, hit[0])
+    t = int(squared_killers(module, np.array([m]))[0])
+    return (True, t) if t >= 0 else (False, None)
 
 
 def is_nilpotent_power(module: FiniteModule, m: int,
@@ -160,18 +179,9 @@ def nil_set(module: FiniteModule, config: EngineConfig | None = None) -> NilSet:
             f"exceeds cap {cfg.decision_cap}",
             cfg.decision_cap,
         )
-    # the squared criterion for every m at once: the least t with t*m != 0
-    # and (t*t)*m = 0, scanning blocks of t in order
-    act, zero, nr = module.act_table(), module.zero, module.ring.size
-    squares = module.ring.squares()
-    least = np.full(module.size, -1)
-    for lo, hi in row_blocks(nr, module.size):
-        hit = (act[lo:hi] != zero) & (act[squares[lo:hi]] == zero)
-        found = hit.any(axis=0) & (least < 0)
-        least[found] = lo + hit[:, found].argmax(axis=0)
-    least[zero] = -1
+    least = squared_killers(module)
     members = least >= 0
-    members[zero] = True
+    members[module.zero] = True
     witnesses = {m: (t, 2) for m, t in enumerate(least.tolist()) if t >= 0}
     result = NilSet(module, _bitmask(members), witnesses)
     module._nil_cache = result

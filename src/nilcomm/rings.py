@@ -315,11 +315,6 @@ class FiniteRing:
     def mul_table(self) -> np.ndarray:
         return self._mul_rows if self.tabulated else op_table(self.vmul, self.size, self.size)
 
-    def squares(self) -> np.ndarray:
-        """t * t for every element t."""
-        return np.concatenate([self.vmul(t, t) for t in (
-            np.arange(lo, hi) for lo, hi in row_blocks(self.size, _OP_CELLS))])
-
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 

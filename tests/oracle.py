@@ -47,11 +47,12 @@ def squared_witnesses(act, mul, zero):
     return out
 
 
-def least_violation(act, mul, zero, prop, nil):
-    """The least violating (a, r, m) in (a, m, r) order, or None."""
-    R, M = range(len(act)), range(len(act[0]))
-    images = [{act[a][x] for x in M} for a in R]
-    violates = {
+def violates(act, mul, zero, prop, nil):
+    """The predicate (a, r, m) -> whether the triple violates prop, straight
+    from the property's definition."""
+    M = range(len(act[0]))
+    images = [{act[a][x] for x in M} for a in range(len(act))]
+    return {
         "semicommutative": lambda a, r, m: act[a][m] == zero and act[a][act[r][m]] != zero,
         "weakly-semicommutative": lambda a, r, m: act[a][m] == zero and not nil[act[a][act[r][m]]],
         "nil-semicommutative": lambda a, r, m: nil[act[a][m]] and not nil[act[a][act[r][m]]],
@@ -59,7 +60,13 @@ def least_violation(act, mul, zero, prop, nil):
         "reduced-ii": lambda a, r, m: (act[a][m] == zero and act[r][m] != zero
                                        and act[r][m] in images[a]),
     }[prop]
-    found = [(a, m, r) for a in R for m in M for r in R if violates(a, r, m)]
+
+
+def least_violation(act, mul, zero, prop, nil):
+    """The least violating (a, r, m) in (a, m, r) order, or None."""
+    R, M = range(len(act)), range(len(act[0]))
+    bad = violates(act, mul, zero, prop, nil)
+    found = [(a, m, r) for a in R for m in M for r in R if bad(a, r, m)]
     return None if not found else (min(found)[0], min(found)[2], min(found)[1])
 
 

@@ -132,6 +132,18 @@ def test_verify_paper_selection_and_exit_codes(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("--only", "matrix_nil_coverage,matrix_semicommutativity", "--samples", "0"),
+    ("--samples", "-3"),
+    ("--only", "lemma_squarefree", "--nmax", "1"),
+])
+def test_verify_paper_rejects_vacuous_counts(capsys, argv):
+    code, out, err = run_cli(capsys, "verify-paper", *argv, "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert "at least" in err
+
+
 def test_verify_paper_cap_names_the_first_capped_scan(capsys):
     code, out, _ = run_cli(capsys, "verify-paper", "--only",
                            "localization_transfer", "--cap", "10",

@@ -150,6 +150,27 @@ def test_matrix_nil_modes(m4z2_module):
     assert sampled.detail["passes"] == 250
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sample_counts_below_one_are_rejected(samples):
+    # a count below one would confirm the 4x4 nil claim on no replays
+    with pytest.raises(InvalidParameterError):
+        HarnessOptions(samples=samples)
+    with pytest.raises(InvalidParameterError):
+        check_lemma_matrix_nil(4, make_zn(2), regular_module(make_zn(2)),
+                               sample=samples)
+    with pytest.raises(InvalidParameterError):
+        check_example_matrix(4, 2, sample=samples)
+
+
+def test_nmax_below_two_is_rejected():
+    # Z(2) is the least modulus; nmax 1 would confirm on no moduli at all
+    with pytest.raises(InvalidParameterError):
+        HarnessOptions(nmax=1)
+    with pytest.raises(InvalidParameterError):
+        check_lemma_squarefree(1)
+    assert check_lemma_squarefree(2).detail["checked"] == 1
+
+
 def test_zpn_instances():
     for p, n in ((2, 2), (3, 2), (2, 3), (5, 2)):
         report = check_example_zpn(p, n)

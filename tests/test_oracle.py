@@ -5,6 +5,8 @@ the DSL, under about 256 elements) with a fixed derandomized example list,
 so the suite stays deterministic.
 """
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,8 @@ from nilcomm import (
     ring_is_semicommutative,
     torsion_sets,
 )
-from nilcomm.deciders import MODULE_PROPERTIES, decide
+from nilcomm.config import DEFAULT_CONFIG
+from nilcomm.deciders import MODULE_PROPERTIES, decide, replay
 
 # (a, r, m) triples the oracle's plain loops visit per property
 TRIPLE_BUDGET = 1 << 15
@@ -60,6 +63,30 @@ def modules(draw):
     ))
 
 
+def _oracle_flags(act, mul, zero, prop, nil, triples):
+    bad = oracle.violates(act, mul, zero, prop, nil)
+    return [bad(a, r, m) for a, r, m in zip(*triples.tolist())]
+
+
+@pytest.mark.parametrize("expr", [
+    "regular(Z(12))", "matmod(2, regular(Z(2)))", "trimod(2, regular(Z(3)))",
+    "vmod(2, regular(Z(4)))", "regular(polyq(Z(2), 3))",
+    "prodmod(regular(Z(4)), cyclic(regular(Z(4)), 2))",
+    "quot(regular(Z(8)), gen(regular(Z(8)), {4}))",
+])
+def test_replay_through_structural_ops_matches_oracle(expr):
+    # no tables: every product and every nil test goes through the
+    # structures' own vectorized operations
+    module = elaborate_text(expr, DEFAULT_CONFIG.with_overrides(tabulate_threshold=0))
+    assert not module.tabulated
+    act, mul, zero = oracle.tables(module)
+    nil = oracle.nil_flags(act, zero)
+    triples = np.indices((module.ring.size, module.ring.size, module.size)).reshape(3, -1)
+    for prop in MODULE_PROPERTIES:
+        assert replay(module, prop, *triples).tolist() == _oracle_flags(
+            act, mul, zero, prop, nil, triples), prop
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(modules())
@@ -82,13 +109,19 @@ def test_engine_matches_oracle(expr):
                                     oracle.squared_witnesses(act, mul, zero).items()}
 
     holds = {}
+    triples = np.indices((nr, nr, nm)).reshape(3, -1)
     for prop in MODULE_PROPERTIES:
-        verdict = decide(module, prop, mode="exhaustive")
+        verdict = decide(module, prop)
         want = oracle.least_violation(act, mul, zero, prop, nil)
         assert verdict.witness == want, (prop, verdict, want)
         assert verdict.holds is (want is None)
         assert all(type(x) is int for x in verdict.witness or ())
         holds[prop] = verdict.holds
+        # replay on every triple, and on the least one alone
+        assert replay(module, prop, *triples).tolist() == _oracle_flags(
+            act, mul, zero, prop, nil, triples), prop
+        if want is not None:
+            assert replay(module, prop, *([x] for x in want)).tolist() == [True]
     assert not holds["reduced-i"] or holds["semicommutative"]
     assert not holds["semicommutative"] or holds["weakly-semicommutative"]
     assert not holds["nil-semicommutative"] or holds["weakly-semicommutative"]
