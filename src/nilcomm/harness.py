@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass
 from random import Random
 
+import numpy as np
+
 from .config import EngineConfig, resolve
 from .deciders import (
     PROP_NIL_SEMI,
@@ -53,6 +55,7 @@ from .nilpotency import (
 )
 from .reports import CONFIRMED, REFUTED, SKIPPED, CheckReport, strip_runtime
 from .rings import (
+    _OP_CELLS,
     FULL,
     UPPER,
     V_TYPE,
@@ -60,9 +63,11 @@ from .rings import (
     MatrixShape,
     RingHom,
     identity_hom,
+    interning,
     make_zn,
     nil_ring_set,
     nilpotency_degree,
+    row_blocks,
     verify_theta_iso,
     zn_reduction_hom,
 )
@@ -211,24 +216,19 @@ def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteMo
 
     count = sample if sample is not None else DEFAULT_SAMPLES
     rng = Random(cfg.seed)
-    ring = module.ring
+    ring, zero = module.ring, module.zero
+    draw = iter(lambda: rng.randrange(module.size), None)  # seeded ids, endless
+    ks = np.array([next(k for k in draw if k != zero) for _ in range(count)])
+    # the witness rule at first nonzero entry (i, j): the unit r = E(j, i)
+    # off the diagonal, E(l, i) on it (l = 1 at i = 0, else 0); r*r*k = 0 != r*k
+    units = np.array([ring.unit(j if i != j else int(i == 0), i, base.one)
+                      for i in range(shape_n) for j in range(shape_n)])
     failures = []
-    for _ in range(count):
-        k_id = module.zero
-        while k_id == module.zero:
-            k_id = rng.randrange(module.size)
-        grid = module.entries(k_id)
-        i, j = next((i, j) for i in range(shape_n) for j in range(shape_n)
-                    if grid[i][j] != base_module.zero)
-        if i != j:
-            r = ring.unit(j, i, base.one)
-        else:
-            l = 0 if i != 0 else 1
-            r = ring.unit(l, i, base.one)
-        r_sq_k = module.act(ring.mul(r, r), k_id)
-        r_k = module.act(r, k_id)
-        if not (r_sq_k == module.zero and r_k != module.zero):
-            failures.append({"m": k_id, "r": r})
+    for lo, hi in row_blocks(count, _OP_CELLS):
+        k = ks[lo:hi]
+        r = units[(module.grid(k) != base_module.zero).reshape(hi - lo, -1).argmax(axis=1)]
+        bad = (module.vact(ring.vmul(r, r), k) != zero) | (module.vact(r, k) == zero)
+        failures += [{"m": m, "r": u} for m, u in zip(k[bad].tolist(), r[bad].tolist())]
     detail = {
         "descriptor": module.descriptor,
         "mode": "sampled-witness",
@@ -961,14 +961,16 @@ def run_check(check_id: str, config: EngineConfig | None = None,
 def run_all(config: EngineConfig | None = None,
             options: HarnessOptions | None = None,
             only: list[str] | None = None) -> list[CheckReport]:
-    """Run every registered check (or a selection) in registry order."""
+    """Run every registered check (or a selection) in registry order, each
+    structure built once per run (see rings.interning)."""
     ids = registered_ids()
     if only:
         unknown = [cid for cid in only if cid not in _REGISTRY]
         if unknown:
             raise InvalidParameterError(f"unknown check ids: {', '.join(unknown)}")
         ids = [cid for cid in ids if cid in set(only)]
-    return [run_check(cid, config, options) for cid in ids]
+    with interning():
+        return [run_check(cid, config, options) for cid in ids]
 
 
 def exit_code(reports: list[CheckReport]) -> int:

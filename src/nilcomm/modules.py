@@ -35,6 +35,7 @@ from .rings import (
     RingHom,
     _MatrixLayout,
     _stable_seed,
+    build,
     componentwise,
     draw_ids,
     elementwise,
@@ -407,18 +408,18 @@ def escapes(module: FiniteModule, inside: np.ndarray):
 
 
 def regular_module(ring: FiniteRing, config: EngineConfig | None = None) -> RegularModule:
-    return RegularModule(ring, config)
+    return build(RegularModule, ring, config=config)
 
 
 def matrix_module(shape: MatrixShape, base_ring: FiniteRing,
                   base_module: FiniteModule,
                   config: EngineConfig | None = None) -> MatrixModule:
-    return MatrixModule(shape, base_ring, base_module, config)
+    return build(MatrixModule, shape, base_ring, base_module, config=config)
 
 
 def make_product_module(factors: Sequence[FiniteModule],
                         config: EngineConfig | None = None) -> ProductModule:
-    return ProductModule(factors, config)
+    return build(ProductModule, tuple(factors), config=config)
 
 
 def cyclic_submodule(module: FiniteModule, m: int,

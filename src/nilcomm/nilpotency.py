@@ -30,6 +30,8 @@ class NilSet:
     module: FiniteModule
     mask: int
     witnesses: dict[int, tuple[int, int]] = field(default_factory=dict)
+    _flags: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __contains__(self, m: int) -> bool:
         return bool(self.mask >> m & 1)
@@ -38,10 +40,13 @@ class NilSet:
         return [m for m in self.module.elements() if self.mask >> m & 1]
 
     def flags(self) -> np.ndarray:
-        """Membership as a bool array indexed by element id."""
-        n = self.module.size
-        packed = np.frombuffer(self.mask.to_bytes((n + 7) // 8, "little"), np.uint8)
-        return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+        """Membership as a bool array indexed by element id, built once, read-only."""
+        if self._flags is None:
+            n = self.module.size
+            packed = np.frombuffer(self.mask.to_bytes((n + 7) // 8, "little"), np.uint8)
+            self._flags = np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+            self._flags.flags.writeable = False
+        return self._flags
 
     @property
     def count(self) -> int:
@@ -168,9 +173,7 @@ def is_nilpotent_power(module: FiniteModule, m: int,
 
 
 def nil_set(module: FiniteModule, config: EngineConfig | None = None) -> NilSet:
-    """All nilpotent elements with stored witnesses; cached per module."""
-    if module._nil_cache is not None:
-        return module._nil_cache
+    """All nilpotent elements with stored witnesses; cached per module, caps first."""
     cfg = resolve(config if config is not None else module.config)
     pairs = module.ring.size * module.size
     if pairs > cfg.decision_cap and not cfg.force:
@@ -179,6 +182,8 @@ def nil_set(module: FiniteModule, config: EngineConfig | None = None) -> NilSet:
             f"exceeds cap {cfg.decision_cap}",
             cfg.decision_cap,
         )
+    if module._nil_cache is not None:
+        return module._nil_cache
     least = squared_killers(module)
     members = least >= 0
     members[module.zero] = True
@@ -199,9 +204,7 @@ def is_nil_module(module: FiniteModule, config: EngineConfig | None = None) -> b
 
 def torsion_sets(module: FiniteModule,
                  config: EngineConfig | None = None) -> TorsionSets:
-    """Torsion and regular-torsion element sets with closure flags; cached."""
-    if module._torsion_cache is not None:
-        return module._torsion_cache
+    """Torsion and regular-torsion sets with closure flags; cached, caps first."""
     cfg = resolve(config if config is not None else module.config)
     pairs = module.ring.size * module.size
     if pairs > cfg.decision_cap and not cfg.force:
@@ -210,6 +213,8 @@ def torsion_sets(module: FiniteModule,
             f"{cfg.decision_cap}",
             cfg.decision_cap,
         )
+    if module._torsion_cache is not None:
+        return module._torsion_cache
     killed = module.act_table() == module.zero
     killed[module.ring.zero] = False
     tor = killed.any(axis=0)

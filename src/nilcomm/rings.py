@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 import zlib
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from random import Random
@@ -571,28 +573,55 @@ class PolyQuotientRing(FiniteRing):
 # ---------------------------------------------------------------------------
 # Constructors (the public spelling used throughout)
 
+# The intern table of the current interning() block, None outside one.
+_built: ContextVar[dict | None] = ContextVar("nilcomm_built", default=None)
+
+
+@contextmanager
+def interning():
+    """Within the block, the canonical constructors return the structure
+    already built for the same key: the class, the plain arguments, the
+    operand structures by identity and the EngineConfig.  A build that raises
+    leaves no entry; outside every block each call builds afresh."""
+    token = _built.set({})
+    try:
+        yield
+    finally:
+        _built.reset(token)
+
+
+def build(cls, *args, config: EngineConfig | None = None):
+    """cls(*args, config), interned inside an interning() block."""
+    table = _built.get()
+    if table is None:
+        return cls(*args, config)
+    key = (cls, *args, resolve(config))
+    if key not in table:
+        table[key] = cls(*args, config)
+    return table[key]
+
 
 def make_zn(n: int, config: EngineConfig | None = None) -> ZnRing:
     """The ring of integers mod n, n >= 2."""
-    return ZnRing(n, config)
+    return build(ZnRing, n, config=config)
 
 
 def make_matrix_ring(shape: MatrixShape, base: FiniteRing,
                      config: EngineConfig | None = None) -> MatrixRing:
     """Matrices of one shape over a base ring."""
-    return MatrixRing(shape, base, config)
+    return build(MatrixRing, shape, base, config=config)
 
 
 def make_product_ring(factors: Sequence[FiniteRing],
                       config: EngineConfig | None = None) -> ProductRing:
     """Componentwise product of the given rings."""
-    return ProductRing(factors, config)
+    return build(ProductRing, tuple(factors), config=config)
 
 
 def make_poly_quotient_ring(base: FiniteRing, n: int,
                             config: EngineConfig | None = None) -> PolyQuotientRing:
     """Truncated polynomial ring with x^n = 0."""
-    return PolyQuotientRing(base, n, config)
+    return build(PolyQuotientRing, base, n, config=config)
 
 
 # ---------------------------------------------------------------------------

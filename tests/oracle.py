@@ -101,3 +101,31 @@ def truncated_product(a, b, mul, add, zero):
         for j, y in enumerate(b[:len(a) - i]):
             out[i + j] = add(out[i + j], mul(x, y))
     return out
+
+
+def matrix_nil_replay(module, base, base_module, count, seed):
+    """The single-unit nil witness replayed one sample at a time: count
+    seeded nonzero m; at m's first nonzero entry (i, j) take the unit
+    r = E(j, i), or E(l, i) with l = 1 at i = 0 (else 0) on the diagonal,
+    and require r*r*m = 0 != r*m.  Returns (passes, failures in draw order)."""
+    from random import Random
+
+    rng, ring, n = Random(seed), module.ring, module.shape.n
+    failures = []
+    for _ in range(count):
+        k_id = module.zero
+        while k_id == module.zero:
+            k_id = rng.randrange(module.size)
+        grid = module.entries(k_id)
+        i, j = next((i, j) for i in range(n) for j in range(n)
+                    if grid[i][j] != base_module.zero)
+        if i != j:
+            r = ring.unit(j, i, base.one)
+        else:
+            l = 0 if i != 0 else 1
+            r = ring.unit(l, i, base.one)
+        r_sq_k = module.act(ring.mul(r, r), k_id)
+        r_k = module.act(r, k_id)
+        if not (r_sq_k == module.zero and r_k != module.zero):
+            failures.append({"m": k_id, "r": r})
+    return count - len(failures), failures

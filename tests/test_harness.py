@@ -1,6 +1,15 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 
+import nilcomm.harness as harness
+import nilcomm.modules as modules
+import nilcomm.rings as rings
+import oracle
 from nilcomm import (
+    FULL,
+    AxiomError,
     HarnessOptions,
     InvalidParameterError,
     check_commutative_ring_prop,
@@ -16,10 +25,14 @@ from nilcomm import (
     check_tor_t_sets,
     check_torsion_free_props,
     exit_code,
+    check_ring_axioms,
     make_matrix_ring,
+    make_poly_quotient_ring,
+    make_product_module,
     make_product_ring,
     make_ring_hom,
     make_zn,
+    matrix_module,
     MatrixShape,
     registered_ids,
     regular_module,
@@ -28,6 +41,9 @@ from nilcomm import (
     run_check,
 )
 from nilcomm.config import DEFAULT_CONFIG
+from nilcomm.harness import DEFAULT_SAMPLES
+
+from test_rings import _SkewZn
 
 # the fixed inventory of registered claim checks
 EXPECTED_CHECK_IDS = [
@@ -306,3 +322,141 @@ def test_localization_wellformed_serializes_class_tables(suite_reports):
                   if r.check_id == "localization_wellformed")
     table = report.detail["ring"]["class_table"]
     assert table == [[0, 1], [1, 1], [2, 1]]
+
+
+# ---------------------------------------------------------------------------
+# The batched single-unit nil replay against the per-sample loop
+
+
+@pytest.mark.parametrize("shape_n, base_n, seed", [(4, 2, 1729), (4, 2, 7), (3, 3, 1729)])
+def test_batched_nil_replay_matches_the_per_sample_loop(shape_n, base_n, seed):
+    cfg = DEFAULT_CONFIG.with_overrides(seed=seed)
+    base = make_zn(base_n, cfg)
+    base_module = regular_module(base, cfg)
+    module = matrix_module(MatrixShape(FULL, shape_n), base, base_module, cfg)
+    assert module.ring.size * module.size > cfg.decision_cap  # the sampled path
+    detail = check_lemma_matrix_nil(shape_n, base, base_module, config=cfg).detail
+    passes, failures = oracle.matrix_nil_replay(module, base, base_module,
+                                                DEFAULT_SAMPLES, seed)
+    assert detail["mode"] == "sampled-witness"
+    assert (detail["samples"], detail["passes"], detail["failures"]) == (
+        DEFAULT_SAMPLES, passes, failures)
+    assert failures == []
+
+
+def test_batched_nil_replay_reports_planted_failures_in_draw_order(monkeypatch):
+    base = make_zn(3)
+    base_module = regular_module(base)
+    module = matrix_module(MatrixShape(FULL, 3), base, base_module)
+    vact, act, zero = module.vact, module.act, module.zero
+    # the planted defect: every element whose id is a multiple of 5 is
+    # killed by the whole ring, so its witness unit r gives r*m = 0
+    module.vact = lambda r, m: np.where(np.asarray(m) % 5 == 0, zero, vact(r, m))
+    module.act = lambda r, m: zero if m % 5 == 0 else act(r, m)
+    monkeypatch.setattr(harness, "matrix_module", lambda *args: module)
+    report = check_lemma_matrix_nil(3, base, base_module, sample=400)
+    passes, failures = oracle.matrix_nil_replay(module, base, base_module, 400,
+                                                DEFAULT_CONFIG.seed)
+    ms = [f["m"] for f in failures]
+    assert ms and all(m % 5 == 0 for m in ms) and ms != sorted(ms)
+    assert (report.detail["samples"], report.detail["passes"],
+            report.detail["failures"]) == (400, passes, failures)
+    assert report.status == "refuted"
+    assert report.detail["witness"]["m"] == ms[0]
+
+
+# ---------------------------------------------------------------------------
+# The intern table of one run_all
+
+
+def _inside_run(monkeypatch, build):
+    """build(cfg)'s result, called as a registered check inside run_all."""
+    out = []
+
+    def check(cfg, opts):
+        out.append(build(cfg))
+        return harness._report("theta_iso", {})
+
+    monkeypatch.setitem(harness._REGISTRY, "theta_iso", harness._CheckDef(
+        "theta_iso", harness._REGISTRY["theta_iso"].claim, check))
+    [report] = run_all(only=["theta_iso"])
+    assert report.status == "confirmed", report.detail
+    return out[0]
+
+
+def _every_constructor(cfg):
+    z2, z4 = make_zn(2, cfg), make_zn(4, cfg)
+    return [z2, z4, regular_module(z2, cfg),
+            make_matrix_ring(MatrixShape(FULL, 2), z2, cfg),
+            matrix_module(MatrixShape(FULL, 2), z2, regular_module(z2, cfg), cfg),
+            make_product_ring([z2, z4], cfg),
+            make_poly_quotient_ring(z2, 3, cfg),
+            make_product_module((regular_module(z4, cfg), regular_module(z4, cfg)), cfg)]
+
+
+def _count_validations(monkeypatch) -> Counter:
+    validated = Counter()
+    for owner, name in ((rings, "check_ring_axioms"), (modules, "check_module_axioms")):
+        def counting(structure, *args, _original=getattr(owner, name), **kwargs):
+            validated[type(structure), structure.descriptor, structure.config] += 1
+            return _original(structure, *args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    return validated
+
+
+def test_run_all_builds_and_validates_each_key_once(monkeypatch):
+    validated = _count_validations(monkeypatch)
+    first, second, same_config, other_config = _inside_run(monkeypatch, lambda cfg: (
+        _every_constructor(cfg), _every_constructor(cfg),
+        _every_constructor(cfg.with_overrides()),  # equal, not identical
+        _every_constructor(cfg.with_overrides(seed=7))))
+    assert all(a is b is c for a, b, c in zip(first, second, same_config))
+    assert not any(a is b for a, b in zip(first, other_config))
+    assert len({id(s) for s in first}) == len(first)
+    assert first[4].ring is first[3] and first[2].ring is first[0]
+    assert set(validated.values()) == {1}
+    # one per key at each seed: the eight structures and the factor regular(Z(4))
+    assert len(validated) == 2 * (len(first) + 1)
+
+
+def test_run_all_validates_the_4x4_structures_once(monkeypatch):
+    validated = _count_validations(monkeypatch)
+    run_all(options=HarnessOptions(samples=50),
+            only=["matrix_nil_coverage", "matrix_semicommutativity"])
+    counts = {desc: n for (_, desc, _), n in validated.items()}
+    assert counts["M(4, Z(2))"] == counts["matmod(4, regular(Z(2)))"] == 1
+
+
+def test_constructors_build_afresh_outside_run_all():
+    structures = [_every_constructor(DEFAULT_CONFIG) for _ in range(2)]
+    assert not any(a is b for a, b in zip(*structures))
+
+
+def test_a_failed_build_leaves_no_entry(monkeypatch):
+    def build_twice(cfg):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError) as err:
+                make_zn(1, cfg)
+            messages.append(str(err.value))
+        return messages
+
+    first, second = _inside_run(monkeypatch, build_twice)
+    assert first == second == "Z(n) needs n >= 2, got 1"
+
+
+def test_directly_built_classes_are_not_interned(monkeypatch):
+    clean, skew, again = _inside_run(monkeypatch, lambda cfg: (
+        make_zn(50, cfg), _SkewZn(50, cfg), make_zn(50, cfg)))
+    assert again is clean and skew is not clean
+    assert (clean.mul(2, 3), skew.mul(2, 3)) == (6, 7)
+    with pytest.raises(AxiomError):
+        check_ring_axioms(skew)
+
+
+def test_reports_do_not_depend_on_earlier_checks(suite_reports):
+    # each check alone, in its own run, reports what it did in the full run
+    opts = HarnessOptions(nmax=400, samples=300)
+    for report in suite_reports:
+        [alone] = run_all(options=opts, only=[report.check_id])
+        assert alone.to_json_dict() == report.to_json_dict(), report.check_id

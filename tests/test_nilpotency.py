@@ -154,6 +154,32 @@ def test_nil_set_cap():
         nil_set(module, tiny)
 
 
+@pytest.mark.parametrize("compute", [nil_set, torsion_sets])
+def test_cached_sets_still_respect_the_callers_cap(compute):
+    # a set one caller computed must not slip past another caller's cap
+    module = regular_module(make_zn(12))
+    compute(module)
+    with pytest.raises(DecisionCapError):
+        compute(module, DEFAULT_CONFIG.with_overrides(decision_cap=10))
+    forced = DEFAULT_CONFIG.with_overrides(decision_cap=10, force=True)
+    assert compute(module, forced) is compute(module)
+
+
+@pytest.mark.parametrize("expr, tabulated", [("regular(Z(12))", True),
+                                             ("matmod(2, regular(Z(4)))", False)])
+def test_nil_flags_are_built_once_and_read_only(expr, tabulated):
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=16)
+    module = elaborate_text(expr, cfg)
+    assert module.tabulated is tabulated
+    nils = nil_set(module)
+    flags = nils.flags()
+    assert flags.tolist() == [m in nils for m in module.elements()]
+    assert nils.flags() is flags
+    assert not flags.flags.writeable
+    with pytest.raises(ValueError):
+        flags[0] = not flags[0]
+
+
 def test_torsion_sets_z6(z6_module):
     ts = torsion_sets(z6_module)
     assert ts.tor_members() == [0, 2, 3, 4]
