@@ -1,16 +1,19 @@
 """Localization of finite rings and modules at central multiplicative sets.
 
 Fractions are pairs (numerator, denominator in S) under the relation
-(r, s) ~ (r', s') iff u(rs' - r's) = 0 for some u in S; the module side
-uses u(s'm - sm') = 0.  Classes are formed by partition against canonical
-representatives and the relation is re-verified to be class-consistent,
-so symmetry and transitivity faults surface at construction.  Operation
-well-definedness is validated exhaustively over all representative pairs.
+(x, s) ~ (y, t) iff u(tx - sy) = 0 for some u in S, with S acting on the
+left of the ring and of the module alike.  Each pair's class is its least
+related pair, read off row blocks of one relation mask built from the
+S-annihilated set; a second pass checks that the relation is exactly that
+partition, so symmetry and transitivity faults surface at construction.
+Operation well-definedness is validated exhaustively over all pair ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import EngineConfig, resolve
 from .errors import (
@@ -23,7 +26,7 @@ from .errors import (
 from .modules import FiniteModule
 from .nilpotency import nil_set
 from .reports import CheckReport
-from .rings import FiniteRing, center
+from .rings import _OP_CELLS, FiniteRing, center, first_true, row_blocks, scan
 
 
 @dataclass(frozen=True)
@@ -74,41 +77,106 @@ def multiplicative_closure(ring: FiniteRing, gens,
             if y not in chains:
                 chains[y] = chains[x] + (g,)
                 queue.append(y)
-    members = tuple(sorted(chains))
+    members = np.array(sorted(chains))
     # Central generators give a mul-closed set; keep the guarantee explicit.
-    for a in members:
-        for b in members:
-            if ring.mul(a, b) not in chains:
-                raise AxiomError(
-                    f"{ring.descriptor}: closure not multiplicatively closed at "
-                    f"({a}, {b})")
-    return MultiplicativeSet(ring, members)
+    hit = first_true(~np.isin(ring.vmul(members[:, None], members), members))
+    if hit is not None:
+        a, b = members[list(hit)].tolist()
+        raise AxiomError(
+            f"{ring.descriptor}: closure not multiplicatively closed at ({a}, {b})")
+    return MultiplicativeSet(ring, tuple(members.tolist()))
 
 
-def _partition(pairs, related, what: str):
-    """Group pairs into classes against canonical reps, then verify that the
-    relation agrees with the partition everywhere (this is exactly the
-    symmetry and transitivity of the relation on this instance)."""
-    class_of: dict[tuple[int, int], int] = {}
-    reps: list[tuple[int, int]] = []
-    for p in pairs:
-        for cid, rep in enumerate(reps):
-            if related(rep, p):
-                class_of[p] = cid
-                break
-        else:
-            class_of[p] = len(reps)
-            reps.append(p)
-    for p in pairs:
-        for q in pairs:
-            if related(p, q) != (class_of[p] == class_of[q]):
-                raise AxiomError(
-                    f"{what}: the fraction relation is not an equivalence "
-                    f"relation at {p} vs {q}")
-    return class_of, reps
+class _Fractions:
+    """Fractions x/s of the numerators self.base (the ring itself, or a
+    module) over S, as pair ids s_index * |base| + x; S sorted makes id
+    order the (denominator, numerator) order.  Each class is represented by
+    its least pair, and every op is a gather through the classes."""
+
+    def _form_classes(self, scale, descriptor: str) -> int:
+        """Bind the pair layout and the classes, scale(s, x) being s.x on id
+        arrays; return the class count.  The relation must agree with its
+        partition everywhere: that is its symmetry and transitivity here."""
+        base, ring = self.base, self.mset.ring
+        self._members = members = np.array(sorted(self.mset.members))
+        sindex = np.full(ring.size, -1)
+        sindex[members] = np.arange(len(members))
+        self._sprod = sindex[ring.vmul(members[:, None], members)]  # s_i s_j
+        if sindex[ring.one] < 0 or (self._sprod < 0).any():
+            raise InvalidParameterError(
+                f"{descriptor}: {self.mset.render()} lacks 1 or is not closed")
+        self._unit, self._n = sindex[ring.one], base.size
+        self._scaled = base_scaled = scale(members[:, None], np.arange(base.size))
+        killed = (base_scaled == base.zero).any(axis=0)  # u x = 0 for some u in S
+        neg_scaled = base.vneg(base_scaled)
+        s_of, x_of = np.divmod(np.arange(len(members) * base.size), base.size)
+        self._cells = len(s_of) * (1 if base.tabulated else _OP_CELLS)
+
+        def related(lo, hi):  # x/s ~ y/t iff u(t x - s y) = 0 for some u in S
+            return killed[base.vadd(base_scaled[s_of, x_of[lo:hi, None]],
+                                    neg_scaled[s_of[lo:hi, None], x_of])]
+
+        least = np.concatenate([related(lo, hi).argmax(axis=1)
+                                for lo, hi in row_blocks(len(s_of), self._cells)])
+        self._reps, self.class_of = np.unique(least, return_inverse=True)
+        cls = self.class_of
+        hit = scan(len(s_of), self._cells, lambda lo, hi: first_true(
+            related(lo, hi) != (cls[lo:hi, None] == cls), lo))
+        if hit is not None:
+            raise AxiomError(
+                f"{descriptor}: the fraction relation is not an equivalence "
+                f"relation at {self._fraction(hit[0])} vs {self._fraction(hit[1])}")
+        return len(self._reps)
+
+    def _check_well_defined(self, law: str, pair_op, class_op, left) -> None:
+        """AxiomError at the least pair ids (p, q) where the class of p op q
+        is not the op on the classes of p and q; left is the structure p
+        belongs to."""
+        right = np.arange(len(self.class_of))
+        hit = scan(len(left.class_of), self._cells, lambda lo, hi: first_true(
+            self.class_of[pair_op(np.arange(lo, hi)[:, None], right)]
+            != class_op(left.class_of[lo:hi, None], self.class_of), lo))
+        if hit is not None:
+            raise AxiomError(f"{self.descriptor}: " + law.format(
+                left._fraction(hit[0]), self._fraction(hit[1])))
+
+    def _fraction(self, p: int) -> tuple[int, int]:
+        """(numerator, denominator) of a pair id."""
+        s, x = divmod(int(p), self._n)
+        return x, int(self._members[s])
+
+    def _pair(self, s, x):
+        return s * self._n + x
+
+    def _pair_add(self, p, q):  # x/s + y/t = (t x + s y)/(s t)
+        (s, x), (t, y) = np.divmod(p, self._n), np.divmod(q, self._n)
+        return self._pair(self._sprod[s, t],
+                          self.base.vadd(self._scaled[t, x], self._scaled[s, y]))
+
+    def _pair_neg(self, p):
+        s, x = np.divmod(p, self._n)
+        return self._pair(s, self.base.vneg(x))
+
+    def _vadd(self, a, b):
+        return self.class_of[self._pair_add(self._reps[a], self._reps[b])]
+
+    def _vneg(self, a):
+        return self.class_of[self._pair_neg(self._reps[a])]
+
+    def project(self, x: int) -> int:
+        """Class of x/1."""
+        return int(self.class_of[self._pair(self._unit, x)])
+
+    def class_table(self) -> list[list[int]]:
+        """Canonical (numerator, denominator) representative per class id."""
+        return [list(self._fraction(p)) for p in self._reps]
+
+    def render(self, a):
+        x, s = self._fraction(self._reps[a])
+        return f"{self.base.render(x)}/{self.mset.ring.render(s)}"
 
 
-class LocalizedRing(FiniteRing):
+class LocalizedRing(_Fractions, FiniteRing):
     """The ring of fractions over a central multiplicative set."""
 
     def __init__(self, base: FiniteRing, mset: MultiplicativeSet,
@@ -126,80 +194,24 @@ class LocalizedRing(FiniteRing):
             raise DecisionCapError(
                 f"{descriptor}: {pair_count}^2 relation checks exceed cap "
                 f"{config.decision_cap}", config.decision_cap)
-        mul, sub, zero = base.mul, base.sub, base.zero
-        smembers = mset.members
-
-        def related(p, q):
-            r1, s1 = p
-            r2, s2 = q
-            diff = sub(mul(r1, s2), mul(r2, s1))
-            return any(mul(u, diff) == zero for u in smembers)
-
-        # canonical order: least (denominator, numerator)
-        pairs = [(r, s) for s in smembers for r in base.elements()]
-        pairs.sort(key=lambda p: (p[1], p[0]))
-        class_of, reps = _partition(pairs, related, descriptor)
-        self.class_of = class_of
-        self.reps = tuple(reps)
-        super().__init__(len(reps), descriptor, config)
-        self.zero = class_of[(base.zero, base.one)]
-        self.one = class_of[(base.one, base.one)]
+        super().__init__(self._form_classes(base.vmul, descriptor), descriptor, config)
+        self.zero = self.project(base.zero)
+        self.one = self.project(base.one)
         self._seal()
-        self._validate_well_defined()
+        self._check_well_defined("addition not well defined at {} + {}",
+                                 self._pair_add, self.vadd, self)
+        self._check_well_defined("product not well defined at {} * {}",
+                                 self._pair_mul, self.vmul, self)
 
-    def _op_on_pairs(self, p, q, which: str):
-        base = self.base
-        r1, s1 = p
-        r2, s2 = q
-        if which == "add":
-            num = base.add(base.mul(r1, s2), base.mul(r2, s1))
-        else:
-            num = base.mul(r1, r2)
-        return self.class_of[(num, base.mul(s1, s2))]
+    def _pair_mul(self, p, q):  # (x/s)(y/t) = xy/(st)
+        (s, x), (t, y) = np.divmod(p, self._n), np.divmod(q, self._n)
+        return self._pair(self._sprod[s, t], self.base.vmul(x, y))
 
-    def _add(self, a, b):
-        return self._op_on_pairs(self.reps[a], self.reps[b], "add")
-
-    def _mul(self, a, b):
-        return self._op_on_pairs(self.reps[a], self.reps[b], "mul")
-
-    def _neg(self, a):
-        r, s = self.reps[a]
-        return self.class_of[(self.base.neg(r), s)]
-
-    def _validate_well_defined(self):
-        members: list[list[tuple[int, int]]] = [[] for _ in self.reps]
-        for p, cid in self.class_of.items():
-            members[cid].append(p)
-        for ca, group_a in enumerate(members):
-            for cb, group_b in enumerate(members):
-                want_add = self.add(ca, cb)
-                want_mul = self.mul(ca, cb)
-                for p in group_a:
-                    for q in group_b:
-                        if self._op_on_pairs(p, q, "add") != want_add:
-                            raise AxiomError(
-                                f"{self.descriptor}: addition not well defined "
-                                f"at {p} + {q}")
-                        if self._op_on_pairs(p, q, "mul") != want_mul:
-                            raise AxiomError(
-                                f"{self.descriptor}: product not well defined "
-                                f"at {p} * {q}")
-
-    def project(self, r: int) -> int:
-        """Class of r/1."""
-        return self.class_of[(r, self.base.one)]
-
-    def class_table(self) -> list[list[int]]:
-        """Canonical (numerator, denominator) representative per class id."""
-        return [[r, s] for (r, s) in self.reps]
-
-    def render(self, a):
-        r, s = self.reps[a]
-        return f"{self.base.render(r)}/{self.base.render(s)}"
+    def _vmul(self, a, b):
+        return self.class_of[self._pair_mul(self._reps[a], self._reps[b])]
 
 
-class LocalizedModule(FiniteModule):
+class LocalizedModule(_Fractions, FiniteModule):
     """The module of fractions m/s over the localized ring."""
 
     def __init__(self, base: FiniteModule, mset: MultiplicativeSet,
@@ -213,85 +225,21 @@ class LocalizedModule(FiniteModule):
         self.base = base
         self.mset = mset
         descriptor = f"locmod({base.descriptor}, {mset.render()})"
-        act, msub, mzero = base.act, base.sub, base.zero
-        smembers = mset.members
-
-        def related(p, q):
-            m1, s1 = p
-            m2, s2 = q
-            diff = msub(act(s2, m1), act(s1, m2))
-            return any(act(u, diff) == mzero for u in smembers)
-
-        pairs = [(m, s) for s in smembers for m in base.elements()]
-        pairs.sort(key=lambda p: (p[1], p[0]))
-        class_of, reps = _partition(pairs, related, descriptor)
-        self.class_of = class_of
-        self.reps = tuple(reps)
-        super().__init__(loc_ring, len(reps), descriptor, config)
-        rone = base.ring.one
-        self.zero = class_of[(base.zero, rone)]
+        super().__init__(loc_ring, self._form_classes(base.vact, descriptor),
+                         descriptor, config)
+        self.zero = self.project(base.zero)
         self._seal()
-        self._validate_well_defined()
+        self._check_well_defined("addition not well defined at {} + {}",
+                                 self._pair_add, self.vadd, self)
+        self._check_well_defined("the action is not well defined at {} . {}",
+                                 self._pair_act, self.vact, loc_ring)
 
-    def _add_pairs(self, p, q):
-        m1, s1 = p
-        m2, s2 = q
-        base = self.base
-        num = base.add(base.act(s2, m1), base.act(s1, m2))
-        return self.class_of[(num, base.ring.mul(s1, s2))]
+    def _pair_act(self, rp, p):  # (r/s)(m/t) = rm/(st)
+        (s, r), (t, m) = np.divmod(rp, self.ring._n), np.divmod(p, self._n)
+        return self._pair(self._sprod[s, t], self.base.vact(r, m))
 
-    def _act_pair(self, ring_pair, p):
-        r, s = ring_pair
-        m, q = p
-        return self.class_of[(self.base.act(r, m), self.base.ring.mul(s, q))]
-
-    def _add(self, a, b):
-        return self._add_pairs(self.reps[a], self.reps[b])
-
-    def _act(self, r, m):
-        return self._act_pair(self.ring.reps[r], self.reps[m])
-
-    def _neg(self, a):
-        m, s = self.reps[a]
-        return self.class_of[(self.base.neg(m), s)]
-
-    def _validate_well_defined(self):
-        members: list[list[tuple[int, int]]] = [[] for _ in self.reps]
-        for p, cid in self.class_of.items():
-            members[cid].append(p)
-        ring_members: list[list[tuple[int, int]]] = [[] for _ in self.ring.reps]
-        for p, cid in self.ring.class_of.items():
-            ring_members[cid].append(p)
-        for ca, group_a in enumerate(members):
-            for cb, group_b in enumerate(members):
-                want = self.add(ca, cb)
-                for p in group_a:
-                    for q in group_b:
-                        if self._add_pairs(p, q) != want:
-                            raise AxiomError(
-                                f"{self.descriptor}: addition not well defined "
-                                f"at {p} + {q}")
-        for cr, ring_group in enumerate(ring_members):
-            for cm, group in enumerate(members):
-                want = self.act(cr, cm)
-                for rp in ring_group:
-                    for p in group:
-                        if self._act_pair(rp, p) != want:
-                            raise AxiomError(
-                                f"{self.descriptor}: the action is not well "
-                                f"defined at {rp} . {p}")
-
-    def project(self, m: int) -> int:
-        """Class of m/1."""
-        return self.class_of[(m, self.base.ring.one)]
-
-    def class_table(self) -> list[list[int]]:
-        """Canonical (numerator, denominator) representative per class id."""
-        return [[m, s] for (m, s) in self.reps]
-
-    def render(self, a):
-        m, s = self.reps[a]
-        return f"{self.base.render(m)}/{self.base.ring.render(s)}"
+    def _vact(self, r, m):
+        return self.class_of[self._pair_act(self.ring._reps[r], self._reps[m])]
 
 
 def localize_ring(ring: FiniteRing, mset: MultiplicativeSet,

@@ -38,7 +38,6 @@ from .rings import (
     build,
     componentwise,
     draw_ids,
-    elementwise,
     first_broken,
     first_true,
     make_matrix_ring,
@@ -77,8 +76,8 @@ class FiniteModule:
         self._nil_cache = None
         self._torsion_cache = None
 
-    # Structural operations supplied by subclasses, pointwise or vectorized
-    # as for rings; each falls back on its partner.
+    # Structural operations supplied by subclasses as the vectorized
+    # _vadd/_vact/_vneg, as for rings; the pointwise forms call them.
     def _add(self, m: int, n: int) -> int:
         return int(self._vadd(m, n))
 
@@ -87,15 +86,6 @@ class FiniteModule:
 
     def _neg(self, m: int) -> int:
         return int(self._vneg(m))
-
-    def _vadd(self, m, n):
-        return elementwise(self._add, m, n)
-
-    def _vact(self, r, m):
-        return elementwise(self._act, r, m)
-
-    def _vneg(self, m):
-        return elementwise(self._neg, m)
 
     def _seal(self, validate: bool = True, share_ring_ops: bool = False) -> None:
         ring = self.ring

@@ -197,11 +197,6 @@ def table_ops(add: np.ndarray, op: np.ndarray, neg: np.ndarray):
             (lambda a, b: add[a, b]), (lambda a, b: op[a, b]), neg.__getitem__)
 
 
-def elementwise(op, *ids) -> np.ndarray:
-    """A pointwise op applied across broadcast id arrays."""
-    return np.vectorize(op, otypes=[np.int64])(*ids)
-
-
 def digitwise(codec: MixedRadix, op, *ids) -> np.ndarray:
     """Ids whose digit strings are op applied to the operands' digit strings."""
     return codec.ids(op(*(codec.digits(x) for x in ids)))
@@ -258,9 +253,8 @@ class FiniteRing:
         self._neg_row = None
         self._commutative: bool | None = None
 
-    # Structural operations supplied by subclasses: either the pointwise
-    # _add/_mul/_neg on ids or the vectorized _vadd/_vmul/_vneg on id
-    # arrays.  Each falls back on its partner.
+    # Structural operations supplied by subclasses as the vectorized
+    # _vadd/_vmul/_vneg on id arrays; the pointwise forms call them.
     def _add(self, a: int, b: int) -> int:
         return int(self._vadd(a, b))
 
@@ -269,15 +263,6 @@ class FiniteRing:
 
     def _neg(self, a: int) -> int:
         return int(self._vneg(a))
-
-    def _vadd(self, a, b):
-        return elementwise(self._add, a, b)
-
-    def _vmul(self, a, b):
-        return elementwise(self._mul, a, b)
-
-    def _vneg(self, a):
-        return elementwise(self._neg, a)
 
     def _seal(self, validate: bool = True) -> None:
         """Finalize construction: reject the trivial ring, bind ops, validate."""

@@ -129,3 +129,131 @@ def matrix_nil_replay(module, base, base_module, count, seed):
         if not (r_sq_k == module.zero and r_k != module.zero):
             failures.append({"m": k_id, "r": r})
     return count - len(failures), failures
+
+
+def fraction_partition(pairs, related, what: str):
+    """Group pairs into classes against canonical reps, then verify that the
+    relation agrees with the partition everywhere (this is exactly the
+    symmetry and transitivity of the relation on this instance)."""
+    from nilcomm.errors import AxiomError
+
+    class_of: dict[tuple[int, int], int] = {}
+    reps: list[tuple[int, int]] = []
+    for p in pairs:
+        for cid, rep in enumerate(reps):
+            if related(rep, p):
+                class_of[p] = cid
+                break
+        else:
+            class_of[p] = len(reps)
+            reps.append(p)
+    for p in pairs:
+        for q in pairs:
+            if related(p, q) != (class_of[p] == class_of[q]):
+                raise AxiomError(
+                    f"{what}: the fraction relation is not an equivalence "
+                    f"relation at {p} vs {q}")
+    return class_of, reps
+
+
+def ring_fractions(base, smembers):
+    """The ring of fractions of base over smembers by pointwise loops:
+    (class_of, reps, add table, mul table), the (numerator, denominator)
+    pairs keyed as tuples.  Raises AxiomError as the construction must."""
+    from nilcomm.errors import AxiomError
+
+    mul, sub, zero = base.mul, base.sub, base.zero
+
+    def related(p, q):
+        r1, s1 = p
+        r2, s2 = q
+        diff = sub(mul(r1, s2), mul(r2, s1))
+        return any(mul(u, diff) == zero for u in smembers)
+
+    pairs = [(r, s) for s in smembers for r in base.elements()]
+    pairs.sort(key=lambda p: (p[1], p[0]))
+    class_of, reps = fraction_partition(pairs, related, "ring")
+
+    def op_on_pairs(p, q, which: str):
+        r1, s1 = p
+        r2, s2 = q
+        if which == "add":
+            num = base.add(base.mul(r1, s2), base.mul(r2, s1))
+        else:
+            num = base.mul(r1, r2)
+        return class_of[(num, base.mul(s1, s2))]
+
+    add = [[op_on_pairs(a, b, "add") for b in reps] for a in reps]
+    prod = [[op_on_pairs(a, b, "mul") for b in reps] for a in reps]
+    members: list[list[tuple[int, int]]] = [[] for _ in reps]
+    for p, cid in class_of.items():
+        members[cid].append(p)
+    for ca, group_a in enumerate(members):
+        for cb, group_b in enumerate(members):
+            want_add = add[ca][cb]
+            want_mul = prod[ca][cb]
+            for p in group_a:
+                for q in group_b:
+                    if op_on_pairs(p, q, "add") != want_add:
+                        raise AxiomError(
+                            f"ring: addition not well defined at {p} + {q}")
+                    if op_on_pairs(p, q, "mul") != want_mul:
+                        raise AxiomError(
+                            f"ring: product not well defined at {p} * {q}")
+    return class_of, reps, add, prod
+
+
+def module_fractions(base, smembers, ring_class_of, ring_reps):
+    """The module of fractions of base over smembers by pointwise loops, over
+    the ring of fractions ring_fractions gave: (class_of, reps, add table,
+    action table).  Raises AxiomError as the construction must."""
+    from nilcomm.errors import AxiomError
+
+    act, msub, mzero = base.act, base.sub, base.zero
+
+    def related(p, q):
+        m1, s1 = p
+        m2, s2 = q
+        diff = msub(act(s2, m1), act(s1, m2))
+        return any(act(u, diff) == mzero for u in smembers)
+
+    pairs = [(m, s) for s in smembers for m in base.elements()]
+    pairs.sort(key=lambda p: (p[1], p[0]))
+    class_of, reps = fraction_partition(pairs, related, "module")
+
+    def add_pairs(p, q):
+        m1, s1 = p
+        m2, s2 = q
+        num = base.add(base.act(s2, m1), base.act(s1, m2))
+        return class_of[(num, base.ring.mul(s1, s2))]
+
+    def act_pair(ring_pair, p):
+        r, s = ring_pair
+        m, q = p
+        return class_of[(base.act(r, m), base.ring.mul(s, q))]
+
+    add = [[add_pairs(a, b) for b in reps] for a in reps]
+    action = [[act_pair(r, m) for m in reps] for r in ring_reps]
+    members: list[list[tuple[int, int]]] = [[] for _ in reps]
+    for p, cid in class_of.items():
+        members[cid].append(p)
+    ring_members: list[list[tuple[int, int]]] = [[] for _ in ring_reps]
+    for p, cid in ring_class_of.items():
+        ring_members[cid].append(p)
+    for ca, group_a in enumerate(members):
+        for cb, group_b in enumerate(members):
+            want = add[ca][cb]
+            for p in group_a:
+                for q in group_b:
+                    if add_pairs(p, q) != want:
+                        raise AxiomError(
+                            f"module: addition not well defined at {p} + {q}")
+    for cr, ring_group in enumerate(ring_members):
+        for cm, group in enumerate(members):
+            want = action[cr][cm]
+            for rp in ring_group:
+                for p in group:
+                    if act_pair(rp, p) != want:
+                        raise AxiomError(
+                            f"module: the action is not well defined at {rp} . {p}")
+    return class_of, reps, add, action

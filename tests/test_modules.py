@@ -171,16 +171,16 @@ def test_module_axiom_check_catches_broken_action():
             self.zero = 0
             self._seal()
 
-        def _add(self, m, n):
+        def _vadd(self, m, n):
             return (m + n) % 4
 
-        def _act(self, r, m):
+        def _vact(self, r, m):
             return (m + r) % 4
 
-        def _neg(self, m):
+        def _vneg(self, m):
             return (-m) % 4
 
-    with pytest.raises(AxiomError):
+    with pytest.raises(AxiomError, match=r"act\(1, m\) != m at m=0"):
         BadAction()
 
 
