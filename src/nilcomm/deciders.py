@@ -8,9 +8,12 @@ given a.  Two evaluators read the table:
 
 - decide scans the full (a, r, m) space over the action table and returns a
   Verdict: holds, or fails with the lexicographically least violating triple
-  in (a, m, r) order.  Above the decision cap it refuses unless the config
-  sets force.  The ring deciders run the same scan over the multiplication
-  table.
+  in (a, m, r) order.  r enters a row only through the orbit Rm, so while
+  |M| <= 64 |R| the scan tests each (a, m) against its whole orbit at once,
+  ANDing bit-packed 64-bit words; wider modules gather every triple.  Above
+  the decision cap (counted in nominal (a, r, m) triples either way) it
+  refuses unless the config sets force.  The ring deciders run the same
+  scan over the multiplication table.
 - replay evaluates a row on given triples through vact/vmul, with nil
   membership by the squared criterion, so nothing is tabulated and no size
   limit applies.  The two witness verifiers are one call into it.
@@ -203,23 +206,68 @@ class _TableOps:
         return image[:, x]
 
 
+def _words(mask: np.ndarray) -> np.ndarray:
+    """The rows of a bool mask packed into uint64 words, each row padded with
+    zero bits to a multiple of 64."""
+    packed = np.packbits(mask, axis=1)
+    words = np.zeros((mask.shape[0], -(-mask.shape[1] // 64) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view(np.uint64)
+
+
+def _orbit_words(act: np.ndarray) -> np.ndarray:
+    """Column m holds the orbit Rm = {act[r, m] : r} as a bit set over the
+    table's columns, in 64-bit words down the rows; built in blocks of m."""
+    rows, cols = act.shape
+    out = np.empty((-(-cols // 64), cols), dtype=np.uint64)
+    for lo, hi in row_blocks(cols, max(rows, cols)):
+        orbit = np.zeros((hi - lo) * cols, dtype=bool)
+        orbit[act[:, lo:hi] + np.arange(0, (hi - lo) * cols, cols)] = True
+        out[:, lo:hi] = _words(orbit.reshape(hi - lo, cols)).T
+    return out
+
+
 def _scan(ops: _TableOps, row: _Property):
     """Least violation (a, m, r) of a property row over the table, or None.
 
-    The trigger and bad[a, x] (the violation test on x = r*m) are evaluated
-    once, for every row a over all of M.  Each block of rows then gathers
-    bad at act[:, ms].T for its triggered columns ms only; the C-order least
-    hit keeps the (a, m, r) order of the least witness."""
+    The trigger hot[a, m] and bad[a, x] (the violation test on x = r*m) are
+    evaluated once, for every row a over all of M.  r enters only through
+    the orbit Rm, so (a, m) has a violation iff hot[a, m] and bad[a] meets
+    Rm.  When the table has at least as many rows as a row of M has 64-bit
+    words (|M| <= 64 |R|), each block of rows ANDs its words of bad against
+    the orbit words of its triggered columns, which is never more word ANDs
+    than the |R|^2 |M| cells of a gather; the least r of the least (a, m)
+    is then the first bad cell of a's row at act[:, m].  Wider modules
+    gather bad at act[:, ms].T for each block's triggered columns ms.
+    Either way the C-order least hit keeps the (a, m, r) order of the least
+    witness."""
     act, a, every = ops.table, ops.rows, ops.cols
     hot = row.trigger(ops, ops.act(row.multiplier(ops, a), every))
     bad = row.violation(ops, a, every)
+    rows, cols = act.shape
+
+    if cols <= 64 * rows:
+        bad_words, orbit = _words(bad), _orbit_words(act)
+
+        def block(lo, hi):
+            ms = np.flatnonzero(hot[lo:hi].any(axis=0))
+            reach = np.zeros((hi - lo, len(ms)), dtype=bool)
+            for w, lane in enumerate(orbit):
+                reach |= (bad_words[lo:hi, w, None] & lane[ms]) != 0
+            hit = first_true(hot[lo:hi, ms] & reach, lo)
+            if hit is None:
+                return None
+            m = int(ms[hit[1]])
+            return (hit[0], m, int(bad[hit[0], act[:, m]].argmax()))
+
+        return scan(rows, cols, block)
 
     def block(lo, hi):
         ms = np.flatnonzero(hot[lo:hi].any(axis=0))
         hit = first_true(bad[lo:hi, act[:, ms].T] & hot[lo:hi, ms, None], lo)
         return None if hit is None else (hit[0], int(ms[hit[1]]), hit[2])
 
-    return scan(act.shape[0], act.size, block)
+    return scan(rows, act.size, block)
 
 
 def decide(module: FiniteModule, prop: str,

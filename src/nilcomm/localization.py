@@ -93,11 +93,18 @@ class _Fractions:
     order the (denominator, numerator) order.  Each class is represented by
     its least pair, and every op is a gather through the classes."""
 
-    def _form_classes(self, scale, descriptor: str) -> int:
+    def _form_classes(self, scale, descriptor: str, config: EngineConfig) -> int:
         """Bind the pair layout and the classes, scale(s, x) being s.x on id
         arrays; return the class count.  The relation must agree with its
-        partition everywhere: that is its symmetry and transitivity here."""
+        partition everywhere: that is its symmetry and transitivity here.
+        Above the decision cap in relation checks (pairs^2) it refuses unless
+        the config sets force."""
         base, ring = self.base, self.mset.ring
+        pair_count = base.size * len(self.mset.members)
+        if pair_count * pair_count > config.decision_cap and not config.force:
+            raise DecisionCapError(
+                f"{descriptor}: {pair_count}^2 relation checks exceed cap "
+                f"{config.decision_cap}", config.decision_cap)
         self._members = members = np.array(sorted(self.mset.members))
         sindex = np.full(ring.size, -1)
         sindex[members] = np.arange(len(members))
@@ -189,12 +196,8 @@ class LocalizedRing(_Fractions, FiniteRing):
         self.base = base
         self.mset = mset
         descriptor = f"loc({base.descriptor}, {mset.render()})"
-        pair_count = base.size * len(mset.members)
-        if pair_count * pair_count > resolve(config).decision_cap and not config.force:
-            raise DecisionCapError(
-                f"{descriptor}: {pair_count}^2 relation checks exceed cap "
-                f"{config.decision_cap}", config.decision_cap)
-        super().__init__(self._form_classes(base.vmul, descriptor), descriptor, config)
+        super().__init__(self._form_classes(base.vmul, descriptor, config),
+                         descriptor, config)
         self.zero = self.project(base.zero)
         self.one = self.project(base.one)
         self._seal()
@@ -225,7 +228,7 @@ class LocalizedModule(_Fractions, FiniteModule):
         self.base = base
         self.mset = mset
         descriptor = f"locmod({base.descriptor}, {mset.render()})"
-        super().__init__(loc_ring, self._form_classes(base.vact, descriptor),
+        super().__init__(loc_ring, self._form_classes(base.vact, descriptor, config),
                          descriptor, config)
         self.zero = self.project(base.zero)
         self._seal()

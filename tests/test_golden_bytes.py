@@ -21,6 +21,7 @@ import pytest
 from nilcomm.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "cli_json.json"
+FORCED_GOLDEN = GOLDEN.with_name("classify_forced_m2z5.json")
 
 PROPERTIES = ("semicommutative,weakly-semicommutative,nil-semicommutative,"
               "reduced-i,reduced-ii")
@@ -69,6 +70,16 @@ def test_cli_json_matches_golden_bytes(goldens, expr):
         _assert_plain(json.loads(text))
 
 
+def forced_document() -> str:
+    """All five scans of a module past the default cap: 625^3 triples each."""
+    return _output("classify", "regular(M(2, Z(5)))", "--properties", PROPERTIES,
+                   "--force", "--format", "json")
+
+
+def test_forced_classify_above_the_cap_matches_golden_bytes():
+    assert forced_document() == FORCED_GOLDEN.read_text()
+
+
 def _assert_plain(node):
     if isinstance(node, dict):
         for value in node.values():
@@ -84,4 +95,5 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({e: documents(e) for e in CORPUS}, indent=1)
                       + "\n")
+    FORCED_GOLDEN.write_text(forced_document())
     sys.exit(0)

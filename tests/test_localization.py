@@ -133,6 +133,18 @@ def test_transfer_raises_at_the_decision_cap():
                                     multiplicative_closure(z3, [], cfg), cfg)
 
 
+def test_localized_module_refuses_its_own_pairs_above_the_decision_cap():
+    # 144 * 4 = 576 module pairs (331776 relation checks) against a ring of
+    # 12 * 4 = 48 pairs (2304 checks): only the module's guard can fire
+    expr = "locmod(prodmod(regular(Z(12)), regular(Z(12))), {2})"
+    cfg = DEFAULT_CONFIG.with_overrides(decision_cap=100000)
+    with pytest.raises(DecisionCapError,
+                       match=r"^locmod\(.*: 576\^2 relation checks exceed cap 100000$"):
+        elaborate_text(expr, cfg)
+    module = elaborate_text(expr, cfg.with_overrides(force=True))
+    assert (module.ring.size, module.size) == (3, 9)  # Z(3) and Z(3)^2
+
+
 def test_transfer_z12_zero_divisor_set_is_refuted_with_witness():
     z12 = make_zn(12)
     s = multiplicative_closure(z12, [2])

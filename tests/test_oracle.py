@@ -87,6 +87,25 @@ def test_replay_through_structural_ops_matches_oracle(expr):
             act, mul, zero, prop, nil, triples), prop
 
 
+@pytest.mark.parametrize("copies, words", [
+    (("regular(Z(2))",) * 7, True),  # |M| = 128 = 64 |R|
+    (("regular(Z(2))",) * 8, False),  # |M| = 256
+    # the same boundary with violations to find
+    (("regular(Z(4))",) * 4, True),  # |M| = 256 = 64 |R|
+    (("regular(Z(4))",) * 4 + ("cyclic(regular(Z(4)), 2)",), False),  # |M| = 512
+], ids=["Z2^7-words", "Z2^8-gather", "Z4^4-words", "Z4^4xZ2-gather"])
+def test_least_witness_on_both_sides_of_the_word_rule(copies, words):
+    # the scan ANDs bad against orbit words while |M| <= 64 |R|, and
+    # gathers every (a, r, m) beyond
+    module = elaborate_text(f"prodmod({', '.join(copies)})")
+    assert (module.size <= 64 * module.ring.size) is words
+    act, mul, zero = oracle.tables(module)
+    nil = oracle.nil_flags(act, zero)
+    for prop in MODULE_PROPERTIES:
+        assert decide(module, prop).witness == oracle.least_violation(
+            act, mul, zero, prop, nil), prop
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(modules())
@@ -96,6 +115,8 @@ def test_replay_through_structural_ops_matches_oracle(expr):
 @example("regular(S(2, prod(Z(2), Z(2))))")
 @example("regular(V(2, polyq(Z(2), 2)))")
 @example("trimod(2, prodmod(regular(Z(2)), regular(Z(2))))")
+# |M| = 256 > 64 |R|: the scan gathers instead of ANDing orbit words
+@example(f"prodmod({', '.join(['regular(Z(2))'] * 8)})")
 def test_engine_matches_oracle(expr):
     module = elaborate_text(expr)
     nr, nm = module.ring.size, module.size
