@@ -8,12 +8,11 @@ given a.  Two evaluators read the table:
 
 - decide scans the full (a, r, m) space over the action table and returns a
   Verdict: holds, or fails with the lexicographically least violating triple
-  in (a, m, r) order.  r enters a row only through the orbit Rm, so while
-  |M| <= 64 |R| the scan tests each (a, m) against its whole orbit at once,
-  ANDing bit-packed 64-bit words; wider modules gather every triple.  Above
-  the decision cap (counted in nominal (a, r, m) triples either way) it
-  refuses unless the config sets force.  The ring deciders run the same
-  scan over the multiplication table.
+  in (a, m, r) order.  r enters a row only through the orbit Rm, so the
+  scan packs the rows a into 64-bit words and tests 64 of them at once
+  against a whole orbit.  Above the decision cap (counted in nominal
+  (a, r, m) triples) it refuses unless the config sets force.  The ring
+  deciders run the same scan over the multiplication table.
 - replay evaluates a row on given triples through vact/vmul, with nil
   membership by the squared criterion, so nothing is tabulated and no size
   limit applies.  The two witness verifiers are one call into it.
@@ -30,7 +29,7 @@ from .config import EngineConfig, resolve
 from .errors import DecisionCapError, InvalidParameterError
 from .modules import FiniteModule
 from .nilpotency import nil_set, squared_killers
-from .rings import _OP_CELLS, FiniteRing, first_true, nil_ring_set, row_blocks, scan
+from .rings import _OP_CELLS, FiniteRing, nil_ring_set, row_blocks
 
 PROP_SEMICOMMUTATIVE = "semicommutative"
 PROP_WEAKLY = "weakly-semicommutative"
@@ -206,68 +205,58 @@ class _TableOps:
         return image[:, x]
 
 
-def _words(mask: np.ndarray) -> np.ndarray:
-    """The rows of a bool mask packed into uint64 words, each row padded with
-    zero bits to a multiple of 64."""
-    packed = np.packbits(mask, axis=1)
-    words = np.zeros((mask.shape[0], -(-mask.shape[1] // 64) * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    return words.view(np.uint64)
-
-
-def _orbit_words(act: np.ndarray) -> np.ndarray:
-    """Column m holds the orbit Rm = {act[r, m] : r} as a bit set over the
-    table's columns, in 64-bit words down the rows; built in blocks of m."""
-    rows, cols = act.shape
-    out = np.empty((-(-cols // 64), cols), dtype=np.uint64)
-    for lo, hi in row_blocks(cols, max(rows, cols)):
-        orbit = np.zeros((hi - lo) * cols, dtype=bool)
-        orbit[act[:, lo:hi] + np.arange(0, (hi - lo) * cols, cols)] = True
-        out[:, lo:hi] = _words(orbit.reshape(hi - lo, cols)).T
-    return out
+def _lanes(mask: np.ndarray) -> np.ndarray:
+    """The columns of a bool mask as bit sets over its rows: entry [x, w]
+    holds mask[64w:64w+64, x] in a uint64 word whose byte j, bit i, is row
+    64w + 8j + i (see _least_bit); rows padded with zero bits to a multiple
+    of 64."""
+    packed = np.packbits(np.ascontiguousarray(mask.T), axis=1, bitorder="little")
+    out = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view(np.uint64)
 
 
 def _scan(ops: _TableOps, row: _Property):
     """Least violation (a, m, r) of a property row over the table, or None.
 
     The trigger hot[a, m] and bad[a, x] (the violation test on x = r*m) are
-    evaluated once, for every row a over all of M.  r enters only through
-    the orbit Rm, so (a, m) has a violation iff hot[a, m] and bad[a] meets
-    Rm.  When the table has at least as many rows as a row of M has 64-bit
-    words (|M| <= 64 |R|), each block of rows ANDs its words of bad against
-    the orbit words of its triggered columns, which is never more word ANDs
-    than the |R|^2 |M| cells of a gather; the least r of the least (a, m)
-    is then the first bad cell of a's row at act[:, m].  Wider modules
-    gather bad at act[:, ms].T for each block's triggered columns ms.
-    Either way the C-order least hit keeps the (a, m, r) order of the least
-    witness."""
+    evaluated once, for every row a over all of M, and packed along a: one
+    uint64 word holds a column's bits for 64 rows.  (a, m) violates iff
+    hot[a, m] and bad[a, r*m] for some r, so OR-ing bad's words at act[:, m]
+    over r tests 64 rows at once against the whole orbit Rm.  That gathers
+    |R| |M| ceil(|R|/64) words where a gather per triple visits |R|^2 |M|
+    cells: never more, on any shape of table, so there is no other path.
+    Words of rows run in order and stop at the first with a hit; its least
+    row, then least column, is the least (a, m), and the least r is the
+    first bad cell of a's row at act[:, m].
+
+    Memory: the two packed masks take 8 ceil(|R|/64) bytes a column, at most
+    the int32 table's 4 |R| once |R| >= 2; a block's index and gathered
+    words take 8 bytes a cell each, so blocks are sized in bytes."""
     act, a, every = ops.table, ops.rows, ops.cols
     hot = row.trigger(ops, ops.act(row.multiplier(ops, a), every))
     bad = row.violation(ops, a, every)
-    rows, cols = act.shape
+    hot_words, bad_words = _lanes(hot), _lanes(bad)
+    for w in range(hot_words.shape[1]):
+        hits, lane = hot_words[:, w].copy(), bad_words[:, w].copy()
+        for lo, hi in row_blocks(len(hits), 8 * len(act)):
+            hits[lo:hi] &= np.bitwise_or.reduce(lane[act[:, lo:hi].astype(np.intp)], axis=0)
+        hit = _least_bit(hits)
+        if hit is not None:
+            a, m = 64 * w + hit[0], hit[1]
+            return a, m, int(bad[a, act[:, m]].argmax())
+    return None
 
-    if cols <= 64 * rows:
-        bad_words, orbit = _words(bad), _orbit_words(act)
 
-        def block(lo, hi):
-            ms = np.flatnonzero(hot[lo:hi].any(axis=0))
-            reach = np.zeros((hi - lo, len(ms)), dtype=bool)
-            for w, lane in enumerate(orbit):
-                reach |= (bad_words[lo:hi, w, None] & lane[ms]) != 0
-            hit = first_true(hot[lo:hi, ms] & reach, lo)
-            if hit is None:
-                return None
-            m = int(ms[hit[1]])
-            return (hit[0], m, int(bad[hit[0], act[:, m]].argmax()))
-
-        return scan(rows, cols, block)
-
-    def block(lo, hi):
-        ms = np.flatnonzero(hot[lo:hi].any(axis=0))
-        hit = first_true(bad[lo:hi, act[:, ms].T] & hot[lo:hi, ms, None], lo)
-        return None if hit is None else (hit[0], int(ms[hit[1]]), hit[2])
-
-    return scan(rows, act.size, block)
+def _least_bit(words: np.ndarray):
+    """(bit, index): the least bit set in any of the words, as packed by
+    _lanes, then the least word with it; or None."""
+    if not words.any():
+        return None
+    bit = int(np.unpackbits(np.bitwise_or.reduce(words).reshape(1).view(np.uint8),
+                            bitorder="little").argmax())
+    byte = words.view(np.uint8).reshape(len(words), 8)[:, bit // 8]
+    return bit, int(np.flatnonzero(byte >> (bit % 8) & 1)[0])
 
 
 def decide(module: FiniteModule, prop: str,

@@ -87,23 +87,21 @@ def test_replay_through_structural_ops_matches_oracle(expr):
             act, mul, zero, prop, nil, triples), prop
 
 
-@pytest.mark.parametrize("copies, words", [
-    (("regular(Z(2))",) * 7, True),  # |M| = 128 = 64 |R|
-    (("regular(Z(2))",) * 8, False),  # |M| = 256
-    # the same boundary with violations to find
-    (("regular(Z(4))",) * 4, True),  # |M| = 256 = 64 |R|
-    (("regular(Z(4))",) * 4 + ("cyclic(regular(Z(4)), 2)",), False),  # |M| = 512
-], ids=["Z2^7-words", "Z2^8-gather", "Z4^4-words", "Z4^4xZ2-gather"])
-def test_least_witness_on_both_sides_of_the_word_rule(copies, words):
-    # the scan ANDs bad against orbit words while |M| <= 64 |R|, and
-    # gathers every (a, r, m) beyond
-    module = elaborate_text(f"prodmod({', '.join(copies)})")
-    assert (module.size <= 64 * module.ring.size) is words
+def test_least_witness_past_the_first_word_of_rows():
+    # the scan packs 64 rows a into a word: 136 rows take three words, the
+    # last one 8 rows and 56 zero padding bits, and three least witnesses
+    # lie in the second word
+    ring = "regular(prod(T(2, Z(2)), Z(17)))"
+    module = elaborate_text(f"quot({ring}, gen({ring}, {{1}}))")
+    assert (module.ring.size, module.size) == (136, 8)
     act, mul, zero = oracle.tables(module)
     nil = oracle.nil_flags(act, zero)
+    rows = []
     for prop in MODULE_PROPERTIES:
-        assert decide(module, prop).witness == oracle.least_violation(
-            act, mul, zero, prop, nil), prop
+        want = oracle.least_violation(act, mul, zero, prop, nil)
+        assert decide(module, prop).witness == want, prop
+        rows.append(want[0])
+    assert sorted(rows) == [34, 34, 68, 68, 68]
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,
@@ -115,7 +113,7 @@ def test_least_witness_on_both_sides_of_the_word_rule(copies, words):
 @example("regular(S(2, prod(Z(2), Z(2))))")
 @example("regular(V(2, polyq(Z(2), 2)))")
 @example("trimod(2, prodmod(regular(Z(2)), regular(Z(2))))")
-# |M| = 256 > 64 |R|: the scan gathers instead of ANDing orbit words
+# a wide module: one word of rows, 62 of its bits padding, for 256 columns
 @example(f"prodmod({', '.join(['regular(Z(2))'] * 8)})")
 def test_engine_matches_oracle(expr):
     module = elaborate_text(expr)
