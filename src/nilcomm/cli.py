@@ -344,8 +344,8 @@ def cmd_search(args) -> int:
 def _add_common(parser):
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--cap", type=int, default=None,
-                        help="decision cap in (a, r, m) triples "
-                             "(env NILCOMM_CAP)")
+                        help="decision cap: the most triples, pairs or relation "
+                             "checks one exhaustive scan may visit (env NILCOMM_CAP)")
     parser.add_argument("--force", action="store_true",
                         help="run exhaustive scans past the cap")
     parser.add_argument("--timing", action="store_true",

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from .errors import DecisionCapError, InvalidParameterError, SizeCapError
+
 DEFAULT_SEED = 1729
 CAP_ENV_VAR = "NILCOMM_CAP"
 
@@ -14,9 +16,11 @@ class EngineConfig:
     """Caps and defaults governing construction, validation and decisions.
 
     construction_cap: largest element count a constructor may produce.
-    decision_cap: largest (a, r, m) triple count a decision may visit.
-        Decisions are always exhaustive scans; past the cap they refuse with
-        DecisionCapError, as do nil and torsion sets past it in (t, m) pairs.
+    decision_cap: largest step count an exhaustive scan may visit: (a, r, m)
+        triples for a decision, element pairs for derived sets, nil and
+        torsion sets and hom checks, triples for full axiom scans, relation
+        checks for fractions.  Past it the scan refuses with
+        DecisionCapError (see refuse_above_cap).
     tabulate_threshold: structures up to this size (a module's ring too)
         store int32 operation tables; larger ones compute operations per
         call and materialize a table only for an exhaustive scan.
@@ -37,6 +41,27 @@ class EngineConfig:
 
     def with_overrides(self, **kw) -> "EngineConfig":
         return replace(self, **kw)
+
+    def allows(self, count: int) -> bool:
+        """Whether a scan of count steps may run: within the cap, or forced."""
+        return count <= self.decision_cap or self.force
+
+    def refuse_above_cap(self, count: int, what: str) -> None:
+        """DecisionCapError naming the scan (what) unless allows(count)."""
+        if not self.allows(count):
+            raise DecisionCapError(
+                f"{what} exceeds cap {self.decision_cap}; re-run with force to override",
+                self.decision_cap)
+
+    def check_size(self, size: int, kind: str, descriptor: str) -> None:
+        """Refuse a structure (kind: ring or module) of no elements, or of
+        more than the construction cap."""
+        if size < 1:
+            raise InvalidParameterError(f"{kind} size must be positive, got {size}")
+        if size > self.construction_cap:
+            raise SizeCapError(
+                f"{descriptor}: size {size} exceeds the construction cap "
+                f"{self.construction_cap}", self.construction_cap)
 
 
 DEFAULT_CONFIG = EngineConfig()

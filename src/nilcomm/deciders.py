@@ -26,10 +26,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import EngineConfig, resolve
-from .errors import DecisionCapError, InvalidParameterError
+from .errors import InvalidParameterError
 from .modules import FiniteModule
 from .nilpotency import nil_set, squared_killers
-from .rings import _OP_CELLS, FiniteRing, nil_ring_set, row_blocks
+from .rings import _OP_CELLS, FiniteRing, _nil_ring_flags, row_blocks
 
 PROP_SEMICOMMUTATIVE = "semicommutative"
 PROP_WEAKLY = "weakly-semicommutative"
@@ -163,16 +163,6 @@ def _row(prop: str) -> _Property:
     return _PROPERTIES[prop]
 
 
-def _refuse_above_cap(desc: str, prop: str, triples: int, cfg: EngineConfig,
-                      unit: str) -> None:
-    if triples > cfg.decision_cap and not cfg.force:
-        raise DecisionCapError(
-            f"{desc}: {prop} scan of {triples} {unit} exceeds cap "
-            f"{cfg.decision_cap}; re-run with force to override",
-            cfg.decision_cap,
-        )
-
-
 # ---------------------------------------------------------------------------
 # The exhaustive scan over an action table
 
@@ -262,12 +252,12 @@ def _least_bit(words: np.ndarray):
 def decide(module: FiniteModule, prop: str,
            config: EngineConfig | None = None) -> Verdict:
     """Decide one module property by exhaustive scan; above the decision cap
-    raise DecisionCapError unless the config sets force."""
+    it refuses with DecisionCapError unless the config sets force."""
     cfg = resolve(config if config is not None else module.config)
     row = _row(prop)
     desc = module.descriptor
-    _refuse_above_cap(desc, prop, module.ring.size ** 2 * module.size, cfg,
-                      "(a, r, m) triples")
+    triples = module.ring.size ** 2 * module.size
+    cfg.refuse_above_cap(triples, f"{desc}: {prop} scan of {triples} (a, r, m) triples")
     act = module.act_table()
     hit = _scan(_TableOps(act, module.zero, module.ring.vmul,
                           lambda: nil_set(module, cfg).flags()), row)
@@ -314,9 +304,9 @@ def _decide_ring(ring: FiniteRing, prop: str,
                  config: EngineConfig | None = None) -> Verdict:
     cfg = resolve(config if config is not None else ring.config)
     desc = ring.descriptor
-    _refuse_above_cap(desc, prop, ring.size ** 3, cfg, "triples")
-    nil = lambda: np.isin(np.arange(ring.size), list(nil_ring_set(ring)))
-    hit = _scan(_TableOps(ring.mul_table(), ring.zero, ring.vmul, nil),
+    cfg.refuse_above_cap(ring.size ** 3, f"{desc}: {prop} scan of {ring.size ** 3} triples")
+    hit = _scan(_TableOps(ring.mul_table(), ring.zero, ring.vmul,
+                          lambda: _nil_ring_flags(ring)),
                 _PROPERTIES[_RING_ROWS[prop]])
     if hit is None:
         return Verdict(prop, True, METHOD_EXHAUSTIVE, None, desc)
@@ -378,8 +368,7 @@ def verify_nonsemicommutative_witness(module: FiniteModule, a: int, r: int,
 
 
 def verify_not_nil_semicommutative_witness(module: FiniteModule, a: int, r: int,
-                                           m: int,
-                                           config: EngineConfig | None = None) -> bool:
+                                           m: int) -> bool:
     """True when am is nilpotent yet a(rm) is not: a nil-semicommutativity
     violation, nilpotency decided by the squared criterion over the ring."""
     return bool(replay(module, PROP_NIL_SEMI, [a], [r], [m])[0])

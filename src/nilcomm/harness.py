@@ -62,10 +62,13 @@ from .rings import (
     FiniteRing,
     MatrixShape,
     RingHom,
+    _commuting,
+    _guard_pairs,
+    _nil_ring_flags,
+    _regular_mask,
     identity_hom,
     interning,
     make_zn,
-    nil_ring_set,
     nilpotency_degree,
     row_blocks,
     verify_theta_iso,
@@ -194,7 +197,7 @@ def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteMo
     nilpotent (n >= 2); below the cap by full scan, above it (or when sample
     is given) by replaying the constructive single-unit witness on sample
     random nonzero matrices, DEFAULT_SAMPLES by default."""
-    cfg = resolve(config)
+    cfg = resolve(config if config is not None else base_module.config)
     if shape_n < 2:
         raise InvalidParameterError("the matrix nil claim needs n >= 2")
     if sample is not None:
@@ -258,7 +261,7 @@ def check_example_zpn(p: int, n: int, config: EngineConfig | None = None) -> Che
     weak = is_weakly_semicommutative(module, cfg)
     nil = is_nil_semicommutative(module, cfg)
     pinned = (1, p ** (n - 1) % p ** n, 1)
-    pinned_ok = verify_not_nil_semicommutative_witness(module, *pinned, config=cfg)
+    pinned_ok = verify_not_nil_semicommutative_witness(module, *pinned)
     ok = (semi.holds is True and weak.holds is True and nil.holds is False
           and pinned_ok)
     detail = {
@@ -349,7 +352,7 @@ def _not_nil_semicommutative_instance(check_id: str, module: FiniteModule,
     act(p^power, a*m) = 0 with act(p, a*m) != 0."""
     verdict = is_nil_semicommutative(module, cfg)
     a, r, m = witness_triple
-    triple_ok = verify_not_nil_semicommutative_witness(module, a, r, m, config=cfg)
+    triple_ok = verify_not_nil_semicommutative_witness(module, a, r, m)
     am = module.act(a, m)
     p_elem, power = nil_cert
     cert_ok = (module.act(module.ring.power(p_elem, power), am) == module.zero
@@ -450,13 +453,14 @@ def check_commutative_ring_prop(ring: FiniteRing,
     """Over a commutative ring whose nonzero nilpotents all have nilpotency
     degree above two, a nil-semicommutative ring gives a
     nil-semicommutative regular module."""
-    cfg = resolve(config)
-    if not ring.is_commutative():
+    cfg = resolve(config if config is not None else ring.config)
+    _guard_pairs(ring, "commutativity", cfg)
+    if not _commuting(ring).all():
         raise InvalidParameterError(
             f"{ring.descriptor}: this transfer statement wants a commutative ring")
     degrees = {}
     hypothesis = True
-    for a in nil_ring_set(ring):
+    for a in np.flatnonzero(_nil_ring_flags(ring)).tolist():
         if a == ring.zero:
             continue
         deg = nilpotency_degree(ring, a)
@@ -485,7 +489,7 @@ def check_hom_transfer(hom: RingHom, module: FiniteModule,
                        config: EngineConfig | None = None) -> CheckReport:
     """Along a surjective ring hom, a module and its pullback agree on
     nil-semicommutativity."""
-    cfg = resolve(config)
+    cfg = resolve(config if config is not None else module.config)
     if not hom.surjective:
         return _skipped("hom_transfer", {"hom": hom.descriptor,
                                          "reason": "the hom is not surjective"})
@@ -532,8 +536,8 @@ def check_t_submodule(module: FiniteModule,
     field), the regular-torsion set is a submodule."""
     cfg = resolve(config if config is not None else module.config)
     ring = module.ring
-    from .rings import regular_elements
-    if len(regular_elements(ring)) != ring.size - 1:
+    _guard_pairs(ring, "regular element", cfg)
+    if _regular_mask(ring).sum() != ring.size - 1:
         return _skipped("t_set_submodule", {"descriptor": module.descriptor,
                                             "reason": "the ring is not a domain"})
     verdict = is_nil_semicommutative(module, cfg)
@@ -1005,7 +1009,7 @@ def reverify_refutation(report_or_witness, config: EngineConfig | None = None) -
     module = elaborate_text(witness["descriptor"], cfg)
     if kind == "not-nil-semicommutative":
         got = verify_not_nil_semicommutative_witness(
-            module, witness["a"], witness["r"], witness["m"], config=cfg)
+            module, witness["a"], witness["r"], witness["m"])
         return got == witness.get("expect", True)
     if kind == "not-semicommutative":
         got = verify_nonsemicommutative_witness(

@@ -18,15 +18,21 @@ import numpy as np
 from .config import EngineConfig, resolve
 from .errors import (
     AxiomError,
-    DecisionCapError,
     InvalidParameterError,
     NonCentralGeneratorError,
     ZeroAbsorbedError,
 )
 from .modules import FiniteModule
-from .nilpotency import nil_set
 from .reports import CheckReport
-from .rings import _OP_CELLS, FiniteRing, center, first_true, row_blocks, scan
+from .rings import (
+    _OP_CELLS,
+    FiniteRing,
+    _commuting,
+    _guard_pairs,
+    first_true,
+    row_blocks,
+    scan,
+)
 
 
 @dataclass(frozen=True)
@@ -50,15 +56,16 @@ def multiplicative_closure(ring: FiniteRing, gens,
     Generators must be central and nonzero; the closure must not reach 0
     (the offending product chain is reported when it does).
     """
+    _guard_pairs(ring, "center", resolve(config if config is not None else ring.config))
     gens = sorted(set(gens))
-    cen = center(ring)
+    central = _commuting(ring)
     for g in gens:
         if not 0 <= g < ring.size:
             raise InvalidParameterError(f"generator {g} is not in {ring.descriptor}")
         if g == ring.zero:
             raise ZeroAbsorbedError(
                 f"{ring.descriptor}: 0 cannot generate a multiplicative set", (g,))
-        if g not in cen:
+        if not central[g]:
             raise NonCentralGeneratorError(
                 f"{ring.descriptor}: generator {ring.render(g)} is not central")
     chains: dict[int, tuple[int, ...]] = {ring.one: (ring.one,)}
@@ -101,10 +108,8 @@ class _Fractions:
         the config sets force."""
         base, ring = self.base, self.mset.ring
         pair_count = base.size * len(self.mset.members)
-        if pair_count * pair_count > config.decision_cap and not config.force:
-            raise DecisionCapError(
-                f"{descriptor}: {pair_count}^2 relation checks exceed cap "
-                f"{config.decision_cap}", config.decision_cap)
+        config.refuse_above_cap(pair_count * pair_count,
+                                f"{descriptor}: relation scan of {pair_count}^2 checks")
         self._members = members = np.array(sorted(self.mset.members))
         sindex = np.full(ring.size, -1)
         sindex[members] = np.arange(len(members))

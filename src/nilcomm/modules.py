@@ -16,13 +16,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .config import EngineConfig, resolve
-from .errors import (
-    AxiomError,
-    DecisionCapError,
-    InvalidParameterError,
-    ShapeMismatchError,
-    SizeCapError,
-)
+from .errors import AxiomError, InvalidParameterError, ShapeMismatchError
 from .rings import (
     _OP_CELLS,
     FULL,
@@ -57,14 +51,7 @@ class FiniteModule:
 
     def __init__(self, ring: FiniteRing, size: int, descriptor: str,
                  config: EngineConfig):
-        if size < 1:
-            raise InvalidParameterError(f"module size must be positive, got {size}")
-        if size > config.construction_cap:
-            raise SizeCapError(
-                f"{descriptor}: size {size} exceeds the construction cap "
-                f"{config.construction_cap}",
-                config.construction_cap,
-            )
+        config.check_size(size, "module", descriptor)
         self.ring = ring
         self.size = size
         self.descriptor = descriptor
@@ -484,15 +471,10 @@ def check_module_axioms(module: FiniteModule, exhaustive: bool | None = None,
     nr = ring.size
     desc = module.descriptor
     cost = max(nr * nr * nm, nr * nm * nm, nm ** 3)
-    over_cap = cost > cfg.decision_cap and not cfg.force
     if exhaustive is None:
-        exhaustive = cost <= cfg.full_check_budget and not over_cap
-    elif exhaustive and over_cap:
-        raise DecisionCapError(
-            f"{desc}: full module axiom scan of {cost} triples exceeds cap "
-            f"{cfg.decision_cap}",
-            cfg.decision_cap,
-        )
+        exhaustive = cost <= cfg.full_check_budget and cfg.allows(cost)
+    elif exhaustive:
+        cfg.refuse_above_cap(cost, f"{desc}: full module axiom scan of {cost} triples")
 
     vadd, vact, radd, rmul = module.vadd, module.vact, ring.vadd, ring.vmul
     zero = module.zero

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import EngineConfig, resolve
-from .errors import DecisionCapError
 from .modules import FiniteModule, escapes
-from .rings import _OP_CELLS, regular_elements, row_blocks
+from .rings import _OP_CELLS, _regular_mask, row_blocks
 
 
 @dataclass
@@ -133,8 +132,7 @@ def squared_killers(module: FiniteModule, ms: np.ndarray | None = None) -> np.nd
     return least
 
 
-def is_nilpotent_squared(module: FiniteModule, m: int,
-                         config: EngineConfig | None = None):
+def is_nilpotent_squared(module: FiniteModule, m: int):
     """Squared criterion; returns (verdict, least witness t or None)."""
     if m == module.zero:
         return True, None
@@ -142,8 +140,7 @@ def is_nilpotent_squared(module: FiniteModule, m: int,
     return (True, t) if t >= 0 else (False, None)
 
 
-def is_nilpotent_power(module: FiniteModule, m: int,
-                       config: EngineConfig | None = None):
+def is_nilpotent_power(module: FiniteModule, m: int):
     """Power criterion by orbit walking; returns (verdict, (r, k) or None).
 
     For each ring element r the walk m, rm, r^2 m, ... stops at the first
@@ -176,12 +173,7 @@ def nil_set(module: FiniteModule, config: EngineConfig | None = None) -> NilSet:
     """All nilpotent elements with stored witnesses; cached per module, caps first."""
     cfg = resolve(config if config is not None else module.config)
     pairs = module.ring.size * module.size
-    if pairs > cfg.decision_cap and not cfg.force:
-        raise DecisionCapError(
-            f"{module.descriptor}: nilpotency scan of {pairs} (t, m) pairs "
-            f"exceeds cap {cfg.decision_cap}",
-            cfg.decision_cap,
-        )
+    cfg.refuse_above_cap(pairs, f"{module.descriptor}: nilpotency scan of {pairs} (t, m) pairs")
     if module._nil_cache is not None:
         return module._nil_cache
     least = squared_killers(module)
@@ -204,21 +196,20 @@ def is_nil_module(module: FiniteModule, config: EngineConfig | None = None) -> b
 
 def torsion_sets(module: FiniteModule,
                  config: EngineConfig | None = None) -> TorsionSets:
-    """Torsion and regular-torsion sets with closure flags; cached, caps first."""
+    """Torsion and regular-torsion sets with closure flags; cached, caps first.
+
+    The cap counts the largest of its pair scans: (t, m) for the torsion
+    masks, the ring's element pairs for its regular elements, and the
+    module's element pairs for additive closure."""
     cfg = resolve(config if config is not None else module.config)
-    pairs = module.ring.size * module.size
-    if pairs > cfg.decision_cap and not cfg.force:
-        raise DecisionCapError(
-            f"{module.descriptor}: torsion scan of {pairs} pairs exceeds cap "
-            f"{cfg.decision_cap}",
-            cfg.decision_cap,
-        )
+    pairs = max(module.ring.size, module.size) ** 2
+    cfg.refuse_above_cap(pairs, f"{module.descriptor}: torsion scan of {pairs} pairs")
     if module._torsion_cache is not None:
         return module._torsion_cache
     killed = module.act_table() == module.zero
     killed[module.ring.zero] = False
     tor = killed.any(axis=0)
-    t = killed[sorted(regular_elements(module.ring))].any(axis=0)
+    t = killed[_regular_mask(module.ring)].any(axis=0)
     tor[module.zero] = t[module.zero] = True
     tor_add, tor_act = (hit is None for hit in escapes(module, tor))
     t_add, t_act = (hit is None for hit in escapes(module, t))

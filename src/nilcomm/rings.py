@@ -28,13 +28,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .config import EngineConfig, resolve
-from .errors import (
-    AxiomError,
-    DecisionCapError,
-    InvalidHomError,
-    InvalidParameterError,
-    SizeCapError,
-)
+from .errors import AxiomError, InvalidHomError, InvalidParameterError
 
 # Matrix shape kinds.
 FULL = "full"
@@ -236,14 +230,7 @@ class FiniteRing:
     one: int
 
     def __init__(self, size: int, descriptor: str, config: EngineConfig):
-        if size < 1:
-            raise InvalidParameterError(f"ring size must be positive, got {size}")
-        if size > config.construction_cap:
-            raise SizeCapError(
-                f"{descriptor}: size {size} exceeds the construction cap "
-                f"{config.construction_cap}",
-                config.construction_cap,
-            )
+        config.check_size(size, "ring", descriptor)
         self.size = size
         self.descriptor = descriptor
         self.config = config
@@ -324,9 +311,8 @@ class FiniteRing:
         return str(a)
 
     def is_commutative(self) -> bool:
+        _guard_pairs(self, "commutativity", self.config)
         if self._commutative is None:
-            if not self.tabulated:
-                _guard_pairs(self, "commutativity")
             self._commutative = bool(_commuting(self).all())
         return self._commutative
 
@@ -615,16 +601,14 @@ def make_poly_quotient_ring(base: FiniteRing, n: int,
 
 def center(ring: FiniteRing) -> frozenset[int]:
     """Elements commuting with the whole ring, computed exhaustively."""
-    _guard_pairs(ring, "center")
+    _guard_pairs(ring, "center", ring.config)
     return frozenset(np.flatnonzero(_commuting(ring)).tolist())
 
 
-def _guard_pairs(ring: FiniteRing, what: str) -> None:
-    """Refuse a scan over every element pair past the decision cap unless forced."""
-    pairs, cap = ring.size * ring.size, ring.config.decision_cap
-    if pairs > cap and not ring.config.force:
-        raise DecisionCapError(
-            f"{ring.descriptor}: {what} scan of {pairs} pairs exceeds cap {cap}", cap)
+def _guard_pairs(ring: FiniteRing, what: str, config: EngineConfig) -> None:
+    """The cap guard of a scan over every element pair of the ring."""
+    pairs = ring.size * ring.size
+    config.refuse_above_cap(pairs, f"{ring.descriptor}: {what} scan of {pairs} pairs")
 
 
 def _against_all(ring: FiniteRing, test) -> np.ndarray:
@@ -640,19 +624,28 @@ def _commuting(ring: FiniteRing) -> np.ndarray:
 
 def regular_elements(ring: FiniteRing) -> frozenset[int]:
     """Nonzero elements that are neither left nor right zero divisors."""
-    _guard_pairs(ring, "regular element")
+    _guard_pairs(ring, "regular element", ring.config)
+    return frozenset(np.flatnonzero(_regular_mask(ring)).tolist())
+
+
+def _regular_mask(ring: FiniteRing) -> np.ndarray:
+    """regular_elements as a bool array over ids, with no cap guard."""
     mul, zero = ring.vmul, ring.zero
     regular = _against_all(ring, lambda s, r: (r == zero) | (
         (mul(s, r) != zero) & (mul(r, s) != zero)))
     regular[zero] = False
-    return frozenset(np.flatnonzero(regular).tolist())
+    return regular
 
 
 def nil_ring_set(ring: FiniteRing) -> frozenset[int]:
     """Elements with a^k = 0 for some k >= 1, by power iteration."""
-    _guard_pairs(ring, "nil set")
-    return frozenset(a for a in ring.elements()
-                     if nilpotency_degree(ring, a) is not None)
+    _guard_pairs(ring, "nil set", ring.config)
+    return frozenset(np.flatnonzero(_nil_ring_flags(ring)).tolist())
+
+
+def _nil_ring_flags(ring: FiniteRing) -> np.ndarray:
+    """nil_ring_set as a bool array over ids, with no cap guard."""
+    return np.array([nilpotency_degree(ring, a) is not None for a in ring.elements()])
 
 
 def nilpotency_degree(ring: FiniteRing, a: int) -> int | None:
@@ -693,6 +686,8 @@ class RingHom:
 def make_ring_hom(source: FiniteRing, target: FiniteRing, mapping,
                   descriptor: str | None = None) -> RingHom:
     """Build a RingHom, validating every axiom exhaustively."""
+    pairs = source.size * source.size
+    source.config.refuse_above_cap(pairs, f"{source.descriptor}: hom validation over {pairs} pairs")
     if callable(mapping):
         table = tuple(mapping(a) for a in source.elements())
     else:
@@ -708,14 +703,15 @@ def make_ring_hom(source: FiniteRing, target: FiniteRing, mapping,
         raise InvalidHomError("hom does not preserve zero", pair=(source.zero,))
     if table[source.one] != target.one:
         raise InvalidHomError("hom does not preserve one", pair=(source.one,))
-    pairs = source.size * source.size
-    if pairs > source.config.decision_cap and not source.config.force:
-        raise DecisionCapError(
-            f"hom validation over {pairs} pairs exceeds cap "
-            f"{source.config.decision_cap}",
-            source.config.decision_cap,
-        )
-    hit = _first_broken_pair(source, target, table)
+    t, ids = np.asarray(table), np.arange(source.size)
+
+    def broken(lo, hi):  # [a, b, law]: a + b (law 0) or a * b (law 1) not preserved
+        a = ids[lo:hi, None]
+        return np.stack([t[source.vadd(a, ids)] != target.vadd(t[a], t),
+                         t[source.vmul(a, ids)] != target.vmul(t[a], t)], axis=-1)
+
+    hit = scan(source.size, 2 * source.size * _OP_CELLS,
+               lambda lo, hi: first_true(broken(lo, hi), lo))
     if hit is not None:
         a, b, law = hit
         raise InvalidHomError(
@@ -751,36 +747,15 @@ def verify_theta_iso(base: FiniteRing, n: int,
     """Check that reading V-polynomial coefficients as x-coefficients is a
     bijective ring homomorphism from the v-type matrix ring onto the
     truncated polynomial ring of the same degree, exhaustively."""
-    config = resolve(config)
+    config = resolve(config if config is not None else base.config)
     vring = make_matrix_ring(MatrixShape(V_TYPE, n), base, config)
     pring = make_poly_quotient_ring(base, n, config)
-    pairs = vring.size * vring.size
-    if pairs > config.decision_cap and not config.force:
-        raise DecisionCapError(
-            f"theta check over {pairs} pairs exceeds cap {config.decision_cap}",
-            config.decision_cap,
-        )
-    theta = [pring.from_coefficients(vring.codec.decode(a)) for a in vring.elements()]
-    if len(set(theta)) != vring.size or vring.size != pring.size:
+    try:
+        theta = make_ring_hom(vring, pring, lambda a: pring.from_coefficients(
+            vring.codec.decode(a)))
+    except InvalidHomError:
         return False
-    if theta[vring.zero] != pring.zero or theta[vring.one] != pring.one:
-        return False
-    return _first_broken_pair(vring, pring, theta) is None
-
-
-def _first_broken_pair(source: FiniteRing, target: FiniteRing, table):
-    """Least (a, b, law) where the id map breaks a + b (law 0) or a * b
-    (law 1), or None when it preserves both."""
-    t = np.asarray(table)
-    ids = np.arange(source.size)
-
-    def broken(lo, hi):
-        a = ids[lo:hi, None]
-        return np.stack([t[source.vadd(a, ids)] != target.vadd(t[a], t),
-                         t[source.vmul(a, ids)] != target.vmul(t[a], t)], axis=-1)
-
-    return scan(source.size, 2 * source.size * _OP_CELLS,
-                lambda lo, hi: first_true(broken(lo, hi), lo))
+    return theta.surjective and vring.size == pring.size
 
 
 # ---------------------------------------------------------------------------
@@ -803,17 +778,12 @@ def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
     cfg = ring.config
     n = ring.size
     desc = ring.descriptor
-    over_cap = n ** 3 > cfg.decision_cap and not cfg.force
     if exhaustive is None:
         # auto regime: full when the budget and the cap both allow it
         exhaustive = (ring.tabulated and n ** 3 <= cfg.full_check_budget
-                      and not over_cap)
-    elif exhaustive and over_cap:
-        raise DecisionCapError(
-            f"{desc}: full axiom scan of {n ** 3} triples exceeds cap "
-            f"{cfg.decision_cap}",
-            cfg.decision_cap,
-        )
+                      and cfg.allows(n ** 3))
+    elif exhaustive:
+        cfg.refuse_above_cap(n ** 3, f"{desc}: full axiom scan of {n ** 3} triples")
 
     if ring.tabulated or exhaustive:
         add, mul = ring.add_table(), ring.mul_table()

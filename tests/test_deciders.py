@@ -159,6 +159,12 @@ def test_ring_deciders_follow_the_ring_config():
     for decider in (ring_is_semicommutative, ring_is_nil_semicommutative):
         with pytest.raises(DecisionCapError):
             decider(capped)
+    # a caller's forced config also governs the ring's nil flags the scan reads
+    cap100 = DEFAULT_CONFIG.with_overrides(decision_cap=100)
+    z12 = make_zn(12, cap100)
+    with pytest.raises(DecisionCapError):
+        ring_is_nil_semicommutative(z12)
+    assert ring_is_nil_semicommutative(z12, cap100.with_overrides(force=True)).holds is True
 
 
 def test_witness_verifiers(m2z2_module, t2z4_module, v2z2_module, t2z2_module):

@@ -163,6 +163,12 @@ def test_cached_sets_still_respect_the_callers_cap(compute):
         compute(module, DEFAULT_CONFIG.with_overrides(decision_cap=10))
     forced = DEFAULT_CONFIG.with_overrides(decision_cap=10, force=True)
     assert compute(module, forced) is compute(module)
+    # a forced caller governs the scans inside too: the ring's regular elements
+    cap100 = DEFAULT_CONFIG.with_overrides(decision_cap=100)
+    capped = regular_module(make_zn(12, cap100), cap100)
+    with pytest.raises(DecisionCapError):
+        compute(capped)
+    assert compute(capped, cap100.with_overrides(force=True)) is compute(capped, forced)
 
 
 @pytest.mark.parametrize("expr, tabulated", [("regular(Z(12))", True),

@@ -17,6 +17,7 @@ from nilcomm import (
     MatrixShape,
     SizeCapError,
     center,
+    check_module_axioms,
     check_ring_axioms,
     elaborate_text,
     make_matrix_ring,
@@ -24,9 +25,11 @@ from nilcomm import (
     make_product_ring,
     make_ring_hom,
     make_zn,
+    multiplicative_closure,
     nil_ring_set,
     nilpotency_degree,
     regular_elements,
+    regular_module,
     verify_theta_iso,
     zn_reduction_hom,
 )
@@ -323,14 +326,43 @@ def test_sampled_ring_check_reports_the_first_drawn_broken_triple():
 
 
 def test_pair_scans_honour_the_decision_cap():
-    capped = make_zn(8, DEFAULT_CONFIG.with_overrides(decision_cap=63))
-    for pair_scan in (center, regular_elements, nil_ring_set):
-        with pytest.raises(DecisionCapError):
-            pair_scan(capped)
+    # the 64 pairs refuse alike whether or not the ring stores its tables
+    for threshold in (1024, 0):
+        capped = make_zn(8, DEFAULT_CONFIG.with_overrides(decision_cap=63,
+                                                          tabulate_threshold=threshold))
+        assert capped.tabulated is (threshold > 0)
+        for pair_scan in (center, regular_elements, nil_ring_set, FiniteRing.is_commutative):
+            with pytest.raises(DecisionCapError):
+                pair_scan(capped)
     forced = make_zn(8, DEFAULT_CONFIG.with_overrides(decision_cap=63, force=True))
     assert center(forced) == frozenset(range(8))
     assert regular_elements(forced) == frozenset({1, 3, 5, 7})
     assert nil_ring_set(forced) == frozenset({0, 2, 4, 6})
+    assert forced.is_commutative()
+
+
+# Each entry point's scan count and a call under a config.  The hom and the
+# axiom checks read the config their structures are built with; the others
+# take it as an argument, which governs even a ring built under a cap that
+# refuses the same scan (Z(12)'s 144 pairs under _CAP143).
+_CAP143 = DEFAULT_CONFIG.with_overrides(decision_cap=143)
+
+
+@pytest.mark.parametrize("count, call", [
+    (64, lambda cfg: make_ring_hom(make_zn(8, cfg), make_zn(4, cfg), lambda a: a % 4)),
+    (64, lambda cfg: verify_theta_iso(make_zn(2), 3, cfg)),
+    (144, lambda cfg: multiplicative_closure(make_zn(12, _CAP143), [5], cfg)),
+    (27, lambda cfg: check_ring_axioms(make_zn(3, cfg), exhaustive=True)),
+    (27, lambda cfg: check_module_axioms(regular_module(make_zn(3, cfg), cfg),
+                                         exhaustive=True)),
+], ids=["make_ring_hom", "verify_theta_iso", "multiplicative_closure",
+        "check_ring_axioms", "check_module_axioms"])
+def test_entry_points_refuse_one_below_their_count(count, call):
+    below = DEFAULT_CONFIG.with_overrides(decision_cap=count - 1)
+    with pytest.raises(DecisionCapError, match=f"exceeds cap {count - 1}; re-run with force"):
+        call(below)
+    for cfg in (below.with_overrides(decision_cap=count), below.with_overrides(force=True)):
+        call(cfg)
 
 
 def test_ring_hom_validation():
