@@ -21,12 +21,11 @@ import sys
 import time
 
 from . import __version__
-from .config import DEFAULT_CONFIG, cap_from_env, resolve
+from .config import DEFAULT_CONFIG, cap_from_env
 from .deciders import (
     MODULE_PROPERTIES,
     PROP_NIL_SEMI,
     PROP_REDUCED_I,
-    PROP_REDUCED_II,
     PROP_SEMICOMMUTATIVE,
     PROP_WEAKLY,
     decide,

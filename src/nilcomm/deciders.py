@@ -185,7 +185,9 @@ class _TableOps:
     def nil(self, y):
         if self._flags is None:
             self._flags = self._nil_flags()
-        return self._flags[y]
+        # numpy indexes by intp; converting the int32 ids here is faster than
+        # letting the fancy index convert them
+        return self._flags[y.astype(np.intp)]
 
     def in_image(self, a, x):
         """x in aM, for a column a of rows and a row x of ids."""

@@ -41,6 +41,7 @@ from .modules import (
     induced_module,
     make_product_module,
     matrix_module,
+    orbit,
     quotient_module,
     regular_module,
     submodule_generated,
@@ -564,7 +565,7 @@ def _cyclic_submodules(module: FiniteModule, cfg: EngineConfig):
     generators: dict[tuple[int, ...], list[int]] = {}
     for m in module.elements():
         # the orbit alone identifies the submodule; build each one once
-        key = tuple(sorted({module.act(r, m) for r in module.ring.elements()}))
+        key = tuple(orbit(module, m).tolist())
         if key in generators:
             generators[key].append(m)
         else:

@@ -31,7 +31,7 @@ from .rings import (
     _stable_seed,
     build,
     componentwise,
-    draw_ids,
+    draw_families,
     first_broken,
     first_true,
     make_matrix_ring,
@@ -111,9 +111,11 @@ class FiniteModule:
         return self._add_rows if self.tabulated else op_table(self.vadd, self.size, self.size)
 
     def act_table(self) -> np.ndarray:
-        """The |R| x |M| action table: the stored one, else built."""
-        return (self._act_rows if self.tabulated
-                else op_table(self.vact, self.ring.size, self.size))
+        """The |R| x |M| action table: the stored one, else built on first
+        use and kept, as the nil set is."""
+        if self._act_rows is None:
+            self._act_rows = op_table(self.vact, self.ring.size, self.size)
+        return self._act_rows
 
     def sub(self, m: int, n: int) -> int:
         return self.add(m, self.neg(n))
@@ -406,9 +408,18 @@ def cyclic_submodule(module: FiniteModule, m: int,
         raise InvalidParameterError(
             f"element {m} is not in {module.descriptor} (size {module.size})"
         )
-    orbit = {module.act(r, m) for r in module.ring.elements()}
-    return SubModule(module, sorted(orbit),
+    return SubModule(module, orbit(module, m).tolist(),
                      f"cyclic({module.descriptor}, {m})", config)
+
+
+def orbit(module: FiniteModule, m: int) -> np.ndarray:
+    """The sorted ids of Rm: the action of every ring element on m, in row
+    blocks, marked in one mask over M.  (np.unique would do, but its first
+    call imports numpy.ma, about 1 MB of resident memory.)"""
+    reached = np.zeros(module.size, dtype=bool)
+    for lo, hi in row_blocks(module.ring.size, 1 if module.tabulated else _OP_CELLS):
+        reached[module.vact(np.arange(lo, hi), m)] = True
+    return np.flatnonzero(reached)
 
 
 def submodule_generated(module: FiniteModule, gens: Iterable[int],
@@ -461,9 +472,9 @@ def check_module_axioms(module: FiniteModule, exhaustive: bool | None = None,
     """Verify the unitary left module axioms, raising AxiomError on failure.
 
     The full regime scans every (a, b, c), (r, s, m) and (r, m, n)
-    combination; the sampled regime draws `samples` of each family at once
-    and checks them in blocks.  exhaustive=None picks from the construction
-    budget.
+    combination; the sampled regime draws `samples` of each family in one
+    seeded draw and reports the first failure by family, draw, then law.
+    exhaustive=None picks from the construction budget.
     """
     cfg = module.config
     ring = module.ring
@@ -478,13 +489,21 @@ def check_module_axioms(module: FiniteModule, exhaustive: bool | None = None,
 
     vadd, vact, radd, rmul = module.vadd, module.vact, ring.vadd, ring.vmul
     zero = module.zero
-    rng = Random(_stable_seed(cfg, desc))
     count = samples if samples is not None else cfg.validation_samples
+    families = (
+        ((nm, nm, nm), lambda a, b, c: (vadd(a, b) != vadd(b, a),
+                                        vadd(vadd(a, b), c) != vadd(a, vadd(b, c)))),
+        ((nr, nr, nm), lambda r, s, m: (vact(radd(r, s), m) != vadd(vact(r, m), vact(s, m)),
+                                        vact(rmul(r, s), m) != vact(r, vact(s, m)))),
+        ((nr, nm, nm), lambda r, m, n: (vact(r, vadd(m, n)) != vadd(vact(r, m), vact(r, n)),)))
+    # one seeded draw: the spot ids (when they are sampled), then each family
+    spotted = not exhaustive and nm > count
+    drawn = [] if exhaustive else draw_families(
+        Random(_stable_seed(cfg, desc)), count,
+        [(nm,)] * spotted + [sizes for sizes, _ in families])
 
     # Unitary action and additive identity, at every element when feasible.
-    spots = (np.arange(nm)[:, None] if exhaustive or nm <= count
-             else draw_ids(rng, count, nm))
-    first_broken(module, spots, lambda m: (
+    first_broken(module, drawn.pop(0) if spotted else np.arange(nm)[:, None], lambda m: (
         vact(ring.one, m) != m, vadd(zero, m) != m, vadd(m, module.vneg(m)) != zero),
         ("act(1, m) != m at m={0}", "zero is not an additive identity at {0}",
          "neg fails at {0}"))
@@ -492,14 +511,8 @@ def check_module_axioms(module: FiniteModule, exhaustive: bool | None = None,
     if exhaustive:
         _scan_laws(module)
         return
-    families = (
-        ((nm, nm, nm), lambda a, b, c: (vadd(a, b) != vadd(b, a),
-                                        vadd(vadd(a, b), c) != vadd(a, vadd(b, c)))),
-        ((nr, nr, nm), lambda r, s, m: (vact(radd(r, s), m) != vadd(vact(r, m), vact(s, m)),
-                                        vact(rmul(r, s), m) != vact(r, vact(s, m)))),
-        ((nr, nm, nm), lambda r, m, n: (vact(r, vadd(m, n)) != vadd(vact(r, m), vact(r, n)),)))
-    for (sizes, laws), messages in zip(families, _MODULE_LAWS):
-        first_broken(module, draw_ids(rng, count, *sizes), laws, messages)
+    for (_, laws), messages, rows in zip(families, _MODULE_LAWS, drawn):
+        first_broken(module, rows, laws, messages)
 
 
 def _scan_laws(module: FiniteModule) -> None:

@@ -138,6 +138,9 @@ class MixedRadix:
         self.radices = tuple(radices)
         self.weights = np.cumprod((1,) + self.radices[:0:-1], dtype=np.int64)[::-1]
         self._radix = np.array(self.radices, dtype=np.int64)
+        # power-of-two radices decode by shift and mask, with no division
+        self.shifts = (np.array([w.bit_length() - 1 for w in self.weights.tolist()])
+                       if all(r & (r - 1) == 0 for r in self.radices) else None)
 
     def encode(self, digits) -> int:
         """Id of one digit string; rejects out-of-range digits."""
@@ -154,11 +157,17 @@ class MixedRadix:
 
     def digits(self, ids) -> np.ndarray:
         """Digit strings of an id array, along a new last axis."""
-        return np.asarray(ids)[..., None] // self.weights % self._radix
+        return split(np.asarray(ids)[..., None], self.weights, self.shifts, self._radix)
 
     def ids(self, digits) -> np.ndarray:
         """Ids of digit strings laid along the last axis."""
         return digits @ self.weights
+
+
+def split(ids: np.ndarray, weights, shifts, radix) -> np.ndarray:
+    """ids // weights % radix; by shift and mask when shifts (the weights'
+    base-2 logarithms, every radix a power of two) is not None."""
+    return ids // weights % radix if shifts is None else ids >> shifts & radix - 1
 
 
 # A block of a scan or a table build holds at most _BLOCK_CELLS cells, so
@@ -373,11 +382,16 @@ class _MatrixLayout:
         # an id divided by a weight past its top digit reads digit 0
         self._cell_weight = np.where(self._forced, entries.size ** p,
                                      self.codec.weights[digit])
+        shifts = self.codec.shifts
+        self._cell_shift = (None if shifts is None else
+                            np.where(self._forced, (entries.size ** p).bit_length() - 1,
+                                     shifts[digit]))
         self._free = tuple(np.array(ix) for ix in zip(*self.positions))
 
     def grid(self, ids) -> np.ndarray:
         """Entry ids of each element as an n x n grid on two new last axes."""
-        cells = np.asarray(ids)[..., None, None] // self._cell_weight % self.codec.radices[0]
+        cells = split(np.asarray(ids)[..., None, None], self._cell_weight, self._cell_shift,
+                      self.codec.radices[0])
         if self._entry_zero:
             cells = np.where(self._forced, self._entry_zero, cells)
         return cells
@@ -772,8 +786,8 @@ def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
 
     exhaustive=None picks a regime from the construction budget: a full
     triple scan when size^3 fits, else `samples` random triples drawn at
-    once and checked in blocks.  exhaustive=True forces the full scan
-    (guarded by the decision cap).
+    once (with the spot ids, in one seeded draw) and checked in blocks.
+    exhaustive=True forces the full scan (guarded by the decision cap).
     """
     cfg = ring.config
     n = ring.size
@@ -820,17 +834,18 @@ def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
                 raise AxiomError(f"{desc}: {_RING_LAWS[law]} at ({a}, {b}, {c})")
             return
 
-    # Sampled regime: spot identities plus random triples, drawn in bulk.
+    # Sampled regime: spot identities plus random triples, drawn at once.
     zero, one, vadd, vmul, vneg = ring.zero, ring.one, ring.vadd, ring.vmul, ring.vneg
-    rng = Random(_stable_seed(cfg, desc))
     count = samples if samples is not None else cfg.validation_samples
-    spots = np.arange(n)[:, None] if n <= count else draw_ids(rng, count, n)
-    first_broken(ring, spots, lambda a: (
+    spotted = n > count
+    *spots, triples = draw_families(Random(_stable_seed(cfg, desc)), count,
+                                    [(n,)] * spotted + [(n, n, n)])
+    first_broken(ring, spots[0] if spotted else np.arange(n)[:, None], lambda a: (
         vadd(zero, a) != a, vadd(a, vneg(a)) != zero,
         (vmul(one, a) != a) | (vmul(a, one) != a)),
         ("zero is not an additive identity at {0}", "neg fails at {0}",
          "one is not a multiplicative identity at {0}"))
-    first_broken(ring, draw_ids(rng, count, n, n, n), lambda a, b, c: (
+    first_broken(ring, triples, lambda a, b, c: (
         vadd(a, b) != vadd(b, a), vadd(vadd(a, b), c) != vadd(a, vadd(b, c)),
         vmul(vmul(a, b), c) != vmul(a, vmul(b, c)),
         vmul(a, vadd(b, c)) != vadd(vmul(a, b), vmul(a, c)),
@@ -842,17 +857,38 @@ def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
 def draw_ids(rng: Random, count: int, *sizes: int) -> np.ndarray:
     """count rows of seeded ids drawn at once, column j below sizes[j]; the
     modulo bias is at most size / 2**64."""
-    raw = np.frombuffer(rng.randbytes(8 * count * len(sizes)), dtype="<u8")
-    return (raw.reshape(count, len(sizes)) % np.array(sizes, dtype=np.uint64)).astype(np.int64)
+    return draw_families(rng, count, [sizes])[0]
+
+
+def draw_families(rng: Random, count: int, families) -> list[np.ndarray]:
+    """draw_ids(rng, count, *sizes) for each sizes of families in turn, from
+    one randbytes call.  Each family takes a whole number of 64-bit words,
+    and the generator's bytes do not depend on how they are asked for, so
+    the rows are the ones consecutive draw_ids calls give."""
+    raw = np.frombuffer(rng.randbytes(8 * count * sum(map(len, families))), dtype="<u8")
+    out, lo = [], 0
+    for sizes in families:
+        hi = lo + count * len(sizes)
+        out.append((raw[lo:hi].reshape(count, len(sizes))
+                    % np.array(sizes, dtype=np.uint64)).astype(np.int64))
+        lo = hi
+    return out
 
 
 def first_broken(structure, samples: np.ndarray, laws, messages) -> None:
     """AxiomError at the first sample row (in draw order) breaking a law, then
     the first law: laws(*columns) gives one mask per law for a block of rows,
     and messages[law] is formatted with the row's ids.  Table lookups take
-    one cell per id; structural ops take up to _OP_CELLS."""
-    hit = scan(len(samples), 1 if structure.tabulated else _OP_CELLS,
-               lambda lo, hi: first_true(np.stack(laws(*samples[lo:hi].T), axis=-1), lo))
+    one cell per id; structural ops take up to _OP_CELLS.  Samples that fit
+    in one block take one law pass, and a block is located only once one of
+    its masks holds a True."""
+    def block(lo, hi):
+        masks = laws(*samples[lo:hi].T)
+        return (first_true(np.stack(masks, axis=-1), lo)
+                if any(map(np.count_nonzero, masks)) else None)
+
+    rows, cells = len(samples), 1 if structure.tabulated else _OP_CELLS
+    hit = block(0, rows) if rows * cells <= _BLOCK_CELLS else scan(rows, cells, block)
     if hit is not None:
         raise AxiomError(f"{structure.descriptor}: "
                          + messages[hit[1]].format(*samples[hit[0]].tolist()))

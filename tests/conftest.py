@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from nilcomm import (
@@ -10,6 +12,19 @@ from nilcomm import (
     matrix_module,
     regular_module,
 )
+
+
+def record_sampled_draws(monkeypatch, owner):
+    """Record what a sampled axiom check draws: the rows it hands to each
+    first_broken call (owner is the module that calls it) and the byte
+    count of each randbytes call.  Returns the two lists, filled as it runs."""
+    checked, draws = [], []
+    first_broken, randbytes = owner.first_broken, Random.randbytes
+    monkeypatch.setattr(owner, "first_broken", lambda structure, rows, *rest: (
+        checked.append(rows.tolist()), first_broken(structure, rows, *rest)))
+    monkeypatch.setattr(Random, "randbytes", lambda rng, n: (
+        draws.append(n), randbytes(rng, n))[1])
+    return checked, draws
 
 
 def zn_module(n):

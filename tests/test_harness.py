@@ -24,6 +24,7 @@ from nilcomm import (
     check_t_submodule,
     check_tor_t_sets,
     check_torsion_free_props,
+    elaborate_text,
     exit_code,
     check_ring_axioms,
     make_matrix_ring,
@@ -460,3 +461,17 @@ def test_reports_do_not_depend_on_earlier_checks(suite_reports):
     for report in suite_reports:
         [alone] = run_all(options=opts, only=[report.check_id])
         assert alone.to_json_dict() == report.to_json_dict(), report.check_id
+
+
+@pytest.mark.parametrize("expr", ["regular(Z(12))", "trimod(2, regular(Z(4)))",
+                                  "induced(zred(8, 4), regular(Z(4)))"])
+def test_cyclic_submodules_in_element_order_with_their_generators(expr):
+    module = elaborate_text(expr)
+    got = [(sub.descriptor, sub.embedding, gens)
+           for sub, gens in harness._cyclic_submodules(module, module.config)]
+    # one submodule per distinct orbit, at its least generator
+    want = {}
+    for m in module.elements():
+        key = tuple(sorted({module.act(r, m) for r in module.ring.elements()}))
+        want.setdefault(key, (f"cyclic({module.descriptor}, {m})", key, []))[2].append(m)
+    assert got == list(want.values())

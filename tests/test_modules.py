@@ -26,12 +26,14 @@ from nilcomm import (
     submodule_generated,
     zn_reduction_hom,
 )
+import nilcomm.modules as modules
 from nilcomm.config import DEFAULT_CONFIG
-from nilcomm.modules import SubModule
-from nilcomm.rings import draw_ids
+from nilcomm.deciders import MODULE_PROPERTIES, decide
+from nilcomm.modules import SubModule, orbit
+from nilcomm.rings import _stable_seed, draw_ids
 
 import oracle
-from conftest import mat_mod, zn_module
+from conftest import mat_mod, record_sampled_draws, zn_module
 
 
 def test_regular_module_shares_ring_ops(z4_module):
@@ -223,6 +225,111 @@ def test_sampled_module_check_catches_a_planted_action_defect():
         messages[0]).groups())
     ring = module.ring
     assert module.act(ring.mul(r, s), m) != module.act(r, module.act(s, m))
+    # and they are the first drawn broken triple when each family is drawn
+    # on its own, in order
+    assert messages[0] == _first_drawn_break(module)[0]
+
+
+# each module law of a sampled triple, replayed through the pointwise ops,
+# family by family as _MODULE_LAWS lists them
+_MODULE_LAW_REPLAYS = (
+    (lambda M, a, b, c: M.add(a, b) != M.add(b, a),
+     lambda M, a, b, c: M.add(M.add(a, b), c) != M.add(a, M.add(b, c))),
+    (lambda M, r, s, m: M.act(M.ring.add(r, s), m) != M.add(M.act(r, m), M.act(s, m)),
+     lambda M, r, s, m: M.act(M.ring.mul(r, s), m) != M.act(r, M.act(s, m))),
+    (lambda M, r, m, n: M.act(r, M.add(m, n)) != M.add(M.act(r, m), M.act(r, n)),))
+
+
+def _first_drawn_break(module):
+    """The message of the first broken drawn triple, replaying one
+    draw_ids call per family (no spot draw: the module has at most
+    validation_samples elements), and the families that break at all."""
+    cfg, nm, nr = module.config, module.size, module.ring.size
+    assert nm <= cfg.validation_samples
+    rng = Random(_stable_seed(cfg, module.descriptor))
+    found = []
+    for sizes, replays, messages in zip(((nm, nm, nm), (nr, nr, nm), (nr, nm, nm)),
+                                        _MODULE_LAW_REPLAYS, modules._MODULE_LAWS):
+        drawn = draw_ids(rng, cfg.validation_samples, *sizes).tolist()
+        found += [f"{module.descriptor}: " + messages[law].format(*t)
+                  for t in drawn for law, broken in enumerate(replays)
+                  if broken(module, *t)][:1]
+    return found
+
+
+class _SkewAction(FiniteModule):
+    """Z(n) over itself with r * m gaining 1 when r, m > 1: unital, and the
+    module addition is Z(n)'s, but (r+s)m, (rs)m and r(m+n) all fail to
+    expand for some triples.  Built unvalidated."""
+
+    def __init__(self, n, config):
+        super().__init__(make_zn(n, config), n, f"skew({n})", config)
+        self.n = n
+        self.zero = 0
+        self._seal(validate=False)
+
+    def _vadd(self, m, k):
+        return (m + k) % self.n
+
+    def _vneg(self, m):
+        return (-m) % self.n
+
+    def _vact(self, r, m):
+        return (r * m + (r > 1) * (m > 1)) % self.n
+
+
+def test_sampled_module_check_reports_the_earlier_of_two_broken_families():
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0)
+    module = _SkewAction(50, cfg)
+    assert module.size ** 3 > cfg.full_check_budget
+    with pytest.raises(AxiomError) as err:
+        check_module_axioms(module)
+    second, third = _first_drawn_break(module)  # the addition family holds
+    assert "r(m+n)" in third and "r(m+n)" not in second
+    assert str(err.value) == second
+
+
+@pytest.mark.parametrize("samples", [30, 40])  # 36 elements: spot ids drawn below 36 samples
+def test_sampled_module_check_draws_once_what_consecutive_draws_gave(monkeypatch, samples):
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0)
+    module = elaborate_text("prodmod(regular(Z(6)), regular(Z(6)))", cfg)
+    nm, nr = module.size, module.ring.size
+    checked, draws = record_sampled_draws(monkeypatch, modules)
+    check_module_axioms(module, exhaustive=False, samples=samples)
+    assert len(draws) == 1
+    rng = Random(_stable_seed(cfg, module.descriptor))
+    spots = draw_ids(rng, samples, nm) if samples < nm else np.arange(nm)[:, None]
+    assert checked == [spots.tolist()] + [
+        draw_ids(rng, samples, *sizes).tolist()
+        for sizes in ((nm, nm, nm), (nr, nr, nm), (nr, nm, nm))]
+
+
+def test_untabulated_module_builds_its_action_table_once(monkeypatch):
+    expr = "matmod(2, regular(Z(4)))"
+    module = elaborate_text(expr, DEFAULT_CONFIG.with_overrides(tabulate_threshold=200))
+    assert not module.tabulated
+    builds = []
+    op_table = modules.op_table
+    monkeypatch.setattr(modules, "op_table", lambda op, rows, cols: (
+        builds.append((rows, cols)), op_table(op, rows, cols))[1])
+    verdicts = [decide(module, prop) for prop in MODULE_PROPERTIES]
+    assert builds == [(256, 256)]
+    tabulated = elaborate_text(expr)
+    assert tabulated.tabulated
+    assert [(v.holds, v.witness) for v in verdicts] == [
+        (v.holds, v.witness) for v in (decide(tabulated, p) for p in MODULE_PROPERTIES)]
+
+
+@pytest.mark.parametrize("expr", [
+    "regular(Z(12))", "matmod(2, regular(Z(2)))", "induced(zred(8, 4), regular(Z(4)))",
+    "trimod(2, regular(Z(3)))", "quot(regular(Z(12)), gen(regular(Z(12)), {4}))"])
+@pytest.mark.parametrize("threshold", [1024, 0])
+def test_orbits_are_the_sets_of_products(expr, threshold):
+    module = elaborate_text(expr, DEFAULT_CONFIG.with_overrides(tabulate_threshold=threshold))
+    for m in module.elements():
+        want = sorted({module.act(r, m) for r in module.ring.elements()})
+        assert orbit(module, m).tolist() == want
+        assert cyclic_submodule(module, m).embedding == tuple(want)
 
 
 def test_nested_matrix_free_position_counts():

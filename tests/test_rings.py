@@ -34,9 +34,19 @@ from nilcomm import (
     zn_reduction_hom,
 )
 from nilcomm.config import DEFAULT_CONFIG
-from nilcomm.rings import MatrixRing, PolyQuotientRing, ZnRing, _stable_seed, draw_ids
+import nilcomm.rings as rings
+from nilcomm.rings import (
+    MatrixRing,
+    PolyQuotientRing,
+    ZnRing,
+    _stable_seed,
+    draw_families,
+    draw_ids,
+    shape_fill,
+)
 
 import oracle
+from conftest import record_sampled_draws
 
 
 def test_zn_basics():
@@ -323,6 +333,59 @@ def test_sampled_ring_check_reports_the_first_drawn_broken_triple():
         (t, name) for t in draw_ids(rng, cfg.validation_samples, 50, 50, 50).tolist()
         for name, broken in _RING_LAW_REPLAYS.items() if broken(ring, *t))
     assert (first_law, triple[:len(named)]) == (law, named)
+
+
+@pytest.mark.parametrize("samples", [40, 50])  # 50 elements: spot ids drawn below 50 samples
+def test_sampled_ring_check_draws_once_what_consecutive_draws_gave(monkeypatch, samples):
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0)
+    ring = make_zn(50, cfg)
+    checked, draws = record_sampled_draws(monkeypatch, rings)
+    check_ring_axioms(ring, exhaustive=False, samples=samples)
+    assert len(draws) == 1
+    rng = Random(_stable_seed(cfg, ring.descriptor))
+    spots = draw_ids(rng, samples, 50) if samples < 50 else np.arange(50)[:, None]
+    assert checked == [spots.tolist(), draw_ids(rng, samples, 50, 50, 50).tolist()]
+
+
+def test_one_draw_of_families_equals_one_draw_each():
+    families = [(7,), (5, 6, 7), (3, 3, 1000)]
+    fused, rng = draw_families(Random(11), 33, families), Random(11)
+    assert [x.tolist() for x in fused] == [draw_ids(rng, 33, *f).tolist() for f in families]
+
+
+def _python_digits(eid, radices):
+    """Mixed-radix digits of one id by repeated divmod, most significant first."""
+    digits = []
+    for r in reversed(radices):
+        eid, d = divmod(eid, r)
+        digits.append(d)
+    return digits[::-1]
+
+
+def _assert_decodes(structure, ids, shifted):
+    codec = structure.codec
+    assert (codec.shifts is not None) is shifted
+    want = [_python_digits(e, codec.radices) for e in ids.tolist()]
+    for typed in (ids, ids.astype(np.int32)):  # tables hold int32 ids
+        assert codec.digits(typed).tolist() == want
+    if hasattr(structure, "grid"):
+        zero = structure.base.zero
+        assert structure.grid(ids).tolist() == [
+            shape_fill(structure.shape, structure.positions, d, zero) for d in want]
+
+
+@pytest.mark.parametrize("expr, shifted", [
+    ("M(2, Z(4))", True), ("T(3, Z(2))", True), ("polyq(Z(4), 3)", True),
+    ("prod(Z(2), Z(8))", True), ("M(2, Z(6))", False), ("prod(Z(2), Z(6))", False)])
+def test_power_of_two_codecs_decode_like_division(expr, shifted):
+    ring = elaborate_text(expr, DEFAULT_CONFIG.with_overrides(tabulate_threshold=0))
+    _assert_decodes(ring, np.arange(ring.size), shifted)
+
+
+def test_untabulated_power_of_two_codecs_decode_drawn_ids(m4z2_module):
+    for structure in (m4z2_module.ring, m4z2_module):
+        assert not structure.tabulated
+        _assert_decodes(structure, draw_ids(Random(7), 64, structure.size)[:, 0], True)
 
 
 def test_pair_scans_honour_the_decision_cap():
