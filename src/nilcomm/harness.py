@@ -565,7 +565,7 @@ def _cyclic_submodules(module: FiniteModule, cfg: EngineConfig):
     generators: dict[tuple[int, ...], list[int]] = {}
     for m in module.elements():
         # the orbit alone identifies the submodule; build each one once
-        key = tuple(orbit(module, m).tolist())
+        key = tuple(orbit(module, m))
         if key in generators:
             generators[key].append(m)
         else:

@@ -408,18 +408,13 @@ def cyclic_submodule(module: FiniteModule, m: int,
         raise InvalidParameterError(
             f"element {m} is not in {module.descriptor} (size {module.size})"
         )
-    return SubModule(module, orbit(module, m).tolist(),
+    return SubModule(module, orbit(module, m),
                      f"cyclic({module.descriptor}, {m})", config)
 
 
-def orbit(module: FiniteModule, m: int) -> np.ndarray:
-    """The sorted ids of Rm: the action of every ring element on m, in row
-    blocks, marked in one mask over M.  (np.unique would do, but its first
-    call imports numpy.ma, about 1 MB of resident memory.)"""
-    reached = np.zeros(module.size, dtype=bool)
-    for lo, hi in row_blocks(module.ring.size, 1 if module.tabulated else _OP_CELLS):
-        reached[module.vact(np.arange(lo, hi), m)] = True
-    return np.flatnonzero(reached)
+def orbit(module: FiniteModule, m: int) -> list[int]:
+    """The sorted ids of Rm: the action of every ring element on m."""
+    return sorted({module.act(r, m) for r in module.ring.elements()})
 
 
 def submodule_generated(module: FiniteModule, gens: Iterable[int],

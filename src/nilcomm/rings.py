@@ -879,16 +879,14 @@ def first_broken(structure, samples: np.ndarray, laws, messages) -> None:
     """AxiomError at the first sample row (in draw order) breaking a law, then
     the first law: laws(*columns) gives one mask per law for a block of rows,
     and messages[law] is formatted with the row's ids.  Table lookups take
-    one cell per id; structural ops take up to _OP_CELLS.  Samples that fit
-    in one block take one law pass, and a block is located only once one of
-    its masks holds a True."""
+    one cell per id; structural ops take up to _OP_CELLS.  A block is
+    located only once one of its masks holds a True."""
     def block(lo, hi):
         masks = laws(*samples[lo:hi].T)
         return (first_true(np.stack(masks, axis=-1), lo)
                 if any(map(np.count_nonzero, masks)) else None)
 
-    rows, cells = len(samples), 1 if structure.tabulated else _OP_CELLS
-    hit = block(0, rows) if rows * cells <= _BLOCK_CELLS else scan(rows, cells, block)
+    hit = scan(len(samples), 1 if structure.tabulated else _OP_CELLS, block)
     if hit is not None:
         raise AxiomError(f"{structure.descriptor}: "
                          + messages[hit[1]].format(*samples[hit[0]].tolist()))
