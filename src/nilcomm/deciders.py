@@ -29,7 +29,7 @@ from .config import EngineConfig, resolve
 from .errors import InvalidParameterError
 from .modules import FiniteModule
 from .nilpotency import nil_set, squared_killers
-from .rings import _OP_CELLS, FiniteRing, _nil_ring_flags, row_blocks
+from .rings import FiniteRing, _nil_ring_flags, row_blocks
 
 PROP_SEMICOMMUTATIVE = "semicommutative"
 PROP_WEAKLY = "weakly-semicommutative"
@@ -346,8 +346,7 @@ class _PointwiseOps:
         """x in aM for each pair of id arrays a and x, over blocks of M."""
         module = self.module
         found = np.zeros(len(a), dtype=bool)
-        cells = len(a) * (1 if module.tabulated else _OP_CELLS)
-        for lo, hi in row_blocks(module.size, cells):
+        for lo, hi in row_blocks(module.size, len(a) * module.cells):
             found |= (self.act(a[:, None], np.arange(lo, hi)) == x[:, None]).any(axis=1)
         return found
 

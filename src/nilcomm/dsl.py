@@ -194,7 +194,7 @@ class _Parser:
         closing = self.peek()
         if closing.kind == "punct" and closing.text == ")":
             # report arity problems at the position of the missing argument
-            self._check_arity(tok, args, closing)
+            self._check_args(tok, args, closing)
         while True:
             args.append(self.parse_arg())
             nxt = self.peek()
@@ -203,7 +203,7 @@ class _Parser:
                 continue
             break
         close = self.expect_punct(")")
-        self._check_arity(tok, args, close)
+        self._check_args(tok, args, close)
         return StructureExpr(tok.text, tuple(args), tok.line, tok.column)
 
     def parse_arg(self):
@@ -243,7 +243,7 @@ class _Parser:
         self.expect_punct("}")
         return tuple(sorted(set(items)))
 
-    def _check_arity(self, name_tok: _Token, args: list, at: _Token) -> None:
+    def _check_args(self, name_tok: _Token, args: list, at: _Token) -> None:
         kinds = _SIGNATURES[name_tok.text][1]
         variadic = kinds and kinds[-1] == "*"
         fixed = kinds[:-1] if variadic else kinds
@@ -257,12 +257,6 @@ class _Parser:
             raise ParseError(
                 f"{name_tok.text} wants {len(fixed)} argument(s), got {len(args)}",
                 at.line, at.column, expected=fixed[len(args):] or (")",))
-        self._check_arg_kinds(name_tok, args, at)
-
-    def _check_arg_kinds(self, name_tok: _Token, args: list, at: _Token) -> None:
-        kinds = _SIGNATURES[name_tok.text][1]
-        variadic = kinds and kinds[-1] == "*"
-        fixed = kinds[:-1] if variadic else kinds
         for i, arg in enumerate(args):
             want = fixed[i] if i < len(fixed) else fixed[-1]
             got = (INT if isinstance(arg, int)

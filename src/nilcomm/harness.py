@@ -56,7 +56,6 @@ from .nilpotency import (
 )
 from .reports import CONFIRMED, REFUTED, SKIPPED, CheckReport, strip_runtime
 from .rings import (
-    _OP_CELLS,
     FULL,
     UPPER,
     V_TYPE,
@@ -228,7 +227,7 @@ def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteMo
     units = np.array([ring.unit(j if i != j else int(i == 0), i, base.one)
                       for i in range(shape_n) for j in range(shape_n)])
     failures = []
-    for lo, hi in row_blocks(count, _OP_CELLS):
+    for lo, hi in row_blocks(count, module.cells):
         k = ks[lo:hi]
         r = units[(module.grid(k) != base_module.zero).reshape(hi - lo, -1).argmax(axis=1)]
         bad = (module.vact(ring.vmul(r, r), k) != zero) | (module.vact(r, k) == zero)

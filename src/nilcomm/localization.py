@@ -25,7 +25,6 @@ from .errors import (
 from .modules import FiniteModule
 from .reports import CheckReport
 from .rings import (
-    _OP_CELLS,
     FiniteRing,
     _commuting,
     _guard_pairs,
@@ -122,7 +121,7 @@ class _Fractions:
         killed = (base_scaled == base.zero).any(axis=0)  # u x = 0 for some u in S
         neg_scaled = base.vneg(base_scaled)
         s_of, x_of = np.divmod(np.arange(len(members) * base.size), base.size)
-        self._cells = len(s_of) * (1 if base.tabulated else _OP_CELLS)
+        self._cells = len(s_of) * base.cells
 
         def related(lo, hi):  # x/s ~ y/t iff u(t x - s y) = 0 for some u in S
             return killed[base.vadd(base_scaled[s_of, x_of[lo:hi, None]],

@@ -9,7 +9,6 @@ shares its ring's bound operations and tables outright.
 from __future__ import annotations
 
 import math
-from functools import reduce
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -24,10 +23,11 @@ from .rings import (
     UPPER,
     V_TYPE,
     FiniteRing,
+    FiniteStructure,
     MatrixShape,
-    MixedRadix,
     RingHom,
     _MatrixLayout,
+    _ProductLayout,
     _stable_seed,
     build,
     componentwise,
@@ -35,44 +35,28 @@ from .rings import (
     first_broken,
     first_true,
     make_matrix_ring,
-    op_table,
     row_blocks,
     scan,
-    table_ops,
 )
 
 _MODULE_PREFIX = {FULL: "matmod", UPPER: "trimod", SPECIAL_UPPER: "smod", V_TYPE: "vmod"}
 
 
-class FiniteModule:
-    """Base class: a finite unitary left module on ids 0..size-1."""
+class FiniteModule(FiniteStructure):
+    """Base class: a finite unitary left module on ids 0..size-1, its product
+    the ring's action act."""
 
-    zero: int
+    _kind = "module"
 
     def __init__(self, ring: FiniteRing, size: int, descriptor: str,
                  config: EngineConfig):
-        config.check_size(size, "module", descriptor)
+        super().__init__(size, descriptor, config)
         self.ring = ring
-        self.size = size
-        self.descriptor = descriptor
-        self.config = config
-        self.tabulated = False
-        self._add_rows = None
-        self._act_rows = None
-        self._neg_row = None
         self._nil_cache = None
         self._torsion_cache = None
 
-    # Structural operations supplied by subclasses as the vectorized
-    # _vadd/_vact/_vneg, as for rings; the pointwise forms call them.
-    def _add(self, m: int, n: int) -> int:
-        return int(self._vadd(m, n))
-
     def _act(self, r: int, m: int) -> int:
         return int(self._vact(r, m))
-
-    def _neg(self, m: int) -> int:
-        return int(self._vneg(m))
 
     def _seal(self, validate: bool = True, share_ring_ops: bool = False) -> None:
         ring = self.ring
@@ -82,52 +66,16 @@ class FiniteModule:
             self.vadd, self.vact, self.vneg = ring.vadd, ring.vmul, ring.vneg
             self.vmatact = ring.vmatmul
             self.tabulated = ring.tabulated
-        elif self.size <= threshold and ring.size <= threshold:
-            add = op_table(self._vadd, self.size, self.size)
-            act = op_table(self._vact, ring.size, self.size)
-            neg = self._vneg(np.arange(self.size)).astype(np.int32)
-            self._add_rows, self._act_rows, self._neg_row = add, act, neg
-            (self.add, self.act, self.neg,
-             self.vadd, self.vact, self.vneg) = table_ops(add, act, neg)
-            self.tabulated = True
         else:
-            self.add, self.act, self.neg = self._add, self._act, self._neg
-            self.vadd, self.vact, self.vneg = self._vadd, self._vact, self._vneg
+            self.act, self.vact = self._bind(
+                ring.size, self._act, self._vact,
+                self.size <= threshold and ring.size <= threshold)
         if validate:
             check_module_axioms(self)
 
-    add: Callable[[int, int], int]
     act: Callable[[int, int], int]
-    neg: Callable[[int], int]
-
-    def vmatact(self, r: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """A ring-entry grid acting on a module-entry grid, (..., n, k) x
-        (..., k, p) id arrays, under this module's + and action."""
-        products = self.vact(r[..., :, :, None], m[..., None, :, :])
-        return reduce(self.vadd, np.moveaxis(products, -2, 0))
-
-    def add_table(self) -> np.ndarray:
-        """The addition table: the stored one, else built from the ops."""
-        return self._add_rows if self.tabulated else op_table(self.vadd, self.size, self.size)
-
-    def act_table(self) -> np.ndarray:
-        """The |R| x |M| action table: the stored one, else built on first
-        use and kept, as the nil set is."""
-        if self._act_rows is None:
-            self._act_rows = op_table(self.vact, self.ring.size, self.size)
-        return self._act_rows
-
-    def sub(self, m: int, n: int) -> int:
-        return self.add(m, self.neg(n))
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def render(self, m: int) -> str:
-        return str(m)
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.descriptor} size={self.size}>"
+    vmatact = FiniteStructure._grid_product
+    act_table = FiniteStructure._product_table
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +124,8 @@ class MatrixModule(_MatrixLayout, FiniteModule):
     def _vact(self, r, m):
         return self.ungrid(self.base.vmatact(self.ring.grid(r), self.grid(m)))
 
-    def render(self, m):
-        return self._render_grid(m, self.base.render)
 
-
-class ProductModule(FiniteModule):
+class ProductModule(_ProductLayout, FiniteModule):
     """Componentwise product of modules over one common ring."""
 
     def __init__(self, factors: Sequence[FiniteModule],
@@ -200,23 +145,12 @@ class ProductModule(FiniteModule):
         size = math.prod(f.size for f in factors)
         descriptor = "prodmod(" + ", ".join(f.descriptor for f in factors) + ")"
         super().__init__(ring, size, descriptor, config)
-        self.codec = MixedRadix(f.size for f in factors)
-        self.zero = self.codec.encode([f.zero for f in factors])
+        self._lay_out()
         self._seal()
-
-    def _vadd(self, m, n):
-        return componentwise(self.codec, [f.vadd for f in self.factors], m, n)
 
     def _vact(self, r, m):
         return componentwise(self.codec, [f.vact for f in self.factors], m,
                              left=(r,))
-
-    def _vneg(self, m):
-        return componentwise(self.codec, [f.vneg for f in self.factors], m)
-
-    def render(self, m):
-        comps = self.codec.decode(m)
-        return "(" + ", ".join(f.render(c) for f, c in zip(self.factors, comps)) + ")"
 
 
 class SubModule(FiniteModule):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import EngineConfig, resolve
 from .modules import FiniteModule, escapes
-from .rings import _OP_CELLS, _regular_mask, row_blocks
+from .rings import _regular_mask, row_blocks
 
 
 @dataclass
@@ -118,7 +118,7 @@ def squared_killers(module: FiniteModule, ms: np.ndarray | None = None) -> np.nd
         ms, times, cells = np.arange(module.size), module.act_table().__getitem__, 1
     else:
         times = lambda t: module.vact(t[:, None], ms)
-        cells = 1 if module.tabulated else _OP_CELLS
+        cells = module.cells
     least = np.full(len(ms), -1)
     open_ = ms != zero
     for lo, hi in row_blocks(ring.size, len(ms) * cells):

@@ -232,33 +232,97 @@ def scan(rows: int, cells_per_row: int, block):
 # Rings
 
 
-class FiniteRing:
-    """Base class: a finite associative ring with identity on ids 0..size-1."""
+class FiniteStructure:
+    """Base of rings and modules: ids 0..size-1 with + and - and one product,
+    a ring's mul or a module's action.  Subclasses supply the vectorized
+    _vadd, _vneg and product; sealing binds all three to int32 tables, or to
+    those structural ops above the tabulate threshold."""
 
+    _kind: str  # "ring" or "module", for the size check
     zero: int
-    one: int
 
     def __init__(self, size: int, descriptor: str, config: EngineConfig):
-        config.check_size(size, "ring", descriptor)
+        config.check_size(size, self._kind, descriptor)
         self.size = size
         self.descriptor = descriptor
         self.config = config
         self.tabulated = False
         self._add_rows = None
-        self._mul_rows = None
-        self._neg_row = None
-        self._commutative: bool | None = None
+        self._product_rows = None
 
-    # Structural operations supplied by subclasses as the vectorized
-    # _vadd/_vmul/_vneg on id arrays; the pointwise forms call them.
+    # The pointwise forms call the vectorized structural operations.
     def _add(self, a: int, b: int) -> int:
         return int(self._vadd(a, b))
 
-    def _mul(self, a: int, b: int) -> int:
-        return int(self._vmul(a, b))
-
     def _neg(self, a: int) -> int:
         return int(self._vneg(a))
+
+    def _bind(self, rows: int, product, vproduct, tabulate: bool):
+        """Bind add and neg, and return the product, whose left operand is an
+        id below rows, and its vectorized form: over int32 tables when
+        tabulate, else the structural product and vproduct given."""
+        if tabulate:
+            add = op_table(self._vadd, self.size, self.size)
+            prod = op_table(vproduct, rows, self.size)
+            neg = self._vneg(np.arange(self.size)).astype(np.int32)
+            self._add_rows, self._product_rows = add, prod
+            (self.add, product, self.neg,
+             self.vadd, vproduct, self.vneg) = table_ops(add, prod, neg)
+        else:
+            self.add, self.neg, self.vadd, self.vneg = self._add, self._neg, self._vadd, self._vneg
+        self.tabulated, self._left_size, self._vproduct = tabulate, rows, vproduct
+        return product, vproduct
+
+    # Bound at seal time; declared for introspection.
+    add: Callable[[int, int], int]
+    neg: Callable[[int], int]
+
+    @property
+    def cells(self) -> int:
+        """Block cells one id pair of an op takes: 1 for a table lookup, up
+        to _OP_CELLS for a structural op."""
+        return 1 if self.tabulated else _OP_CELLS
+
+    def _grid_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products of entry grids, (..., n, k) x (..., k, p) id arrays, under
+        this structure's + and product; a module's left grid holds ring ids."""
+        products = self._vproduct(a[..., :, :, None], b[..., None, :, :])
+        return reduce(self.vadd, np.moveaxis(products, -2, 0))
+
+    def add_table(self) -> np.ndarray:
+        """The addition table: the stored one, else built from the ops."""
+        return self._add_rows if self.tabulated else op_table(self.vadd, self.size, self.size)
+
+    def _product_table(self) -> np.ndarray:
+        """The product table, one row per left operand: the stored one, else
+        built on first use and kept, as a module's nil set is."""
+        if self._product_rows is None:
+            self._product_rows = op_table(self._vproduct, self._left_size, self.size)
+        return self._product_rows
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def elements(self) -> range:
+        return range(self.size)
+
+    def render(self, a: int) -> str:
+        return str(a)
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self.descriptor} size={self.size}>"
+
+
+class FiniteRing(FiniteStructure):
+    """Base class: a finite associative ring with identity on ids 0..size-1,
+    its product mul."""
+
+    _kind = "ring"
+    one: int
+    mul: Callable[[int, int], int]
+
+    def _mul(self, a: int, b: int) -> int:
+        return int(self._vmul(a, b))
 
     def _seal(self, validate: bool = True) -> None:
         """Finalize construction: reject the trivial ring, bind ops, validate."""
@@ -266,40 +330,13 @@ class FiniteRing:
             raise InvalidParameterError(
                 f"{self.descriptor}: the trivial ring (0 = 1) is rejected"
             )
-        n = self.size
-        if n <= self.config.tabulate_threshold:
-            add, mul = op_table(self._vadd, n, n), op_table(self._vmul, n, n)
-            neg = self._vneg(np.arange(n)).astype(np.int32)
-            self._add_rows, self._mul_rows, self._neg_row = add, mul, neg
-            (self.add, self.mul, self.neg,
-             self.vadd, self.vmul, self.vneg) = table_ops(add, mul, neg)
-            self.tabulated = True
-        else:
-            self.add, self.mul, self.neg = self._add, self._mul, self._neg
-            self.vadd, self.vmul, self.vneg = self._vadd, self._vmul, self._vneg
+        self.mul, self.vmul = self._bind(self.size, self._mul, self._vmul,
+                                         self.size <= self.config.tabulate_threshold)
         if validate:
             check_ring_axioms(self)
 
-    # Bound at seal time; declared for introspection.
-    add: Callable[[int, int], int]
-    mul: Callable[[int, int], int]
-    neg: Callable[[int], int]
-
-    def vmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Products of entry grids, (..., n, k) x (..., k, p) id arrays, under
-        this ring's + and x."""
-        products = self.vmul(a[..., :, :, None], b[..., None, :, :])
-        return reduce(self.vadd, np.moveaxis(products, -2, 0))
-
-    def add_table(self) -> np.ndarray:
-        """The addition table: the stored one, else built from the ops."""
-        return self._add_rows if self.tabulated else op_table(self.vadd, self.size, self.size)
-
-    def mul_table(self) -> np.ndarray:
-        return self._mul_rows if self.tabulated else op_table(self.vmul, self.size, self.size)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    vmatmul = FiniteStructure._grid_product
+    mul_table = FiniteStructure._product_table
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
@@ -312,21 +349,6 @@ class FiniteRing:
             if k:
                 a = self.mul(a, a)
         return result
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def render(self, a: int) -> str:
-        return str(a)
-
-    def is_commutative(self) -> bool:
-        _guard_pairs(self, "commutativity", self.config)
-        if self._commutative is None:
-            self._commutative = bool(_commuting(self).all())
-        return self._commutative
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.descriptor} size={self.size}>"
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +458,10 @@ class _MatrixLayout:
         """value on superdiagonal k (the matrix value * V^k), zeros elsewhere."""
         return self._with_cells([(i, i + k) for i in range(self.shape.n - k)], value)
 
-    def _render_grid(self, eid: int, render_entry) -> str:
-        rows = self.entries(eid)
+    def render(self, eid: int) -> str:
         return "[" + ", ".join(
-            "[" + ", ".join(render_entry(x) for x in row) + "]" for row in rows
-        ) + "]"
+            "[" + ", ".join(self.base.render(x) for x in row) + "]"
+            for row in self.entries(eid)) + "]"
 
 
 class MatrixRing(_MatrixLayout, FiniteRing):
@@ -461,11 +482,27 @@ class MatrixRing(_MatrixLayout, FiniteRing):
     def _vmul(self, a, b):
         return self.ungrid(self.base.vmatmul(self.grid(a), self.grid(b)))
 
+
+class _ProductLayout:
+    """Mixed-radix ids over the sizes of self.factors, shared by product
+    rings and product modules; + and - act componentwise."""
+
+    def _lay_out(self) -> None:
+        self.codec = MixedRadix(f.size for f in self.factors)
+        self.zero = self.codec.encode([f.zero for f in self.factors])
+
+    def _vadd(self, a, b):
+        return componentwise(self.codec, [f.vadd for f in self.factors], a, b)
+
+    def _vneg(self, a):
+        return componentwise(self.codec, [f.vneg for f in self.factors], a)
+
     def render(self, a):
-        return self._render_grid(a, self.base.render)
+        comps = self.codec.decode(a)
+        return "(" + ", ".join(f.render(c) for f, c in zip(self.factors, comps)) + ")"
 
 
-class ProductRing(FiniteRing):
+class ProductRing(_ProductLayout, FiniteRing):
     """Componentwise product of finitely many rings."""
 
     def __init__(self, factors: Sequence[FiniteRing], config: EngineConfig | None = None):
@@ -477,23 +514,12 @@ class ProductRing(FiniteRing):
         size = math.prod(f.size for f in factors)
         descriptor = "prod(" + ", ".join(f.descriptor for f in factors) + ")"
         super().__init__(size, descriptor, config)
-        self.codec = MixedRadix(f.size for f in factors)
-        self.zero = self.codec.encode([f.zero for f in factors])
+        self._lay_out()
         self.one = self.codec.encode([f.one for f in factors])
         self._seal()
 
-    def _vadd(self, a, b):
-        return componentwise(self.codec, [f.vadd for f in self.factors], a, b)
-
     def _vmul(self, a, b):
         return componentwise(self.codec, [f.vmul for f in self.factors], a, b)
-
-    def _vneg(self, a):
-        return componentwise(self.codec, [f.vneg for f in self.factors], a)
-
-    def render(self, a):
-        comps = self.codec.decode(a)
-        return "(" + ", ".join(f.render(c) for f, c in zip(self.factors, comps)) + ")"
 
 
 class PolyQuotientRing(FiniteRing):
@@ -878,15 +904,15 @@ def draw_families(rng: Random, count: int, families) -> list[np.ndarray]:
 def first_broken(structure, samples: np.ndarray, laws, messages) -> None:
     """AxiomError at the first sample row (in draw order) breaking a law, then
     the first law: laws(*columns) gives one mask per law for a block of rows,
-    and messages[law] is formatted with the row's ids.  Table lookups take
-    one cell per id; structural ops take up to _OP_CELLS.  A block is
-    located only once one of its masks holds a True."""
+    and messages[law] is formatted with the row's ids.  A row costs
+    structure.cells block cells.  A block is located only once one of its
+    masks holds a True."""
     def block(lo, hi):
         masks = laws(*samples[lo:hi].T)
         return (first_true(np.stack(masks, axis=-1), lo)
                 if any(map(np.count_nonzero, masks)) else None)
 
-    hit = scan(len(samples), 1 if structure.tabulated else _OP_CELLS, block)
+    hit = scan(len(samples), structure.cells, block)
     if hit is not None:
         raise AxiomError(f"{structure.descriptor}: "
                          + messages[hit[1]].format(*samples[hit[0]].tolist()))

@@ -23,10 +23,13 @@ from nilcomm import (
     matrix_module,
     quotient_module,
     regular_module,
+    ring_is_nil_semicommutative,
+    ring_is_semicommutative,
     submodule_generated,
     zn_reduction_hom,
 )
 import nilcomm.modules as modules
+import nilcomm.rings as rings
 from nilcomm.config import DEFAULT_CONFIG
 from nilcomm.deciders import MODULE_PROPERTIES, decide
 from nilcomm.modules import SubModule, orbit
@@ -304,20 +307,43 @@ def test_sampled_module_check_draws_once_what_consecutive_draws_gave(monkeypatch
         for sizes in ((nm, nm, nm), (nr, nr, nm), (nr, nm, nm))]
 
 
+def _record_table_builds(monkeypatch) -> list:
+    """The (rows, cols) of every operation table built from here on."""
+    builds = []
+    op_table = rings.op_table
+    monkeypatch.setattr(rings, "op_table", lambda op, rows, cols: (
+        builds.append((rows, cols)), op_table(op, rows, cols))[1])
+    return builds
+
+
 def test_untabulated_module_builds_its_action_table_once(monkeypatch):
     expr = "matmod(2, regular(Z(4)))"
     module = elaborate_text(expr, DEFAULT_CONFIG.with_overrides(tabulate_threshold=200))
     assert not module.tabulated
-    builds = []
-    op_table = modules.op_table
-    monkeypatch.setattr(modules, "op_table", lambda op, rows, cols: (
-        builds.append((rows, cols)), op_table(op, rows, cols))[1])
+    builds = _record_table_builds(monkeypatch)
     verdicts = [decide(module, prop) for prop in MODULE_PROPERTIES]
     assert builds == [(256, 256)]
     tabulated = elaborate_text(expr)
     assert tabulated.tabulated
     assert [(v.holds, v.witness) for v in verdicts] == [
         (v.holds, v.witness) for v in (decide(tabulated, p) for p in MODULE_PROPERTIES)]
+
+
+def test_untabulated_regular_module_and_its_ring_build_one_product_table(monkeypatch):
+    # the action table of a regular module is its ring's mul table
+    expr = "regular(M(2, Z(4)))"
+    module = elaborate_text(expr, DEFAULT_CONFIG.with_overrides(tabulate_threshold=200))
+    assert not module.ring.tabulated
+    builds = _record_table_builds(monkeypatch)
+
+    def verdicts(module):
+        return [(v.holds, v.witness) for v in (
+            ring_is_semicommutative(module.ring), ring_is_nil_semicommutative(module.ring),
+            *(decide(module, prop) for prop in MODULE_PROPERTIES))]
+
+    untabulated = verdicts(module)
+    assert builds == [(256, 256)]
+    assert untabulated == verdicts(elaborate_text(expr))
 
 
 @pytest.mark.parametrize("expr", [
