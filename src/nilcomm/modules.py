@@ -17,7 +17,6 @@ import numpy as np
 from .config import EngineConfig, resolve
 from .errors import AxiomError, InvalidParameterError, ShapeMismatchError
 from .rings import (
-    _OP_CELLS,
     FULL,
     SPECIAL_UPPER,
     UPPER,
@@ -89,6 +88,7 @@ class RegularModule(FiniteModule):
         config = resolve(config)
         super().__init__(ring, ring.size, f"regular({ring.descriptor})", config)
         self.zero = ring.zero
+        self._pair_cells = ring.cells
         self._seal(share_ring_ops=True)
 
     def add_table(self):
@@ -227,7 +227,7 @@ class QuotientModule(FiniteModule):
         # each coset m + N is represented by its least element
         least = np.concatenate([
             parent.vadd(np.arange(lo, hi)[:, None], emb).min(axis=1)
-            for lo, hi in row_blocks(parent.size, len(emb) * _OP_CELLS)])
+            for lo, hi in row_blocks(parent.size, len(emb) * parent.cells)])
         reps, coset = np.unique(least, return_inverse=True)
         if not np.array_equal(np.flatnonzero(coset == coset[parent.zero]), emb):
             raise AxiomError(
@@ -246,13 +246,13 @@ class QuotientModule(FiniteModule):
         parent, coset, ids = self.parent, self.coset_of, np.arange(self.parent.size)
         cosets = np.arange(self.size)
         add = self._vadd(cosets[:, None], cosets)
-        hit = scan(parent.size, parent.size * _OP_CELLS, lambda lo, hi: first_true(
+        hit = scan(parent.size, parent.size * parent.cells, lambda lo, hi: first_true(
             coset[parent.vadd(ids[lo:hi, None], ids)] != add[coset[lo:hi, None], coset], lo))
         if hit is not None:
             raise AxiomError(f"{self.descriptor}: addition is not well defined "
                              f"at cosets ({coset[hit[0]]}, {coset[hit[1]]})")
         act = self._vact(np.arange(parent.ring.size)[:, None], cosets)
-        hit = scan(parent.ring.size, parent.size * _OP_CELLS, lambda lo, hi: first_true(
+        hit = scan(parent.ring.size, parent.size * parent.cells, lambda lo, hi: first_true(
             coset[parent.vact(np.arange(lo, hi)[:, None], ids)] != act[lo:hi][:, coset], lo))
         if hit is not None:
             raise AxiomError(f"{self.descriptor}: the action is not well defined "
@@ -309,9 +309,9 @@ def escapes(module: FiniteModule, inside: np.ndarray):
     outside, each None when the subset is closed."""
     members = np.flatnonzero(inside)
     k = len(members)
-    add_hit = scan(k, k * _OP_CELLS, lambda lo, hi: first_true(
+    add_hit = scan(k, k * module.cells, lambda lo, hi: first_true(
         ~inside[module.vadd(members[lo:hi, None], members)], lo))
-    act_hit = scan(module.ring.size, k * _OP_CELLS, lambda lo, hi: first_true(
+    act_hit = scan(module.ring.size, k * module.cells, lambda lo, hi: first_true(
         ~inside[module.vact(np.arange(lo, hi)[:, None], members)], lo))
     return add_hit, act_hit
 
@@ -364,9 +364,9 @@ def submodule_generated(module: FiniteModule, gens: Iterable[int],
     inside[[module.zero, *gens]] = True
     while True:  # add every sum and multiple of the members until none is new
         members = np.flatnonzero(inside)
-        for lo, hi in row_blocks(len(members), len(members) * _OP_CELLS):
+        for lo, hi in row_blocks(len(members), len(members) * module.cells):
             inside[module.vadd(members[lo:hi, None], members)] = True
-        for lo, hi in row_blocks(module.ring.size, len(members) * _OP_CELLS):
+        for lo, hi in row_blocks(module.ring.size, len(members) * module.cells):
             inside[module.vact(np.arange(lo, hi)[:, None], members)] = True
         if inside.sum() == len(members):
             break

@@ -171,8 +171,8 @@ def split(ids: np.ndarray, weights, shifts, radix) -> np.ndarray:
 
 
 # A block of a scan or a table build holds at most _BLOCK_CELLS cells, so
-# temporaries stay small at any size; a structural op may take _OP_CELLS
-# cells per id pair (a 4x4 matrix product grid), so its blocks are narrower.
+# temporaries stay small at any size; _OP_CELLS (a 4x4 matrix product grid) is
+# the per-pair cost of a structural op whose layout states none.
 _BLOCK_CELLS = 1 << 16
 _OP_CELLS = 64
 
@@ -182,12 +182,23 @@ def row_blocks(rows: int, cells_per_row: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
-def op_table(op, rows: int, cols: int) -> np.ndarray:
-    """rows x cols int32 table of a vectorized op over all id pairs."""
+def op_table(op, rows: int, cols: int, cells: int) -> np.ndarray:
+    """rows x cols int32 table of a vectorized op costing cells per id pair."""
     out = np.empty((rows, cols), dtype=np.int32)
     right = np.arange(cols)
-    for lo, hi in row_blocks(rows, cols * _OP_CELLS):
+    for lo, hi in row_blocks(rows, cols * cells):
         out[lo:hi] = op(np.arange(lo, hi)[:, None], right)
+    return out
+
+
+def composed_table(parts) -> np.ndarray:
+    """The add table of a digitwise layout from its parts' add tables, first
+    part most significant, with no decoding: out[(p, x), (q, y)] is
+    out[p, q] * r + t[x, y] for the next part's table t of r rows."""
+    out = np.zeros((1, 1), dtype=np.int32)
+    for part in parts:
+        t, r = part.add_table(), part.size
+        out = (out[:, None, :, None] * r + t[None, :, None, :]).reshape(len(out) * r, -1)
     return out
 
 
@@ -236,10 +247,13 @@ class FiniteStructure:
     """Base of rings and modules: ids 0..size-1 with + and - and one product,
     a ring's mul or a module's action.  Subclasses supply the vectorized
     _vadd, _vneg and product; sealing binds all three to int32 tables, or to
-    those structural ops above the tabulate threshold."""
+    those structural ops above the tabulate threshold.  A layout sets the
+    per-pair cost of its structural ops, and a digitwise one its digits' parts."""
 
     _kind: str  # "ring" or "module", for the size check
     zero: int
+    _pair_cells = _OP_CELLS
+    _parts = None
 
     def __init__(self, size: int, descriptor: str, config: EngineConfig):
         config.check_size(size, self._kind, descriptor)
@@ -262,8 +276,8 @@ class FiniteStructure:
         id below rows, and its vectorized form: over int32 tables when
         tabulate, else the structural product and vproduct given."""
         if tabulate:
-            add = op_table(self._vadd, self.size, self.size)
-            prod = op_table(vproduct, rows, self.size)
+            add = self.add_table()
+            prod = op_table(vproduct, rows, self.size, self._pair_cells)
             neg = self._vneg(np.arange(self.size)).astype(np.int32)
             self._add_rows, self._product_rows = add, prod
             (self.add, product, self.neg,
@@ -279,9 +293,9 @@ class FiniteStructure:
 
     @property
     def cells(self) -> int:
-        """Block cells one id pair of an op takes: 1 for a table lookup, up
-        to _OP_CELLS for a structural op."""
-        return 1 if self.tabulated else _OP_CELLS
+        """Block cells one id pair of an op takes: 1 for a table lookup, else
+        the layout's cost of a structural op."""
+        return 1 if self.tabulated else self._pair_cells
 
     def _grid_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Products of entry grids, (..., n, k) x (..., k, p) id arrays, under
@@ -290,14 +304,20 @@ class FiniteStructure:
         return reduce(self.vadd, np.moveaxis(products, -2, 0))
 
     def add_table(self) -> np.ndarray:
-        """The addition table: the stored one, else built from the ops."""
-        return self._add_rows if self.tabulated else op_table(self.vadd, self.size, self.size)
+        """The addition table: the stored one, else composed from a digitwise
+        layout's parts, else built from the op.  Product tables are always
+        built: composing one would assume the distributive laws checked on it."""
+        if self._add_rows is not None:
+            return self._add_rows
+        if self._parts is not None:
+            return composed_table(self._parts)
+        return op_table(self._vadd, self.size, self.size, self._pair_cells)
 
     def _product_table(self) -> np.ndarray:
         """The product table, one row per left operand: the stored one, else
         built on first use and kept, as a module's nil set is."""
         if self._product_rows is None:
-            self._product_rows = op_table(self._vproduct, self._left_size, self.size)
+            self._product_rows = op_table(self._vproduct, self._left_size, self.size, self.cells)
         return self._product_rows
 
     def sub(self, a: int, b: int) -> int:
@@ -379,6 +399,7 @@ class ZnRing(FiniteRing):
         return (-a) % self.n
 
     _vadd, _vmul, _vneg = _add, _mul, _neg
+    _pair_cells = 1
 
     def vmatmul(self, a, b):
         if (type(self)._vadd, type(self)._vmul) != (ZnRing._vadd, ZnRing._vmul):
@@ -388,16 +409,31 @@ class ZnRing(FiniteRing):
         return np.matmul(a, b) % self.n
 
 
-class _MatrixLayout:
+class _DigitLayout:
+    """Ids as strings of base-|B| digits, B = self.base; + and - act digit by
+    digit, so the add table is composed from B's."""
+
+    def _digits(self, count: int, pair_cells: int) -> None:
+        self.codec = MixedRadix([self.base.size] * count)
+        self._parts, self._pair_cells = (self.base,) * count, pair_cells
+
+    def _vadd(self, a, b):
+        return digitwise(self.codec, self.base.vadd, a, b)
+
+    def _vneg(self, a):
+        return digitwise(self.codec, self.base.vneg, a)
+
+
+class _MatrixLayout(_DigitLayout):
     """Base-|B| digits over one shape's free positions, shared by matrix
     rings and matrix modules; grid() and ungrid() convert whole id arrays to
-    entry grids and back."""
+    entry grids and back.  A product of entry grids costs n^3 entry ops."""
 
     def _lay_out(self, shape: MatrixShape, entries) -> None:
         self.shape = shape
         self.positions = shape.free_positions()
         p = len(self.positions)
-        self.codec = MixedRadix([entries.size] * p)
+        self._digits(p, shape.n ** 3 * entries.cells)
         self._entry_zero = entries.zero
         digit = np.array(shape_fill(shape, self.positions, range(p), -1))
         self._forced = digit < 0
@@ -421,12 +457,6 @@ class _MatrixLayout:
     def ungrid(self, cells: np.ndarray) -> np.ndarray:
         """Ids of entry grids lying in the shape."""
         return self.codec.ids(cells[(..., *self._free)])
-
-    def _vadd(self, a, b):
-        return digitwise(self.codec, self.base.vadd, a, b)
-
-    def _vneg(self, a):
-        return digitwise(self.codec, self.base.vneg, a)
 
     def entries(self, eid: int):
         """Full n-by-n grid of base ids for one element."""
@@ -490,6 +520,7 @@ class _ProductLayout:
     def _lay_out(self) -> None:
         self.codec = MixedRadix(f.size for f in self.factors)
         self.zero = self.codec.encode([f.zero for f in self.factors])
+        self._parts, self._pair_cells = self.factors, sum(f.cells for f in self.factors)
 
     def _vadd(self, a, b):
         return componentwise(self.codec, [f.vadd for f in self.factors], a, b)
@@ -522,11 +553,11 @@ class ProductRing(_ProductLayout, FiniteRing):
         return componentwise(self.codec, [f.vmul for f in self.factors], a, b)
 
 
-class PolyQuotientRing(FiniteRing):
+class PolyQuotientRing(_DigitLayout, FiniteRing):
     """Polynomials over a base ring truncated at degree n (x^n = 0).
 
     Elements are coefficient tuples (c0, ..., c_{n-1}); products drop every
-    term of degree n or higher.
+    term of degree n or higher, and cost n^2 base ops.
     """
 
     def __init__(self, base: FiniteRing, n: int, config: EngineConfig | None = None):
@@ -536,7 +567,7 @@ class PolyQuotientRing(FiniteRing):
         self.base = base
         self.degree = n
         super().__init__(base.size ** n, f"polyq({base.descriptor}, {n})", config)
-        self.codec = MixedRadix([base.size] * n)
+        self._digits(n, n * n * base.cells)
         self._shift = np.arange(n) - np.arange(n)[:, None]  # k - i at (i, k)
         self.zero = self.codec.encode([base.zero] * n)
         self.one = self.codec.encode([base.one] + [base.zero] * (n - 1))
@@ -551,12 +582,6 @@ class PolyQuotientRing(FiniteRing):
                 f"{self.descriptor}: expected {self.degree} coefficients"
             )
         return self.codec.encode(coeffs)
-
-    def _vadd(self, a, b):
-        return digitwise(self.codec, self.base.vadd, a, b)
-
-    def _vneg(self, a):
-        return digitwise(self.codec, self.base.vneg, a)
 
     def _vmul(self, a, b):
         # truncated convolution: c_k sums a_i * b_(k-i) over i <= k, so c is
@@ -655,7 +680,7 @@ def _against_all(ring: FiniteRing, test) -> np.ndarray:
     """For each element s, whether test(s, r) holds for every element r."""
     ids = np.arange(ring.size)
     return np.concatenate([test(ids[lo:hi, None], ids).all(axis=1)
-                           for lo, hi in row_blocks(ring.size, ring.size * _OP_CELLS)])
+                           for lo, hi in row_blocks(ring.size, ring.size * ring.cells)])
 
 
 def _commuting(ring: FiniteRing) -> np.ndarray:
@@ -750,7 +775,7 @@ def make_ring_hom(source: FiniteRing, target: FiniteRing, mapping,
         return np.stack([t[source.vadd(a, ids)] != target.vadd(t[a], t),
                          t[source.vmul(a, ids)] != target.vmul(t[a], t)], axis=-1)
 
-    hit = scan(source.size, 2 * source.size * _OP_CELLS,
+    hit = scan(source.size, 2 * source.size * (source.cells + target.cells),
                lambda lo, hi: first_true(broken(lo, hi), lo))
     if hit is not None:
         a, b, law = hit

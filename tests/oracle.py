@@ -257,3 +257,20 @@ def module_fractions(base, smembers, ring_class_of, ring_reps):
                         raise AxiomError(
                             f"module: the action is not well defined at {rp} . {p}")
     return class_of, reps, add, action
+
+
+def layout_add_table(s):
+    """The add table of a matrix, truncated-polynomial or product structure
+    by the plain loop: each entry, coefficient or component added by its own
+    structure's pointwise add."""
+    if hasattr(s, "factors"):
+        parts, split, join = s.factors, s.codec.decode, s.codec.encode
+    elif hasattr(s, "coefficients"):
+        parts, split, join = [s.base] * s.degree, s.coefficients, s.from_coefficients
+    else:
+        k = s.shape.n
+        parts, split = [s.base] * k * k, lambda a: sum(s.entries(a), [])
+        join = lambda d: s.from_entries([d[i:i + k] for i in range(0, k * k, k)])
+    digits = [split(a) for a in s.elements()]
+    return [[join([p.add(x, y) for p, x, y in zip(parts, da, db)]) for db in digits]
+            for da in digits]

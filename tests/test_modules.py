@@ -12,6 +12,7 @@ from nilcomm import (
     InvalidParameterError,
     MatrixShape,
     ShapeMismatchError,
+    center,
     check_module_axioms,
     cyclic_submodule,
     elaborate_text,
@@ -33,7 +34,8 @@ import nilcomm.rings as rings
 from nilcomm.config import DEFAULT_CONFIG
 from nilcomm.deciders import MODULE_PROPERTIES, decide
 from nilcomm.modules import SubModule, orbit
-from nilcomm.rings import _stable_seed, draw_ids
+from nilcomm.nilpotency import squared_killers
+from nilcomm.rings import _stable_seed, draw_ids, first_broken
 
 import oracle
 from conftest import mat_mod, record_sampled_draws, zn_module
@@ -311,8 +313,8 @@ def _record_table_builds(monkeypatch) -> list:
     """The (rows, cols) of every operation table built from here on."""
     builds = []
     op_table = rings.op_table
-    monkeypatch.setattr(rings, "op_table", lambda op, rows, cols: (
-        builds.append((rows, cols)), op_table(op, rows, cols))[1])
+    monkeypatch.setattr(rings, "op_table", lambda op, rows, cols, cells: (
+        builds.append((rows, cols)), op_table(op, rows, cols, cells))[1])
     return builds
 
 
@@ -396,3 +398,55 @@ def test_untabulated_actions_match_the_plain_loop_on_drawn_ids(m4z2_module):
     want = [_loop_act(module, x, y) for x, y in zip(r.tolist(), m.tolist())]
     assert module.vact(r, m).tolist() == want
     assert [module.act(x, y) for x, y in zip(r.tolist(), m.tolist())] == want
+
+
+# every digitwise module layout: the four matrix shapes and products
+@pytest.mark.parametrize("expr", [
+    "matmod(2, regular(Z(3)))", "trimod(3, regular(Z(2)))", "smod(3, regular(Z(3)))",
+    "vmod(3, regular(Z(4)))", "prodmod(regular(Z(8)), regular(Z(8)))",
+    "trimod(2, prodmod(regular(Z(2)), regular(Z(2))))"])
+@pytest.mark.parametrize("tabulate", [True, False])
+def test_composed_add_tables_match_the_op_and_the_plain_loop(expr, tabulate):
+    module = elaborate_text(
+        expr, DEFAULT_CONFIG.with_overrides(tabulate_threshold=1024 if tabulate else 0))
+    assert module.tabulated is tabulate
+    table = module.add_table()
+    assert table.dtype == np.int32
+    assert np.array_equal(
+        table, rings.op_table(module._vadd, module.size, module.size, module.cells))
+    assert table.tolist() == oracle.layout_add_table(module)
+
+
+def test_tabulated_matrix_module_builds_only_its_product_tables(monkeypatch):
+    builds = _record_table_builds(monkeypatch)
+    assert elaborate_text("matmod(2, regular(Z(4)))").tabulated
+    # Z(4)'s add and mul, then the mul table of M(2, Z(4)) and the action
+    # table; both 256x256 add tables are composed from Z(4)'s
+    assert builds == [(4, 4), (4, 4), (256, 256), (256, 256)]
+
+
+def _planted_law(module):
+    """A law broken at some drawn (a, b): a + b = 0 with a nonzero, or a + a = b."""
+    return lambda a, b: ((module.vadd(a, b) == module.zero) & (a != module.zero),
+                         module.vadd(a, a) == b)
+
+
+@pytest.mark.parametrize("expr", ["regular(Z(60))", "matmod(2, regular(Z(3)))"])
+@pytest.mark.parametrize("threshold", [1024, 0])
+def test_block_size_never_changes_a_result(monkeypatch, expr, threshold):
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=threshold)
+
+    def results():
+        module = elaborate_text(expr, cfg)  # fresh: no table or nil set kept
+        with pytest.raises(AxiomError) as err:
+            first_broken(module, draw_ids(Random(3), 400, module.size, module.size),
+                         _planted_law(module), ("sum {0} + {1} is zero", "{0} + {0} = {1}"))
+        return (str(err.value), squared_killers(module).tolist(),
+                squared_killers(module, np.arange(module.size)).tolist(),
+                sorted(center(module.ring)),
+                [(v.holds, v.witness) for v in (decide(module, p) for p in MODULE_PROPERTIES)])
+
+    default = results()
+    monkeypatch.setattr(rings, "_BLOCK_CELLS", 1)
+    assert rings.row_blocks(3, 1) == [(0, 1), (1, 2), (2, 3)]
+    assert results() == default

@@ -523,3 +523,45 @@ def test_matrix_products_keep_a_planted_entry_defect(tabulate):
     got = ring.vmul(a, b).tolist()
     assert got == [_loop_mul(ring, x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert got != honest.vmul(a, b).tolist()
+
+
+# every digitwise ring layout: matrix shapes, truncated polynomials, products
+@pytest.mark.parametrize("expr", ["M(2, Z(3))", "T(3, Z(2))", "S(3, Z(3))", "V(3, Z(4))",
+                                  "polyq(Z(4), 3)", "prod(Z(2), Z(6))",
+                                  "S(2, prod(Z(2), Z(2)))", "M(2, skew Z(3))"])
+@pytest.mark.parametrize("tabulate", [True, False])
+def test_composed_add_tables_match_the_op_and_the_plain_loop(expr, tabulate):
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=1024 if tabulate else 0)
+    ring = (_UncheckedMatrixRing(MatrixShape(FULL, 2), _SkewZn(3, cfg), cfg)
+            if expr == "M(2, skew Z(3))" else elaborate_text(expr, cfg))
+    assert ring.tabulated is tabulate
+    table = ring.add_table()
+    assert table.dtype == np.int32
+    assert np.array_equal(table, rings.op_table(ring._vadd, ring.size, ring.size, ring.cells))
+    assert table.tolist() == oracle.layout_add_table(ring)
+
+
+class _SkewAddZn(ZnRing):
+    """Z(n) with a planted sum defect: 2 + 2 gains 1.  Still commutative, with
+    zero and negatives intact; built unvalidated."""
+
+    def _seal(self, validate=True):
+        super()._seal(validate=False)
+
+    def _add(self, a, b):
+        return (a + b + (a == 2) * (b == 2)) % self.n
+
+    _vadd = _add
+
+
+@pytest.mark.parametrize("kind, threshold, message", [
+    (FULL, 1024, "M(2, Z(3)): left distributivity fails at (35, 33, 53)"),  # sampled
+    (FULL, 0, "M(2, Z(3)): left distributivity fails at (35, 33, 53)"),
+    (UPPER, 1024, "T(2, Z(3)): add not associative at (1, 1, 2)"),  # full scan
+    (UPPER, 0, "T(2, Z(3)): add not associative at (19, 26, 16)")])
+def test_matrix_ring_over_a_broken_sum_fails_its_check_as_before(kind, threshold, message):
+    # the same messages as an add table built entry by entry through op_table
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=threshold)
+    with pytest.raises(AxiomError) as err:
+        MatrixRing(MatrixShape(kind, 2), _SkewAddZn(3, cfg), cfg)
+    assert str(err.value) == message
