@@ -16,6 +16,7 @@ all confirmed, 1 usage or internal error, 2 refutations present
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -352,7 +353,10 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    parsing leaves it unchanged, so main reuses one per process."""
     parser = argparse.ArgumentParser(
         prog="nilcomm",
         description="finite rings and modules: nilpotency and the "

@@ -124,6 +124,9 @@ class MatrixModule(_MatrixLayout, FiniteModule):
     def _vact(self, r, m):
         return self.ungrid(self.base.vmatact(self.ring.grid(r), self.grid(m)))
 
+    def _tabulate_product(self):
+        return self._entry_product_table(self.ring, self.base.vmatact)
+
 
 class ProductModule(_ProductLayout, FiniteModule):
     """Componentwise product of modules over one common ring."""

@@ -194,19 +194,21 @@ def op_table(op, rows: int, cols: int, cells: int) -> np.ndarray:
 def composed_table(parts) -> np.ndarray:
     """The add table of a digitwise layout from its parts' add tables, first
     part most significant, with no decoding: out[(p, x), (q, y)] is
-    out[p, q] * r + t[x, y] for the next part's table t of r rows."""
+    out[p, q] * r + t[x, y] for the next part's table t of r rows.  Each
+    distinct part's table is read once."""
+    tables = {part: part.add_table() for part in dict.fromkeys(parts)}
     out = np.zeros((1, 1), dtype=np.int32)
     for part in parts:
-        t, r = part.add_table(), part.size
+        t, r = tables[part], part.size
         out = (out[:, None, :, None] * r + t[None, :, None, :]).reshape(len(out) * r, -1)
     return out
 
 
 def table_ops(add: np.ndarray, op: np.ndarray, neg: np.ndarray):
     """Pointwise add/op/neg, then vectorized ones, over three tables; the
-    pointwise ones index memoryviews of the rows (plain ints, no copies)."""
-    add_rows, op_rows = [memoryview(r) for r in add], [memoryview(r) for r in op]
-    return ((lambda a, b: add_rows[a][b]), (lambda a, b: op_rows[a][b]),
+    pointwise ones index memoryviews of the tables (plain ints, no copies)."""
+    add_view, op_view = memoryview(add), memoryview(op)
+    return ((lambda a, b: add_view[a, b]), (lambda a, b: op_view[a, b]),
             memoryview(neg).__getitem__,
             (lambda a, b: add[a, b]), (lambda a, b: op[a, b]), neg.__getitem__)
 
@@ -275,16 +277,17 @@ class FiniteStructure:
         """Bind add and neg, and return the product, whose left operand is an
         id below rows, and its vectorized form: over int32 tables when
         tabulate, else the structural product and vproduct given."""
+        self._left_size, self._vproduct = rows, vproduct
         if tabulate:
             add = self.add_table()
-            prod = op_table(vproduct, rows, self.size, self._pair_cells)
+            prod = self._tabulate_product()
             neg = self._vneg(np.arange(self.size)).astype(np.int32)
             self._add_rows, self._product_rows = add, prod
             (self.add, product, self.neg,
              self.vadd, vproduct, self.vneg) = table_ops(add, prod, neg)
         else:
             self.add, self.neg, self.vadd, self.vneg = self._add, self._neg, self._vadd, self._vneg
-        self.tabulated, self._left_size, self._vproduct = tabulate, rows, vproduct
+        self.tabulated, self._vproduct = tabulate, vproduct
         return product, vproduct
 
     # Bound at seal time; declared for introspection.
@@ -305,8 +308,10 @@ class FiniteStructure:
 
     def add_table(self) -> np.ndarray:
         """The addition table: the stored one, else composed from a digitwise
-        layout's parts, else built from the op.  Product tables are always
-        built: composing one would assume the distributive laws checked on it."""
+        layout's parts, else built from the op.  Product tables are built from
+        the product itself (a matrix layout's from its entries' products):
+        composing one from add tables would assume the distributive laws
+        checked on it."""
         if self._add_rows is not None:
             return self._add_rows
         if self._parts is not None:
@@ -317,8 +322,13 @@ class FiniteStructure:
         """The product table, one row per left operand: the stored one, else
         built on first use and kept, as a module's nil set is."""
         if self._product_rows is None:
-            self._product_rows = op_table(self._vproduct, self._left_size, self.size, self.cells)
+            self._product_rows = self._tabulate_product()
         return self._product_rows
+
+    def _tabulate_product(self) -> np.ndarray:
+        """Build the product table from the structural product; a layout
+        that defines its product by smaller tables overrides this."""
+        return op_table(self._vproduct, self._left_size, self.size, self._pair_cells)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -427,7 +437,8 @@ class _DigitLayout:
 class _MatrixLayout(_DigitLayout):
     """Base-|B| digits over one shape's free positions, shared by matrix
     rings and matrix modules; grid() and ungrid() convert whole id arrays to
-    entry grids and back.  A product of entry grids costs n^3 entry ops."""
+    entry grids and back.  A product of entry grids costs n^3 entry ops; a
+    product table is assembled from one table of entry products."""
 
     def _lay_out(self, shape: MatrixShape, entries) -> None:
         self.shape = shape
@@ -445,6 +456,29 @@ class _MatrixLayout(_DigitLayout):
                             np.where(self._forced, (entries.size ** p).bit_length() - 1,
                                      shifts[digit]))
         self._free = tuple(np.array(ix) for ix in zip(*self.positions))
+
+    def _entry_product_table(self, left, entry_product) -> np.ndarray:
+        """The product table of left's elements times this layout's, from one
+        entry table.  Entry (i, j) of a product is the fold over k of
+        a_ik * b_kj, so it depends only on row i of a and column j of b: E
+        holds entry_product (the entries' own grid product, same fold) of
+        every row u and column v of entry ids, each read as a base-|B|
+        number, and the table is the sum over free positions (i, j) of
+        weight * E[row_i(a), col_j(b)], the ids ungrid() would give.  No law
+        is assumed, and E is no larger than the table: every shape has at
+        least n free positions."""
+        n = self.shape.n
+        rows, cols = MixedRadix([left.base.size] * n), MixedRadix([self.base.size] * n)
+        entries = op_table(lambda u, v: entry_product(rows.digits(u)[..., None, :],
+                                                      cols.digits(v)[..., :, None])[..., 0, 0],
+                           left.base.size ** n, self.base.size ** n, n * self.base.cells)
+        col_ids = np.swapaxes(self.grid(np.arange(self.size)), -1, -2) @ cols.weights
+        out = np.zeros((left.size, self.size), dtype=np.int32)
+        for lo, hi in row_blocks(left.size, self.size):
+            row_ids, block = left.grid(np.arange(lo, hi)) @ rows.weights, out[lo:hi]
+            for (i, j), w in zip(self.positions, self.codec.weights.tolist()):
+                block += np.take(w * entries[row_ids[:, i]], col_ids[:, j], axis=1)
+        return out
 
     def grid(self, ids) -> np.ndarray:
         """Entry ids of each element as an n x n grid on two new last axes."""
@@ -511,6 +545,9 @@ class MatrixRing(_MatrixLayout, FiniteRing):
 
     def _vmul(self, a, b):
         return self.ungrid(self.base.vmatmul(self.grid(a), self.grid(b)))
+
+    def _tabulate_product(self):
+        return self._entry_product_table(self, self.base.vmatmul)
 
 
 class _ProductLayout:

@@ -1,5 +1,6 @@
 from random import Random
 
+import numpy as np
 import pytest
 
 from nilcomm import (
@@ -12,6 +13,7 @@ from nilcomm import (
     matrix_module,
     regular_module,
 )
+from nilcomm.rings import draw_ids
 
 
 def record_sampled_draws(monkeypatch, owner):
@@ -25,6 +27,22 @@ def record_sampled_draws(monkeypatch, owner):
     monkeypatch.setattr(Random, "randbytes", lambda rng, n: (
         draws.append(n), randbytes(rng, n))[1])
     return checked, draws
+
+
+_LOOP_PRODUCTS = {}
+
+
+def loop_products(structure, expr, loop):
+    """Drawn (left, right) id columns and loop's product at each, kept per
+    expr: every pair up to 256 elements, else 2048 seeded ones."""
+    if expr not in _LOOP_PRODUCTS:
+        left = getattr(structure, "ring", structure).size
+        if left * structure.size <= 256 ** 2:
+            a, b = (x.ravel() for x in np.meshgrid(np.arange(left), np.arange(structure.size)))
+        else:
+            a, b = draw_ids(Random(11), 2048, left, structure.size).T
+        _LOOP_PRODUCTS[expr] = a, b, [loop(structure, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    return _LOOP_PRODUCTS[expr]
 
 
 def zn_module(n):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nilcomm.cli import main
+from nilcomm.cli import build_parser, main
 from nilcomm.config import DEFAULT_CONFIG
 
 
@@ -225,3 +225,24 @@ def test_version_flag(capsys):
     assert main(["--version"]) == 0
     out = capsys.readouterr().out
     assert "nilcomm" in out
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(capsys):
+    argvs = [("classify", "trimod(2, regular(Z(2)))", "--format", "json"),
+             ("search", "zn", "--n", "2..12", "--pattern", "semicommutative & !reduced-i"),
+             ("classify", "regular(Z(4))", "--threads", "2"),  # a usage error
+             ("--version",),
+             ("classify", "regular(Z(6))", "--properties", "reduced-ii")]
+
+    def runs(fresh):
+        results = []
+        for argv in argvs:
+            if fresh:
+                build_parser.cache_clear()
+            results.append(run_cli(capsys, *argv))
+        return results
+
+    fresh = runs(fresh=True)
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 0]
+    assert build_parser() is build_parser()
+    assert runs(fresh=False) == fresh

@@ -38,7 +38,7 @@ from nilcomm.nilpotency import squared_killers
 from nilcomm.rings import _stable_seed, draw_ids, first_broken
 
 import oracle
-from conftest import mat_mod, record_sampled_draws, zn_module
+from conftest import loop_products, mat_mod, record_sampled_draws, zn_module
 
 
 def test_regular_module_shares_ring_ops(z4_module):
@@ -324,7 +324,7 @@ def test_untabulated_module_builds_its_action_table_once(monkeypatch):
     assert not module.tabulated
     builds = _record_table_builds(monkeypatch)
     verdicts = [decide(module, prop) for prop in MODULE_PROPERTIES]
-    assert builds == [(256, 256)]
+    assert builds == [(16, 16)]  # the entry table of the one action table
     tabulated = elaborate_text(expr)
     assert tabulated.tabulated
     assert [(v.holds, v.witness) for v in verdicts] == [
@@ -344,7 +344,7 @@ def test_untabulated_regular_module_and_its_ring_build_one_product_table(monkeyp
             *(decide(module, prop) for prop in MODULE_PROPERTIES))]
 
     untabulated = verdicts(module)
-    assert builds == [(256, 256)]
+    assert builds == [(16, 16)]  # the entry table of the one mul table
     assert untabulated == verdicts(elaborate_text(expr))
 
 
@@ -420,9 +420,55 @@ def test_composed_add_tables_match_the_op_and_the_plain_loop(expr, tabulate):
 def test_tabulated_matrix_module_builds_only_its_product_tables(monkeypatch):
     builds = _record_table_builds(monkeypatch)
     assert elaborate_text("matmod(2, regular(Z(4)))").tabulated
-    # Z(4)'s add and mul, then the mul table of M(2, Z(4)) and the action
-    # table; both 256x256 add tables are composed from Z(4)'s
-    assert builds == [(4, 4), (4, 4), (256, 256), (256, 256)]
+    # Z(4)'s add and mul, then the 16x16 entry tables of the mul table of
+    # M(2, Z(4)) and of the action table; both 256x256 add tables are
+    # composed from Z(4)'s
+    assert builds == [(4, 4), (4, 4), (16, 16), (16, 16)]
+
+
+def test_composed_add_table_reads_a_repeated_part_once(monkeypatch):
+    module = elaborate_text("matmod(2, regular(Z(4)))",
+                            DEFAULT_CONFIG.with_overrides(tabulate_threshold=0))
+    builds = _record_table_builds(monkeypatch)
+    module.add_table()
+    assert builds == [(4, 4)]  # Z(4)'s, read for all four digits
+
+
+@pytest.mark.parametrize("expr", ["regular(Z(6))", "matmod(2, regular(Z(2)))",
+                                  "trimod(2, regular(Z(3)))", "prodmod(regular(Z(6)), regular(Z(6)))"])
+def test_pointwise_ops_of_tabulated_structures_read_their_tables(expr):
+    module = elaborate_text(expr)
+    ring = module.ring
+    assert module.tabulated and ring.tabulated
+    for s, op, table in ((module, module.act, module.act_table()),
+                         (ring, ring.mul, ring.mul_table())):
+        for r, a, b in draw_ids(Random(2), 50, ring.size, s.size, s.size).tolist():
+            got = (s.add(a, b), op(r, a), s.neg(a))
+            assert all(type(v) is int for v in got)
+            assert got == (s.add_table()[a, b], table[r, a], s.vneg(a))
+
+
+# the four shapes at n = 2 and 3 over regular(Z(n)), n a power of two and not,
+# a product base and a nested matrix module whose entry ring does not commute
+@pytest.mark.parametrize("expr", [
+    "matmod(2, regular(Z(3)))", "matmod(3, regular(Z(2)))", "trimod(2, regular(Z(3)))",
+    "trimod(3, regular(Z(2)))", "smod(2, regular(Z(4)))", "smod(3, regular(Z(3)))",
+    "vmod(2, regular(Z(6)))", "vmod(3, regular(Z(4)))",
+    "trimod(2, prodmod(regular(Z(2)), regular(Z(2))))", "vmod(2, trimod(2, regular(Z(2))))"])
+@pytest.mark.parametrize("tabulate", [True, False])
+def test_act_tables_from_entry_tables_match_the_op_and_the_plain_loop(
+        monkeypatch, expr, tabulate):
+    module = elaborate_text(
+        expr, DEFAULT_CONFIG.with_overrides(tabulate_threshold=1024 if tabulate else 0))
+    assert module.tabulated is tabulate
+    table = module.act_table()
+    assert table.dtype == np.int32
+    assert np.array_equal(table, rings.op_table(
+        module._vact, module.ring.size, module.size, module.cells))
+    a, b, want = loop_products(module, expr, _loop_act)
+    assert table[a, b].tolist() == want
+    monkeypatch.setattr(rings, "_BLOCK_CELLS", 1)
+    assert np.array_equal(module._tabulate_product(), table)
 
 
 def _planted_law(module):

@@ -46,7 +46,7 @@ from nilcomm.rings import (
 )
 
 import oracle
-from conftest import record_sampled_draws
+from conftest import loop_products, record_sampled_draws
 
 
 def test_zn_basics():
@@ -525,6 +525,16 @@ def test_matrix_products_keep_a_planted_entry_defect(tabulate):
     assert got != honest.vmul(a, b).tolist()
 
 
+def _layout_ring(expr, cfg):
+    """The ring of expr; "M(2, skew Z(3))" is the 2x2 matrices over _SkewZn(3)
+    and "V(3, skew-add Z(3))" the v-type ones over _SkewAddZn(3), unchecked."""
+    if expr == "M(2, skew Z(3))":
+        return _UncheckedMatrixRing(MatrixShape(FULL, 2), _SkewZn(3, cfg), cfg)
+    if expr == "V(3, skew-add Z(3))":
+        return _UncheckedMatrixRing(MatrixShape(V_TYPE, 3), _SkewAddZn(3, cfg), cfg)
+    return elaborate_text(expr, cfg)
+
+
 # every digitwise ring layout: matrix shapes, truncated polynomials, products
 @pytest.mark.parametrize("expr", ["M(2, Z(3))", "T(3, Z(2))", "S(3, Z(3))", "V(3, Z(4))",
                                   "polyq(Z(4), 3)", "prod(Z(2), Z(6))",
@@ -532,8 +542,7 @@ def test_matrix_products_keep_a_planted_entry_defect(tabulate):
 @pytest.mark.parametrize("tabulate", [True, False])
 def test_composed_add_tables_match_the_op_and_the_plain_loop(expr, tabulate):
     cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=1024 if tabulate else 0)
-    ring = (_UncheckedMatrixRing(MatrixShape(FULL, 2), _SkewZn(3, cfg), cfg)
-            if expr == "M(2, skew Z(3))" else elaborate_text(expr, cfg))
+    ring = _layout_ring(expr, cfg)
     assert ring.tabulated is tabulate
     table = ring.add_table()
     assert table.dtype == np.int32
@@ -552,6 +561,26 @@ class _SkewAddZn(ZnRing):
         return (a + b + (a == 2) * (b == 2)) % self.n
 
     _vadd = _add
+
+
+# the four shapes at n = 2 and 3 over Z(n), n a power of two and not, and over
+# entries whose product does not commute or whose sum is not associative
+@pytest.mark.parametrize("expr", [
+    "M(2, Z(3))", "M(3, Z(2))", "T(2, Z(3))", "T(3, Z(2))", "S(2, Z(4))", "S(3, Z(3))",
+    "V(2, Z(6))", "V(3, Z(4))", "V(2, T(2, Z(2)))", "M(2, skew Z(3))", "V(3, skew-add Z(3))"])
+@pytest.mark.parametrize("tabulate", [True, False])
+def test_mul_tables_from_entry_tables_match_the_op_and_the_plain_loop(
+        monkeypatch, expr, tabulate):
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=1024 if tabulate else 0)
+    ring = _layout_ring(expr, cfg)
+    assert ring.tabulated is tabulate
+    table = ring.mul_table()
+    assert table.dtype == np.int32
+    assert np.array_equal(table, rings.op_table(ring._vmul, ring.size, ring.size, ring.cells))
+    a, b, want = loop_products(ring, expr, _loop_mul)
+    assert table[a, b].tolist() == want
+    monkeypatch.setattr(rings, "_BLOCK_CELLS", 1)
+    assert np.array_equal(ring._tabulate_product(), table)
 
 
 @pytest.mark.parametrize("kind, threshold, message", [
