@@ -32,7 +32,7 @@ from .deciders import (
     decide,
 )
 from .dsl import elaborate, parse_structure
-from .errors import NilcommError, ParseError
+from .errors import InvalidParameterError, NilcommError, ParseError
 from .harness import HarnessOptions, exit_code, registered_ids, run_all
 from .modules import FiniteModule
 from .nilpotency import nil_set
@@ -276,11 +276,14 @@ def _parse_pattern(text: str):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    """lo..hi, or one n as n..n; a reversed range names no instance."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+        lo, hi = (int(end) for end in text.split("..", 1))
+    else:
+        lo = hi = int(text)
+    if lo > hi:
+        raise InvalidParameterError(f"--n range {text} is empty: {lo} exceeds {hi}")
+    return lo, hi
 
 
 _FAMILY_EXPR = {

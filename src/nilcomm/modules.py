@@ -43,9 +43,11 @@ _MODULE_PREFIX = {FULL: "matmod", UPPER: "trimod", SPECIAL_UPPER: "smod", V_TYPE
 
 class FiniteModule(FiniteStructure):
     """Base class: a finite unitary left module on ids 0..size-1, its product
-    the ring's action act."""
+    the ring's action act.  shares_ring_ops marks one sealed with its ring's
+    own operations and tables (the regular module)."""
 
     _kind = "module"
+    shares_ring_ops = False
 
     def __init__(self, ring: FiniteRing, size: int, descriptor: str,
                  config: EngineConfig):
@@ -61,6 +63,7 @@ class FiniteModule(FiniteStructure):
         ring = self.ring
         threshold = self.config.tabulate_threshold
         if share_ring_ops:
+            self.shares_ring_ops = True
             self.add, self.act, self.neg = ring.add, ring.mul, ring.neg
             self.vadd, self.vact, self.vneg = ring.vadd, ring.vmul, ring.vneg
             self.vmatact = ring.vmatmul
@@ -406,7 +409,10 @@ def check_module_axioms(module: FiniteModule, exhaustive: bool | None = None,
     The full regime scans every (a, b, c), (r, s, m) and (r, m, n)
     combination; the sampled regime draws `samples` of each family in one
     seeded draw and reports the first failure by family, draw, then law.
-    exhaustive=None picks from the construction budget.
+    exhaustive=None picks from the construction budget, and in the full
+    regime takes a passed ring scan (ring.laws_scanned) as its own for a
+    module sharing its ring's operations: there every module law instance,
+    spot laws included, is one of the ring's on the same tables.
     """
     cfg = module.config
     ring = module.ring
@@ -416,6 +422,8 @@ def check_module_axioms(module: FiniteModule, exhaustive: bool | None = None,
     cost = max(nr * nr * nm, nr * nm * nm, nm ** 3)
     if exhaustive is None:
         exhaustive = cost <= cfg.full_check_budget and cfg.allows(cost)
+        if exhaustive and module.shares_ring_ops and ring.laws_scanned:
+            return
     elif exhaustive:
         cfg.refuse_above_cap(cost, f"{desc}: full module axiom scan of {cost} triples")
 

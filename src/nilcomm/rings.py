@@ -345,11 +345,13 @@ class FiniteStructure:
 
 class FiniteRing(FiniteStructure):
     """Base class: a finite associative ring with identity on ids 0..size-1,
-    its product mul."""
+    its product mul.  laws_scanned marks a ring whose exhaustive axiom scan
+    has passed."""
 
     _kind = "ring"
     one: int
     mul: Callable[[int, int], int]
+    laws_scanned = False
 
     def _mul(self, a: int, b: int) -> int:
         return int(self._vmul(a, b))
@@ -875,7 +877,8 @@ def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
     exhaustive=None picks a regime from the construction budget: a full
     triple scan when size^3 fits, else `samples` random triples drawn at
     once (with the spot ids, in one seeded draw) and checked in blocks.
-    exhaustive=True forces the full scan (guarded by the decision cap).
+    exhaustive=True forces the full scan (guarded by the decision cap).  A
+    full scan that passes sets ring.laws_scanned.
     """
     cfg = ring.config
     n = ring.size
@@ -920,6 +923,7 @@ def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
             if hit is not None:
                 a, law, b, c = hit
                 raise AxiomError(f"{desc}: {_RING_LAWS[law]} at ({a}, {b}, {c})")
+            ring.laws_scanned = True
             return
 
     # Sampled regime: spot identities plus random triples, drawn at once.

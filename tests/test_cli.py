@@ -190,6 +190,21 @@ def test_search_tn_family(capsys):
     assert doc["matches"] == ["trimod(2, regular(Z(2)))"]
 
 
+def test_search_rejects_a_reversed_range(capsys):
+    code, out, err = run_cli(capsys, "search", "zn", "--n", "10..5", "--pattern",
+                             "semicommutative", "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert "--n range 10..5 is empty" in err
+    # a range of one n still decides that one instance
+    code, out, _ = run_cli(capsys, "search", "zn", "--n", "5..5", "--pattern",
+                           "semicommutative", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert [e["descriptor"] for e in doc["results"]] == ["regular(Z(5))"]
+    assert doc["matches"] == ["regular(Z(5))"]
+
+
 def test_search_bad_pattern(capsys):
     code, _, err = run_cli(capsys, "search", "zn", "--n", "2..5",
                            "--pattern", "semicommutative &")

@@ -14,6 +14,7 @@ from nilcomm import (
     ShapeMismatchError,
     center,
     check_module_axioms,
+    check_ring_axioms,
     cyclic_submodule,
     elaborate_text,
     identity_hom,
@@ -29,6 +30,7 @@ from nilcomm import (
     submodule_generated,
     zn_reduction_hom,
 )
+import nilcomm.harness as harness
 import nilcomm.modules as modules
 import nilcomm.rings as rings
 from nilcomm.config import DEFAULT_CONFIG
@@ -39,6 +41,7 @@ from nilcomm.rings import _stable_seed, draw_ids, first_broken
 
 import oracle
 from conftest import loop_products, mat_mod, record_sampled_draws, zn_module
+from test_rings import _SkewZn
 
 
 def test_regular_module_shares_ring_ops(z4_module):
@@ -307,6 +310,60 @@ def test_sampled_module_check_draws_once_what_consecutive_draws_gave(monkeypatch
     assert checked == [spots.tolist()] + [
         draw_ids(rng, samples, *sizes).tolist()
         for sizes in ((nm, nm, nm), (nr, nr, nm), (nr, nm, nm))]
+
+
+def _record_law_scans(monkeypatch) -> list:
+    """The descriptor of every module whose laws _scan_laws scans from here on."""
+    scanned, scan_laws = [], modules._scan_laws
+    monkeypatch.setattr(modules, "_scan_laws", lambda module: (
+        scanned.append(module.descriptor), scan_laws(module))[1])
+    return scanned
+
+
+@pytest.mark.parametrize("ring_expr", [*(f"Z({n})" for n in range(2, 41)), "M(2, Z(2))",
+                                       "T(2, Z(2))", "prod(Z(2), Z(4))", "polyq(Z(2), 3)"])
+def test_regular_module_takes_its_rings_exhaustive_scan(monkeypatch, ring_expr):
+    scanned = _record_law_scans(monkeypatch)
+    module = elaborate_text(f"regular({ring_expr})")
+    assert module.shares_ring_ops and module.ring.laws_scanned
+    assert scanned == []
+    # the same laws still pass the module's own scan when it is asked for
+    check_module_axioms(module, exhaustive=True)
+    assert scanned == [module.descriptor]
+
+
+@pytest.mark.parametrize("ring_expr, overrides", [
+    ("Z(41)", {}), ("T(2, Z(4))", {}),  # 41 and 64 elements: the rings are sampled
+    ("Z(20)", {"full_check_budget": 1000})])  # the ring is scanned, the module samples
+def test_a_sampled_regular_module_draws_its_own_samples(monkeypatch, ring_expr, overrides):
+    ring = elaborate_text(f"regular({ring_expr})").ring
+    assert ring.laws_scanned == bool(overrides)
+    cfg = DEFAULT_CONFIG.with_overrides(**overrides)
+    checked, draws = record_sampled_draws(monkeypatch, modules)
+    regular_module(ring, cfg)
+    # one draw; the spot laws at every id, then each family's samples
+    assert len(draws) == 1
+    assert [len(rows) for rows in checked] == [ring.size] + [cfg.validation_samples] * 3
+
+
+@pytest.mark.parametrize("n", [2, 40])
+def test_regular_module_over_an_untabulated_ring_scans_its_own_laws(monkeypatch, n):
+    cfg = harness._light_config(DEFAULT_CONFIG)
+    ring = make_zn(n, cfg)
+    assert not ring.tabulated and not ring.laws_scanned  # the ring was sampled
+    scanned = _record_law_scans(monkeypatch)
+    regular_module(ring, cfg)
+    assert scanned == [f"regular(Z({n}))"]
+
+
+def test_regular_module_over_a_broken_ring_fails_its_own_scan():
+    ring = _SkewZn(5, DEFAULT_CONFIG)  # built without its check
+    with pytest.raises(AxiomError, match=re.escape(
+            "regular(Z(5)): (r+s)m != rm+sm at (1, 1, 2)")):
+        regular_module(ring)
+    with pytest.raises(AxiomError):
+        check_ring_axioms(ring)
+    assert not ring.laws_scanned
 
 
 def _record_table_builds(monkeypatch) -> list:
