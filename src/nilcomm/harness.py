@@ -112,10 +112,6 @@ def registered_ids() -> list[str]:
     return list(_REGISTRY)
 
 
-def registry_claims() -> dict[str, str]:
-    return {cid: cd.claim for cid, cd in _REGISTRY.items()}
-
-
 # ---------------------------------------------------------------------------
 # Shared builders
 

@@ -9,7 +9,6 @@ shares its ring's bound operations and tables outright.
 from __future__ import annotations
 
 import math
-from random import Random
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,13 +26,12 @@ from .rings import (
     RingHom,
     _MatrixLayout,
     _ProductLayout,
-    _stable_seed,
     build,
+    check_laws,
     componentwise,
-    draw_families,
-    first_broken,
     first_true,
     make_matrix_ring,
+    module_laws,
     row_blocks,
     scan,
 )
@@ -395,90 +393,27 @@ def induced_module(hom: RingHom, module: FiniteModule,
 # Axiom validation
 
 
-# The messages of each law family: (a, b, c), (r, s, m) and (r, m, n).
+# The module's messages (see check_laws): its families' are (a, b, c), (r, s, m), (r, m, n).
 _MODULE_LAWS = (("module addition not commutative at ({0}, {1})",
                  "module addition not associative at ({0}, {1}, {2})"),
                 ("(r+s)m != rm+sm at ({0}, {1}, {2})", "(rs)m != r(sm) at ({0}, {1}, {2})"),
                 ("r(m+n) != rm+rn at ({0}, {1}, {2})",))
+_MODULE_MESSAGES = ("full module axiom scan",
+                    ("act(1, m) != m at m={0}", "zero is not an additive identity at {0}",
+                     "neg fails at {0}"), _MODULE_LAWS, sum(_MODULE_LAWS, ())[1:])
 
 
 def check_module_axioms(module: FiniteModule, exhaustive: bool | None = None,
                         samples: int | None = None) -> None:
-    """Verify the unitary left module axioms, raising AxiomError on failure.
-
-    The full regime scans every (a, b, c), (r, s, m) and (r, m, n)
-    combination; the sampled regime draws `samples` of each family in one
-    seeded draw and reports the first failure by family, draw, then law.
-    exhaustive=None picks from the construction budget, and in the full
-    regime takes a passed ring scan (ring.laws_scanned) as its own for a
-    module sharing its ring's operations: there every module law instance,
-    spot laws included, is one of the ring's on the same tables.
-    """
-    cfg = module.config
-    ring = module.ring
-    nm = module.size
-    nr = ring.size
-    desc = module.descriptor
-    cost = max(nr * nr * nm, nr * nm * nm, nm ** 3)
-    if exhaustive is None:
-        exhaustive = cost <= cfg.full_check_budget and cfg.allows(cost)
-        if exhaustive and module.shares_ring_ops and ring.laws_scanned:
-            return
-    elif exhaustive:
-        cfg.refuse_above_cap(cost, f"{desc}: full module axiom scan of {cost} triples")
-
-    vadd, vact, radd, rmul = module.vadd, module.vact, ring.vadd, ring.vmul
-    zero = module.zero
-    count = samples if samples is not None else cfg.validation_samples
-    families = (
-        ((nm, nm, nm), lambda a, b, c: (vadd(a, b) != vadd(b, a),
-                                        vadd(vadd(a, b), c) != vadd(a, vadd(b, c)))),
-        ((nr, nr, nm), lambda r, s, m: (vact(radd(r, s), m) != vadd(vact(r, m), vact(s, m)),
-                                        vact(rmul(r, s), m) != vact(r, vact(s, m)))),
-        ((nr, nm, nm), lambda r, m, n: (vact(r, vadd(m, n)) != vadd(vact(r, m), vact(r, n)),)))
-    # one seeded draw: the spot ids (when they are sampled), then each family
-    spotted = not exhaustive and nm > count
-    drawn = [] if exhaustive else draw_families(
-        Random(_stable_seed(cfg, desc)), count,
-        [(nm,)] * spotted + [sizes for sizes, _ in families])
-
-    # Unitary action and additive identity, at every element when feasible.
-    first_broken(module, drawn.pop(0) if spotted else np.arange(nm)[:, None], lambda m: (
+    """Verify the unitary left module axioms by check_laws, taking a passed
+    ring scan (ring.laws_scanned) as the full regime's for a module sharing
+    its ring's operations: each of its law instances is one of the ring's."""
+    ring, zero, vadd, vact = module.ring, module.zero, module.vadd, module.vact
+    comm, assoc, rdist, compat, ldist = module_laws(vadd, vact, ring.vadd, ring.vmul)
+    nm, nr = module.size, ring.size
+    check_laws(module, ring, exhaustive, samples, lambda m: (
         vact(ring.one, m) != m, vadd(zero, m) != m, vadd(m, module.vneg(m)) != zero),
-        ("act(1, m) != m at m={0}", "zero is not an additive identity at {0}",
-         "neg fails at {0}"))
-
-    if exhaustive:
-        _scan_laws(module)
-        return
-    for (_, laws), messages, rows in zip(families, _MODULE_LAWS, drawn):
-        first_broken(module, rows, laws, messages)
-
-
-def _scan_laws(module: FiniteModule) -> None:
-    """Every (a, b, c), (r, s, m) and (r, m, n) law by the scan kernel, first
-    failure as a triple loop in that order meets it."""
-    add, act = module.add_table(), module.act_table()
-    radd, rmul = module.ring.add_table(), module.ring.mul_table()
-    nm, nr = module.size, module.ring.size
-
-    def group(lo, hi):
-        pa = add[lo:hi]
-        comm = np.broadcast_to((pa != add[:, lo:hi].T)[:, :, None], (hi - lo, nm, nm))
-        return np.stack([comm, add[pa] != np.take(pa, add, axis=1)], axis=-1)
-
-    def mixed(lo, hi):
-        ar = act[lo:hi]
-        return np.stack([act[radd[lo:hi]] != add[ar[:, None, :], act[None, :, :]],
-                         act[rmul[lo:hi]] != np.take(ar, act, axis=1)], axis=-1)
-
-    def dist(lo, hi):
-        ar = act[lo:hi]
-        return (np.take(ar, add, axis=1) != add[ar[:, :, None], ar[:, None, :]])[..., None]
-
-    for broken, rows, cells, messages in zip(
-            (group, mixed, dist), (nm, nr, nr), (2 * nm * nm, 2 * nr * nm, nm * nm),
-            _MODULE_LAWS):
-        hit = scan(rows, cells, lambda lo, hi: first_true(broken(lo, hi), lo))
-        if hit is not None:
-            raise AxiomError(f"{module.descriptor}: " + messages[hit[3]].format(*hit))
+        [((nm, nm, nm), lambda a, b, c: (comm(a, b), assoc(a, b, c))),
+         ((nr, nr, nm), lambda r, s, m: (rdist(r, s, m), compat(r, s, m))),
+         ((nr, nm, nm), lambda r, m, n: (ldist(r, m, n),))],
+        _MODULE_MESSAGES, scanned=module.shares_ring_ops and ring.laws_scanned)

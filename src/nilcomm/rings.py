@@ -866,84 +866,114 @@ def verify_theta_iso(base: FiniteRing, n: int,
 # Axiom validation
 
 
-_RING_LAWS = ("add not associative", "mul not associative",
-              "left distributivity fails", "right distributivity fails")
+def module_laws(vadd, vact, radd, rmul):
+    """The five left module laws, each a mask of where it fails on id arrays:
+    + commutative at (a, b) and associative at (a, b, c); (r+s)m = rm+sm and
+    (rs)m = r(sm) at (r, s, m); r(m+n) = rm+rn at (r, m, n)."""
+    return (lambda a, b: vadd(a, b) != vadd(b, a),
+            lambda a, b, c: vadd(vadd(a, b), c) != vadd(a, vadd(b, c)),
+            lambda r, s, m: vact(radd(r, s), m) != vadd(vact(r, m), vact(s, m)),
+            lambda r, s, m: vact(rmul(r, s), m) != vact(r, vact(s, m)),
+            lambda r, m, n: vact(r, vadd(m, n)) != vadd(vact(r, m), vact(r, n)))
+
+
+_RING_LAWS = tuple(law + " at ({0}, {1}, {2})" for law in (
+    "add not associative", "mul not associative", "left distributivity fails",
+    "right distributivity fails"))
+# The ring's messages (see check_laws); the scan's (r+s)m at (b, c, a) is (b+c)a.
+_RING_MESSAGES = (
+    "full axiom scan",
+    ("zero is not an additive identity at {0}", "neg fails at {0}",
+     "one is not a multiplicative identity at {0}"),
+    (("add is not commutative at ({0}, {1})", *_RING_LAWS),),
+    (_RING_LAWS[0], "right distributivity fails at ({2}, {0}, {1})", *_RING_LAWS[1:3]))
 
 
 def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
                       samples: int | None = None) -> None:
-    """Verify the ring axioms, raising AxiomError on the first failure.
+    """Verify the ring axioms by check_laws: its regular module's laws (act =
+    mul) and the right identity a * 1 = a, sampled as one family of all five
+    laws per (a, b, c).  A full scan that passes sets ring.laws_scanned."""
+    zero, one, vadd, vmul, vneg = ring.zero, ring.one, ring.vadd, ring.vmul, ring.vneg
+    comm, assoc, rdist, compat, ldist = module_laws(vadd, vmul, vadd, vmul)
+    if check_laws(ring, ring, exhaustive, samples, lambda a: (
+            vadd(zero, a) != a, vadd(a, vneg(a)) != zero,
+            (vmul(one, a) != a) | (vmul(a, one) != a)),
+            [((ring.size,) * 3, lambda a, b, c: (comm(a, b), assoc(a, b, c), compat(a, b, c),
+                                                 ldist(a, b, c), rdist(b, c, a)))],
+            _RING_MESSAGES):
+        ring.laws_scanned = True
 
-    exhaustive=None picks a regime from the construction budget: a full
-    triple scan when size^3 fits, else `samples` random triples drawn at
-    once (with the spot ids, in one seeded draw) and checked in blocks.
-    exhaustive=True forces the full scan (guarded by the decision cap).  A
-    full scan that passes sets ring.laws_scanned.
-    """
-    cfg = ring.config
-    n = ring.size
-    desc = ring.descriptor
+
+def check_laws(structure, ring: FiniteRing, exhaustive: bool | None, samples: int | None,
+               spot_laws, families, messages, scanned: bool = False) -> bool:
+    """Verify a ring's or module's axioms over its scalar ring (a ring's is
+    itself), raising AxiomError at the first failure; True if it scanned.
+
+    The full regime runs when exhaustive, or when exhaustive is None and
+    max(|R|^2|M|, |R||M|^2, |M|^3) fits the budget and the cap; there a passed
+    scan of the same tables (scanned) counts.  Tabulated or scanned tables are
+    range-checked, and + checked commutative at every pair.  Then spot_laws
+    hold at every id (or drawn ids above `samples` untabulated ones), and
+    _scan_laws scans every triple or each family (sizes, laws) is checked at
+    `samples` rows of one seeded draw.  messages: the full scan's name, then
+    the spot laws', each family's and the scan's messages."""
+    what, spot_messages, family_messages, scan_messages = messages
+    cfg, desc, n, nr = structure.config, structure.descriptor, structure.size, ring.size
+    cost = max(nr * nr * n, nr * n * n, n ** 3)
     if exhaustive is None:
-        # auto regime: full when the budget and the cap both allow it
-        exhaustive = (ring.tabulated and n ** 3 <= cfg.full_check_budget
-                      and cfg.allows(n ** 3))
+        exhaustive = cost <= cfg.full_check_budget and cfg.allows(cost)
+        if exhaustive and scanned:
+            return True
     elif exhaustive:
-        cfg.refuse_above_cap(n ** 3, f"{desc}: full axiom scan of {n ** 3} triples")
-
-    if ring.tabulated or exhaustive:
-        add, mul = ring.add_table(), ring.mul_table()
-        ar = np.arange(n)
-        neg = ring.vneg(ar)
-        for name, t in (("add", add), ("mul", mul)):
+        cfg.refuse_above_cap(cost, f"{desc}: {what} of {cost} triples")
+    count = samples if samples is not None else cfg.validation_samples
+    spotted = not exhaustive and n > count
+    drawn = [] if exhaustive else draw_families(
+        Random(_stable_seed(cfg, desc)), count,
+        [(n,)] * spotted + [sizes for sizes, _ in families])
+    tabled, own = structure.tabulated or exhaustive, structure is ring
+    if tabled:
+        add, act = structure.add_table(), structure.mul_table() if own else structure.act_table()
+        for name, t in (("add", add), ("mul" if own else "act", act)):
             if t.min() < 0 or t.max() >= n:
                 raise AxiomError(f"{desc}: {name} table has out-of-range ids")
         if not (add == add.T).all():
-            a, b = first_true(add != add.T)
-            raise AxiomError(f"{desc}: add is not commutative at ({a}, {b})")
-        if not (add[ring.zero] == ar).all():
-            raise AxiomError(f"{desc}: zero is not an additive identity")
-        if not (add[ar, neg] == ring.zero).all():
-            raise AxiomError(f"{desc}: neg does not give additive inverses")
-        if not (mul[ring.one] == ar).all() or not (mul[:, ring.one] == ar).all():
-            raise AxiomError(f"{desc}: one is not a multiplicative identity")
-        if exhaustive:
-            mul_t = mul.T
+            raise AxiomError(f"{desc}: " + family_messages[0][0].format(*first_true(add != add.T)))
+    first_broken(structure, drawn[0] if spotted and not tabled else np.arange(n)[:, None],
+                 spot_laws, spot_messages)
+    if exhaustive:  # nothing was drawn
+        _scan_laws(structure, add, act, *((add, act) if own else
+                                          (ring.add_table(), ring.mul_table())), scan_messages)
+    for (_, laws), family, rows in zip(families, family_messages, drawn[spotted:]):
+        first_broken(structure, rows, laws, family)
+    return exhaustive
 
-            def broken(lo, hi):
-                # (a, law, b, c) order: every law for one a before the next a
-                pa, ma, mt = add[lo:hi], mul[lo:hi], mul_t[lo:hi]
-                return np.stack([
-                    add[pa] != np.take(pa, add, axis=1),
-                    mul[ma] != np.take(ma, mul, axis=1),
-                    np.take(ma, add, axis=1) != add[ma[:, :, None], ma[:, None, :]],
-                    np.take(mt, add, axis=1) != add[mt[:, :, None], mt[:, None, :]],
-                ], axis=1)
 
-            hit = scan(n, 4 * n * n, lambda lo, hi: first_true(broken(lo, hi), lo))
-            if hit is not None:
-                a, law, b, c = hit
-                raise AxiomError(f"{desc}: {_RING_LAWS[law]} at ({a}, {b}, {c})")
-            ring.laws_scanned = True
-            return
+def _scan_laws(structure, add, act, radd, rmul, messages) -> None:
+    """Every law but commutativity on the add and act tables over the scalar
+    ring's, failing where loops over (a, b, c) for + associative, (r, s, m) for
+    (r+s)m and (rs)m, then (r, m, n) for r(m+n) first fail; one message each."""
+    nm, nr = len(add), len(radd)
 
-    # Sampled regime: spot identities plus random triples, drawn at once.
-    zero, one, vadd, vmul, vneg = ring.zero, ring.one, ring.vadd, ring.vmul, ring.vneg
-    count = samples if samples is not None else cfg.validation_samples
-    spotted = n > count
-    *spots, triples = draw_families(Random(_stable_seed(cfg, desc)), count,
-                                    [(n,)] * spotted + [(n, n, n)])
-    first_broken(ring, spots[0] if spotted else np.arange(n)[:, None], lambda a: (
-        vadd(zero, a) != a, vadd(a, vneg(a)) != zero,
-        (vmul(one, a) != a) | (vmul(a, one) != a)),
-        ("zero is not an additive identity at {0}", "neg fails at {0}",
-         "one is not a multiplicative identity at {0}"))
-    first_broken(ring, triples, lambda a, b, c: (
-        vadd(a, b) != vadd(b, a), vadd(vadd(a, b), c) != vadd(a, vadd(b, c)),
-        vmul(vmul(a, b), c) != vmul(a, vmul(b, c)),
-        vmul(a, vadd(b, c)) != vadd(vmul(a, b), vmul(a, c)),
-        vmul(vadd(b, c), a) != vadd(vmul(b, a), vmul(c, a))),
-        ("add is not commutative at ({0}, {1})",
-         *(law + " at ({0}, {1}, {2})" for law in _RING_LAWS)))
+    def assoc(lo, hi):
+        return (add[add[lo:hi]] != np.take(add[lo:hi], add, axis=1))[..., None]
+
+    def mixed(lo, hi):
+        ar = act[lo:hi]
+        return np.stack([act[radd[lo:hi]] != add[ar[:, None, :], act[None, :, :]],
+                         act[rmul[lo:hi]] != np.take(ar, act, axis=1)], axis=-1)
+
+    def dist(lo, hi):
+        ar = act[lo:hi]
+        return (np.take(ar, add, axis=1) != add[ar[:, :, None], ar[:, None, :]])[..., None]
+
+    for broken, rows, cells, first in zip((assoc, mixed, dist), (nm, nr, nr),
+                                          (nm * nm, 2 * nr * nm, nm * nm), (0, 1, 3)):
+        hit = scan(rows, cells, lambda lo, hi: first_true(broken(lo, hi), lo))
+        if hit is not None:
+            raise AxiomError(f"{structure.descriptor}: "
+                             + messages[first + hit[3]].format(*hit[:3]))
 
 
 def draw_ids(rng: Random, count: int, *sizes: int) -> np.ndarray:

@@ -13,16 +13,17 @@ from nilcomm import (
     matrix_module,
     regular_module,
 )
+from nilcomm import rings
 from nilcomm.rings import draw_ids
 
 
-def record_sampled_draws(monkeypatch, owner):
+def record_sampled_draws(monkeypatch):
     """Record what a sampled axiom check draws: the rows it hands to each
-    first_broken call (owner is the module that calls it) and the byte
-    count of each randbytes call.  Returns the two lists, filled as it runs."""
+    first_broken call of the shared checker and the byte count of each
+    randbytes call.  Returns the two lists, filled as it runs."""
     checked, draws = [], []
-    first_broken, randbytes = owner.first_broken, Random.randbytes
-    monkeypatch.setattr(owner, "first_broken", lambda structure, rows, *rest: (
+    first_broken, randbytes = rings.first_broken, Random.randbytes
+    monkeypatch.setattr(rings, "first_broken", lambda structure, rows, *rest: (
         checked.append(rows.tolist()), first_broken(structure, rows, *rest)))
     monkeypatch.setattr(Random, "randbytes", lambda rng, n: (
         draws.append(n), randbytes(rng, n))[1])

@@ -41,7 +41,7 @@ from nilcomm.rings import _stable_seed, draw_ids, first_broken
 
 import oracle
 from conftest import loop_products, mat_mod, record_sampled_draws, zn_module
-from test_rings import _SkewZn
+from test_rings import _MODULE_LAW_REPLAYS, _SkewZn
 
 
 def test_regular_module_shares_ring_ops(z4_module):
@@ -238,16 +238,6 @@ def test_sampled_module_check_catches_a_planted_action_defect():
     assert messages[0] == _first_drawn_break(module)[0]
 
 
-# each module law of a sampled triple, replayed through the pointwise ops,
-# family by family as _MODULE_LAWS lists them
-_MODULE_LAW_REPLAYS = (
-    (lambda M, a, b, c: M.add(a, b) != M.add(b, a),
-     lambda M, a, b, c: M.add(M.add(a, b), c) != M.add(a, M.add(b, c))),
-    (lambda M, r, s, m: M.act(M.ring.add(r, s), m) != M.add(M.act(r, m), M.act(s, m)),
-     lambda M, r, s, m: M.act(M.ring.mul(r, s), m) != M.act(r, M.act(s, m))),
-    (lambda M, r, m, n: M.act(r, M.add(m, n)) != M.add(M.act(r, m), M.act(r, n)),))
-
-
 def _first_drawn_break(module):
     """The message of the first broken drawn triple, replaying one
     draw_ids call per family (no spot draw: the module has at most
@@ -256,12 +246,12 @@ def _first_drawn_break(module):
     assert nm <= cfg.validation_samples
     rng = Random(_stable_seed(cfg, module.descriptor))
     found = []
-    for sizes, replays, messages in zip(((nm, nm, nm), (nr, nr, nm), (nr, nm, nm)),
-                                        _MODULE_LAW_REPLAYS, modules._MODULE_LAWS):
+    for sizes, messages in zip(((nm, nm, nm), (nr, nr, nm), (nr, nm, nm)),
+                               modules._MODULE_LAWS):
         drawn = draw_ids(rng, cfg.validation_samples, *sizes).tolist()
-        found += [f"{module.descriptor}: " + messages[law].format(*t)
-                  for t in drawn for law, broken in enumerate(replays)
-                  if broken(module, *t)][:1]
+        found += [f"{module.descriptor}: " + message.format(*t)
+                  for t in drawn for message in messages
+                  if _MODULE_LAW_REPLAYS[message.split(" at ")[0]](module, *t)][:1]
     return found
 
 
@@ -297,12 +287,43 @@ def test_sampled_module_check_reports_the_earlier_of_two_broken_families():
     assert str(err.value) == second
 
 
+class _SkewSum(FiniteModule):
+    """Z(n) over itself with 1 + 2 gaining 1: zero and negatives still behave,
+    but + is neither commutative at (1, 2) nor associative at (1, 1, 1).
+    Built unvalidated."""
+
+    def __init__(self, n, config):
+        super().__init__(make_zn(n, config), n, f"skew-sum({n})", config)
+        self.n = n
+        self.zero = 0
+        self._seal(validate=False)
+
+    def _vadd(self, m, k):
+        return (m + k + (m == 1) * (k == 2)) % self.n
+
+    def _vneg(self, m):
+        return (-m) % self.n
+
+    def _vact(self, r, m):
+        return (r * m) % self.n
+
+
+@pytest.mark.parametrize("overrides", [{}, {"full_check_budget": 1}])  # scanned, sampled
+def test_a_tabulated_module_checks_its_sum_commutes_at_every_pair(overrides):
+    # before the spot laws, the table scan and the drawn families
+    module = _SkewSum(5, DEFAULT_CONFIG.with_overrides(**overrides))
+    assert module.tabulated
+    with pytest.raises(AxiomError, match=re.escape(
+            "skew-sum(5): module addition not commutative at (1, 2)")):
+        check_module_axioms(module)
+
+
 @pytest.mark.parametrize("samples", [30, 40])  # 36 elements: spot ids drawn below 36 samples
 def test_sampled_module_check_draws_once_what_consecutive_draws_gave(monkeypatch, samples):
     cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0)
     module = elaborate_text("prodmod(regular(Z(6)), regular(Z(6)))", cfg)
     nm, nr = module.size, module.ring.size
-    checked, draws = record_sampled_draws(monkeypatch, modules)
+    checked, draws = record_sampled_draws(monkeypatch)
     check_module_axioms(module, exhaustive=False, samples=samples)
     assert len(draws) == 1
     rng = Random(_stable_seed(cfg, module.descriptor))
@@ -313,10 +334,11 @@ def test_sampled_module_check_draws_once_what_consecutive_draws_gave(monkeypatch
 
 
 def _record_law_scans(monkeypatch) -> list:
-    """The descriptor of every module whose laws _scan_laws scans from here on."""
-    scanned, scan_laws = [], modules._scan_laws
-    monkeypatch.setattr(modules, "_scan_laws", lambda module: (
-        scanned.append(module.descriptor), scan_laws(module))[1])
+    """The descriptor of every ring and module whose laws the shared table
+    kernel scans from here on."""
+    scanned, scan_laws = [], rings._scan_laws
+    monkeypatch.setattr(rings, "_scan_laws", lambda structure, *tables: (
+        scanned.append(structure.descriptor), scan_laws(structure, *tables))[1])
     return scanned
 
 
@@ -326,8 +348,9 @@ def test_regular_module_takes_its_rings_exhaustive_scan(monkeypatch, ring_expr):
     scanned = _record_law_scans(monkeypatch)
     module = elaborate_text(f"regular({ring_expr})")
     assert module.shares_ring_ops and module.ring.laws_scanned
-    assert scanned == []
+    assert scanned[-1] == ring_expr  # the ring scanned last, the module not at all
     # the same laws still pass the module's own scan when it is asked for
+    del scanned[:]
     check_module_axioms(module, exhaustive=True)
     assert scanned == [module.descriptor]
 
@@ -339,7 +362,7 @@ def test_a_sampled_regular_module_draws_its_own_samples(monkeypatch, ring_expr, 
     ring = elaborate_text(f"regular({ring_expr})").ring
     assert ring.laws_scanned == bool(overrides)
     cfg = DEFAULT_CONFIG.with_overrides(**overrides)
-    checked, draws = record_sampled_draws(monkeypatch, modules)
+    checked, draws = record_sampled_draws(monkeypatch)
     regular_module(ring, cfg)
     # one draw; the spot laws at every id, then each family's samples
     assert len(draws) == 1
@@ -348,12 +371,24 @@ def test_a_sampled_regular_module_draws_its_own_samples(monkeypatch, ring_expr, 
 
 @pytest.mark.parametrize("n", [2, 40])
 def test_regular_module_over_an_untabulated_ring_scans_its_own_laws(monkeypatch, n):
+    # one regime rule for rings and modules: the light ring's n^3 triples fit
+    # the budget, so the ring scans its laws untabulated and its module takes
+    # that scan as its own
     cfg = harness._light_config(DEFAULT_CONFIG)
-    ring = make_zn(n, cfg)
-    assert not ring.tabulated and not ring.laws_scanned  # the ring was sampled
     scanned = _record_law_scans(monkeypatch)
+    ring = make_zn(n, cfg)
+    assert not ring.tabulated and ring.laws_scanned
     regular_module(ring, cfg)
-    assert scanned == [f"regular(Z({n}))"]
+    assert scanned == [f"Z({n})"]
+
+
+@pytest.mark.parametrize("light", [False, True])
+@pytest.mark.parametrize("expr", ["Z(2)", "polyq(Z(2), 3)", "Z(40)", "Z(41)", "T(2, Z(4))"])
+def test_a_ring_scans_its_laws_exactly_when_they_fit_the_budget(expr, light):
+    cfg = harness._light_config(DEFAULT_CONFIG) if light else DEFAULT_CONFIG
+    ring = elaborate_text(expr, cfg)
+    assert ring.tabulated is not light
+    assert ring.laws_scanned == (ring.size ** 3 <= cfg.full_check_budget)
 
 
 def test_regular_module_over_a_broken_ring_fails_its_own_scan():

@@ -34,6 +34,7 @@ from nilcomm import (
     zn_reduction_hom,
 )
 from nilcomm.config import DEFAULT_CONFIG
+from nilcomm.modules import RegularModule
 import nilcomm.rings as rings
 from nilcomm.rings import (
     MatrixRing,
@@ -248,27 +249,33 @@ def test_trivial_ring_rejected_via_custom_class():
         Trivial()
 
 
+class _MaxRing(FiniteRing):
+    """Z(3)'s sum with max as its product: 1 is no identity, as max(1, 0) = 1."""
+
+    def __init__(self, validate=True):
+        super().__init__(3, "broken", DEFAULT_CONFIG)
+        self.zero = 0
+        self.one = 1
+        self._seal(validate)
+
+    def _vadd(self, a, b):
+        return (a + b) % 3
+
+    def _vmul(self, a, b):
+        return np.maximum(a, b)
+
+    def _vneg(self, a):
+        return (-a) % 3
+
+
 def test_axiom_check_catches_broken_mul():
-    class Broken(FiniteRing):
-        """mul(a, b) = a + b is not associative with the rest of the axioms."""
-
-        def __init__(self):
-            super().__init__(3, "broken", DEFAULT_CONFIG)
-            self.zero = 0
-            self.one = 1
-            self._seal()
-
-        def _vadd(self, a, b):
-            return (a + b) % 3
-
-        def _vmul(self, a, b):
-            return np.maximum(a, b)
-
-        def _vneg(self, a):
-            return (-a) % 3
-
     with pytest.raises(AxiomError, match="one is not a multiplicative identity"):
-        Broken()
+        _MaxRing()
+    # a tabulated ring checks its spot laws at every element, even where it
+    # draws fewer spot ids than it has elements
+    with pytest.raises(AxiomError, match=re.escape(
+            "broken: one is not a multiplicative identity at 0")):
+        check_ring_axioms(_MaxRing(validate=False), exhaustive=False, samples=1)
 
 
 def test_full_axiom_validation_on_small_structures(t2z4_module, m2z2_module):
@@ -340,7 +347,7 @@ def test_sampled_ring_check_reports_the_first_drawn_broken_triple():
 def test_sampled_ring_check_draws_once_what_consecutive_draws_gave(monkeypatch, samples):
     cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0)
     ring = make_zn(50, cfg)
-    checked, draws = record_sampled_draws(monkeypatch, rings)
+    checked, draws = record_sampled_draws(monkeypatch)
     check_ring_axioms(ring, exhaustive=False, samples=samples)
     assert len(draws) == 1
     rng = Random(_stable_seed(cfg, ring.descriptor))
@@ -587,10 +594,90 @@ def test_mul_tables_from_entry_tables_match_the_op_and_the_plain_loop(
     (FULL, 1024, "M(2, Z(3)): left distributivity fails at (35, 33, 53)"),  # sampled
     (FULL, 0, "M(2, Z(3)): left distributivity fails at (35, 33, 53)"),
     (UPPER, 1024, "T(2, Z(3)): add not associative at (1, 1, 2)"),  # full scan
-    (UPPER, 0, "T(2, Z(3)): add not associative at (19, 26, 16)")])
+    (UPPER, 0, "T(2, Z(3)): add not associative at (1, 1, 2)")])  # untabulated, full
 def test_matrix_ring_over_a_broken_sum_fails_its_check_as_before(kind, threshold, message):
     # the same messages as an add table built entry by entry through op_table
     cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=threshold)
     with pytest.raises(AxiomError) as err:
         MatrixRing(MatrixShape(kind, 2), _SkewAddZn(3, cfg), cfg)
     assert str(err.value) == message
+
+
+def test_untabulated_matrix_ring_over_a_broken_sum_samples_above_the_budget():
+    # 27^3 triples over the budget: the sampled regime's first drawn break
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0, full_check_budget=27 ** 3 - 1)
+    with pytest.raises(AxiomError) as err:
+        MatrixRing(MatrixShape(UPPER, 2), _SkewAddZn(3, cfg), cfg)
+    assert str(err.value) == "T(2, Z(3)): add not associative at (19, 26, 16)"
+
+
+class _UncheckedRegularModule(RegularModule):
+    """A ring's regular module built without its axiom check."""
+
+    def _seal(self, validate=True, share_ring_ops=False):
+        super()._seal(False, share_ring_ops)
+
+
+# each spot law of a ring or a module, replayed at an id through the pointwise
+# ops, and each module law at the ids of a triple (keyed by its message)
+_SPOT_REPLAYS = {
+    "zero is not an additive identity": lambda s, a: s.add(s.zero, a) != a,
+    "neg fails": lambda s, a: s.add(a, s.neg(a)) != s.zero,
+    "one is not a multiplicative identity":
+        lambda r, a: r.mul(r.one, a) != a or r.mul(a, r.one) != a,
+    "act(1, m) != m": lambda M, m: M.act(M.ring.one, m) != m,
+}
+_MODULE_LAW_REPLAYS = {
+    "module addition not commutative": lambda M, a, b, c: M.add(a, b) != M.add(b, a),
+    "module addition not associative":
+        lambda M, a, b, c: M.add(M.add(a, b), c) != M.add(a, M.add(b, c)),
+    "(r+s)m != rm+sm":
+        lambda M, r, s, m: M.act(M.ring.add(r, s), m) != M.add(M.act(r, m), M.act(s, m)),
+    "(rs)m != r(sm)": lambda M, r, s, m: M.act(M.ring.mul(r, s), m) != M.act(r, M.act(s, m)),
+    "r(m+n) != rm+rn":
+        lambda M, r, m, n: M.act(r, M.add(m, n)) != M.add(M.act(r, m), M.act(r, n)),
+}
+# a ring law's instance as its regular module names it: the module law, and
+# the positions of the ring's ids in the module's
+_AS_MODULE_LAW = {
+    "zero is not an additive identity": ("zero is not an additive identity", (0,)),
+    "neg fails": ("neg fails", (0,)),
+    "one is not a multiplicative identity": ("act(1, m) != m", (0,)),
+    "add is not commutative": ("module addition not commutative", (0, 1)),
+    "add not associative": ("module addition not associative", (0, 1, 2)),
+    "mul not associative": ("(rs)m != r(sm)", (0, 1, 2)),
+    "left distributivity fails": ("r(m+n) != rm+rn", (0, 1, 2)),
+    "right distributivity fails": ("(r+s)m != rm+sm", (1, 2, 0)),
+}
+
+
+def _law_at(message, descriptor):
+    """The law a check's message names, and its ids."""
+    law, ids = re.fullmatch(re.escape(descriptor) + r": (.+) at (?:m=)?\(?([\d, ]+)\)?",
+                            message).groups()
+    return law, [int(x) for x in ids.split(", ")]
+
+
+@pytest.mark.parametrize("make", [lambda: _SkewZn(5, DEFAULT_CONFIG),
+                                  lambda: _SkewAddZn(3, DEFAULT_CONFIG),
+                                  lambda: _MaxRing(validate=False)],
+                         ids=["skew-mul", "skew-add", "max"])
+def test_ring_and_regular_module_scans_name_one_broken_law_instance(make):
+    ring = make()
+    module = _UncheckedRegularModule(ring)
+    found = []
+    for check, structure in ((check_ring_axioms, ring), (check_module_axioms, module)):
+        with pytest.raises(AxiomError) as err:
+            check(structure, exhaustive=True)
+        found.append(_law_at(str(err.value), structure.descriptor))
+    (ring_law, ring_ids), (module_law, module_ids) = found
+    # each message's ids break the law it names, replayed pointwise
+    for structure, law, ids in ((ring, ring_law, ring_ids), (module, module_law, module_ids)):
+        if law in _SPOT_REPLAYS:
+            assert _SPOT_REPLAYS[law](structure, *ids)
+        else:
+            replays = _MODULE_LAW_REPLAYS if structure is module else _RING_LAW_REPLAYS
+            assert replays[law](structure, *ids, *[0] * (3 - len(ids)))
+    # and the two messages name the same instance
+    law, order = _AS_MODULE_LAW[ring_law]
+    assert (module_law, module_ids) == (law, [ring_ids[i] for i in order])
