@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 
@@ -205,40 +206,26 @@ def cmd_verify_paper(args) -> int:
 
 
 def _parse_pattern(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "!&|()":
-            tokens.append(ch)
-            i += 1
-            continue
-        j = i
-        while j < len(text) and (text[j].isalnum() or text[j] == "-"):
-            j += 1
-        if j == i:
-            raise NilcommError(f"bad pattern character {ch!r}")
-        tokens.append(text[i:j])
-        i = j
+    # (word, bad character) pairs; a word is an operator, a parenthesis or
+    # a run of letters, digits and "-"
+    pairs = re.findall(r"([!&|()]|(?:[^\W_]|-)+)|(\S)", text)
+    bad = next((ch for _, ch in pairs if ch), None)
+    if bad:
+        raise NilcommError(f"bad pattern character {bad!r}")
+    tokens = [word for word, _ in pairs] + [None]  # None ends the input
     pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
 
     def literal():
         nonlocal pos
-        tok = peek()
+        tok = tokens[pos]
         if tok == "!":
             pos += 1
             inner = literal()
             return lambda v: not inner(v)
         if tok == "(":
             pos += 1
-            inner = orexpr()
-            if peek() != ")":
+            inner = chain("|")
+            if tokens[pos] != ")":
                 raise NilcommError("unbalanced parenthesis in pattern")
             pos += 1
             return inner
@@ -251,26 +238,19 @@ def _parse_pattern(text: str):
         pos += 1
         return lambda v, _p=tok: bool(v[_p])
 
-    def andexpr():
+    def chain(op):
+        """Operands joined by op: "|" joins "&" chains, "&" joins literals."""
         nonlocal pos
-        fn = literal()
-        while peek() == "&":
+        operand = literal if op == "&" else lambda: chain("&")
+        terms = [operand()]
+        while tokens[pos] == op:
             pos += 1
-            rhs = literal()
-            fn = (lambda f, g: lambda v: f(v) and g(v))(fn, rhs)
-        return fn
+            terms.append(operand())
+        join = all if op == "&" else any
+        return lambda v: join(term(v) for term in terms)
 
-    def orexpr():
-        nonlocal pos
-        fn = andexpr()
-        while peek() == "|":
-            pos += 1
-            rhs = andexpr()
-            fn = (lambda f, g: lambda v: f(v) or g(v))(fn, rhs)
-        return fn
-
-    result = orexpr()
-    if pos != len(tokens):
+    result = chain("|")
+    if tokens[pos] is not None:
         raise NilcommError("trailing tokens in pattern")
     return result
 

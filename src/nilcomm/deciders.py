@@ -356,6 +356,8 @@ def replay(module: FiniteModule, prop: str, a, r, m) -> np.ndarray:
     prop on module; the violation test runs on triggered triples only."""
     row, ops = _row(prop), _PointwiseOps(module)
     a, r, m = np.asarray(a), np.asarray(r), np.asarray(m)
+    module.ring.check_ids(a, r)
+    module.check_ids(m)
     hot = np.flatnonzero(row.trigger(ops, ops.act(row.multiplier(ops, a), m)))
     out = np.zeros(len(a), dtype=bool)
     out[hot] = row.violation(ops, a[hot], ops.act(r[hot], m[hot]))

@@ -21,6 +21,7 @@ equal AST.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .config import EngineConfig, resolve
@@ -56,34 +57,64 @@ HOM = "hom"
 INT = "int"
 SET = "set"
 
-# name -> (result kind, argument kinds; a trailing "*" repeats the previous)
-_SIGNATURES: dict[str, tuple[str, tuple[str, ...]]] = {
-    "Z": (RING, (INT,)),
-    "M": (RING, (INT, RING)),
-    "T": (RING, (INT, RING)),
-    "S": (RING, (INT, RING)),
-    "V": (RING, (INT, RING)),
-    "prod": (RING, (RING, "*")),
-    "polyq": (RING, (RING, INT)),
-    "loc": (RING, (RING, SET)),
-    "zred": (HOM, (INT, INT)),
-    "idhom": (HOM, (RING,)),
-    "regular": (MODULE, (RING,)),
-    "matmod": (MODULE, (INT, MODULE)),
-    "trimod": (MODULE, (INT, MODULE)),
-    "smod": (MODULE, (INT, MODULE)),
-    "vmod": (MODULE, (INT, MODULE)),
-    "prodmod": (MODULE, (MODULE, "*")),
-    "cyclic": (MODULE, (MODULE, INT)),
-    "gen": (MODULE, (MODULE, SET)),
-    "quot": (MODULE, (MODULE, MODULE)),
-    "locmod": (MODULE, (MODULE, SET)),
-    "induced": (MODULE, (HOM, MODULE)),
-}
 
-_SHAPE_OF = {"M": FULL, "T": UPPER, "S": SPECIAL_UPPER, "V": V_TYPE,
-             "matmod": FULL, "trimod": UPPER, "smod": SPECIAL_UPPER,
-             "vmod": V_TYPE}
+def _matrix_ring(shape: str) -> tuple:
+    return RING, (INT, RING), lambda cfg, n, base: make_matrix_ring(
+        MatrixShape(shape, n), base, cfg)
+
+
+def _matrix_module(shape: str) -> tuple:
+    return MODULE, (INT, MODULE), lambda cfg, n, base: matrix_module(
+        MatrixShape(shape, n), base.ring, base, cfg)
+
+
+def _quot(cfg: EngineConfig, parent, sub):
+    if not isinstance(sub, SubModule):
+        raise InvalidParameterError(
+            "quot wants a cyclic(...) or gen(...) submodule as its second "
+            f"argument, got {sub.descriptor}")
+    if sub.parent.descriptor != parent.descriptor:
+        raise InvalidParameterError(
+            f"{sub.descriptor} is a submodule of {sub.parent.descriptor}, "
+            f"not of {parent.descriptor}")
+    return quotient_module(parent, sub, cfg)
+
+
+# name -> (result kind, argument kinds, builder); a trailing "*" repeats the
+# kind before it.  A builder takes the config and the built arguments, and
+# looks its constructor up by name when called, so it calls whatever the
+# binding holds then (a profiler's wrapper, say).
+_CONSTRUCTORS: dict[str, tuple] = {
+    "Z": (RING, (INT,), lambda cfg, n: make_zn(n, cfg)),
+    "M": _matrix_ring(FULL),
+    "T": _matrix_ring(UPPER),
+    "S": _matrix_ring(SPECIAL_UPPER),
+    "V": _matrix_ring(V_TYPE),
+    "prod": (RING, (RING, "*"),
+             lambda cfg, *rings: make_product_ring(list(rings), cfg)),
+    "polyq": (RING, (RING, INT),
+              lambda cfg, base, n: make_poly_quotient_ring(base, n, cfg)),
+    "loc": (RING, (RING, SET), lambda cfg, base, gens: localize_ring(
+        base, multiplicative_closure(base, gens, cfg), cfg)),
+    "zred": (HOM, (INT, INT), lambda cfg, m, n: zn_reduction_hom(m, n, cfg)),
+    "idhom": (HOM, (RING,), lambda cfg, ring: identity_hom(ring)),
+    "regular": (MODULE, (RING,), lambda cfg, ring: regular_module(ring, cfg)),
+    "matmod": _matrix_module(FULL),
+    "trimod": _matrix_module(UPPER),
+    "smod": _matrix_module(SPECIAL_UPPER),
+    "vmod": _matrix_module(V_TYPE),
+    "prodmod": (MODULE, (MODULE, "*"),
+                lambda cfg, *modules: make_product_module(list(modules), cfg)),
+    "cyclic": (MODULE, (MODULE, INT),
+               lambda cfg, module, m: cyclic_submodule(module, m, cfg)),
+    "gen": (MODULE, (MODULE, SET),
+            lambda cfg, module, gens: submodule_generated(module, gens, cfg)),
+    "quot": (MODULE, (MODULE, MODULE), _quot),
+    "locmod": (MODULE, (MODULE, SET), lambda cfg, module, gens: localize_module(
+        module, multiplicative_closure(module.ring, gens, cfg), cfg)),
+    "induced": (MODULE, (HOM, MODULE),
+                lambda cfg, hom, module: induced_module(hom, module, cfg)),
+}
 
 
 @dataclass(frozen=True)
@@ -98,187 +129,132 @@ class StructureExpr:
 
     @property
     def kind(self) -> str:
-        return _SIGNATURES[self.name][0]
+        return _constructor(self.name, self.line, self.column)[0]
+
+
+def _constructor(name: str, line: int, column: int) -> tuple:
+    if name not in _CONSTRUCTORS:
+        raise ParseError(f"unknown constructor {name!r}", line, column,
+                         expected=tuple(sorted(_CONSTRUCTORS)))
+    return _CONSTRUCTORS[name]
+
+
+def _check_args(name: str, args, line: int, column: int) -> tuple:
+    """name's table entry once args fit its arity and argument kinds; a
+    misfit is reported at (line, column), or at the misfit node."""
+    entry = _constructor(name, line, column)
+    kinds = entry[1]
+    variadic = kinds[-1] == "*"
+    fixed = kinds[:-1] if variadic else kinds
+    if len(args) < len(fixed) or not variadic and len(args) > len(fixed):
+        raise ParseError(
+            f"{name} wants {'at least ' if variadic else ''}{len(fixed)} "
+            f"argument(s), got {len(args)}", line, column,
+            expected=fixed[len(args):] or (")",))
+    for i, arg in enumerate(args):
+        want = fixed[min(i, len(fixed) - 1)]
+        got = (arg.kind if isinstance(arg, StructureExpr)
+               else INT if isinstance(arg, int)
+               else SET if isinstance(arg, tuple) and all(isinstance(x, int) for x in arg)
+               else type(arg).__name__)
+        if got != want:
+            if isinstance(arg, StructureExpr):
+                line, column = arg.line, arg.column
+            raise ParseError(f"{name} argument {i + 1} should be a {want}, "
+                             f"got a {got}", line, column, expected=(want,))
+    return entry
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parser: tokens are (kind, text, line, column), kind int, name, punct or end
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<punct>[(){},])|(?P<other>\S))")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # name | int | punct | end
-    text: str
-    line: int
-    column: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "(){},":
-            tokens.append(_Token("punct", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col,
-                         expected=("name", "integer", "punctuation"))
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+def _expected(what: str, token: tuple, *expected: str) -> ParseError:
+    _, word, line, column = token
+    return ParseError(f"expected {what}, found {word or 'end of input'!r}",
+                      line, column, expected=expected)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.tokens = []
+        for match in _TOKEN.finditer(text):
+            kind = match.lastgroup
+            word = match.group(kind)
+            line, column = _position(text, match.start(kind))
+            # \w also holds numerals such as "½", and those start no name
+            if kind == "other" or (kind == "name" and word[0] != "_"
+                                   and not word[0].isalpha()):
+                raise ParseError(f"unexpected character {word[0]!r}", line, column,
+                                 expected=("name", "integer", "punctuation"))
+            self.tokens.append((kind, word, line, column))
+        self.tokens.append(("end", "", *_position(text, len(text))))
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> tuple:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != ch:
-            raise ParseError(
-                f"expected {ch!r}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.column, expected=(ch,))
+    def expect(self, punct: str) -> tuple:
+        if self.peek()[1] != punct:
+            raise _expected(repr(punct), self.peek(), punct)
         return self.advance()
 
+    def comma_list(self, item, close: str) -> tuple[list, tuple]:
+        """Comma-separated items up to the close punctuation, and its token."""
+        items = [] if self.peek()[1] == close else [item()]
+        while items and self.peek()[1] == ",":
+            self.advance()
+            items.append(item())
+        return items, self.expect(close)
+
     def parse_expr(self) -> StructureExpr:
-        tok = self.peek()
-        if tok.kind != "name":
-            raise ParseError(
-                f"expected a constructor name, found {tok.text or 'end of input'!r}",
-                tok.line, tok.column, expected=("name",))
-        self.advance()
-        if tok.text not in _SIGNATURES:
-            raise ParseError(f"unknown constructor {tok.text!r}",
-                             tok.line, tok.column,
-                             expected=tuple(sorted(_SIGNATURES)))
-        self.expect_punct("(")
-        args = []
-        closing = self.peek()
-        if closing.kind == "punct" and closing.text == ")":
-            # report arity problems at the position of the missing argument
-            self._check_args(tok, args, closing)
-        while True:
-            args.append(self.parse_arg())
-            nxt = self.peek()
-            if nxt.kind == "punct" and nxt.text == ",":
-                self.advance()
-                continue
-            break
-        close = self.expect_punct(")")
-        self._check_args(tok, args, close)
-        return StructureExpr(tok.text, tuple(args), tok.line, tok.column)
+        kind, name, line, column = token = self.advance()
+        if kind != "name":
+            raise _expected("a constructor name", token, "name")
+        _constructor(name, line, column)
+        self.expect("(")
+        args, (_, _, close_line, close_column) = self.comma_list(self.parse_arg, ")")
+        _check_args(name, args, close_line, close_column)
+        return StructureExpr(name, tuple(args), line, column)
 
     def parse_arg(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return int(tok.text)
-        if tok.kind == "punct" and tok.text == "{":
-            return self.parse_set()
-        if tok.kind == "name":
+        kind, word, _, _ = token = self.peek()
+        if kind == "name":
             return self.parse_expr()
-        raise ParseError(
-            f"expected an expression, integer or set, found "
-            f"{tok.text or 'end of input'!r}",
-            tok.line, tok.column, expected=("expression", "integer", "set"))
+        self.advance()
+        if kind == "int":
+            return int(word)
+        if word == "{":
+            return tuple(sorted(set(self.comma_list(self.parse_int, "}")[0])))
+        raise _expected("an expression, integer or set", token,
+                        "expression", "integer", "set")
 
-    def parse_set(self) -> tuple:
-        self.expect_punct("{")
-        items = []
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "}":
-            self.advance()
-            return tuple()
-        while True:
-            tok = self.peek()
-            if tok.kind != "int":
-                raise ParseError(
-                    f"expected an integer inside a set, found "
-                    f"{tok.text or 'end of input'!r}",
-                    tok.line, tok.column, expected=("integer",))
-            items.append(int(self.advance().text))
-            nxt = self.peek()
-            if nxt.kind == "punct" and nxt.text == ",":
-                self.advance()
-                continue
-            break
-        self.expect_punct("}")
-        return tuple(sorted(set(items)))
-
-    def _check_args(self, name_tok: _Token, args: list, at: _Token) -> None:
-        kinds = _SIGNATURES[name_tok.text][1]
-        variadic = kinds and kinds[-1] == "*"
-        fixed = kinds[:-1] if variadic else kinds
-        if variadic:
-            if len(args) < len(fixed):
-                raise ParseError(
-                    f"{name_tok.text} wants at least {len(fixed)} argument(s), "
-                    f"got {len(args)}", at.line, at.column,
-                    expected=fixed[len(args):])
-        elif len(args) != len(fixed):
-            raise ParseError(
-                f"{name_tok.text} wants {len(fixed)} argument(s), got {len(args)}",
-                at.line, at.column, expected=fixed[len(args):] or (")",))
-        for i, arg in enumerate(args):
-            want = fixed[i] if i < len(fixed) else fixed[-1]
-            got = (INT if isinstance(arg, int)
-                   else SET if isinstance(arg, tuple)
-                   else arg.kind)
-            if got != want:
-                pos = arg if isinstance(arg, StructureExpr) else None
-                line = pos.line if pos else at.line
-                col = pos.column if pos else at.column
-                raise ParseError(
-                    f"{name_tok.text} argument {i + 1} should be a {want}, "
-                    f"got a {got}", line, col, expected=(want,))
+    def parse_int(self) -> int:
+        kind, word, _, _ = token = self.advance()
+        if kind != "int":
+            raise _expected("an integer inside a set", token, "integer")
+        return int(word)
 
 
 def parse_structure(text: str) -> StructureExpr:
     """Parse one structure expression; trailing input is an error."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     expr = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input {tok.text!r}",
-                         tok.line, tok.column, expected=("end of input",))
+    kind, word, line, column = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {word!r}", line, column,
+                         expected=("end of input",))
     return expr
 
 
@@ -301,57 +277,9 @@ def elaborate(node: StructureExpr, config: EngineConfig | None = None):
 
 
 def _build(node: StructureExpr, cfg: EngineConfig):
-    name = node.name
-    args = node.args
-    if name == "Z":
-        return make_zn(args[0], cfg)
-    if name in ("M", "T", "S", "V"):
-        base = _build(args[1], cfg)
-        return make_matrix_ring(MatrixShape(_SHAPE_OF[name], args[0]), base, cfg)
-    if name == "prod":
-        return make_product_ring([_build(a, cfg) for a in args], cfg)
-    if name == "polyq":
-        return make_poly_quotient_ring(_build(args[0], cfg), args[1], cfg)
-    if name == "loc":
-        base = _build(args[0], cfg)
-        return localize_ring(base, multiplicative_closure(base, args[1], cfg), cfg)
-    if name == "zred":
-        return zn_reduction_hom(args[0], args[1], cfg)
-    if name == "idhom":
-        return identity_hom(_build(args[0], cfg))
-    if name == "regular":
-        return regular_module(_build(args[0], cfg), cfg)
-    if name in ("matmod", "trimod", "smod", "vmod"):
-        base_module = _build(args[1], cfg)
-        shape = MatrixShape(_SHAPE_OF[name], args[0])
-        return matrix_module(shape, base_module.ring, base_module, cfg)
-    if name == "prodmod":
-        return make_product_module([_build(a, cfg) for a in args], cfg)
-    if name == "cyclic":
-        return cyclic_submodule(_build(args[0], cfg), args[1], cfg)
-    if name == "gen":
-        return submodule_generated(_build(args[0], cfg), args[1], cfg)
-    if name == "quot":
-        parent = _build(args[0], cfg)
-        sub = _build(args[1], cfg)
-        if not isinstance(sub, SubModule):
-            raise InvalidParameterError(
-                "quot wants a cyclic(...) or gen(...) submodule as its second "
-                f"argument, got {sub.descriptor}")
-        if sub.parent.descriptor != parent.descriptor:
-            raise InvalidParameterError(
-                f"{sub.descriptor} is a submodule of {sub.parent.descriptor}, "
-                f"not of {parent.descriptor}")
-        return quotient_module(parent, sub, cfg)
-    if name == "locmod":
-        module = _build(args[0], cfg)
-        mset = multiplicative_closure(module.ring, args[1], cfg)
-        return localize_module(module, mset, cfg)
-    if name == "induced":
-        hom = _build(args[0], cfg)
-        module = _build(args[1], cfg)
-        return induced_module(hom, module, cfg)
-    raise InvalidParameterError(f"unknown constructor {name!r}")
+    builder = _check_args(node.name, node.args, node.line, node.column)[2]
+    args = [_build(a, cfg) if isinstance(a, StructureExpr) else a for a in node.args]
+    return builder(cfg, *args)
 
 
 def elaborate_text(text: str, config: EngineConfig | None = None):

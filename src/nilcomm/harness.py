@@ -1019,6 +1019,8 @@ def reverify_refutation(report_or_witness, config: EngineConfig | None = None) -
         m = witness["m"]
         return is_nilpotent_squared(module, m)[0] != is_nilpotent_power(module, m)[0]
     if kind == "annihilator":
+        module.ring.check_ids(witness["r"])
+        module.check_ids(witness["m"])
         return (module.act(witness["r"], witness["m"]) == module.zero) == \
             witness["expect_zero"]
     if kind == "t-closure":

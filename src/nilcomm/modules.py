@@ -342,10 +342,7 @@ def make_product_module(factors: Sequence[FiniteModule],
 def cyclic_submodule(module: FiniteModule, m: int,
                      config: EngineConfig | None = None) -> SubModule:
     """The submodule Rm of everything the ring action reaches from m."""
-    if not 0 <= m < module.size:
-        raise InvalidParameterError(
-            f"element {m} is not in {module.descriptor} (size {module.size})"
-        )
+    module.check_ids(m)
     return SubModule(module, orbit(module, m),
                      f"cyclic({module.descriptor}, {m})", config)
 
@@ -359,11 +356,7 @@ def submodule_generated(module: FiniteModule, gens: Iterable[int],
                         config: EngineConfig | None = None) -> SubModule:
     """Closure of a generating set under addition and the ring action."""
     gens = sorted(set(gens))
-    for g in gens:
-        if not 0 <= g < module.size:
-            raise InvalidParameterError(
-                f"generator {g} is not in {module.descriptor}"
-            )
+    module.check_ids(gens)
     inside = np.zeros(module.size, dtype=bool)
     inside[[module.zero, *gens]] = True
     while True:  # add every sum and multiple of the members until none is new

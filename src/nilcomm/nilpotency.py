@@ -134,6 +134,7 @@ def squared_killers(module: FiniteModule, ms: np.ndarray | None = None) -> np.nd
 
 def is_nilpotent_squared(module: FiniteModule, m: int):
     """Squared criterion; returns (verdict, least witness t or None)."""
+    module.check_ids(m)
     if m == module.zero:
         return True, None
     t = int(squared_killers(module, np.array([m]))[0])
@@ -147,6 +148,7 @@ def is_nilpotent_power(module: FiniteModule, m: int):
     zero (a witness when it happens at step k >= 2) or at a repeat (no
     witness for this r).
     """
+    module.check_ids(m)
     if m == module.zero:
         return True, None
     act = module.act

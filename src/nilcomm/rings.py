@@ -336,6 +336,14 @@ class FiniteStructure:
     def elements(self) -> range:
         return range(self.size)
 
+    def check_ids(self, *ids) -> None:
+        """Refuse an id, or an id array, holding an id of no element."""
+        for each in ids:
+            for x in np.ravel(each).tolist():
+                if not 0 <= x < self.size:
+                    raise InvalidParameterError(
+                        f"element {x} is not in {self.descriptor} (size {self.size})")
+
     def render(self, a: int) -> str:
         return str(a)
 

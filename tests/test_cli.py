@@ -212,6 +212,21 @@ def test_search_bad_pattern(capsys):
     assert "pattern" in err
 
 
+@pytest.mark.parametrize("pattern,message", [
+    ("semicommutative @ reduced-i", "bad pattern character '@'"),
+    ("(semicommutative", "unbalanced parenthesis in pattern"),
+    ("semicommutative & !", "pattern expected a property name"),
+    ("semi", "unknown property 'semi' in pattern; choose from semicommutative, "
+             "weakly-semicommutative, nil-semicommutative, reduced-i, reduced-ii"),
+    ("(semicommutative))", "trailing tokens in pattern"),
+])
+def test_search_pattern_errors(capsys, pattern, message):
+    code, out, err = run_cli(capsys, "search", "zn", "--n", "2..5",
+                             "--pattern", pattern)
+    assert (code, out) == (1, "")
+    assert err == f"nilcomm: error: {message}\n"
+
+
 def test_search_notes_capped_instances(capsys):
     code, out, _ = run_cli(capsys, "search", "tn", "--p", "2", "--n", "2..3",
                            "--pattern", "!nil-semicommutative",

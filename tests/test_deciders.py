@@ -5,6 +5,7 @@ import pytest
 
 from nilcomm import (
     DecisionCapError,
+    InvalidParameterError,
     check_submodule_equivalence,
     is_nil_semicommutative,
     is_reduced_i,
@@ -239,3 +240,19 @@ def test_verdict_serialization(z4_module):
                                   "a_render": "1", "r_render": "2",
                                   "m_render": "1"}
     assert payload["descriptor"] == "regular(Z(4))"
+
+
+@pytest.mark.parametrize("verify", [verify_nonsemicommutative_witness,
+                                    verify_not_nil_semicommutative_witness])
+@pytest.mark.parametrize("triple,message", [
+    ((1, 2, -1), "element -1 is not in regular(Z(4)) (size 4)"),
+    ((1, 2, 4), "element 4 is not in regular(Z(4)) (size 4)"),
+    ((4, 2, 1), "element 4 is not in Z(4) (size 4)"),
+    ((1, -2, 1), "element -2 is not in Z(4) (size 4)"),
+])
+def test_witness_verifiers_refuse_ids_of_no_element(z4_module, verify, triple, message):
+    # numpy would read -1 as the last element, and a too-large id would
+    # raise a bare IndexError from a table
+    with pytest.raises(InvalidParameterError) as exc:
+        verify(z4_module, *triple)
+    assert str(exc.value) == message

@@ -12,7 +12,7 @@ from nilcomm import (
     pretty,
 )
 from nilcomm.config import DEFAULT_CONFIG
-from nilcomm.dsl import StructureExpr
+from nilcomm.dsl import _CONSTRUCTORS, StructureExpr
 
 
 def test_parse_simple():
@@ -61,6 +61,49 @@ def test_trailing_input_and_bad_tokens():
         parse_structure("Z(#)")
     with pytest.raises(ParseError):
         parse_structure("gen(regular(Z(4)), {a})")
+
+
+_CONSTRUCTOR_NAMES = ("M", "S", "T", "V", "Z", "cyclic", "gen", "idhom", "induced",
+                      "loc", "locmod", "matmod", "polyq", "prod", "prodmod",
+                      "quot", "regular", "smod", "trimod", "vmod", "zred")
+
+
+# input -> (message, line, column, expected) of the ParseError it raises
+_PARSE_ERRORS = {
+    "Z(#)": ("unexpected character '#'", 1, 3,
+             ("name", "integer", "punctuation")),
+    "(4)": ("expected a constructor name, found '('", 1, 1, ("name",)),
+    "Q(3)": ("unknown constructor 'Q'", 1, 1, _CONSTRUCTOR_NAMES),
+    "Z 4": ("expected '(', found '4'", 1, 3, ("(",)),
+    "Z(4": ("expected ')', found 'end of input'", 1, 4, (")",)),
+    "Z()": ("Z wants 1 argument(s), got 0", 1, 3, ("int",)),
+    "prod()": ("prod wants at least 1 argument(s), got 0", 1, 6, ("ring",)),
+    "regular(Z(4), Z(2))": ("regular wants 1 argument(s), got 2", 1, 19, (")",)),
+    "M(Z(2), 2)": ("M argument 1 should be a int, got a ring", 1, 3, ("int",)),
+    "regular(3)": ("regular argument 1 should be a ring, got a int", 1, 10,
+                   ("ring",)),
+    "Z(4,)": ("expected an expression, integer or set, found ')'", 1, 5,
+              ("expression", "integer", "set")),
+    "gen(regular(Z(4)), {a})": ("expected an integer inside a set, found 'a'",
+                                1, 21, ("integer",)),
+    "gen(regular(Z(4)), {1,})": ("expected an integer inside a set, found '}'",
+                                 1, 23, ("integer",)),
+    "Z(4) Z(4)": ("unexpected trailing input 'Z'", 1, 6, ("end of input",)),
+    "": ("expected a constructor name, found 'end of input'", 1, 1, ("name",)),
+    "M(2,\n  T(2, Z(4)\n  ) x": ("expected ')', found 'x'", 3, 5, (")",)),
+    "M(2,\n  regular(Z(4)))": ("M argument 2 should be a ring, got a module",
+                               2, 3, ("ring",)),
+}
+
+
+@pytest.mark.parametrize("text", sorted(_PARSE_ERRORS))
+def test_parse_errors_name_their_place_and_what_was_expected(text):
+    message, line, column, expected = _PARSE_ERRORS[text]
+    with pytest.raises(ParseError) as exc:
+        parse_structure(text)
+    assert str(exc.value) == f"{message} at line {line}, column {column}"
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert exc.value.expected == expected
 
 
 _RING_LEAVES = ["Z(2)", "Z(3)", "Z(4)", "Z(6)"]
@@ -117,6 +160,11 @@ def _random_ast(rng, kind, depth):
                                 _random_ast(rng, "module", depth - 1)))
 
 
+def _names(node) -> set:
+    return {node.name}.union(*(_names(a) for a in node.args
+                               if isinstance(a, StructureExpr)))
+
+
 def test_round_trip_over_random_asts():
     # small caps keep each elaboration cheap; whatever an expression does
     # wrong must surface as a typed NilcommError, never as another exception
@@ -124,9 +172,11 @@ def test_round_trip_over_random_asts():
                                         decision_cap=2 ** 12)
     rng = random.Random(20240817)
     built = 0
+    names = set()
     for _ in range(250):
         kind = rng.choice(["ring", "module", "hom"])
         ast = _random_ast(rng, kind, 2)
+        names |= _names(ast)
         assert parse_structure(pretty(ast)) == ast
         try:
             elaborate(ast, cfg)
@@ -134,6 +184,27 @@ def test_round_trip_over_random_asts():
         except NilcommError:
             pass
     assert built > 100
+    assert names == set(_CONSTRUCTORS)
+
+
+def test_a_non_decimal_digit_is_an_unexpected_character():
+    # "²" is a digit to str.isdigit, but names no integer
+    with pytest.raises(ParseError) as exc:
+        parse_structure("Z(²)")
+    assert str(exc.value) == "unexpected character '²' at line 1, column 3"
+    assert parse_structure("Z(١٢)") == StructureExpr("Z", (12,))  # Arabic-Indic 12
+
+
+@pytest.mark.parametrize("node,message", [
+    (StructureExpr("Z", ()), "Z wants 1 argument(s), got 0"),
+    (StructureExpr("regular", (3,)), "regular argument 1 should be a ring, got a int"),
+    (StructureExpr("Z", ("4",)), "Z argument 1 should be a int, got a str"),
+    (StructureExpr("regular", (StructureExpr("Q", (3,)),)), "unknown constructor 'Q'"),
+])
+def test_elaborate_checks_a_hand_built_node_against_the_table(node, message):
+    with pytest.raises(NilcommError) as exc:
+        elaborate(node)
+    assert str(exc.value) == f"{message} at line 0, column 0"
 
 
 @pytest.mark.parametrize("text,size", [

@@ -475,3 +475,18 @@ def test_cyclic_submodules_in_element_order_with_their_generators(expr):
         key = tuple(sorted({module.act(r, m) for r in module.ring.elements()}))
         want.setdefault(key, (f"cyclic({module.descriptor}, {m})", key, []))[2].append(m)
     assert got == list(want.values())
+
+
+@pytest.mark.parametrize("witness,message", [
+    # at expect False, a replay of the id -2 (read as 2) used to succeed
+    ({"kind": "nilpotent-element", "descriptor": "regular(Z(4))", "m": -2,
+      "expect": False}, "element -2 is not in regular(Z(4)) (size 4)"),
+    ({"kind": "annihilator", "descriptor": "regular(Z(4))", "r": 1, "m": 9,
+      "expect_zero": False}, "element 9 is not in regular(Z(4)) (size 4)"),
+    ({"kind": "annihilator", "descriptor": "regular(Z(4))", "r": 5, "m": 1,
+      "expect_zero": False}, "element 5 is not in Z(4) (size 4)"),
+])
+def test_a_witness_naming_no_element_does_not_replay(witness, message):
+    with pytest.raises(InvalidParameterError) as exc:
+        reverify_refutation(witness)
+    assert str(exc.value) == message

@@ -2,6 +2,7 @@ import pytest
 
 from nilcomm import (
     DecisionCapError,
+    InvalidParameterError,
     cyclic_submodule,
     elaborate_text,
     is_nil_module,
@@ -231,3 +232,18 @@ def test_nilset_serialization(z4_module):
     assert payload["members"] == [0, 1, 3]
     assert payload["witnesses"]["1"] == {"t": 2, "k": 2}
     assert payload["descriptor"] == "regular(Z(4))"
+
+
+def test_nilpotency_criteria_refuse_ids_of_no_element():
+    tabulated = zn_module(4)
+    for criterion in (is_nilpotent_squared, is_nilpotent_power):
+        for m in (-1, 4):
+            with pytest.raises(InvalidParameterError, match=f"element {m} is not in"):
+                criterion(tabulated, m)
+    # decoding drops an id's bits above the size: 70000 would be read as 4464
+    untabulated = elaborate_text("matmod(4, regular(Z(2)))")
+    assert not untabulated.tabulated
+    with pytest.raises(InvalidParameterError) as exc:
+        is_nilpotent_squared(untabulated, 70000)
+    assert str(exc.value) == ("element 70000 is not in matmod(4, regular(Z(2))) "
+                              "(size 65536)")
