@@ -257,10 +257,11 @@ def _parse_pattern(text: str):
 
 def _parse_range(text: str) -> tuple[int, int]:
     """lo..hi, or one n as n..n; a reversed range names no instance."""
-    if ".." in text:
-        lo, hi = (int(end) for end in text.split("..", 1))
-    else:
-        lo = hi = int(text)
+    ends = text.split("..", 1)
+    try:
+        lo, hi = int(ends[0]), int(ends[-1])
+    except ValueError:
+        raise InvalidParameterError(f"--n range {text}: each end must be an integer") from None
     if lo > hi:
         raise InvalidParameterError(f"--n range {text} is empty: {lo} exceeds {hi}")
     return lo, hi
@@ -400,9 +401,6 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         return 1
     except NilcommError as exc:
-        print(f"nilcomm: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
         print(f"nilcomm: error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,8 +19,10 @@ class EngineConfig:
     decision_cap: largest step count an exhaustive scan may visit: (a, r, m)
         triples for a decision, element pairs for derived sets, nil and
         torsion sets and hom checks, triples for full axiom scans, relation
-        checks for fractions.  Past it the scan refuses with
-        DecisionCapError (see refuse_above_cap).
+        checks for fractions, k * max(k, |R|) pairs for the closure scan of
+        a k-member submodule and for each pass of gen's closure loop, and
+        |M| * max(|M|, |R|) pairs for a quotient's coset scans.  Past it the
+        scan refuses with DecisionCapError (see refuse_above_cap).
     tabulate_threshold: structures up to this size (a module's ring too)
         store int32 operation tables; larger ones compute operations per
         call and materialize a table only for an exhaustive scan.
@@ -55,12 +57,14 @@ class EngineConfig:
 
     def check_size(self, size: int, kind: str, descriptor: str) -> None:
         """Refuse a structure (kind: ring or module) of no elements, or of
-        more than the construction cap."""
+        more than the construction cap; a size past 64 bits is named by its
+        bit count, as int() refuses to print one of thousands of digits."""
         if size < 1:
             raise InvalidParameterError(f"{kind} size must be positive, got {size}")
         if size > self.construction_cap:
+            shown = size if size.bit_length() <= 64 else f"of {size.bit_length()} bits"
             raise SizeCapError(
-                f"{descriptor}: size {size} exceeds the construction cap "
+                f"{descriptor}: size {shown} exceeds the construction cap "
                 f"{self.construction_cap}", self.construction_cap)
 
 
@@ -79,4 +83,4 @@ def cap_from_env(default: int | None = None) -> int | None:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise InvalidParameterError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None

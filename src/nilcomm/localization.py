@@ -26,6 +26,7 @@ from .modules import FiniteModule
 from .reports import CheckReport
 from .rings import (
     FiniteRing,
+    _ClassLayout,
     _commuting,
     _guard_pairs,
     first_true,
@@ -93,63 +94,53 @@ def multiplicative_closure(ring: FiniteRing, gens,
     return MultiplicativeSet(ring, tuple(members.tolist()))
 
 
-class _Fractions:
+class _Fractions(_ClassLayout):
     """Fractions x/s of the numerators self.base (the ring itself, or a
-    module) over S, as pair ids s_index * |base| + x; S sorted makes id
-    order the (denominator, numerator) order.  Each class is represented by
-    its least pair, and every op is a gather through the classes."""
+    module) over S: the parent ids are the pairs s_index * |base| + x, S
+    sorted making id order the (denominator, numerator) order, and each
+    class is represented by its least pair."""
 
-    def _form_classes(self, scale, descriptor: str, config: EngineConfig) -> int:
-        """Bind the pair layout and the classes, scale(s, x) being s.x on id
-        arrays; return the class count.  The relation must agree with its
-        partition everywhere: that is its symmetry and transitivity here.
-        Above the decision cap in relation checks (pairs^2) it refuses unless
-        the config sets force."""
-        base, ring = self.base, self.mset.ring
-        pair_count = base.size * len(self.mset.members)
+    def _form_classes(self, base, mset: MultiplicativeSet, scale, descriptor: str,
+                      config: EngineConfig) -> int:
+        """Bind base, mset, the pair layout and the classes, scale(s, x)
+        being s.x on id arrays; return the class count.  The relation must
+        agree with its partition everywhere: that is its symmetry and
+        transitivity here.  Above the decision cap in relation checks
+        (pairs^2) it refuses unless the config sets force."""
+        self.base, self.mset, ring = base, mset, mset.ring
+        pair_count = base.size * len(mset.members)
         config.refuse_above_cap(pair_count * pair_count,
                                 f"{descriptor}: relation scan of {pair_count}^2 checks")
-        self._members = members = np.array(sorted(self.mset.members))
+        self._members = members = np.array(sorted(mset.members))
         sindex = np.full(ring.size, -1)
         sindex[members] = np.arange(len(members))
         self._sprod = sindex[ring.vmul(members[:, None], members)]  # s_i s_j
         if sindex[ring.one] < 0 or (self._sprod < 0).any():
             raise InvalidParameterError(
-                f"{descriptor}: {self.mset.render()} lacks 1 or is not closed")
+                f"{descriptor}: {mset.render()} lacks 1 or is not closed")
         self._unit, self._n = sindex[ring.one], base.size
         self._scaled = base_scaled = scale(members[:, None], np.arange(base.size))
         killed = (base_scaled == base.zero).any(axis=0)  # u x = 0 for some u in S
         neg_scaled = base.vneg(base_scaled)
         s_of, x_of = np.divmod(np.arange(len(members) * base.size), base.size)
-        self._cells = len(s_of) * base.cells
+        self._pair_cells = base.cells
+        cells = len(s_of) * base.cells
 
         def related(lo, hi):  # x/s ~ y/t iff u(t x - s y) = 0 for some u in S
             return killed[base.vadd(base_scaled[s_of, x_of[lo:hi, None]],
                                     neg_scaled[s_of[lo:hi, None], x_of])]
 
         least = np.concatenate([related(lo, hi).argmax(axis=1)
-                                for lo, hi in row_blocks(len(s_of), self._cells)])
+                                for lo, hi in row_blocks(len(s_of), cells)])
         self._reps, self.class_of = np.unique(least, return_inverse=True)
         cls = self.class_of
-        hit = scan(len(s_of), self._cells, lambda lo, hi: first_true(
+        hit = scan(len(s_of), cells, lambda lo, hi: first_true(
             related(lo, hi) != (cls[lo:hi, None] == cls), lo))
         if hit is not None:
             raise AxiomError(
                 f"{descriptor}: the fraction relation is not an equivalence "
                 f"relation at {self._fraction(hit[0])} vs {self._fraction(hit[1])}")
         return len(self._reps)
-
-    def _check_well_defined(self, law: str, pair_op, class_op, left) -> None:
-        """AxiomError at the least pair ids (p, q) where the class of p op q
-        is not the op on the classes of p and q; left is the structure p
-        belongs to."""
-        right = np.arange(len(self.class_of))
-        hit = scan(len(left.class_of), self._cells, lambda lo, hi: first_true(
-            self.class_of[pair_op(np.arange(lo, hi)[:, None], right)]
-            != class_op(left.class_of[lo:hi, None], self.class_of), lo))
-        if hit is not None:
-            raise AxiomError(f"{self.descriptor}: " + law.format(
-                left._fraction(hit[0]), self._fraction(hit[1])))
 
     def _fraction(self, p: int) -> tuple[int, int]:
         """(numerator, denominator) of a pair id."""
@@ -159,20 +150,14 @@ class _Fractions:
     def _pair(self, s, x):
         return s * self._n + x
 
-    def _pair_add(self, p, q):  # x/s + y/t = (t x + s y)/(s t)
+    def _parent_add(self, p, q):  # x/s + y/t = (t x + s y)/(s t)
         (s, x), (t, y) = np.divmod(p, self._n), np.divmod(q, self._n)
         return self._pair(self._sprod[s, t],
                           self.base.vadd(self._scaled[t, x], self._scaled[s, y]))
 
-    def _pair_neg(self, p):
+    def _parent_neg(self, p):
         s, x = np.divmod(p, self._n)
         return self._pair(s, self.base.vneg(x))
-
-    def _vadd(self, a, b):
-        return self.class_of[self._pair_add(self._reps[a], self._reps[b])]
-
-    def _vneg(self, a):
-        return self.class_of[self._pair_neg(self._reps[a])]
 
     def project(self, x: int) -> int:
         """Class of x/1."""
@@ -197,25 +182,21 @@ class LocalizedRing(_Fractions, FiniteRing):
             raise InvalidParameterError(
                 f"multiplicative set belongs to {mset.ring.descriptor}, "
                 f"not {base.descriptor}")
-        self.base = base
-        self.mset = mset
         descriptor = f"loc({base.descriptor}, {mset.render()})"
-        super().__init__(self._form_classes(base.vmul, descriptor, config),
+        super().__init__(self._form_classes(base, mset, base.vmul, descriptor, config),
                          descriptor, config)
         self.zero = self.project(base.zero)
         self.one = self.project(base.one)
         self._seal()
+        fractions = lambda p, q: (self._fraction(p), self._fraction(q))
         self._check_well_defined("addition not well defined at {} + {}",
-                                 self._pair_add, self.vadd, self)
+                                 self._parent_add, self.vadd, self.class_of, fractions)
         self._check_well_defined("product not well defined at {} * {}",
-                                 self._pair_mul, self.vmul, self)
+                                 self._parent_mul, self.vmul, self.class_of, fractions)
 
-    def _pair_mul(self, p, q):  # (x/s)(y/t) = xy/(st)
+    def _parent_mul(self, p, q):  # (x/s)(y/t) = xy/(st)
         (s, x), (t, y) = np.divmod(p, self._n), np.divmod(q, self._n)
         return self._pair(self._sprod[s, t], self.base.vmul(x, y))
-
-    def _vmul(self, a, b):
-        return self.class_of[self._pair_mul(self._reps[a], self._reps[b])]
 
 
 class LocalizedModule(_Fractions, FiniteModule):
@@ -229,24 +210,22 @@ class LocalizedModule(_Fractions, FiniteModule):
                 f"multiplicative set belongs to {mset.ring.descriptor}, but the "
                 f"module is over {base.ring.descriptor}")
         loc_ring = LocalizedRing(base.ring, mset, config)
-        self.base = base
-        self.mset = mset
+        self._ring_reps = loc_ring._reps
         descriptor = f"locmod({base.descriptor}, {mset.render()})"
-        super().__init__(loc_ring, self._form_classes(base.vact, descriptor, config),
-                         descriptor, config)
+        super().__init__(loc_ring, self._form_classes(base, mset, base.vact, descriptor,
+                                                      config), descriptor, config)
         self.zero = self.project(base.zero)
         self._seal()
         self._check_well_defined("addition not well defined at {} + {}",
-                                 self._pair_add, self.vadd, self)
+                                 self._parent_add, self.vadd, self.class_of,
+                                 lambda p, q: (self._fraction(p), self._fraction(q)))
         self._check_well_defined("the action is not well defined at {} . {}",
-                                 self._pair_act, self.vact, loc_ring)
+                                 self._parent_act, self.vact, loc_ring.class_of,
+                                 lambda rp, p: (loc_ring._fraction(rp), self._fraction(p)))
 
-    def _pair_act(self, rp, p):  # (r/s)(m/t) = rm/(st)
+    def _parent_act(self, rp, p):  # (r/s)(m/t) = rm/(st)
         (s, r), (t, m) = np.divmod(rp, self.ring._n), np.divmod(p, self._n)
         return self._pair(self._sprod[s, t], self.base.vact(r, m))
-
-    def _vact(self, r, m):
-        return self.class_of[self._pair_act(self.ring._reps[r], self._reps[m])]
 
 
 def localize_ring(ring: FiniteRing, mset: MultiplicativeSet,

@@ -24,6 +24,7 @@ from .rings import (
     FiniteStructure,
     MatrixShape,
     RingHom,
+    _ClassLayout,
     _MatrixLayout,
     _ProductLayout,
     build,
@@ -157,8 +158,9 @@ class ProductModule(_ProductLayout, FiniteModule):
                              left=(r,))
 
 
-class SubModule(FiniteModule):
-    """A submodule re-indexed densely, remembering its parent embedding."""
+class SubModule(_ClassLayout, FiniteModule):
+    """A submodule re-indexed densely, remembering its parent embedding: each
+    member is its own class under the parent's ops."""
 
     def __init__(self, parent: FiniteModule, embedded_ids: Sequence[int],
                  descriptor: str, config: EngineConfig | None = None):
@@ -169,21 +171,21 @@ class SubModule(FiniteModule):
         if embedding[0] < 0 or embedding[-1] >= parent.size:
             raise InvalidParameterError(
                 f"{descriptor}: embedded ids must be elements of {parent.descriptor}")
-        self.parent = parent
-        self.embedding = embedding
-        self.index_of = {pid: i for i, pid in enumerate(embedding)}
-        self._emb = np.array(embedding)
-        # parent id -> submodule id, -1 outside the submodule
-        self._pos = np.full(parent.size, -1)
-        self._pos[self._emb] = np.arange(len(embedding))
+        pairs = len(embedding) * max(len(embedding), parent.ring.size)
+        config.refuse_above_cap(pairs, f"{descriptor}: closure scan of {pairs} pairs")
+        self.parent, self.embedding = parent, embedding
+        self._reps, self.class_of = np.array(embedding), np.full(parent.size, -1)
+        self.class_of[self._reps] = np.arange(len(embedding))
+        self._parent_add, self._parent_neg, self._parent_act = parent.vadd, parent.vneg, parent.vact
+        self._ring_reps, self._pair_cells = np.arange(parent.ring.size), parent.cells
         super().__init__(parent.ring, len(embedding), descriptor, config)
-        self.zero = self.index_of[parent.zero]
+        self.zero = int(self.class_of[parent.zero])
         self._validate_closed()
         self._seal()
 
     def _validate_closed(self):
         parent = self.parent
-        add_hit, act_hit = escapes(parent, self._pos >= 0)
+        add_hit, act_hit = escapes(parent, self.class_of >= 0)
         if add_hit is not None:
             a, b = (self.embedding[i] for i in add_hit)
             raise InvalidParameterError(
@@ -201,21 +203,12 @@ class SubModule(FiniteModule):
         """Parent id of a submodule element."""
         return self.embedding[m]
 
-    def _vadd(self, m, n):
-        return self._pos[self.parent.vadd(self._emb[m], self._emb[n])]
-
-    def _vact(self, r, m):
-        return self._pos[self.parent.vact(r, self._emb[m])]
-
-    def _vneg(self, m):
-        return self._pos[self.parent.vneg(self._emb[m])]
-
     def render(self, m):
         return self.parent.render(self.embedding[m])
 
 
-class QuotientModule(FiniteModule):
-    """Cosets of a submodule, with operations validated well-defined."""
+class QuotientModule(_ClassLayout, FiniteModule):
+    """Cosets of a submodule under the parent's ops, validated well-defined."""
 
     def __init__(self, parent: FiniteModule, sub: SubModule,
                  config: EngineConfig | None = None):
@@ -225,54 +218,38 @@ class QuotientModule(FiniteModule):
                 f"quotient wants a submodule of {parent.descriptor}, got "
                 f"{sub.descriptor}"
             )
-        self.parent = parent
-        self.sub = sub
-        emb = sub._emb
+        descriptor = f"quot({parent.descriptor}, {sub.descriptor})"
+        pairs = parent.size * max(parent.size, parent.ring.size)
+        config.refuse_above_cap(pairs, f"{descriptor}: coset scan of {pairs} pairs")
+        self.parent, self.sub = parent, sub
+        emb = sub._reps
         # each coset m + N is represented by its least element
         least = np.concatenate([
             parent.vadd(np.arange(lo, hi)[:, None], emb).min(axis=1)
             for lo, hi in row_blocks(parent.size, len(emb) * parent.cells)])
-        reps, coset = np.unique(least, return_inverse=True)
+        self._reps, self.class_of = np.unique(least, return_inverse=True)
+        coset = self.class_of
         if not np.array_equal(np.flatnonzero(coset == coset[parent.zero]), emb):
             raise AxiomError(
                 f"quot({parent.descriptor}, ...): the cosets of the subset do "
                 "not partition the module; the subset is not closed"
             )
-        self.reps, self.coset_of = reps, coset
-        descriptor = f"quot({parent.descriptor}, {sub.descriptor})"
-        super().__init__(parent.ring, len(reps), descriptor, config)
+        self._parent_add, self._parent_neg, self._parent_act = parent.vadd, parent.vneg, parent.vact
+        self._ring_reps, self._pair_cells = np.arange(parent.ring.size), parent.cells
+        super().__init__(parent.ring, len(self._reps), descriptor, config)
         self.zero = int(coset[parent.zero])
-        self._validate_well_defined()
-        self._seal()
-
-    def _validate_well_defined(self):
+        self._seal(validate=False)
         # p + q and r * p must land in the coset the representatives give
-        parent, coset, ids = self.parent, self.coset_of, np.arange(self.parent.size)
-        cosets = np.arange(self.size)
-        add = self._vadd(cosets[:, None], cosets)
-        hit = scan(parent.size, parent.size * parent.cells, lambda lo, hi: first_true(
-            coset[parent.vadd(ids[lo:hi, None], ids)] != add[coset[lo:hi, None], coset], lo))
-        if hit is not None:
-            raise AxiomError(f"{self.descriptor}: addition is not well defined "
-                             f"at cosets ({coset[hit[0]]}, {coset[hit[1]]})")
-        act = self._vact(np.arange(parent.ring.size)[:, None], cosets)
-        hit = scan(parent.ring.size, parent.size * parent.cells, lambda lo, hi: first_true(
-            coset[parent.vact(np.arange(lo, hi)[:, None], ids)] != act[lo:hi][:, coset], lo))
-        if hit is not None:
-            raise AxiomError(f"{self.descriptor}: the action is not well defined "
-                             f"at (r={hit[0]}, coset {coset[hit[1]]})")
-
-    def _vadd(self, m, n):
-        return self.coset_of[self.parent.vadd(self.reps[m], self.reps[n])]
-
-    def _vact(self, r, m):
-        return self.coset_of[self.parent.vact(r, self.reps[m])]
-
-    def _vneg(self, m):
-        return self.coset_of[self.parent.vneg(self.reps[m])]
+        self._check_well_defined("addition is not well defined at cosets ({}, {})",
+                                 parent.vadd, self.vadd, coset,
+                                 lambda p, q: (coset[p], coset[q]))
+        self._check_well_defined("the action is not well defined at (r={}, coset {})",
+                                 parent.vact, self.vact, np.arange(parent.ring.size),
+                                 lambda r, p: (r, coset[p]))
+        check_module_axioms(self)
 
     def render(self, m):
-        return f"[{self.parent.render(int(self.reps[m]))}]"
+        return f"[{self.parent.render(int(self._reps[m]))}]"
 
 
 class InducedModule(FiniteModule):
@@ -357,19 +334,21 @@ def submodule_generated(module: FiniteModule, gens: Iterable[int],
     """Closure of a generating set under addition and the ring action."""
     gens = sorted(set(gens))
     module.check_ids(gens)
+    gens_text = "{" + ", ".join(str(g) for g in gens) + "}"
+    descriptor = f"gen({module.descriptor}, {gens_text})"
     inside = np.zeros(module.size, dtype=bool)
     inside[[module.zero, *gens]] = True
     while True:  # add every sum and multiple of the members until none is new
         members = np.flatnonzero(inside)
+        pairs = len(members) * max(len(members), module.ring.size)
+        resolve(config).refuse_above_cap(pairs, f"{descriptor}: closure scan of {pairs} pairs")
         for lo, hi in row_blocks(len(members), len(members) * module.cells):
             inside[module.vadd(members[lo:hi, None], members)] = True
         for lo, hi in row_blocks(module.ring.size, len(members) * module.cells):
             inside[module.vact(np.arange(lo, hi)[:, None], members)] = True
         if inside.sum() == len(members):
             break
-    gens_text = "{" + ", ".join(str(g) for g in gens) + "}"
-    return SubModule(module, np.flatnonzero(inside).tolist(),
-                     f"gen({module.descriptor}, {gens_text})", config)
+    return SubModule(module, np.flatnonzero(inside).tolist(), descriptor, config)
 
 
 def quotient_module(module: FiniteModule, sub: SubModule,

@@ -580,6 +580,38 @@ class _ProductLayout:
         return "(" + ", ".join(f.render(c) for f, c in zip(self.factors, comps)) + ")"
 
 
+class _ClassLayout:
+    """Elements as classes of a parent's ids (submodules, quotients and
+    localizations): _reps[a] is the parent id representing element a and
+    class_of[p] the element of parent id p, -1 outside a submodule.  Each op
+    is a parent op (_parent_add, _parent_neg, _parent_mul, _parent_act) on
+    representatives, an action's ring operand going through _ring_reps; the
+    layout's per-pair cost is the parent op's."""
+
+    def _vadd(self, a, b):
+        return self.class_of[self._parent_add(self._reps[a], self._reps[b])]
+
+    def _vneg(self, a):
+        return self.class_of[self._parent_neg(self._reps[a])]
+
+    def _vmul(self, a, b):
+        return self.class_of[self._parent_mul(self._reps[a], self._reps[b])]
+
+    def _vact(self, r, m):
+        return self.class_of[self._parent_act(self._ring_reps[r], self._reps[m])]
+
+    def _check_well_defined(self, law: str, parent_op, op, left_classes, name) -> None:
+        """AxiomError at the least parent ids (p, q) where the class of
+        parent_op(p, q) is not op on the classes of p and q (left_classes
+        those of the left operand), law formatted with name(p, q)."""
+        right = np.arange(len(self.class_of))
+        hit = scan(len(left_classes), len(right) * self._pair_cells, lambda lo, hi: first_true(
+            self.class_of[parent_op(np.arange(lo, hi)[:, None], right)]
+            != op(left_classes[lo:hi, None], self.class_of), lo))
+        if hit is not None:
+            raise AxiomError(f"{self.descriptor}: " + law.format(*name(*hit)))
+
+
 class ProductRing(_ProductLayout, FiniteRing):
     """Componentwise product of finitely many rings."""
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import nilcomm.cli as cli
 from nilcomm.cli import build_parser, main
 from nilcomm.config import DEFAULT_CONFIG
 
@@ -203,6 +204,23 @@ def test_search_rejects_a_reversed_range(capsys):
     doc = json.loads(out)
     assert [e["descriptor"] for e in doc["results"]] == ["regular(Z(5))"]
     assert doc["matches"] == ["regular(Z(5))"]
+
+
+@pytest.mark.parametrize("text", ["2..x", "x", "2..3..4"])
+def test_search_rejects_a_non_integer_range_end(capsys, text):
+    code, out, err = run_cli(capsys, "search", "zn", "--n", text, "--pattern",
+                             "semicommutative")
+    assert (code, out) == (1, "")
+    assert err == f"nilcomm: error: --n range {text}: each end must be an integer\n"
+
+
+def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("planted fault")
+
+    monkeypatch.setattr(cli, "decide", broken)
+    with pytest.raises(ValueError, match="planted fault"):
+        main(["classify", "regular(Z(4))"])
 
 
 def test_search_bad_pattern(capsys):

@@ -8,6 +8,7 @@ from nilcomm import (
     FULL,
     UPPER,
     AxiomError,
+    DecisionCapError,
     FiniteModule,
     InvalidParameterError,
     MatrixShape,
@@ -109,8 +110,8 @@ def test_submodule_generated(z12_module):
 def test_submodule_ops_match_parent(z12_module):
     sub = cyclic_submodule(z12_module, 2)  # {0, 2, 4, 6, 8, 10}
     assert sub.size == 6
-    a = sub.index_of[4]
-    b = sub.index_of[10]
+    a = sub.class_of[4]
+    b = sub.class_of[10]
     assert sub.embed(sub.add(a, b)) == 2
     assert sub.embed(sub.act(5, a)) == 8
 
@@ -137,6 +138,66 @@ def test_quotient_rejects_foreign_submodule(z4_module, z6_module):
     sub6 = cyclic_submodule(z6_module, 2)
     with pytest.raises(InvalidParameterError):
         quotient_module(z4_module, sub6)
+
+
+class _MovedCell(FiniteModule):
+    """regular(Z(12)) with one cell of one operation moved: the sum (op "add")
+    or the action (op "act") gains 1 at cell.  Built unvalidated, so only the
+    quotient's own scans can catch it."""
+
+    def __init__(self, op, cell):
+        super().__init__(make_zn(12), 12, f"moved-{op}{cell}", DEFAULT_CONFIG)
+        self.op, self.cell = op, cell
+        self.zero = 0
+        self._seal(validate=False)
+
+    def _bump(self, op, a, b):
+        return (op == self.op) * (a == self.cell[0]) * (b == self.cell[1])
+
+    def _vadd(self, m, n):
+        return (m + n + self._bump("add", m, n)) % 12
+
+    def _vneg(self, m):
+        return (-m) % 12
+
+    def _vact(self, r, m):
+        return (r * m + self._bump("act", r, m)) % 12
+
+
+@pytest.mark.parametrize("op, cell, gen, message", [
+    # 5 + 6 lands on 0, so the coset of 0 takes 5 in as well
+    ("add", (5, 6), 6, "quot(moved-add(5, 6), ...): the cosets of the subset do not "
+                       "partition the module; the subset is not closed"),
+    ("add", (3, 5), 6, "quot(moved-add(3, 5), cyclic(moved-add(3, 5), 6)): addition "
+                       "is not well defined at cosets (3, 5)"),
+    # the least bad parent pair (3, 5) names cosets, not parent ids
+    ("add", (3, 5), 3, "quot(moved-add(3, 5), cyclic(moved-add(3, 5), 3)): addition "
+                       "is not well defined at cosets (0, 2)"),
+    ("act", (2, 7), 4, "quot(moved-act(2, 7), cyclic(moved-act(2, 7), 4)): the action "
+                       "is not well defined at (r=2, coset 3)"),
+    ("act", (3, 5), 3, "quot(moved-act(3, 5), cyclic(moved-act(3, 5), 3)): the action "
+                       "is not well defined at (r=3, coset 2)"),
+])
+def test_planted_parent_quotient_failures(op, cell, gen, message):
+    parent = _MovedCell(op, cell)
+    with pytest.raises(AxiomError) as err:
+        quotient_module(parent, cyclic_submodule(parent, gen))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("expr, count, scan", [
+    ("cyclic(regular(Z(12)), 2)", 6 * 12, "closure"),  # 6 members, 12 ring elements
+    ("gen(regular(Z(12)), {4})", 3 * 12, "closure"),  # the loop's last pass: {0, 4, 8}
+    ("quot(regular(Z(12)), cyclic(regular(Z(12)), 4))", 12 * 12, "coset"),
+])
+def test_submodule_and_quotient_scans_obey_the_decision_cap(expr, count, scan):
+    below = DEFAULT_CONFIG.with_overrides(decision_cap=count - 1)
+    with pytest.raises(DecisionCapError, match=re.escape(
+            f"{expr}: {scan} scan of {count} pairs exceeds cap {count - 1}")):
+        elaborate_text(expr, below)
+    for config in (DEFAULT_CONFIG.with_overrides(decision_cap=count),
+                   below.with_overrides(force=True)):
+        assert elaborate_text(expr, config).descriptor == expr
 
 
 def test_induced_module():

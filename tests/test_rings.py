@@ -224,8 +224,13 @@ def test_is_commutative():
 
 
 def test_construction_cap():
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError, match=re.escape(
+            "M(4, Z(4)): size 4294967296 exceeds the construction cap 1048576")):
         make_matrix_ring(MatrixShape(FULL, 4), make_zn(4))
+    # 2^90000 elements: too many digits for int() to print
+    with pytest.raises(SizeCapError, match=re.escape(
+            "M(300, Z(2)): size of 90001 bits exceeds the construction cap 1048576")):
+        make_matrix_ring(MatrixShape(FULL, 300), make_zn(2))
 
 
 def test_trivial_ring_rejected_via_custom_class():
