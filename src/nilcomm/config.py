@@ -9,6 +9,9 @@ from .errors import DecisionCapError, InvalidParameterError, SizeCapError
 
 DEFAULT_SEED = 1729
 CAP_ENV_VAR = "NILCOMM_CAP"
+# Element counts of up to this many bits are computed exactly; past it a power
+# is refused by its least bit count, as computing it could take seconds.
+_EXACT_BITS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -55,24 +58,36 @@ class EngineConfig:
                 f"{what} exceeds cap {self.decision_cap}; re-run with force to override",
                 self.decision_cap)
 
-    def check_size(self, size: int, kind: str, descriptor: str) -> None:
-        """Refuse a structure (kind: ring or module) of no elements, or of
-        more than the construction cap; a size past 64 bits is named by its
-        bit count, as int() refuses to print one of thousands of digits."""
-        if size < 1:
-            raise InvalidParameterError(f"{kind} size must be positive, got {size}")
-        if size > self.construction_cap:
+    def check_size(self, size: int, kind: str, descriptor: str, power: int = 1) -> int:
+        """size ** power, the element count of a structure (kind: ring or
+        module), once it is positive and within the construction cap.  Past 64
+        bits an over-cap count is named by its bit count (int() refuses to
+        print thousands of digits), and past _EXACT_BITS by its least bit
+        count, power * (bits of size - 1) + 1, before the power is computed."""
+        least_bits = power * (size.bit_length() - 1) + 1
+        if least_bits > max(_EXACT_BITS, self.construction_cap.bit_length()):
+            shown = f"of at least {least_bits} bits"
+        else:
+            size **= power
+            if size < 1:
+                raise InvalidParameterError(f"{kind} size must be positive, got {size}")
+            if size <= self.construction_cap:
+                return size
             shown = size if size.bit_length() <= 64 else f"of {size.bit_length()} bits"
-            raise SizeCapError(
-                f"{descriptor}: size {shown} exceeds the construction cap "
-                f"{self.construction_cap}", self.construction_cap)
+        raise SizeCapError(
+            f"{descriptor}: size {shown} exceeds the construction cap "
+            f"{self.construction_cap}", self.construction_cap)
 
 
 DEFAULT_CONFIG = EngineConfig()
 
 
-def resolve(config: EngineConfig | None) -> EngineConfig:
-    return DEFAULT_CONFIG if config is None else config
+def resolve(config: EngineConfig | None, *operands) -> EngineConfig:
+    """The config given, else the first operand structure's (a tuple
+    operand's members in order), else DEFAULT_CONFIG."""
+    structures = (x for op in operands for x in (op if isinstance(op, tuple) else (op,))
+                  if isinstance(getattr(x, "config", None), EngineConfig))
+    return config if config is not None else next((x.config for x in structures), DEFAULT_CONFIG)
 
 
 def cap_from_env(default: int | None = None) -> int | None:

@@ -255,14 +255,14 @@ def decide(module: FiniteModule, prop: str,
            config: EngineConfig | None = None) -> Verdict:
     """Decide one module property by exhaustive scan; above the decision cap
     it refuses with DecisionCapError unless the config sets force."""
-    cfg = resolve(config if config is not None else module.config)
+    cfg = resolve(config, module)
     row = _row(prop)
     desc = module.descriptor
     triples = module.ring.size ** 2 * module.size
     cfg.refuse_above_cap(triples, f"{desc}: {prop} scan of {triples} (a, r, m) triples")
     act = module.act_table()
     hit = _scan(_TableOps(act, module.zero, module.ring.vmul,
-                          lambda: nil_set(module, cfg).flags()), row)
+                          lambda: nil_set(module, cfg).flags), row)
     if hit is None:
         return Verdict(prop, True, METHOD_EXHAUSTIVE, None, desc)
     a, m, r = hit
@@ -304,7 +304,7 @@ def is_reduced_ii(module, config=None) -> Verdict:
 
 def _decide_ring(ring: FiniteRing, prop: str,
                  config: EngineConfig | None = None) -> Verdict:
-    cfg = resolve(config if config is not None else ring.config)
+    cfg = resolve(config, ring)
     desc = ring.descriptor
     cfg.refuse_above_cap(ring.size ** 3, f"{desc}: {prop} scan of {ring.size ** 3} triples")
     hit = _scan(_TableOps(ring.mul_table(), ring.zero, ring.vmul,

@@ -25,10 +25,9 @@ import re
 from dataclasses import dataclass, field
 
 from .config import EngineConfig, resolve
-from .errors import InvalidParameterError, ParseError
+from .errors import ParseError
 from .localization import localize_module, localize_ring, multiplicative_closure
 from .modules import (
-    SubModule,
     cyclic_submodule,
     induced_module,
     make_product_module,
@@ -68,18 +67,6 @@ def _matrix_module(shape: str) -> tuple:
         MatrixShape(shape, n), base.ring, base, cfg)
 
 
-def _quot(cfg: EngineConfig, parent, sub):
-    if not isinstance(sub, SubModule):
-        raise InvalidParameterError(
-            "quot wants a cyclic(...) or gen(...) submodule as its second "
-            f"argument, got {sub.descriptor}")
-    if sub.parent.descriptor != parent.descriptor:
-        raise InvalidParameterError(
-            f"{sub.descriptor} is a submodule of {sub.parent.descriptor}, "
-            f"not of {parent.descriptor}")
-    return quotient_module(parent, sub, cfg)
-
-
 # name -> (result kind, argument kinds, builder); a trailing "*" repeats the
 # kind before it.  A builder takes the config and the built arguments, and
 # looks its constructor up by name when called, so it calls whatever the
@@ -109,7 +96,8 @@ _CONSTRUCTORS: dict[str, tuple] = {
                lambda cfg, module, m: cyclic_submodule(module, m, cfg)),
     "gen": (MODULE, (MODULE, SET),
             lambda cfg, module, gens: submodule_generated(module, gens, cfg)),
-    "quot": (MODULE, (MODULE, MODULE), _quot),
+    "quot": (MODULE, (MODULE, MODULE),
+             lambda cfg, parent, sub: quotient_module(parent, sub, cfg)),
     "locmod": (MODULE, (MODULE, SET), lambda cfg, module, gens: localize_module(
         module, multiplicative_closure(module.ring, gens, cfg), cfg)),
     "induced": (MODULE, (HOM, MODULE),

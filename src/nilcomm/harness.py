@@ -193,7 +193,7 @@ def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteMo
     nilpotent (n >= 2); below the cap by full scan, above it (or when sample
     is given) by replaying the constructive single-unit witness on sample
     random nonzero matrices, DEFAULT_SAMPLES by default."""
-    cfg = resolve(config if config is not None else base_module.config)
+    cfg = resolve(config, base_module)
     if shape_n < 2:
         raise InvalidParameterError("the matrix nil claim needs n >= 2")
     if sample is not None:
@@ -210,7 +210,7 @@ def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteMo
             "nil_size": nils.count,
             "covered": covered,
         }
-        gap = None if covered else next(m for m in module.elements() if m not in nils)
+        gap = None if covered else int(np.argmin(nils.flags))
         return _report("matrix_nil_coverage", detail, _nil_gap(module, gap))
 
     count = sample if sample is not None else DEFAULT_SAMPLES
@@ -413,7 +413,7 @@ def check_torsion_free_props(module: FiniteModule,
                              config: EngineConfig | None = None) -> CheckReport:
     """Torsion-free modules have nil set {0} and the three semicommutativity
     properties all hold (hence coincide)."""
-    cfg = resolve(config if config is not None else module.config)
+    cfg = resolve(config, module)
     if not is_torsion_free(module, cfg):
         return _skipped("torsion_free_collapse",
                         {"descriptor": module.descriptor,
@@ -449,7 +449,7 @@ def check_commutative_ring_prop(ring: FiniteRing,
     """Over a commutative ring whose nonzero nilpotents all have nilpotency
     degree above two, a nil-semicommutative ring gives a
     nil-semicommutative regular module."""
-    cfg = resolve(config if config is not None else ring.config)
+    cfg = resolve(config, ring)
     _guard_pairs(ring, "commutativity", cfg)
     if not _commuting(ring).all():
         raise InvalidParameterError(
@@ -485,7 +485,7 @@ def check_hom_transfer(hom: RingHom, module: FiniteModule,
                        config: EngineConfig | None = None) -> CheckReport:
     """Along a surjective ring hom, a module and its pullback agree on
     nil-semicommutativity."""
-    cfg = resolve(config if config is not None else module.config)
+    cfg = resolve(config, module)
     if not hom.surjective:
         return _skipped("hom_transfer", {"hom": hom.descriptor,
                                          "reason": "the hom is not surjective"})
@@ -530,7 +530,7 @@ def check_t_submodule(module: FiniteModule,
                       config: EngineConfig | None = None) -> CheckReport:
     """For a nil-semicommutative module over a finite domain (hence a
     field), the regular-torsion set is a submodule."""
-    cfg = resolve(config if config is not None else module.config)
+    cfg = resolve(config, module)
     ring = module.ring
     _guard_pairs(ring, "regular element", cfg)
     if _regular_mask(ring).sum() != ring.size - 1:
@@ -572,7 +572,7 @@ def check_submodule_equivalence(module: FiniteModule,
                                 config: EngineConfig | None = None) -> CheckReport:
     """Compare nil-semicommutativity of a module against all of its cyclic
     submodules; the two are asserted equivalent."""
-    cfg = resolve(config if config is not None else module.config)
+    cfg = resolve(config, module)
     whole = is_nil_semicommutative(module, cfg)
     verdicts = []
     subs = []

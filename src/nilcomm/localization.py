@@ -56,12 +56,11 @@ def multiplicative_closure(ring: FiniteRing, gens,
     Generators must be central and nonzero; the closure must not reach 0
     (the offending product chain is reported when it does).
     """
-    _guard_pairs(ring, "center", resolve(config if config is not None else ring.config))
+    _guard_pairs(ring, "center", resolve(config, ring))
     gens = sorted(set(gens))
+    ring.check_ids(gens)
     central = _commuting(ring)
     for g in gens:
-        if not 0 <= g < ring.size:
-            raise InvalidParameterError(f"generator {g} is not in {ring.descriptor}")
         if g == ring.zero:
             raise ZeroAbsorbedError(
                 f"{ring.descriptor}: 0 cannot generate a multiplicative set", (g,))
@@ -177,7 +176,7 @@ class LocalizedRing(_Fractions, FiniteRing):
 
     def __init__(self, base: FiniteRing, mset: MultiplicativeSet,
                  config: EngineConfig | None = None):
-        config = resolve(config)
+        config = resolve(config, base)
         if mset.ring is not base and mset.ring.descriptor != base.descriptor:
             raise InvalidParameterError(
                 f"multiplicative set belongs to {mset.ring.descriptor}, "
@@ -204,7 +203,7 @@ class LocalizedModule(_Fractions, FiniteModule):
 
     def __init__(self, base: FiniteModule, mset: MultiplicativeSet,
                  config: EngineConfig | None = None):
-        config = resolve(config)
+        config = resolve(config, base)
         if mset.ring.descriptor != base.ring.descriptor:
             raise InvalidParameterError(
                 f"multiplicative set belongs to {mset.ring.descriptor}, but the "
@@ -246,7 +245,7 @@ def check_localization_transfer(module: FiniteModule, mset: MultiplicativeSet,
     from .deciders import PROP_NIL_SEMI, decide  # local imports avoid a cycle
     from .harness import _report
 
-    cfg = resolve(config if config is not None else module.config)
+    cfg = resolve(config, module)
     source = decide(module, PROP_NIL_SEMI, cfg)
     localized = localize_module(module, mset, cfg)
     loc_verdict = decide(localized, PROP_NIL_SEMI, cfg)

@@ -1,7 +1,7 @@
 """Finite left modules over finite rings, indexed like the rings are.
 
-A module exposes add/act/neg on dense ids, their vectorized forms
-vadd/vact/vneg on id arrays, a descriptor in the structure DSL, and the same
+A module exposes vadd/vact/vneg on id arrays, their pointwise forms
+add/act/neg on dense ids, a descriptor in the structure DSL, and the same
 tabulate-small / compute-large split as the rings.  The regular module
 shares its ring's bound operations and tables outright.
 """
@@ -9,7 +9,7 @@ shares its ring's bound operations and tables outright.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,34 +49,30 @@ class FiniteModule(FiniteStructure):
     shares_ring_ops = False
 
     def __init__(self, ring: FiniteRing, size: int, descriptor: str,
-                 config: EngineConfig):
-        super().__init__(size, descriptor, config)
+                 config: EngineConfig, power: int = 1):
+        super().__init__(size, descriptor, config, power)
         self.ring = ring
         self._nil_cache = None
         self._torsion_cache = None
 
-    def _act(self, r: int, m: int) -> int:
-        return int(self._vact(r, m))
-
     def _seal(self, validate: bool = True, share_ring_ops: bool = False) -> None:
         ring = self.ring
-        threshold = self.config.tabulate_threshold
         if share_ring_ops:
             self.shares_ring_ops = True
-            self.add, self.act, self.neg = ring.add, ring.mul, ring.neg
             self.vadd, self.vact, self.vneg = ring.vadd, ring.vmul, ring.vneg
             self.vmatact = ring.vmatmul
             self.tabulated = ring.tabulated
         else:
-            self.act, self.vact = self._bind(
-                ring.size, self._act, self._vact,
-                self.size <= threshold and ring.size <= threshold)
+            self.vact = self._bind(ring.size, self._vact,
+                                   max(self.size, ring.size) <= self.config.tabulate_threshold)
         if validate:
             check_module_axioms(self)
 
-    act: Callable[[int, int], int]
     vmatact = FiniteStructure._grid_product
     act_table = FiniteStructure._product_table
+
+    def act(self, r: int, m: int) -> int:
+        return int(self.vact(r, m))
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +83,7 @@ class RegularModule(FiniteModule):
     """The ring seen as a left module over itself."""
 
     def __init__(self, ring: FiniteRing, config: EngineConfig | None = None):
-        config = resolve(config)
+        config = resolve(config, ring)
         super().__init__(ring, ring.size, f"regular({ring.descriptor})", config)
         self.zero = ring.zero
         self._pair_cells = ring.cells
@@ -108,7 +104,7 @@ class MatrixModule(_MatrixLayout, FiniteModule):
 
     def __init__(self, shape: MatrixShape, base_ring: FiniteRing,
                  base_module: FiniteModule, config: EngineConfig | None = None):
-        config = resolve(config)
+        config = resolve(config, base_ring, base_module)
         if base_module.ring.descriptor != base_ring.descriptor:
             raise ShapeMismatchError(
                 f"matrix module wants a module over {base_ring.descriptor}, "
@@ -116,9 +112,8 @@ class MatrixModule(_MatrixLayout, FiniteModule):
             )
         ring = make_matrix_ring(shape, base_ring, config)
         self.base = base_module
-        size = base_module.size ** len(shape.free_positions())
         descriptor = f"{_MODULE_PREFIX[shape.kind]}({shape.n}, {base_module.descriptor})"
-        super().__init__(ring, size, descriptor, config)
+        super().__init__(ring, base_module.size, descriptor, config, shape.count)
         self._lay_out(shape, base_module)
         self.zero = self.codec.encode([base_module.zero] * len(self.positions))
         self._seal()
@@ -135,8 +130,8 @@ class ProductModule(_ProductLayout, FiniteModule):
 
     def __init__(self, factors: Sequence[FiniteModule],
                  config: EngineConfig | None = None):
-        config = resolve(config)
         factors = tuple(factors)
+        config = resolve(config, factors)
         if not factors:
             raise InvalidParameterError("product module needs at least one factor")
         ring = factors[0].ring
@@ -164,7 +159,7 @@ class SubModule(_ClassLayout, FiniteModule):
 
     def __init__(self, parent: FiniteModule, embedded_ids: Sequence[int],
                  descriptor: str, config: EngineConfig | None = None):
-        config = resolve(config)
+        config = resolve(config, parent)
         embedding = tuple(sorted(set(embedded_ids)))
         if parent.zero not in embedding:
             raise InvalidParameterError(f"{descriptor}: submodule must contain zero")
@@ -212,7 +207,7 @@ class QuotientModule(_ClassLayout, FiniteModule):
 
     def __init__(self, parent: FiniteModule, sub: SubModule,
                  config: EngineConfig | None = None):
-        config = resolve(config)
+        config = resolve(config, parent, sub)
         if not isinstance(sub, SubModule) or sub.parent.descriptor != parent.descriptor:
             raise InvalidParameterError(
                 f"quotient wants a submodule of {parent.descriptor}, got "
@@ -257,7 +252,7 @@ class InducedModule(FiniteModule):
 
     def __init__(self, hom: RingHom, base: FiniteModule,
                  config: EngineConfig | None = None):
-        config = resolve(config)
+        config = resolve(config, hom, base)
         if base.ring.descriptor != hom.target.descriptor:
             raise InvalidParameterError(
                 f"induced module wants a module over {hom.target.descriptor}, "
@@ -326,7 +321,8 @@ def cyclic_submodule(module: FiniteModule, m: int,
 
 def orbit(module: FiniteModule, m: int) -> list[int]:
     """The sorted ids of Rm: the action of every ring element on m."""
-    return sorted({module.act(r, m) for r in module.ring.elements()})
+    return np.unique(np.concatenate([module.vact(np.arange(lo, hi), m) for lo, hi
+                                     in row_blocks(module.ring.size, module.cells)])).tolist()
 
 
 def submodule_generated(module: FiniteModule, gens: Iterable[int],
@@ -341,7 +337,8 @@ def submodule_generated(module: FiniteModule, gens: Iterable[int],
     while True:  # add every sum and multiple of the members until none is new
         members = np.flatnonzero(inside)
         pairs = len(members) * max(len(members), module.ring.size)
-        resolve(config).refuse_above_cap(pairs, f"{descriptor}: closure scan of {pairs} pairs")
+        resolve(config, module).refuse_above_cap(pairs,
+                                                 f"{descriptor}: closure scan of {pairs} pairs")
         for lo, hi in row_blocks(len(members), len(members) * module.cells):
             inside[module.vadd(members[lo:hi, None], members)] = True
         for lo, hi in row_blocks(module.ring.size, len(members) * module.cells):

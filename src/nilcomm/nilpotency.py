@@ -9,7 +9,7 @@ power form walks orbits and exists for cross-checking and witness variety.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,76 +18,63 @@ from .modules import FiniteModule, escapes
 from .rings import _regular_mask, row_blocks
 
 
-@dataclass
+@dataclass(eq=False)
 class NilSet:
-    """Nilpotent elements of one module, as a bitmask plus witnesses.
-
-    witnesses maps each nonzero member m to a pair (t, k) with
-    act(t^k, m) = 0 and act(t, m) != 0; the zero element needs none.
-    """
+    """Nilpotent elements of one module as read-only arrays over its ids:
+    flags[m] marks a member, and killers[m] is the least t with act(t, m) != 0
+    and act(t*t, m) = 0, so (t, 2) witnesses m, or -1 where there is none
+    (at zero, which needs none, and at every non-member)."""
 
     module: FiniteModule
-    mask: int
-    witnesses: dict[int, tuple[int, int]] = field(default_factory=dict)
-    _flags: np.ndarray | None = field(default=None, init=False, repr=False,
-                                      compare=False)
+    flags: np.ndarray
+    killers: np.ndarray
 
     def __contains__(self, m: int) -> bool:
-        return bool(self.mask >> m & 1)
+        return bool(self.flags[m])
 
     def members(self) -> list[int]:
-        return [m for m in self.module.elements() if self.mask >> m & 1]
-
-    def flags(self) -> np.ndarray:
-        """Membership as a bool array indexed by element id, built once, read-only."""
-        if self._flags is None:
-            n = self.module.size
-            packed = np.frombuffer(self.mask.to_bytes((n + 7) // 8, "little"), np.uint8)
-            self._flags = np.unpackbits(packed, count=n, bitorder="little").astype(bool)
-            self._flags.flags.writeable = False
-        return self._flags
+        return np.flatnonzero(self.flags).tolist()
 
     @property
     def count(self) -> int:
-        return bin(self.mask).count("1")
+        return int(np.count_nonzero(self.flags))
 
     def covers_module(self) -> bool:
-        return self.count == self.module.size
+        return bool(self.flags.all())
 
     def to_json_dict(self) -> dict:
         return {
             "descriptor": self.module.descriptor,
             "size": self.count,
             "members": self.members(),
-            "witnesses": {
-                str(m): {"t": t, "k": k} for m, (t, k) in sorted(self.witnesses.items())
-            },
+            "witnesses": {str(m): {"t": t, "k": 2}
+                          for m, t in enumerate(self.killers.tolist()) if t >= 0},
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class TorsionSets:
     """Torsion elements, split by what kind of ring element kills them.
 
-    tor_mask marks elements killed by some nonzero ring element; t_mask
-    marks elements killed by some regular (non-zero-divisor) element.  The
-    closure flags record whether each set is closed under addition and the
-    ring action.
+    tor, a read-only bool array over ids, marks elements killed by some
+    nonzero ring element; t marks those killed by some regular
+    (non-zero-divisor) element.  The closure flags record whether each set
+    is closed under addition and the ring action.
     """
 
     module: FiniteModule
-    tor_mask: int
-    t_mask: int
+    tor: np.ndarray
+    t: np.ndarray
     tor_closed_add: bool
     tor_closed_act: bool
     t_closed_add: bool
     t_closed_act: bool
 
     def tor_members(self) -> list[int]:
-        return [m for m in self.module.elements() if self.tor_mask >> m & 1]
+        return np.flatnonzero(self.tor).tolist()
 
     def t_members(self) -> list[int]:
-        return [m for m in self.module.elements() if self.t_mask >> m & 1]
+        return np.flatnonzero(self.t).tolist()
 
     @property
     def tor_is_submodule(self) -> bool:
@@ -173,22 +160,17 @@ def is_nilpotent_power(module: FiniteModule, m: int):
 
 def nil_set(module: FiniteModule, config: EngineConfig | None = None) -> NilSet:
     """All nilpotent elements with stored witnesses; cached per module, caps first."""
-    cfg = resolve(config if config is not None else module.config)
+    cfg = resolve(config, module)
     pairs = module.ring.size * module.size
     cfg.refuse_above_cap(pairs, f"{module.descriptor}: nilpotency scan of {pairs} (t, m) pairs")
     if module._nil_cache is not None:
         return module._nil_cache
-    least = squared_killers(module)
-    members = least >= 0
-    members[module.zero] = True
-    witnesses = {m: (t, 2) for m, t in enumerate(least.tolist()) if t >= 0}
-    result = NilSet(module, _bitmask(members), witnesses)
-    module._nil_cache = result
-    return result
-
-
-def _bitmask(flags: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+    killers = squared_killers(module)
+    flags = killers >= 0
+    flags[module.zero] = True
+    flags.flags.writeable = killers.flags.writeable = False  # shared by every caller
+    module._nil_cache = NilSet(module, flags, killers)
+    return module._nil_cache
 
 
 def is_nil_module(module: FiniteModule, config: EngineConfig | None = None) -> bool:
@@ -203,7 +185,7 @@ def torsion_sets(module: FiniteModule,
     The cap counts the largest of its pair scans: (t, m) for the torsion
     masks, the ring's element pairs for its regular elements, and the
     module's element pairs for additive closure."""
-    cfg = resolve(config if config is not None else module.config)
+    cfg = resolve(config, module)
     pairs = max(module.ring.size, module.size) ** 2
     cfg.refuse_above_cap(pairs, f"{module.descriptor}: torsion scan of {pairs} pairs")
     if module._torsion_cache is not None:
@@ -215,13 +197,12 @@ def torsion_sets(module: FiniteModule,
     tor[module.zero] = t[module.zero] = True
     tor_add, tor_act = (hit is None for hit in escapes(module, tor))
     t_add, t_act = (hit is None for hit in escapes(module, t))
-    result = TorsionSets(module, _bitmask(tor), _bitmask(t), tor_add, tor_act,
-                         t_add, t_act)
-    module._torsion_cache = result
-    return result
+    tor.flags.writeable = t.flags.writeable = False
+    module._torsion_cache = TorsionSets(module, tor, t, tor_add, tor_act, t_add, t_act)
+    return module._torsion_cache
 
 
 def is_torsion_free(module: FiniteModule,
                     config: EngineConfig | None = None) -> bool:
     """True when only zero is a torsion element."""
-    return torsion_sets(module, config).tor_mask == 1 << module.zero
+    return np.count_nonzero(torsion_sets(module, config).tor) == 1  # zero alone

@@ -1,14 +1,14 @@
 """Finite unital rings addressed by dense integer element ids.
 
-Every ring exposes total add/mul/neg operations on ids 0..size-1, the same
-operations vadd/vmul/vneg over broadcasting numpy id arrays, and a
-descriptor string that doubles as its canonical serialized form (the same
-expressions the structure DSL parses).  Small rings store int32 operation
-tables built by the vectorized operations; larger ones evaluate operations
-structurally per call.  Matrix elements are indexed as base-|R| digit
-strings over the shape's free positions in row-major order, first position
-most significant, so id 0 is always the zero matrix when the base ring's
-zero has id 0.
+Every ring exposes total operations vadd/vmul/vneg over broadcasting numpy
+id arrays, the same operations add/mul/neg on single ids (plain ints read
+off the vectorized ones), and a descriptor string that doubles as its
+canonical serialized form (the same expressions the structure DSL parses).
+Small rings store int32 operation tables built by the vectorized
+operations; larger ones evaluate operations structurally per call.  Matrix
+elements are indexed as base-|R| digit strings over the shape's free
+positions in row-major order, first position most significant, so id 0 is
+always the zero matrix when the base ring's zero has id 0.
 
 The array layer below (one mixed-radix codec, table building and the block
 scan kernel) also carries the modules, nil sets and deciders.
@@ -23,7 +23,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,6 +51,13 @@ class MatrixShape:
 
     kind: str
     n: int
+
+    @property
+    def count(self) -> int:
+        """The number of free positions, in closed form."""
+        n = self.n
+        return {FULL: n * n, UPPER: n * (n + 1) // 2,
+                SPECIAL_UPPER: n * (n - 1) // 2 + 1, V_TYPE: n}[self.kind]
 
     def __post_init__(self):
         if self.kind not in _SHAPE_PREFIX:
@@ -204,15 +211,6 @@ def composed_table(parts) -> np.ndarray:
     return out
 
 
-def table_ops(add: np.ndarray, op: np.ndarray, neg: np.ndarray):
-    """Pointwise add/op/neg, then vectorized ones, over three tables; the
-    pointwise ones index memoryviews of the tables (plain ints, no copies)."""
-    add_view, op_view = memoryview(add), memoryview(op)
-    return ((lambda a, b: add_view[a, b]), (lambda a, b: op_view[a, b]),
-            memoryview(neg).__getitem__,
-            (lambda a, b: add[a, b]), (lambda a, b: op[a, b]), neg.__getitem__)
-
-
 def digitwise(codec: MixedRadix, op, *ids) -> np.ndarray:
     """Ids whose digit strings are op applied to the operands' digit strings."""
     return codec.ids(op(*(codec.digits(x) for x in ids)))
@@ -247,52 +245,47 @@ def scan(rows: int, cells_per_row: int, block):
 
 class FiniteStructure:
     """Base of rings and modules: ids 0..size-1 with + and - and one product,
-    a ring's mul or a module's action.  Subclasses supply the vectorized
-    _vadd, _vneg and product; sealing binds all three to int32 tables, or to
-    those structural ops above the tabulate threshold.  A layout sets the
-    per-pair cost of its structural ops, and a digitwise one its digits' parts."""
+    a ring's mul or a module's action.  Subclasses supply only the vectorized
+    _vadd, _vneg and product; sealing binds them to int32 tables, or keeps
+    them above the tabulate threshold, and a pointwise op reads its vectorized
+    one as an int.  A layout sets its structural ops' per-pair cost, and a
+    digitwise one its digits' parts."""
 
     _kind: str  # "ring" or "module", for the size check
     zero: int
     _pair_cells = _OP_CELLS
     _parts = None
 
-    def __init__(self, size: int, descriptor: str, config: EngineConfig):
-        config.check_size(size, self._kind, descriptor)
-        self.size = size
+    def __init__(self, size: int, descriptor: str, config: EngineConfig, power: int = 1):
+        self.size = config.check_size(size, self._kind, descriptor, power)
         self.descriptor = descriptor
         self.config = config
         self.tabulated = False
         self._add_rows = None
         self._product_rows = None
 
-    # The pointwise forms call the vectorized structural operations.
-    def _add(self, a: int, b: int) -> int:
-        return int(self._vadd(a, b))
-
-    def _neg(self, a: int) -> int:
-        return int(self._vneg(a))
-
-    def _bind(self, rows: int, product, vproduct, tabulate: bool):
-        """Bind add and neg, and return the product, whose left operand is an
-        id below rows, and its vectorized form: over int32 tables when
-        tabulate, else the structural product and vproduct given."""
+    def _bind(self, rows: int, vproduct, tabulate: bool):
+        """Bind vadd and vneg, and return the vectorized product, whose left
+        operand is an id below rows: over int32 tables when tabulate, else
+        the structural ops (vproduct the product's)."""
         self._left_size, self._vproduct = rows, vproduct
         if tabulate:
             add = self.add_table()
             prod = self._tabulate_product()
             neg = self._vneg(np.arange(self.size)).astype(np.int32)
             self._add_rows, self._product_rows = add, prod
-            (self.add, product, self.neg,
-             self.vadd, vproduct, self.vneg) = table_ops(add, prod, neg)
+            self.vadd, vproduct, self.vneg = ((lambda a, b: add[a, b]),
+                                              (lambda a, b: prod[a, b]), neg.__getitem__)
         else:
-            self.add, self.neg, self.vadd, self.vneg = self._add, self._neg, self._vadd, self._vneg
+            self.vadd, self.vneg = self._vadd, self._vneg
         self.tabulated, self._vproduct = tabulate, vproduct
-        return product, vproduct
+        return vproduct
 
-    # Bound at seal time; declared for introspection.
-    add: Callable[[int, int], int]
-    neg: Callable[[int], int]
+    def add(self, a: int, b: int) -> int:
+        return int(self.vadd(a, b))
+
+    def neg(self, a: int) -> int:
+        return int(self.vneg(a))
 
     @property
     def cells(self) -> int:
@@ -358,11 +351,7 @@ class FiniteRing(FiniteStructure):
 
     _kind = "ring"
     one: int
-    mul: Callable[[int, int], int]
     laws_scanned = False
-
-    def _mul(self, a: int, b: int) -> int:
-        return int(self._vmul(a, b))
 
     def _seal(self, validate: bool = True) -> None:
         """Finalize construction: reject the trivial ring, bind ops, validate."""
@@ -370,13 +359,15 @@ class FiniteRing(FiniteStructure):
             raise InvalidParameterError(
                 f"{self.descriptor}: the trivial ring (0 = 1) is rejected"
             )
-        self.mul, self.vmul = self._bind(self.size, self._mul, self._vmul,
-                                         self.size <= self.config.tabulate_threshold)
+        self.vmul = self._bind(self.size, self._vmul, self.size <= self.config.tabulate_threshold)
         if validate:
             check_ring_axioms(self)
 
     vmatmul = FiniteStructure._grid_product
     mul_table = FiniteStructure._product_table
+
+    def mul(self, a: int, b: int) -> int:
+        return int(self.vmul(a, b))
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
@@ -409,16 +400,15 @@ class ZnRing(FiniteRing):
         self._seal()
 
     # plain arithmetic serves ints and (int64) id arrays alike
-    def _add(self, a, b):
+    def _vadd(self, a, b):
         return (a + b) % self.n
 
-    def _mul(self, a, b):
+    def _vmul(self, a, b):
         return (a * b) % self.n
 
-    def _neg(self, a):
+    def _vneg(self, a):
         return (-a) % self.n
 
-    _vadd, _vmul, _vneg = _add, _mul, _neg
     _pair_cells = 1
 
     def vmatmul(self, a, b):
@@ -543,11 +533,11 @@ class MatrixRing(_MatrixLayout, FiniteRing):
 
     def __init__(self, shape: MatrixShape, base: FiniteRing,
                  config: EngineConfig | None = None):
-        config = resolve(config)
+        config = resolve(config, base)
         self.base = base
-        size = base.size ** len(shape.free_positions())
         prefix = _SHAPE_PREFIX[shape.kind]
-        super().__init__(size, f"{prefix}({shape.n}, {base.descriptor})", config)
+        super().__init__(base.size, f"{prefix}({shape.n}, {base.descriptor})", config,
+                         shape.count)
         self._lay_out(shape, base)
         self.zero = self.codec.encode([base.zero] * len(self.positions))
         self.one = self.scalar(base.one)
@@ -616,8 +606,8 @@ class ProductRing(_ProductLayout, FiniteRing):
     """Componentwise product of finitely many rings."""
 
     def __init__(self, factors: Sequence[FiniteRing], config: EngineConfig | None = None):
-        config = resolve(config)
         factors = tuple(factors)
+        config = resolve(config, factors)
         if not factors:
             raise InvalidParameterError("product ring needs at least one factor")
         self.factors = factors
@@ -640,12 +630,12 @@ class PolyQuotientRing(_DigitLayout, FiniteRing):
     """
 
     def __init__(self, base: FiniteRing, n: int, config: EngineConfig | None = None):
-        config = resolve(config)
+        config = resolve(config, base)
         if n < 1:
             raise InvalidParameterError(f"polyq needs degree bound >= 1, got {n}")
         self.base = base
         self.degree = n
-        super().__init__(base.size ** n, f"polyq({base.descriptor}, {n})", config)
+        super().__init__(base.size, f"polyq({base.descriptor}, {n})", config, n)
         self._digits(n, n * n * base.cells)
         self._shift = np.arange(n) - np.arange(n)[:, None]  # k - i at (i, k)
         self.zero = self.codec.encode([base.zero] * n)
@@ -710,7 +700,7 @@ def build(cls, *args, config: EngineConfig | None = None):
     table = _built.get()
     if table is None:
         return cls(*args, config)
-    key = (cls, *args, resolve(config))
+    key = (cls, *args, resolve(config, *args))
     if key not in table:
         table[key] = cls(*args, config)
     return table[key]
@@ -891,7 +881,7 @@ def verify_theta_iso(base: FiniteRing, n: int,
     """Check that reading V-polynomial coefficients as x-coefficients is a
     bijective ring homomorphism from the v-type matrix ring onto the
     truncated polynomial ring of the same degree, exhaustively."""
-    config = resolve(config if config is not None else base.config)
+    config = resolve(config, base)
     vring = make_matrix_ring(MatrixShape(V_TYPE, n), base, config)
     pring = make_poly_quotient_ring(base, n, config)
     try:

@@ -53,6 +53,12 @@ def test_closure_zero_absorbed_reports_chain():
         multiplicative_closure(make_zn(4), [0])
 
 
+def test_closure_reports_an_out_of_range_generator_before_a_zero_one():
+    with pytest.raises(InvalidParameterError, match=re.escape(
+            "element 9 is not in Z(4) (size 4)")):
+        multiplicative_closure(make_zn(4), [0, 9])
+
+
 def test_closure_rejects_non_central_generator():
     m2 = make_matrix_ring(MatrixShape(FULL, 2), make_zn(2))
     e12 = m2.unit(0, 1, 1)

@@ -50,7 +50,7 @@ def test_regular_module_shares_ring_ops(z4_module):
     assert z4_module.act(2, 2) == 0
     assert z4_module.add(3, 3) == 2
     assert z4_module.neg(1) == 3
-    assert z4_module.act is z4_module.ring.mul
+    assert z4_module.vact is z4_module.ring.vmul
 
 
 def test_regular_module_over_matrix_ring(m2z2_module):
@@ -198,6 +198,25 @@ def test_submodule_and_quotient_scans_obey_the_decision_cap(expr, count, scan):
     for config in (DEFAULT_CONFIG.with_overrides(decision_cap=count),
                    below.with_overrides(force=True)):
         assert elaborate_text(expr, config).descriptor == expr
+
+
+def test_derived_structures_take_their_operands_config():
+    cfg = DEFAULT_CONFIG.with_overrides(decision_cap=100, force=True)
+    module = regular_module(make_zn(12, cfg))
+    sub = cyclic_submodule(module, 1)
+    derived = (module, sub, submodule_generated(module, [4]), quotient_module(module, sub),
+               make_product_module([module, zn_module(12)]))
+    assert all(d.config is cfg for d in derived)
+    # the operand's cap bounds the closure scans it was not given
+    capped = regular_module(make_zn(12, cfg.with_overrides(force=False)))
+    for build in (lambda: cyclic_submodule(capped, 1),
+                  lambda: submodule_generated(capped, [1])):
+        with pytest.raises(DecisionCapError, match="closure scan of 144 pairs exceeds cap 100"):
+            build()
+    # interned under the config it resolves to, given or not
+    with rings.interning():
+        ring = make_zn(5, cfg)
+        assert regular_module(ring) is regular_module(ring, cfg)
 
 
 def test_induced_module():

@@ -233,6 +233,36 @@ def test_construction_cap():
         make_matrix_ring(MatrixShape(FULL, 300), make_zn(2))
 
 
+def test_an_over_cap_shape_is_refused_before_its_positions_exist(monkeypatch):
+    def unbuilt(kind, n):
+        raise AssertionError(f"free positions of {kind} {n} built")
+
+    monkeypatch.setattr(rings, "_free_positions", unbuilt)
+    for expr in ("M(100000, Z(2))", "matmod(100000, regular(Z(2)))"):
+        with pytest.raises(SizeCapError, match=re.escape(
+                "M(100000, Z(2)): size of at least 10000000001 bits exceeds "
+                "the construction cap 1048576")):
+            elaborate_text(expr)
+
+
+@pytest.mark.parametrize("kind", [FULL, UPPER, SPECIAL_UPPER, V_TYPE])
+def test_shape_counts_are_the_free_position_counts(kind):
+    for n in range(1, 7):
+        shape = MatrixShape(kind, n)
+        assert shape.count == len(shape.free_positions())
+
+
+@pytest.mark.parametrize("threshold", [1024, 16])
+def test_pointwise_ops_return_plain_ints(threshold):
+    module = elaborate_text("regular(M(2, Z(3)))",
+                            DEFAULT_CONFIG.with_overrides(tabulate_threshold=threshold))
+    ring = module.ring
+    assert module.tabulated is (threshold == 1024)
+    for value in (ring.add(5, 7), ring.neg(5), ring.sub(5, 7), ring.mul(5, 7),
+                  module.add(5, 7), module.neg(5), module.sub(5, 7), module.act(5, 7)):
+        assert type(value) is int
+
+
 def test_trivial_ring_rejected_via_custom_class():
     class Trivial(FiniteRing):
         def __init__(self):
@@ -305,10 +335,8 @@ class _SkewZn(ZnRing):
     def _seal(self, validate=True):
         super()._seal(validate=False)
 
-    def _mul(self, a, b):
+    def _vmul(self, a, b):
         return (a * b + (a > 1) * (b > 1)) % self.n
-
-    _vmul = _mul
 
 
 # each ring law of a sampled triple, replayed through the pointwise ops
@@ -569,10 +597,8 @@ class _SkewAddZn(ZnRing):
     def _seal(self, validate=True):
         super()._seal(validate=False)
 
-    def _add(self, a, b):
+    def _vadd(self, a, b):
         return (a + b + (a == 2) * (b == 2)) % self.n
-
-    _vadd = _add
 
 
 # the four shapes at n = 2 and 3 over Z(n), n a power of two and not, and over
