@@ -29,7 +29,7 @@ from .config import EngineConfig, resolve
 from .errors import InvalidParameterError
 from .modules import FiniteModule
 from .nilpotency import nil_set, squared_killers
-from .rings import FiniteRing, _nil_ring_flags, row_blocks
+from .rings import FiniteRing, nil_ring_set, row_blocks
 
 PROP_SEMICOMMUTATIVE = "semicommutative"
 PROP_WEAKLY = "weakly-semicommutative"
@@ -308,7 +308,7 @@ def _decide_ring(ring: FiniteRing, prop: str,
     desc = ring.descriptor
     cfg.refuse_above_cap(ring.size ** 3, f"{desc}: {prop} scan of {ring.size ** 3} triples")
     hit = _scan(_TableOps(ring.mul_table(), ring.zero, ring.vmul,
-                          lambda: _nil_ring_flags(ring)),
+                          lambda: nil_ring_set(ring, cfg)),
                 _PROPERTIES[_RING_ROWS[prop]])
     if hit is None:
         return Verdict(prop, True, METHOD_EXHAUSTIVE, None, desc)

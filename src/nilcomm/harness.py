@@ -30,6 +30,7 @@ from .deciders import (
 )
 from .errors import DecisionCapError, InvalidParameterError
 from .localization import (
+    LOCALIZATION_TRANSFER_CLAIM,
     check_localization_transfer,
     localize_module,
     localize_ring,
@@ -54,7 +55,7 @@ from .nilpotency import (
     nil_set,
     torsion_sets,
 )
-from .reports import CONFIRMED, REFUTED, SKIPPED, CheckReport, strip_runtime
+from .reports import CONFIRMED, REFUTED, SKIPPED, CheckReport, claim_report
 from .rings import (
     FULL,
     UPPER,
@@ -62,14 +63,13 @@ from .rings import (
     FiniteRing,
     MatrixShape,
     RingHom,
-    _commuting,
-    _guard_pairs,
-    _nil_ring_flags,
-    _regular_mask,
+    center,
     identity_hom,
     interning,
     make_zn,
+    nil_ring_set,
     nilpotency_degree,
+    regular_elements,
     row_blocks,
     verify_theta_iso,
     zn_reduction_hom,
@@ -147,17 +147,9 @@ def _is_square_free(n: int) -> bool:
     return True
 
 
-def _verdict_entry(v) -> dict:
-    return strip_runtime(v.to_json_dict())
-
-
 def _report(check_id: str, detail: dict, witness: dict | None = None) -> CheckReport:
-    """A registered check's report: refuted exactly when it carries a
-    witness, which goes last in the detail; confirmed otherwise."""
-    if witness is not None:
-        detail["witness"] = witness
-    return CheckReport(check_id, _REGISTRY[check_id].claim,
-                       CONFIRMED if witness is None else REFUTED, detail)
+    """A registered check's report (see reports.claim_report)."""
+    return claim_report(check_id, _REGISTRY[check_id].claim, detail, witness)
 
 
 def _skipped(check_id: str, detail: dict) -> CheckReport:
@@ -264,9 +256,9 @@ def check_example_zpn(p: int, n: int, config: EngineConfig | None = None) -> Che
         "descriptor": module.descriptor,
         "p": p,
         "n": n,
-        "semicommutative": _verdict_entry(semi),
-        "weakly_semicommutative": _verdict_entry(weak),
-        "nil_semicommutative": _verdict_entry(nil),
+        "semicommutative": semi.to_json_dict(),
+        "weakly_semicommutative": weak.to_json_dict(),
+        "nil_semicommutative": nil.to_json_dict(),
         "pinned_triple": {"a": pinned[0], "r": pinned[1], "m": pinned[2],
                           "verified": pinned_ok},
     }
@@ -294,8 +286,8 @@ def check_example_matrix(shape_n: int, base_size: int,
         semi = is_semicommutative(module, cfg)
         detail["full"] = {
             "descriptor": module.descriptor,
-            "nil_semicommutative": _verdict_entry(nil),
-            "semicommutative_observed": _verdict_entry(semi),
+            "nil_semicommutative": nil.to_json_dict(),
+            "semicommutative_observed": semi.to_json_dict(),
         }
         return _report("matrix_semicommutativity", detail,
                        None if nil.holds is True else nil.witness_payload())
@@ -331,7 +323,7 @@ def check_example_matrix(shape_n: int, base_size: int,
     }
     sampled = check_lemma_matrix_nil(shape_n, base, regular_module(base, cfg),
                                      sample=sample, config=cfg)
-    detail["sampled_nil"] = strip_runtime(sampled.detail)
+    detail["sampled_nil"] = sampled.detail
     witness = None
     if not replay_ok or sampled.status != CONFIRMED:
         witness = triple_witness(PROP_SEMICOMMUTATIVE, module.descriptor,
@@ -356,7 +348,7 @@ def _not_nil_semicommutative_instance(check_id: str, module: FiniteModule,
     ok = verdict.holds is False and triple_ok and cert_ok
     detail = {
         "descriptor": module.descriptor,
-        "full_verdict": _verdict_entry(verdict),
+        "full_verdict": verdict.to_json_dict(),
         "replay_witness": {"a": a, "r": r, "m": m, "verified": triple_ok,
                            "a_render": module.ring.render(a),
                            "r_render": module.ring.render(r),
@@ -430,7 +422,7 @@ def check_torsion_free_props(module: FiniteModule,
         "descriptor": module.descriptor,
         "nil_members": nils.members(),
         "nil_trivial": nil_trivial,
-        "verdicts": {k: _verdict_entry(v) for k, v in verdicts.items()},
+        "verdicts": {k: v.to_json_dict() for k, v in verdicts.items()},
         "all_hold": all_hold,
     }
     witness = None
@@ -450,13 +442,12 @@ def check_commutative_ring_prop(ring: FiniteRing,
     degree above two, a nil-semicommutative ring gives a
     nil-semicommutative regular module."""
     cfg = resolve(config, ring)
-    _guard_pairs(ring, "commutativity", cfg)
-    if not _commuting(ring).all():
+    if not center(ring, cfg).all():
         raise InvalidParameterError(
             f"{ring.descriptor}: this transfer statement wants a commutative ring")
     degrees = {}
     hypothesis = True
-    for a in np.flatnonzero(_nil_ring_flags(ring)).tolist():
+    for a in np.flatnonzero(nil_ring_set(ring, cfg)).tolist():
         if a == ring.zero:
             continue
         deg = nilpotency_degree(ring, a)
@@ -470,8 +461,8 @@ def check_commutative_ring_prop(ring: FiniteRing,
         "descriptor": ring.descriptor,
         "hypothesis": hypothesis,
         "nilpotency_degrees": degrees,
-        "ring_nil_semicommutative": _verdict_entry(ring_v),
-        "module_nil_semicommutative": _verdict_entry(module_v),
+        "ring_nil_semicommutative": ring_v.to_json_dict(),
+        "module_nil_semicommutative": module_v.to_json_dict(),
         "implication_ok": implication_ok,
     }
     if not hypothesis:
@@ -497,8 +488,8 @@ def check_hom_transfer(hom: RingHom, module: FiniteModule,
         "hom": hom.descriptor,
         "descriptor": module.descriptor,
         "induced_descriptor": pulled.descriptor,
-        "target_verdict": _verdict_entry(target_v),
-        "source_verdict": _verdict_entry(source_v),
+        "target_verdict": target_v.to_json_dict(),
+        "source_verdict": source_v.to_json_dict(),
         "agree": agree,
     }
     failing = target_v if target_v.holds is False else source_v
@@ -532,8 +523,7 @@ def check_t_submodule(module: FiniteModule,
     field), the regular-torsion set is a submodule."""
     cfg = resolve(config, module)
     ring = module.ring
-    _guard_pairs(ring, "regular element", cfg)
-    if _regular_mask(ring).sum() != ring.size - 1:
+    if regular_elements(ring, cfg).sum() != ring.size - 1:
         return _skipped("t_set_submodule", {"descriptor": module.descriptor,
                                             "reason": "the ring is not a domain"})
     verdict = is_nil_semicommutative(module, cfg)
@@ -611,7 +601,8 @@ def check_submodule_equivalence(module: FiniteModule,
 def _merge(check_id: str, reports: list[CheckReport]) -> CheckReport:
     """One report over several instance reports: refuted by the first
     refuted instance's witness, skipped when every instance skipped."""
-    detail: dict = {"instances": [strip_runtime(r.to_json_dict()) for r in reports]}
+    detail: dict = {"instances": [{k: v for k, v in r.to_json_dict().items()
+                                   if k != "runtime_ms"} for r in reports]}
     if all(r.status == SKIPPED for r in reports):
         detail["reason"] = "; ".join(r.detail.get("reason", "") for r in reports)
         return _skipped(check_id, detail)
@@ -819,9 +810,7 @@ def _run_localization_wellformed(cfg: EngineConfig, opts: HarnessOptions) -> Che
                     "expected": 3, "got": loc.size})
 
 
-@_register("localization_transfer",
-           "a module is nil-semicommutative exactly when its localization at "
-           "a central multiplicative set is")
+@_register("localization_transfer", LOCALIZATION_TRANSFER_CLAIM)
 def _run_localization_transfer(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
     z3 = make_zn(3, cfg)
     z4 = make_zn(4, cfg)
@@ -851,9 +840,9 @@ def _run_nil_module_properties(cfg: EngineConfig, opts: HarnessOptions) -> Check
         entry = {
             "descriptor": module.descriptor,
             "nil_module": True,
-            "semicommutative": _verdict_entry(semi),
-            "weakly_semicommutative": _verdict_entry(weak),
-            "nil_semicommutative": _verdict_entry(nil),
+            "semicommutative": semi.to_json_dict(),
+            "weakly_semicommutative": weak.to_json_dict(),
+            "nil_semicommutative": nil.to_json_dict(),
         }
         bad = next((v for v in (semi, weak, nil) if v.holds is not True), None)
         return entry, bad and bad.witness_payload()

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EngineConfig, resolve
+from .deciders import PROP_NIL_SEMI, decide
 from .errors import (
     AxiomError,
     InvalidParameterError,
@@ -23,16 +24,11 @@ from .errors import (
     ZeroAbsorbedError,
 )
 from .modules import FiniteModule
-from .reports import CheckReport
-from .rings import (
-    FiniteRing,
-    _ClassLayout,
-    _commuting,
-    _guard_pairs,
-    first_true,
-    row_blocks,
-    scan,
-)
+from .reports import CheckReport, claim_report
+from .rings import ClassLayout, FiniteRing, center, first_true, row_blocks, scan
+
+LOCALIZATION_TRANSFER_CLAIM = ("a module is nil-semicommutative exactly when its "
+                               "localization at a central multiplicative set is")
 
 
 @dataclass(frozen=True)
@@ -41,9 +37,6 @@ class MultiplicativeSet:
 
     ring: FiniteRing
     members: tuple[int, ...]
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
 
     def render(self) -> str:
         return "{" + ", ".join(str(x) for x in self.members) + "}"
@@ -56,10 +49,9 @@ def multiplicative_closure(ring: FiniteRing, gens,
     Generators must be central and nonzero; the closure must not reach 0
     (the offending product chain is reported when it does).
     """
-    _guard_pairs(ring, "center", resolve(config, ring))
+    central = center(ring, config)
     gens = sorted(set(gens))
     ring.check_ids(gens)
-    central = _commuting(ring)
     for g in gens:
         if g == ring.zero:
             raise ZeroAbsorbedError(
@@ -93,7 +85,7 @@ def multiplicative_closure(ring: FiniteRing, gens,
     return MultiplicativeSet(ring, tuple(members.tolist()))
 
 
-class _Fractions(_ClassLayout):
+class _Fractions(ClassLayout):
     """Fractions x/s of the numerators self.base (the ring itself, or a
     module) over S: the parent ids are the pairs s_index * |base| + x, S
     sorted making id order the (denominator, numerator) order, and each
@@ -242,9 +234,6 @@ def check_localization_transfer(module: FiniteModule, mset: MultiplicativeSet,
     """Run the nil-semicommutativity decider on a module and on its
     localization and report whether the two verdicts agree, as the
     transfer statement asserts they must."""
-    from .deciders import PROP_NIL_SEMI, decide  # local imports avoid a cycle
-    from .harness import _report
-
     cfg = resolve(config, module)
     source = decide(module, PROP_NIL_SEMI, cfg)
     localized = localize_module(module, mset, cfg)
@@ -260,5 +249,5 @@ def check_localization_transfer(module: FiniteModule, mset: MultiplicativeSet,
         "agree": agree,
     }
     failing = source if source.holds is False else loc_verdict
-    return _report("localization_transfer", detail,
-                   None if agree else failing.witness_payload())
+    return claim_report("localization_transfer", LOCALIZATION_TRANSFER_CLAIM, detail,
+                        None if agree else failing.witness_payload())

@@ -20,13 +20,13 @@ from .rings import (
     SPECIAL_UPPER,
     UPPER,
     V_TYPE,
+    ClassLayout,
     FiniteRing,
     FiniteStructure,
+    MatrixLayout,
     MatrixShape,
+    ProductLayout,
     RingHom,
-    _ClassLayout,
-    _MatrixLayout,
-    _ProductLayout,
     build,
     check_laws,
     componentwise,
@@ -99,7 +99,7 @@ class RegularModule(FiniteModule):
         return self.ring.render(m)
 
 
-class MatrixModule(_MatrixLayout, FiniteModule):
+class MatrixModule(MatrixLayout, FiniteModule):
     """Matrices with module entries, acted on by the same-shape matrix ring."""
 
     def __init__(self, shape: MatrixShape, base_ring: FiniteRing,
@@ -125,7 +125,7 @@ class MatrixModule(_MatrixLayout, FiniteModule):
         return self._entry_product_table(self.ring, self.base.vmatact)
 
 
-class ProductModule(_ProductLayout, FiniteModule):
+class ProductModule(ProductLayout, FiniteModule):
     """Componentwise product of modules over one common ring."""
 
     def __init__(self, factors: Sequence[FiniteModule],
@@ -153,7 +153,7 @@ class ProductModule(_ProductLayout, FiniteModule):
                              left=(r,))
 
 
-class SubModule(_ClassLayout, FiniteModule):
+class SubModule(ClassLayout, FiniteModule):
     """A submodule re-indexed densely, remembering its parent embedding: each
     member is its own class under the parent's ops."""
 
@@ -202,7 +202,7 @@ class SubModule(_ClassLayout, FiniteModule):
         return self.parent.render(self.embedding[m])
 
 
-class QuotientModule(_ClassLayout, FiniteModule):
+class QuotientModule(ClassLayout, FiniteModule):
     """Cosets of a submodule under the parent's ops, validated well-defined."""
 
     def __init__(self, parent: FiniteModule, sub: SubModule,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import EngineConfig, resolve
 from .modules import FiniteModule, escapes
-from .rings import _regular_mask, row_blocks
+from .rings import regular_elements, row_blocks
 
 
 @dataclass(eq=False)
@@ -77,21 +77,8 @@ class TorsionSets:
         return np.flatnonzero(self.t).tolist()
 
     @property
-    def tor_is_submodule(self) -> bool:
-        return self.tor_closed_add and self.tor_closed_act
-
-    @property
     def t_is_submodule(self) -> bool:
         return self.t_closed_add and self.t_closed_act
-
-    def to_json_dict(self) -> dict:
-        return {
-            "descriptor": self.module.descriptor,
-            "tor": self.tor_members(),
-            "t": self.t_members(),
-            "tor_is_submodule": self.tor_is_submodule,
-            "t_is_submodule": self.t_is_submodule,
-        }
 
 
 def squared_killers(module: FiniteModule, ms: np.ndarray | None = None) -> np.ndarray:
@@ -193,7 +180,7 @@ def torsion_sets(module: FiniteModule,
     killed = module.act_table() == module.zero
     killed[module.ring.zero] = False
     tor = killed.any(axis=0)
-    t = killed[_regular_mask(module.ring)].any(axis=0)
+    t = killed[regular_elements(module.ring, cfg)].any(axis=0)
     tor[module.zero] = t[module.zero] = True
     tor_add, tor_act = (hit is None for hit in escapes(module, tor))
     t_add, t_act = (hit is None for hit in escapes(module, t))

@@ -36,10 +36,10 @@ class CheckReport:
         }
 
 
-def strip_runtime(value):
-    """Recursively drop runtime_ms keys from nested report detail."""
-    if isinstance(value, dict):
-        return {k: strip_runtime(v) for k, v in value.items() if k != "runtime_ms"}
-    if isinstance(value, (list, tuple)):
-        return [strip_runtime(v) for v in value]
-    return value
+def claim_report(check_id: str, claim: str, detail: dict,
+                 witness: dict | None = None) -> CheckReport:
+    """A claim check's report: refuted exactly when it carries a witness,
+    which goes last in the detail; confirmed otherwise."""
+    if witness is not None:
+        detail["witness"] = witness
+    return CheckReport(check_id, claim, CONFIRMED if witness is None else REFUTED, detail)

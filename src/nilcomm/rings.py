@@ -65,69 +65,53 @@ class MatrixShape:
         if self.n < 1:
             raise InvalidParameterError(f"matrix dimension must be >= 1, got {self.n}")
 
+    def digit_grid(self) -> np.ndarray:
+        """Each cell's digit index, or -1 where it is forced to zero."""
+        return _digit_grid(self.kind, self.n)
+
     def free_positions(self) -> tuple[tuple[int, int], ...]:
-        return _free_positions(self.kind, self.n)
+        """Each digit's first cell, in row-major order."""
+        digits, first = np.unique(self.digit_grid(), return_index=True)
+        return tuple(divmod(int(i), self.n) for i in first[digits >= 0])
 
 
 @lru_cache(maxsize=None)
-def _free_positions(kind: str, n: int) -> tuple[tuple[int, int], ...]:
-    if kind == FULL:
-        return tuple((i, j) for i in range(n) for j in range(n))
-    if kind == UPPER:
-        return tuple((i, j) for i in range(n) for j in range(n) if i <= j)
-    if kind == SPECIAL_UPPER:
-        return ((0, 0),) + tuple((i, j) for i in range(n) for j in range(n) if i < j)
-    # v-type: one digit per power of the shift matrix
-    return tuple((0, j) for j in range(n))
+def _digit_grid(kind: str, n: int) -> np.ndarray:
+    """The one definition of each shape: a read-only n x n grid of each
+    cell's digit index, or -1 where the cell is forced to zero.  Cells
+    sharing a digit hold equal entries.  Digits are numbered in the order of
+    their cells' keys: a cell's row-major index, but 0 on special-upper's
+    diagonal and k on v-type's superdiagonal k."""
+    i, j = np.indices((n, n))
+    key = {FULL: i * n + j, UPPER: np.where(i <= j, i * n + j, -1),
+           SPECIAL_UPPER: np.where(i < j, i * n + j, np.where(i == j, 0, -1)),
+           V_TYPE: np.where(i <= j, j - i, -1)}[kind].ravel()
+    keys, digit = np.unique(key, return_inverse=True)
+    grid = digit.reshape(n, n) - int(keys[0] < 0)
+    grid.flags.writeable = False
+    return grid
 
 
-def shape_fill(shape: MatrixShape, positions, digits, zero):
-    """Expand free-position digits into a full n-by-n entry grid."""
-    n = shape.n
-    rows = [[zero] * n for _ in range(n)]
-    if shape.kind == SPECIAL_UPPER:
-        diag = digits[0]
-        for i in range(n):
-            rows[i][i] = diag
-        for (i, j), d in zip(positions[1:], digits[1:]):
-            rows[i][j] = d
-    elif shape.kind == V_TYPE:
-        for k, d in enumerate(digits):
-            for i in range(n - k):
-                rows[i][i + k] = d
-    else:
-        for (i, j), d in zip(positions, digits):
-            rows[i][j] = d
-    return rows
+def shape_fill(shape: MatrixShape, digits, zero) -> list[list]:
+    """The full n-by-n entry grid of one digit string; zero at forced cells."""
+    values = [*digits, zero]  # a forced cell's digit -1 reads zero
+    return [[values[d] for d in row] for row in shape.digit_grid().tolist()]
 
 
-def shape_read(shape: MatrixShape, positions, rows, zero, what: str = "matrix"):
-    """Read free-position digits off an entry grid, validating admissibility."""
+def shape_read(shape: MatrixShape, rows, zero, what: str = "matrix") -> list:
+    """The digit string of an entry grid: its entries at the free positions,
+    once filling them gives the grid back."""
     n = shape.n
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InvalidParameterError(f"{what}: expected an {n}x{n} entry grid")
-    kind = shape.kind
-    if kind in (UPPER, SPECIAL_UPPER, V_TYPE):
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != zero:
-                    raise InvalidParameterError(
-                        f"{what}: entry ({i},{j}) below the diagonal must be zero for {kind}"
-                    )
-    if kind == SPECIAL_UPPER:
-        d = rows[0][0]
-        for i in range(1, n):
-            if rows[i][i] != d:
-                raise InvalidParameterError(f"{what}: diagonal entries must agree for {kind}")
-    if kind == V_TYPE:
-        for k in range(n):
-            d = rows[0][k]
-            for i in range(1, n - k):
-                if rows[i][i + k] != d:
-                    raise InvalidParameterError(
-                        f"{what}: superdiagonal {k} must be constant for {kind}"
-                    )
-    return [rows[i][j] for (i, j) in positions]
+    digits = [rows[i][j] for i, j in shape.free_positions()]
+    filled = shape_fill(shape, digits, zero)
+    for i, j in np.ndindex(n, n):
+        if rows[i][j] != filled[i][j]:
+            raise InvalidParameterError(
+                f"{what}: entry ({i},{j}) must be {filled[i][j]} in a {shape.kind} "
+                f"matrix, got {rows[i][j]}")
+    return digits
 
 
 def _stable_seed(config: EngineConfig, descriptor: str) -> int:
@@ -434,7 +418,7 @@ class _DigitLayout:
         return digitwise(self.codec, self.base.vneg, a)
 
 
-class _MatrixLayout(_DigitLayout):
+class MatrixLayout(_DigitLayout):
     """Base-|B| digits over one shape's free positions, shared by matrix
     rings and matrix modules; grid() and ungrid() convert whole id arrays to
     entry grids and back.  A product of entry grids costs n^3 entry ops; a
@@ -446,7 +430,7 @@ class _MatrixLayout(_DigitLayout):
         p = len(self.positions)
         self._digits(p, shape.n ** 3 * entries.cells)
         self._entry_zero = entries.zero
-        digit = np.array(shape_fill(shape, self.positions, range(p), -1))
+        digit = shape.digit_grid()
         self._forced = digit < 0
         # an id divided by a weight past its top digit reads digit 0
         self._cell_weight = np.where(self._forced, entries.size ** p,
@@ -494,14 +478,12 @@ class _MatrixLayout(_DigitLayout):
 
     def entries(self, eid: int):
         """Full n-by-n grid of base ids for one element."""
-        return shape_fill(self.shape, self.positions, self.codec.decode(eid),
-                          self._entry_zero)
+        return shape_fill(self.shape, self.codec.decode(eid), self._entry_zero)
 
     def from_entries(self, rows) -> int:
         """Element id of an entry grid; rejects grids outside the shape."""
-        digits = shape_read(self.shape, self.positions, rows, self._entry_zero,
-                            what=getattr(self, "descriptor", "matrix"))
-        return self.codec.encode(digits)
+        return self.codec.encode(shape_read(self.shape, rows, self._entry_zero,
+                                            getattr(self, "descriptor", "matrix")))
 
     def _with_cells(self, cells, value: int) -> int:
         n = self.shape.n
@@ -528,7 +510,7 @@ class _MatrixLayout(_DigitLayout):
             for row in self.entries(eid)) + "]"
 
 
-class MatrixRing(_MatrixLayout, FiniteRing):
+class MatrixRing(MatrixLayout, FiniteRing):
     """Matrices over a base ring restricted to one shape's free positions."""
 
     def __init__(self, shape: MatrixShape, base: FiniteRing,
@@ -550,7 +532,7 @@ class MatrixRing(_MatrixLayout, FiniteRing):
         return self._entry_product_table(self, self.base.vmatmul)
 
 
-class _ProductLayout:
+class ProductLayout:
     """Mixed-radix ids over the sizes of self.factors, shared by product
     rings and product modules; + and - act componentwise."""
 
@@ -570,7 +552,7 @@ class _ProductLayout:
         return "(" + ", ".join(f.render(c) for f, c in zip(self.factors, comps)) + ")"
 
 
-class _ClassLayout:
+class ClassLayout:
     """Elements as classes of a parent's ids (submodules, quotients and
     localizations): _reps[a] is the parent id representing element a and
     class_of[p] the element of parent id p, -1 outside a submodule.  Each op
@@ -602,7 +584,7 @@ class _ClassLayout:
             raise AxiomError(f"{self.descriptor}: " + law.format(*name(*hit)))
 
 
-class ProductRing(_ProductLayout, FiniteRing):
+class ProductRing(ProductLayout, FiniteRing):
     """Componentwise product of finitely many rings."""
 
     def __init__(self, factors: Sequence[FiniteRing], config: EngineConfig | None = None):
@@ -733,16 +715,18 @@ def make_poly_quotient_ring(base: FiniteRing, n: int,
 # Derived element sets
 
 
-def center(ring: FiniteRing) -> frozenset[int]:
-    """Elements commuting with the whole ring, computed exhaustively."""
-    _guard_pairs(ring, "center", ring.config)
-    return frozenset(np.flatnonzero(_commuting(ring)).tolist())
+def center(ring: FiniteRing, config: EngineConfig | None = None) -> np.ndarray:
+    """Bool id mask of the elements commuting with the whole ring."""
+    _guard_pairs(ring, "center", config)
+    return _against_all(ring, lambda c, r: ring.vmul(c, r) == ring.vmul(r, c))
 
 
-def _guard_pairs(ring: FiniteRing, what: str, config: EngineConfig) -> None:
-    """The cap guard of a scan over every element pair of the ring."""
+def _guard_pairs(ring: FiniteRing, what: str, config: EngineConfig | None) -> None:
+    """The cap guard of a scan over every element pair of the ring, under
+    the config given, else the ring's."""
     pairs = ring.size * ring.size
-    config.refuse_above_cap(pairs, f"{ring.descriptor}: {what} scan of {pairs} pairs")
+    resolve(config, ring).refuse_above_cap(pairs,
+                                           f"{ring.descriptor}: {what} scan of {pairs} pairs")
 
 
 def _against_all(ring: FiniteRing, test) -> np.ndarray:
@@ -752,18 +736,10 @@ def _against_all(ring: FiniteRing, test) -> np.ndarray:
                            for lo, hi in row_blocks(ring.size, ring.size * ring.cells)])
 
 
-def _commuting(ring: FiniteRing) -> np.ndarray:
-    return _against_all(ring, lambda c, r: ring.vmul(c, r) == ring.vmul(r, c))
-
-
-def regular_elements(ring: FiniteRing) -> frozenset[int]:
-    """Nonzero elements that are neither left nor right zero divisors."""
-    _guard_pairs(ring, "regular element", ring.config)
-    return frozenset(np.flatnonzero(_regular_mask(ring)).tolist())
-
-
-def _regular_mask(ring: FiniteRing) -> np.ndarray:
-    """regular_elements as a bool array over ids, with no cap guard."""
+def regular_elements(ring: FiniteRing, config: EngineConfig | None = None) -> np.ndarray:
+    """Bool id mask of the nonzero elements that are neither left nor right
+    zero divisors."""
+    _guard_pairs(ring, "regular element", config)
     mul, zero = ring.vmul, ring.zero
     regular = _against_all(ring, lambda s, r: (r == zero) | (
         (mul(s, r) != zero) & (mul(r, s) != zero)))
@@ -771,15 +747,18 @@ def _regular_mask(ring: FiniteRing) -> np.ndarray:
     return regular
 
 
-def nil_ring_set(ring: FiniteRing) -> frozenset[int]:
-    """Elements with a^k = 0 for some k >= 1, by power iteration."""
-    _guard_pairs(ring, "nil set", ring.config)
-    return frozenset(np.flatnonzero(_nil_ring_flags(ring)).tolist())
-
-
-def _nil_ring_flags(ring: FiniteRing) -> np.ndarray:
-    """nil_ring_set as a bool array over ids, with no cap guard."""
-    return np.array([nilpotency_degree(ring, a) is not None for a in ring.elements()])
+def nil_ring_set(ring: FiniteRing, config: EngineConfig | None = None) -> np.ndarray:
+    """Bool id mask of the nilpotent elements: those with a^(2^s) = 0 for
+    2^s >= |R|, by s squarings of every id.  A nilpotent's powers before 0
+    are distinct, so its degree is at most |R|."""
+    _guard_pairs(ring, "nil set", config)
+    nil = np.empty(ring.size, dtype=bool)
+    for lo, hi in row_blocks(ring.size, ring.cells):
+        x = np.arange(lo, hi)
+        for _ in range((ring.size - 1).bit_length()):
+            x = ring.vmul(x, x)
+        nil[lo:hi] = x == ring.zero
+    return nil
 
 
 def nilpotency_degree(ring: FiniteRing, a: int) -> int | None:

@@ -37,6 +37,20 @@ def ring_nil_flags(mul, zero):
     return flags
 
 
+def ring_center_flags(mul):
+    """a -> whether a * r = r * a for every r."""
+    R = range(len(mul))
+    return [all(mul[a][r] == mul[r][a] for r in R) for a in R]
+
+
+def ring_regular_flags(mul, zero):
+    """s -> whether s is nonzero and s * r and r * s are nonzero for every
+    nonzero r."""
+    R = range(len(mul))
+    return [s != zero and all(mul[s][r] != zero and mul[r][s] != zero for r in R if r != zero)
+            for s in R]
+
+
 def squared_witnesses(act, mul, zero):
     """m -> the least t with t*m != 0 and (t*t)*m = 0, for each nonzero m."""
     out = {}
@@ -72,8 +86,7 @@ def least_violation(act, mul, zero, prop, nil):
 
 def torsion_masks(act, mul, zero, ring_zero):
     R, M = range(len(act)), range(len(act[0]))
-    regular = [s for s in R if s != ring_zero and all(
-        mul[s][r] != ring_zero and mul[r][s] != ring_zero for r in R if r != ring_zero)]
+    regular = [s for s, flag in enumerate(ring_regular_flags(mul, ring_zero)) if flag]
     tor = t = 1 << zero
     for m in M:
         for r in R:

@@ -30,6 +30,8 @@ from nilcomm import (
     nilpotency_degree,
     regular_elements,
     regular_module,
+    ring_is_nil_semicommutative,
+    torsion_sets,
     verify_theta_iso,
     zn_reduction_hom,
 )
@@ -178,25 +180,29 @@ def test_poly_quotient():
     assert pq3.render(pq3.from_coefficients([1, 2])) == "1+2x"
 
 
+def _ids(mask):
+    return np.flatnonzero(mask).tolist()
+
+
 def test_center():
-    assert center(make_zn(12)) == frozenset(range(12))
+    assert _ids(center(make_zn(12))) == list(range(12))
     m2 = make_matrix_ring(MatrixShape(FULL, 2), make_zn(2))
-    assert center(m2) == frozenset({m2.zero, m2.one})
+    assert _ids(center(m2)) == sorted([m2.zero, m2.one])
     t2 = make_matrix_ring(MatrixShape(UPPER, 2), make_zn(2))
-    assert center(t2) == frozenset({t2.zero, t2.one})
+    assert _ids(center(t2)) == sorted([t2.zero, t2.one])
 
 
 def test_regular_elements():
-    assert regular_elements(make_zn(6)) == frozenset({1, 5})
-    assert regular_elements(make_zn(5)) == frozenset({1, 2, 3, 4})
-    assert regular_elements(make_zn(4)) == frozenset({1, 3})
+    assert _ids(regular_elements(make_zn(6))) == [1, 5]
+    assert _ids(regular_elements(make_zn(5))) == [1, 2, 3, 4]
+    assert _ids(regular_elements(make_zn(4))) == [1, 3]
 
 
 def test_nil_ring_set():
-    assert nil_ring_set(make_zn(4)) == frozenset({0, 2})
-    assert nil_ring_set(make_zn(6)) == frozenset({0})
+    assert _ids(nil_ring_set(make_zn(4))) == [0, 2]
+    assert _ids(nil_ring_set(make_zn(6))) == [0]
     t2 = make_matrix_ring(MatrixShape(UPPER, 2), make_zn(2))
-    assert nil_ring_set(t2) == frozenset({t2.zero, t2.unit(0, 1, 1)})
+    assert _ids(nil_ring_set(t2)) == sorted([t2.zero, t2.unit(0, 1, 1)])
 
 
 def test_regular_and_nil_disjoint_and_one_regular(hierarchy_zoo):
@@ -204,8 +210,34 @@ def test_regular_and_nil_disjoint_and_one_regular(hierarchy_zoo):
         ring = module.ring
         regs = regular_elements(ring)
         nils = nil_ring_set(ring)
-        assert not regs & nils
-        assert ring.one in regs
+        assert not (regs & nils).any()
+        assert regs[ring.one]
+
+
+# every ring family, T(4, Z(2)) at 1024 elements, and nilpotents of degree 5
+# (x in polyq(Z(2), 5)) and 6 (2 in Z(64)), past two squarings
+_MASK_RINGS = ["Z(1000)", "Z(64)", "polyq(Z(2), 5)", "T(4, Z(2))", "S(3, Z(4))",
+               "prod(Z(4), Z(6))", "loc(Z(12), {2})"]
+
+
+@pytest.mark.parametrize("expr", _MASK_RINGS)
+@pytest.mark.parametrize("threshold", [1024, 0])
+def test_ring_masks_equal_their_definitions(expr, threshold):
+    ring = elaborate_text(expr, DEFAULT_CONFIG.with_overrides(tabulate_threshold=threshold))
+    assert ring.tabulated is (threshold > 0)
+    mul = ring.mul_table().tolist()
+    for mask, want in ((center(ring), oracle.ring_center_flags(mul)),
+                       (regular_elements(ring), oracle.ring_regular_flags(mul, ring.zero)),
+                       (nil_ring_set(ring), oracle.ring_nil_flags(mul, ring.zero))):
+        assert mask.dtype == bool and mask.tolist() == want
+
+
+@pytest.mark.parametrize("expr", _MASK_RINGS)
+@pytest.mark.parametrize("threshold", [1024, 0])
+def test_nil_mask_equals_the_power_walk(expr, threshold):
+    ring = elaborate_text(expr, DEFAULT_CONFIG.with_overrides(tabulate_threshold=threshold))
+    assert nil_ring_set(ring).tolist() == [nilpotency_degree(ring, a) is not None
+                                           for a in ring.elements()]
 
 
 def test_nilpotency_degree():
@@ -220,7 +252,7 @@ def test_is_commutative():
     for ring, commutative in ((make_zn(9), True),
                               (make_matrix_ring(MatrixShape(FULL, 2), make_zn(2)), False),
                               (make_matrix_ring(MatrixShape(V_TYPE, 3), make_zn(2)), True)):
-        assert (center(ring) == frozenset(ring.elements())) is commutative
+        assert bool(center(ring).all()) is commutative
 
 
 def test_construction_cap():
@@ -237,7 +269,7 @@ def test_an_over_cap_shape_is_refused_before_its_positions_exist(monkeypatch):
     def unbuilt(kind, n):
         raise AssertionError(f"free positions of {kind} {n} built")
 
-    monkeypatch.setattr(rings, "_free_positions", unbuilt)
+    monkeypatch.setattr(rings, "_digit_grid", unbuilt)
     for expr in ("M(100000, Z(2))", "matmod(100000, regular(Z(2)))"):
         with pytest.raises(SizeCapError, match=re.escape(
                 "M(100000, Z(2)): size of at least 10000000001 bits exceeds "
@@ -250,6 +282,42 @@ def test_shape_counts_are_the_free_position_counts(kind):
     for n in range(1, 7):
         shape = MatrixShape(kind, n)
         assert shape.count == len(shape.free_positions())
+
+
+# each kind's free positions, written out cell by cell
+_LISTED_POSITIONS = {
+    FULL: lambda n: tuple((i, j) for i in range(n) for j in range(n)),
+    UPPER: lambda n: tuple((i, j) for i in range(n) for j in range(n) if i <= j),
+    SPECIAL_UPPER: lambda n: ((0, 0),) + tuple((i, j) for i in range(n) for j in range(n)
+                                               if i < j),
+    V_TYPE: lambda n: tuple((0, j) for j in range(n)),
+}
+
+
+@pytest.mark.parametrize("kind", [FULL, UPPER, SPECIAL_UPPER, V_TYPE])
+def test_free_positions_are_the_listed_ones(kind):
+    for n in range(1, 7):
+        assert MatrixShape(kind, n).free_positions() == _LISTED_POSITIONS[kind](n)
+    assert MatrixShape(kind, 3).free_positions() == {
+        FULL: ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)),
+        UPPER: ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)),
+        SPECIAL_UPPER: ((0, 0), (0, 1), (0, 2), (1, 2)),
+        V_TYPE: ((0, 0), (0, 1), (0, 2))}[kind]
+
+
+@pytest.mark.parametrize("kind, rows, message", [
+    (FULL, [[1, 0, 0], [0, 1, 0]], "M(3, Z(3)): expected an 3x3 entry grid"),
+    (UPPER, [[1, 0, 0], [0, 1, 0], [0, 2, 1]],
+     "T(3, Z(3)): entry (2,1) must be 0 in a upper matrix, got 2"),
+    (SPECIAL_UPPER, [[1, 0, 0], [0, 2, 0], [0, 0, 1]],
+     "S(3, Z(3)): entry (1,1) must be 1 in a special-upper matrix, got 2"),
+    (V_TYPE, [[1, 2, 0], [0, 1, 1], [0, 0, 1]],
+     "V(3, Z(3)): entry (1,2) must be 2 in a v-type matrix, got 1"),
+])
+def test_from_entries_names_the_first_off_shape_cell(kind, rows, message):
+    ring = make_matrix_ring(MatrixShape(kind, 3), make_zn(3))
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        ring.from_entries(rows)
 
 
 @pytest.mark.parametrize("threshold", [1024, 16])
@@ -411,8 +479,8 @@ def _assert_decodes(structure, ids, shifted):
         assert codec.digits(typed).tolist() == want
     if hasattr(structure, "grid"):
         zero = structure.base.zero
-        assert structure.grid(ids).tolist() == [
-            shape_fill(structure.shape, structure.positions, d, zero) for d in want]
+        assert structure.grid(ids).tolist() == [shape_fill(structure.shape, d, zero)
+                                                for d in want]
 
 
 @pytest.mark.parametrize("expr, shifted", [
@@ -439,15 +507,16 @@ def test_pair_scans_honour_the_decision_cap():
             with pytest.raises(DecisionCapError):
                 pair_scan(capped)
     forced = make_zn(8, DEFAULT_CONFIG.with_overrides(decision_cap=63, force=True))
-    assert center(forced) == frozenset(range(8))
-    assert regular_elements(forced) == frozenset({1, 3, 5, 7})
-    assert nil_ring_set(forced) == frozenset({0, 2, 4, 6})
+    assert _ids(center(forced)) == list(range(8))
+    assert _ids(regular_elements(forced)) == [1, 3, 5, 7]
+    assert _ids(nil_ring_set(forced)) == [0, 2, 4, 6]
 
 
 # Each entry point's scan count and a call under a config.  The hom and the
 # axiom checks read the config their structures are built with; the others
 # take it as an argument, which governs even a ring built under a cap that
-# refuses the same scan (Z(12)'s 144 pairs under _CAP143).
+# refuses the same scan (Z(12)'s 144 pairs under _CAP143), and which the
+# ring decider and the torsion scan pass to their nested pair scans.
 _CAP143 = DEFAULT_CONFIG.with_overrides(decision_cap=143)
 
 
@@ -455,10 +524,16 @@ _CAP143 = DEFAULT_CONFIG.with_overrides(decision_cap=143)
     (64, lambda cfg: make_ring_hom(make_zn(8, cfg), make_zn(4, cfg), lambda a: a % 4)),
     (64, lambda cfg: verify_theta_iso(make_zn(2), 3, cfg)),
     (144, lambda cfg: multiplicative_closure(make_zn(12, _CAP143), [5], cfg)),
+    (144, lambda cfg: center(make_zn(12, _CAP143), cfg)),
+    (144, lambda cfg: regular_elements(make_zn(12, _CAP143), cfg)),
+    (144, lambda cfg: nil_ring_set(make_zn(12, _CAP143), cfg)),
+    (1728, lambda cfg: ring_is_nil_semicommutative(make_zn(12, _CAP143), cfg)),
+    (144, lambda cfg: torsion_sets(regular_module(make_zn(12, _CAP143)), cfg)),
     (27, lambda cfg: check_ring_axioms(make_zn(3, cfg), exhaustive=True)),
     (27, lambda cfg: check_module_axioms(regular_module(make_zn(3, cfg), cfg),
                                          exhaustive=True)),
-], ids=["make_ring_hom", "verify_theta_iso", "multiplicative_closure",
+], ids=["make_ring_hom", "verify_theta_iso", "multiplicative_closure", "center",
+        "regular_elements", "nil_ring_set", "ring_is_nil_semicommutative", "torsion_sets",
         "check_ring_axioms", "check_module_axioms"])
 def test_entry_points_refuse_one_below_their_count(count, call):
     below = DEFAULT_CONFIG.with_overrides(decision_cap=count - 1)
