@@ -45,6 +45,7 @@ from .modules import (
     orbit,
     quotient_module,
     regular_module,
+    regular_zn_modules,
     submodule_generated,
 )
 from .nilpotency import (
@@ -165,8 +166,8 @@ def check_lemma_squarefree(n_max: int, config: EngineConfig | None = None) -> Ch
     _at_least("nmax", n_max, 2)
     cfg = _light_config(resolve(config))
     mismatches = []
-    for n in range(2, n_max + 1):
-        module = _reg_zn(n, cfg)
+    ns = range(2, n_max + 1)
+    for n, module in zip(ns, regular_zn_modules(ns, cfg)):
         nilpotent, witness = is_nilpotent_squared(module, 1)
         if nilpotent == _is_square_free(n):
             mismatches.append({"n": n, "nilpotent": nilpotent,

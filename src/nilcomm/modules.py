@@ -9,6 +9,7 @@ shares its ring's bound operations and tables outright.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,14 +28,19 @@ from .rings import (
     MatrixShape,
     ProductLayout,
     RingHom,
+    ZnRing,
     build,
     check_laws,
     componentwise,
     first_true,
+    full_regime,
+    intern,
+    interned,
     make_matrix_ring,
-    module_laws,
+    make_zn,
     row_blocks,
     scan,
+    zn_laws_hold,
 )
 
 _MODULE_PREFIX = {FULL: "matmod", UPPER: "trimod", SPECIAL_UPPER: "smod", V_TYPE: "vmod"}
@@ -82,12 +88,13 @@ class FiniteModule(FiniteStructure):
 class RegularModule(FiniteModule):
     """The ring seen as a left module over itself."""
 
-    def __init__(self, ring: FiniteRing, config: EngineConfig | None = None):
+    def __init__(self, ring: FiniteRing, config: EngineConfig | None = None,
+                 validate: bool = True):
         config = resolve(config, ring)
         super().__init__(ring, ring.size, f"regular({ring.descriptor})", config)
         self.zero = ring.zero
         self._pair_cells = ring.cells
-        self._seal(share_ring_ops=True)
+        self._seal(validate, share_ring_ops=True)
 
     def add_table(self):
         return self.ring.add_table()
@@ -300,6 +307,57 @@ def regular_module(ring: FiniteRing, config: EngineConfig | None = None) -> Regu
     return build(RegularModule, ring, config=config)
 
 
+# The ids in one row of the draws of a Z(n) and its regular module: the ring's
+# spot id and (a, b, c), the module's spot id and its three families' triples.
+_PAIR_ROW_IDS = 1 + 3 + 1 + 3 * 3
+
+
+def regular_zn_modules(ns, config: EngineConfig | None = None):
+    """Yield regular_module(make_zn(n, config), config) for each n of ns in
+    turn.  A run of n whose Z(n) check_laws would sample untabulated is built
+    in groups, sized by row_blocks: the group's Z(n) and regular modules not
+    yet interned are built unvalidated and checked together by zn_laws_hold,
+    each on its own draw, then interned under the two constructors' keys.  A
+    group that fails is built and checked again one structure at a time,
+    Z(n), regular(Z(n)), Z(n+1), ..., which raises the first failure's
+    AxiomError.  Every other n takes that per-structure path."""
+    config = resolve(config)
+
+    def light(n):  # builds unvalidated without raising; untabulated and sampled
+        return (2 <= n <= config.construction_cap and n > config.tabulate_threshold
+                and not full_regime(config, n, n))
+
+    for grouped, run in groupby(ns, light):
+        run = list(run)
+        for lo, hi in (row_blocks(len(run), _PAIR_ROW_IDS * config.validation_samples)
+                       if grouped else [(0, len(run))]):
+            modules = _checked_group(run[lo:hi], config) if grouped else None
+            if modules is None:
+                modules = (regular_module(make_zn(n, config), config) for n in run[lo:hi])
+            yield from modules
+
+
+def _checked_group(ns, config: EngineConfig) -> list | None:
+    """The regular modules of the light Z(n), n in ns, once zn_laws_hold
+    passes on those not interned (then interned), else None."""
+    modules, checks = [], []
+    for n in ns:
+        ring = interned(ZnRing, n, config=config)
+        if ring is None:
+            ring = ZnRing(n, config, validate=False)
+            checks.append((ring, ring))
+        module = interned(RegularModule, ring, config=config)
+        if module is None:
+            module = RegularModule(ring, config, validate=False)
+            checks.append((module, ring))
+        modules.append(module)
+    if not zn_laws_hold(checks):
+        return None
+    for structure, ring in checks:
+        intern(structure, ring.n if structure is ring else ring, config=config)
+    return modules
+
+
 def matrix_module(shape: MatrixShape, base_ring: FiniteRing,
                   base_module: FiniteModule,
                   config: EngineConfig | None = None) -> MatrixModule:
@@ -362,27 +420,10 @@ def induced_module(hom: RingHom, module: FiniteModule,
 # Axiom validation
 
 
-# The module's messages (see check_laws): its families' are (a, b, c), (r, s, m), (r, m, n).
-_MODULE_LAWS = (("module addition not commutative at ({0}, {1})",
-                 "module addition not associative at ({0}, {1}, {2})"),
-                ("(r+s)m != rm+sm at ({0}, {1}, {2})", "(rs)m != r(sm) at ({0}, {1}, {2})"),
-                ("r(m+n) != rm+rn at ({0}, {1}, {2})",))
-_MODULE_MESSAGES = ("full module axiom scan",
-                    ("act(1, m) != m at m={0}", "zero is not an additive identity at {0}",
-                     "neg fails at {0}"), _MODULE_LAWS, sum(_MODULE_LAWS, ())[1:])
-
-
 def check_module_axioms(module: FiniteModule, exhaustive: bool | None = None,
                         samples: int | None = None) -> None:
     """Verify the unitary left module axioms by check_laws, taking a passed
     ring scan (ring.laws_scanned) as the full regime's for a module sharing
     its ring's operations: each of its law instances is one of the ring's."""
-    ring, zero, vadd, vact = module.ring, module.zero, module.vadd, module.vact
-    comm, assoc, rdist, compat, ldist = module_laws(vadd, vact, ring.vadd, ring.vmul)
-    nm, nr = module.size, ring.size
-    check_laws(module, ring, exhaustive, samples, lambda m: (
-        vact(ring.one, m) != m, vadd(zero, m) != m, vadd(m, module.vneg(m)) != zero),
-        [((nm, nm, nm), lambda a, b, c: (comm(a, b), assoc(a, b, c))),
-         ((nr, nr, nm), lambda r, s, m: (rdist(r, s, m), compat(r, s, m))),
-         ((nr, nm, nm), lambda r, m, n: (ldist(r, m, n),))],
-        _MODULE_MESSAGES, scanned=module.shares_ring_ops and ring.laws_scanned)
+    check_laws(module, module.ring, exhaustive, samples,
+               scanned=module.shares_ring_ops and module.ring.laws_scanned)

@@ -21,8 +21,9 @@ import zlib
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from random import Random
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -331,11 +332,13 @@ class FiniteStructure:
 class FiniteRing(FiniteStructure):
     """Base class: a finite associative ring with identity on ids 0..size-1,
     its product mul.  laws_scanned marks a ring whose exhaustive axiom scan
-    has passed."""
+    has passed, and tables_checked holds the add and mul tables its check
+    range-checked and found + commutative on."""
 
     _kind = "ring"
     one: int
     laws_scanned = False
+    tables_checked = None
 
     def _seal(self, validate: bool = True) -> None:
         """Finalize construction: reject the trivial ring, bind ops, validate."""
@@ -373,7 +376,7 @@ class FiniteRing(FiniteStructure):
 class ZnRing(FiniteRing):
     """Integers modulo n; element id k is the residue k."""
 
-    def __init__(self, n: int, config: EngineConfig | None = None):
+    def __init__(self, n: int, config: EngineConfig | None = None, validate: bool = True):
         config = resolve(config)
         if n < 2:
             raise InvalidParameterError(f"Z(n) needs n >= 2, got {n}")
@@ -381,7 +384,7 @@ class ZnRing(FiniteRing):
         super().__init__(n, f"Z({n})", config)
         self.zero = 0
         self.one = 1
-        self._seal()
+        self._seal(validate)
 
     # plain arithmetic serves ints and (int64) id arrays alike
     def _vadd(self, a, b):
@@ -395,8 +398,14 @@ class ZnRing(FiniteRing):
 
     _pair_cells = 1
 
+    def own_arithmetic(self) -> bool:
+        """Whether the class's hooks are ZnRing's own, which read nothing but
+        self.n; a subclass may plant its own."""
+        cls = type(self)
+        return (cls._vadd, cls._vmul, cls._vneg) == (ZnRing._vadd, ZnRing._vmul, ZnRing._vneg)
+
     def vmatmul(self, a, b):
-        if (type(self)._vadd, type(self)._vmul) != (ZnRing._vadd, ZnRing._vmul):
+        if not self.own_arithmetic():
             return super().vmatmul(a, b)  # a subclass with its own arithmetic
         # each of the k summed products is below n**2 and n**k is within the
         # construction cap, so the int64 sum stays below cap**2 (2**40 by default)
@@ -679,13 +688,26 @@ def interning():
 
 def build(cls, *args, config: EngineConfig | None = None):
     """cls(*args, config), interned inside an interning() block."""
+    found = interned(cls, *args, config=config)
+    if found is None:
+        found = cls(*args, config)
+        intern(found, *args, config=config)
+    return found
+
+
+def interned(cls, *args, config: EngineConfig | None = None):
+    """The structure build(cls, *args, config=config) would return without
+    building it, or None outside an interning() block or before its build."""
     table = _built.get()
-    if table is None:
-        return cls(*args, config)
-    key = (cls, *args, resolve(config, *args))
-    if key not in table:
-        table[key] = cls(*args, config)
-    return table[key]
+    return None if table is None else table.get((cls, *args, resolve(config, *args)))
+
+
+def intern(structure, *args, config: EngineConfig | None = None) -> None:
+    """Enter a structure built and validated from args under the key build
+    gives its class; nothing outside an interning() block."""
+    table = _built.get()
+    if table is not None:
+        table[(type(structure), *args, resolve(config, *args))] = structure
 
 
 def make_zn(n: int, config: EngineConfig | None = None) -> ZnRing:
@@ -886,16 +908,44 @@ def module_laws(vadd, vact, radd, rmul):
             lambda r, m, n: vact(r, vadd(m, n)) != vadd(vact(r, m), vact(r, n)))
 
 
+def law_set(zero, one, vadd, vneg, vact, radd, rmul, own: bool):
+    """The spot laws of one id column and the family laws of three, each a
+    function giving one mask per law, through module_laws.  A module's (own
+    False): act(1, m) = m, zero and neg at m, then its families at (a, b, c),
+    (r, s, m) and (r, m, n).  A ring's (own; act and rmul its mul, radd its
+    add): zero, neg and both identities at a, then one family of all five
+    laws at (a, b, c), right distributivity (b+c)a being (r+s)m at (b, c, a)."""
+    comm, assoc, rdist, compat, ldist = module_laws(vadd, vact, radd, rmul)
+    if own:
+        return (lambda a: (vadd(zero, a) != a, vadd(a, vneg(a)) != zero,
+                           (vact(one, a) != a) | (vact(a, one) != a)),
+                [lambda a, b, c: (comm(a, b), assoc(a, b, c), compat(a, b, c),
+                                  ldist(a, b, c), rdist(b, c, a))])
+    return (lambda m: (vact(one, m) != m, vadd(zero, m) != m, vadd(m, vneg(m)) != zero),
+            [lambda a, b, c: (comm(a, b), assoc(a, b, c)),
+             lambda r, s, m: (rdist(r, s, m), compat(r, s, m)),
+             lambda r, m, n: (ldist(r, m, n),)])
+
+
 _RING_LAWS = tuple(law + " at ({0}, {1}, {2})" for law in (
     "add not associative", "mul not associative", "left distributivity fails",
     "right distributivity fails"))
-# The ring's messages (see check_laws); the scan's (r+s)m at (b, c, a) is (b+c)a.
-_RING_MESSAGES = (
-    "full axiom scan",
-    ("zero is not an additive identity at {0}", "neg fails at {0}",
-     "one is not a multiplicative identity at {0}"),
-    (("add is not commutative at ({0}, {1})", *_RING_LAWS),),
-    (_RING_LAWS[0], "right distributivity fails at ({2}, {0}, {1})", *_RING_LAWS[1:3]))
+_MODULE_LAWS = (("module addition not commutative at ({0}, {1})",
+                 "module addition not associative at ({0}, {1}, {2})"),
+                ("(r+s)m != rm+sm at ({0}, {1}, {2})", "(rs)m != r(sm) at ({0}, {1}, {2})"),
+                ("r(m+n) != rm+rn at ({0}, {1}, {2})",))
+# check_laws' messages, a ring's and then a module's: the full scan's name, then
+# the spot laws', each family's and the scan's; the ring scan's (r+s)m at
+# (b, c, a) is (b+c)a.
+_MESSAGES = {
+    True: ("full axiom scan",
+           ("zero is not an additive identity at {0}", "neg fails at {0}",
+            "one is not a multiplicative identity at {0}"),
+           (("add is not commutative at ({0}, {1})", *_RING_LAWS),),
+           (_RING_LAWS[0], "right distributivity fails at ({2}, {0}, {1})", *_RING_LAWS[1:3])),
+    False: ("full module axiom scan",
+            ("act(1, m) != m at m={0}", "zero is not an additive identity at {0}",
+             "neg fails at {0}"), _MODULE_LAWS, sum(_MODULE_LAWS, ())[1:])}
 
 
 def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
@@ -903,60 +953,108 @@ def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
     """Verify the ring axioms by check_laws: its regular module's laws (act =
     mul) and the right identity a * 1 = a, sampled as one family of all five
     laws per (a, b, c).  A full scan that passes sets ring.laws_scanned."""
-    zero, one, vadd, vmul, vneg = ring.zero, ring.one, ring.vadd, ring.vmul, ring.vneg
-    comm, assoc, rdist, compat, ldist = module_laws(vadd, vmul, vadd, vmul)
-    if check_laws(ring, ring, exhaustive, samples, lambda a: (
-            vadd(zero, a) != a, vadd(a, vneg(a)) != zero,
-            (vmul(one, a) != a) | (vmul(a, one) != a)),
-            [((ring.size,) * 3, lambda a, b, c: (comm(a, b), assoc(a, b, c), compat(a, b, c),
-                                                 ldist(a, b, c), rdist(b, c, a)))],
-            _RING_MESSAGES):
+    if check_laws(ring, ring, exhaustive, samples):
         ring.laws_scanned = True
 
 
+def full_regime(config: EngineConfig, n: int, nr: int) -> bool:
+    """check_laws' own choice of regime for n elements over a scalar ring of
+    nr: exhaustive when max(|R|^2|M|, |R||M|^2, |M|^3) fits the budget and
+    the cap."""
+    cost = _law_cost(n, nr)
+    return cost <= config.full_check_budget and config.allows(cost)
+
+
+def _law_cost(n: int, nr: int) -> int:
+    return max(nr * nr * n, nr * n * n, n ** 3)
+
+
 def check_laws(structure, ring: FiniteRing, exhaustive: bool | None, samples: int | None,
-               spot_laws, families, messages, scanned: bool = False) -> bool:
-    """Verify a ring's or module's axioms over its scalar ring (a ring's is
-    itself), raising AxiomError at the first failure; True if it scanned.
+               scanned: bool = False) -> bool:
+    """Verify a ring's or module's axioms (law_set over its ops) over its
+    scalar ring (a ring's is itself), raising AxiomError at the first failure;
+    True if it scanned.
 
     The full regime runs when exhaustive, or when exhaustive is None and
-    max(|R|^2|M|, |R||M|^2, |M|^3) fits the budget and the cap; there a passed
-    scan of the same tables (scanned) counts.  Tabulated or scanned tables are
-    range-checked, and + checked commutative at every pair.  Then spot_laws
-    hold at every id (or drawn ids above `samples` untabulated ones), and
-    _scan_laws scans every triple or each family (sizes, laws) is checked at
-    `samples` rows of one seeded draw.  messages: the full scan's name, then
-    the spot laws', each family's and the scan's messages."""
-    what, spot_messages, family_messages, scan_messages = messages
+    full_regime holds; there a passed scan of the same tables (scanned)
+    counts.  Tabulated or scanned tables are range-checked, and + checked
+    commutative at every pair, unless a passed check of the ring did both
+    to these same tables (ring.tables_checked).  Then the spot laws hold at
+    every id, and _scan_laws scans every triple, or the spot laws hold at
+    the first of sampled_rows and each family at its `samples` rows."""
+    own = structure is ring
+    what, spot_messages, family_messages, scan_messages = _MESSAGES[own]
     cfg, desc, n, nr = structure.config, structure.descriptor, structure.size, ring.size
-    cost = max(nr * nr * n, nr * n * n, n ** 3)
     if exhaustive is None:
-        exhaustive = cost <= cfg.full_check_budget and cfg.allows(cost)
+        exhaustive = full_regime(cfg, n, nr)
         if exhaustive and scanned:
             return True
     elif exhaustive:
+        cost = _law_cost(n, nr)
         cfg.refuse_above_cap(cost, f"{desc}: {what} of {cost} triples")
     count = samples if samples is not None else cfg.validation_samples
-    spotted = not exhaustive and n > count
-    drawn = [] if exhaustive else draw_families(
-        Random(_stable_seed(cfg, desc)), count,
-        [(n,)] * spotted + [sizes for sizes, _ in families])
-    tabled, own = structure.tabulated or exhaustive, structure is ring
-    if tabled:
+    rows = [np.arange(n)[:, None]] if exhaustive else sampled_rows(structure, ring, count)
+    if structure.tabulated or exhaustive:
         add, act = structure.add_table(), structure.mul_table() if own else structure.act_table()
-        for name, t in (("add", add), ("mul" if own else "act", act)):
-            if t.min() < 0 or t.max() >= n:
-                raise AxiomError(f"{desc}: {name} table has out-of-range ids")
-        if not (add == add.T).all():
-            raise AxiomError(f"{desc}: " + family_messages[0][0].format(*first_true(add != add.T)))
-    first_broken(structure, drawn[0] if spotted and not tabled else np.arange(n)[:, None],
-                 spot_laws, spot_messages)
+        checked = ring.tables_checked
+        if own or checked is None or checked[0] is not add or checked[1] is not act:
+            for name, t in (("add", add), ("mul" if own else "act", act)):
+                if t.min() < 0 or t.max() >= n:
+                    raise AxiomError(f"{desc}: {name} table has out-of-range ids")
+            if not (add == add.T).all():
+                raise AxiomError(f"{desc}: "
+                                 + family_messages[0][0].format(*first_true(add != add.T)))
+        if own and structure.tabulated:  # its stored tables, which a module may share
+            ring.tables_checked = add, act
+    spot_laws, families = law_set(structure.zero, ring.one, structure.vadd, structure.vneg,
+                                  structure.vmul if own else structure.vact,
+                                  ring.vadd, ring.vmul, own)
+    first_broken(structure, rows[0], spot_laws, spot_messages)
     if exhaustive:  # nothing was drawn
         _scan_laws(structure, add, act, *((add, act) if own else
                                           (ring.add_table(), ring.mul_table())), scan_messages)
-    for (_, laws), family, rows in zip(families, family_messages, drawn[spotted:]):
-        first_broken(structure, rows, laws, family)
+    for laws, family, drawn in zip(families, family_messages, rows[1:]):
+        first_broken(structure, drawn, laws, family)
     return exhaustive
+
+
+def sampled_rows(structure, ring: FiniteRing, count: int) -> list[np.ndarray]:
+    """The rows the sampled regime checks: the spot laws' ids, then count
+    rows of each law family's ids, from one draw of a generator seeded by the
+    config and the structure's descriptor.  Above count elements the draw
+    leads with count spot ids, which stand for every id unless the structure
+    is tabulated."""
+    n, nr, spotted = structure.size, ring.size, structure.size > count
+    drawn = draw_families(Random(_stable_seed(structure.config, structure.descriptor)), count,
+                          [(n,)] * spotted + ([(n,) * 3] if structure is ring else
+                                              [(n,) * 3, (nr, nr, n), (nr, n, n)]))
+    spot = drawn.pop(0) if spotted else None
+    return [np.arange(n)[:, None] if spot is None or structure.tabulated else spot, *drawn]
+
+
+def zn_laws_hold(checks) -> bool:
+    """Whether check_laws would pass each (structure, ring) of checks, ring
+    an untabulated ZnRing in the sampled regime and structure the ring or its
+    regular module.  Each structure keeps its own sampled_rows.  Each stage
+    (the rings' spot laws and family, then the modules' spot laws and each
+    family) evaluates law_set once over the rows of all of them, through
+    ZnRing's hooks reading a per-row modulus column, zero and one being ids
+    0 and 1.  False where a ring's hooks are not ZnRing's own.  A failure is
+    not located: check one structure at a time to report it."""
+    if not all(ring.own_arithmetic() for _, ring in checks):
+        return False
+    for own in (True, False):
+        group = [(structure, ring) for structure, ring in checks if (structure is ring) is own]
+        rows = [sampled_rows(s, r, s.config.validation_samples) for s, r in group]
+        for stage, blocks in enumerate(zip(*rows)):
+            moduli = SimpleNamespace(n=np.repeat([r.n for _, r in group], list(map(len, blocks))))
+            vadd, vmul, vneg = (partial(hook, moduli)
+                                for hook in (ZnRing._vadd, ZnRing._vmul, ZnRing._vneg))
+            spot_laws, families = law_set(0, 1, vadd, vneg, vmul, vadd, vmul, own)
+            masks = (spot_laws, *families)[stage](*np.concatenate(blocks).T)
+            if any(map(np.any, masks)):
+                return False
+    return True
 
 
 def _scan_laws(structure, add, act, radd, rmul, messages) -> None:

@@ -1,4 +1,5 @@
 from collections import Counter
+from random import Random
 
 import numpy as np
 import pytest
@@ -43,7 +44,9 @@ from nilcomm import (
 )
 from nilcomm.config import DEFAULT_CONFIG
 from nilcomm.harness import DEFAULT_SAMPLES
+from nilcomm.rings import ZnRing
 
+from conftest import record_sampled_draws
 from test_rings import _SkewZn
 
 # the fixed inventory of registered claim checks
@@ -490,3 +493,124 @@ def test_a_witness_naming_no_element_does_not_replay(witness, message):
     with pytest.raises(InvalidParameterError) as exc:
         reverify_refutation(witness)
     assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The light Z(n) of lemma_squarefree, validated in groups
+
+_LIGHT = harness._light_config(DEFAULT_CONFIG)
+
+
+def _planted(hook, n, x, y):
+    """ZnRing's hook with one planted defect: at (x, y) in Z(n) it gains 1.
+    It reads self.n elementwise, so it also serves a column of moduli."""
+    base = getattr(ZnRing, hook)
+    return lambda self, a, b: (base(self, a, b) + (self.n == n) * (a == x) * (b == y)) % self.n
+
+
+# (n, hook, x, y, the failure it plants): n = 30 is checked exhaustively, its
+# module taking the ring's scan; up to 64 every id is a spot id, so the
+# module's spot laws repeat the ring's; the module's families draw other rows
+_PLANTS = [
+    (30, "_vmul", 0, 1, "Z(30): one is not a multiplicative identity at 0"),
+    (30, "_vmul", 0, 0, "Z(30): right distributivity fails at (0, 0, 0)"),
+    (53, "_vmul", 0, 1, "Z(53): one is not a multiplicative identity at 0"),
+    (53, "_vmul", 0, 4, "Z(53): right distributivity fails"),
+    (53, "_vadd", 1, 6, "regular(Z(53)): module addition not commutative"),
+    (53, "_vmul", 0, 0, "regular(Z(53)): (r+s)m != rm+sm"),
+    (53, "_vmul", 0, 3, "regular(Z(53)): r(m+n) != rm+rn"),
+    (97, "_vmul", 1, 1, "Z(97): one is not a multiplicative identity at 1"),
+    (97, "_vmul", 1, 47, "Z(97): mul not associative"),
+    (97, "_vmul", 1, 0, "regular(Z(97)): act(1, m) != m at m=0"),
+    (97, "_vadd", 2, 71, "regular(Z(97)): module addition not associative"),
+    (97, "_vmul", 0, 13, "regular(Z(97)): (rs)m != r(sm)"),
+    (97, "_vmul", 0, 18, "regular(Z(97)): r(m+n) != rm+rn"),
+]
+
+
+@pytest.mark.parametrize("n, hook, x, y, failure", _PLANTS)
+def test_a_planted_defect_in_a_group_reports_the_per_structure_error(
+        monkeypatch, n, hook, x, y, failure):
+    monkeypatch.setattr(ZnRing, hook, _planted(hook, n, x, y))
+    opts = HarnessOptions(nmax=n + 20)
+    grouped = run_check("lemma_squarefree", options=opts)
+    # the loop of per-structure builds and checks that the groups replace
+    monkeypatch.setattr(harness, "regular_zn_modules", lambda ns, cfg: (
+        harness._reg_zn(n, cfg) for n in ns))
+    alone = run_check("lemma_squarefree", options=opts)
+    assert alone.status == "skipped" and alone.detail["reason"] == "internal-error"
+    assert alone.detail["error"].startswith("AxiomError: " + failure)
+    # the same message, raised at the same line
+    assert (grouped.status, grouped.detail) == (alone.status, alone.detail)
+
+
+def test_groups_take_each_structures_own_draw(monkeypatch):
+    rows, sampled_rows = {}, rings.sampled_rows
+    monkeypatch.setattr(rings, "sampled_rows", lambda structure, ring, count: rows.setdefault(
+        structure.descriptor, sampled_rows(structure, ring, count)))
+    assert check_lemma_squarefree(200).status == "confirmed"
+    assert len(rows) == 2 * 160  # Z(41)..Z(200) and their regular modules
+    for n in (41, 64, 65, 200):
+        for desc, sizes in ((f"Z({n})", [(n, n, n)]),
+                            (f"regular(Z({n}))", [(n, n, n)] * 3)):
+            drawn = rings.draw_families(Random(rings._stable_seed(_LIGHT, desc)), 64,
+                                        [(n,)] * (n > 64) + sizes)
+            want = drawn if n > 64 else [np.arange(n)[:, None], *drawn]
+            assert [r.tolist() for r in rows[desc]] == [w.tolist() for w in want], desc
+    # a per-structure check of the same ring hands first_broken the same rows
+    checked, _ = record_sampled_draws(monkeypatch)
+    check_ring_axioms(ZnRing(65, _LIGHT, validate=False))
+    assert checked == [r.tolist() for r in rows["Z(65)"]]
+
+
+def test_only_the_exhaustive_z_n_are_checked_one_at_a_time(monkeypatch):
+    validated = _count_validations(monkeypatch)
+    holds, zn_laws_hold = [], modules.zn_laws_hold
+    monkeypatch.setattr(modules, "zn_laws_hold", lambda checks: (
+        holds.append(len(checks)), zn_laws_hold(checks))[1])
+    assert check_lemma_squarefree(200).status == "confirmed"
+    assert sorted({desc for _, desc, _ in validated}) == sorted(
+        [f"Z({n})" for n in range(2, 41)] + [f"regular(Z({n}))" for n in range(2, 41)])
+    # groups of 73 pairs: 65536 ids / (14 ids a row * 64 rows)
+    assert holds == [2 * 73, 2 * 73, 2 * 14]
+
+
+def test_a_subclass_with_its_own_arithmetic_is_not_grouped():
+    skew, plain = _SkewZn(50, _LIGHT), ZnRing(50, _LIGHT, validate=False)
+    assert rings.zn_laws_hold([(plain, plain)])
+    assert not rings.zn_laws_hold([(plain, plain), (skew, skew)])
+
+
+def test_grouped_structures_are_interned_under_the_constructors_keys(monkeypatch):
+    built, zn_laws_hold = [], modules.zn_laws_hold
+    monkeypatch.setattr(modules, "zn_laws_hold", lambda checks: (
+        built.extend(s for s, _ in checks), zn_laws_hold(checks))[1])
+    with rings.interning():
+        assert check_lemma_squarefree(200).status == "confirmed"
+        assert len(built) == 2 * 160
+        for structure in built:
+            if isinstance(structure, ZnRing):
+                assert make_zn(structure.n, _LIGHT) is structure
+            else:
+                assert regular_module(structure.ring, _LIGHT) is structure
+        # a second run builds nothing new
+        built.clear()
+        assert check_lemma_squarefree(200).status == "confirmed"
+        assert built == []
+
+
+@pytest.mark.parametrize("hook, x, y, ring_fails", [("_vmul", 1, 1, True),
+                                                    ("_vmul", 1, 0, False)])
+def test_a_failing_group_interns_nothing_past_the_failure(monkeypatch, hook, x, y, ring_fails):
+    monkeypatch.setattr(ZnRing, hook, _planted(hook, 97, x, y))
+    with rings.interning():
+        with pytest.raises(AxiomError):
+            check_lemma_squarefree(120)
+        ring = rings.interned(ZnRing, 97, config=_LIGHT)
+        assert (ring is None) is ring_fails
+        if ring is not None:
+            assert rings.interned(modules.RegularModule, ring, config=_LIGHT) is None
+        assert rings.interned(ZnRing, 98, config=_LIGHT) is None
+        # the group's structures before the failure were checked and interned
+        before = rings.interned(ZnRing, 96, config=_LIGHT)
+        assert rings.interned(modules.RegularModule, before, config=_LIGHT) is not None

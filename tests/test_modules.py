@@ -32,13 +32,12 @@ from nilcomm import (
     zn_reduction_hom,
 )
 import nilcomm.harness as harness
-import nilcomm.modules as modules
 import nilcomm.rings as rings
 from nilcomm.config import DEFAULT_CONFIG
 from nilcomm.deciders import MODULE_PROPERTIES, decide
 from nilcomm.modules import SubModule, orbit
 from nilcomm.nilpotency import squared_killers
-from nilcomm.rings import _stable_seed, draw_ids, first_broken
+from nilcomm.rings import ZnRing, _stable_seed, draw_ids, first_broken
 
 import oracle
 from conftest import loop_products, mat_mod, record_sampled_draws, zn_module
@@ -327,7 +326,7 @@ def _first_drawn_break(module):
     rng = Random(_stable_seed(cfg, module.descriptor))
     found = []
     for sizes, messages in zip(((nm, nm, nm), (nr, nr, nm), (nr, nm, nm)),
-                               modules._MODULE_LAWS):
+                               rings._MODULE_LAWS):
         drawn = draw_ids(rng, cfg.validation_samples, *sizes).tolist()
         found += [f"{module.descriptor}: " + message.format(*t)
                   for t in drawn for message in messages
@@ -501,6 +500,27 @@ def test_untabulated_module_builds_its_action_table_once(monkeypatch):
     assert tabulated.tabulated
     assert [(v.holds, v.witness) for v in verdicts] == [
         (v.holds, v.witness) for v in (decide(tabulated, p) for p in MODULE_PROPERTIES)]
+
+
+def test_a_regular_module_skips_only_the_table_checks_its_ring_passed():
+    # T(2, Z(6)) has 216 elements: tabulated, and sampled as |R|^3 exceeds the budget
+    ring = elaborate_text("T(2, Z(6))")
+    add, mul = ring.tables_checked
+    assert ring.tabulated and add is ring.add_table() and mul is ring.mul_table()
+    module = regular_module(ring)
+    assert module.add_table() is add and module.act_table() is mul
+    # a ring built unchecked marks nothing, so its module checks the tables itself
+    unchecked = ZnRing(50, validate=False)
+    assert unchecked.tabulated and unchecked.tables_checked is None
+    unchecked.mul_table()[3, 4] = 50
+    with pytest.raises(AxiomError, match=re.escape(
+            "regular(Z(50)): act table has out-of-range ids")):
+        regular_module(unchecked)
+    skewed = ZnRing(50, validate=False)
+    skewed.add_table()[3, 4] = 8
+    with pytest.raises(AxiomError, match=re.escape(
+            "regular(Z(50)): module addition not commutative at (3, 4)")):
+        regular_module(skewed)
 
 
 def test_untabulated_regular_module_and_its_ring_build_one_product_table(monkeypatch):
