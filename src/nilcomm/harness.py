@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from itertools import islice
 from random import Random
 
 import numpy as np
@@ -54,6 +55,7 @@ from .nilpotency import (
     is_nilpotent_squared,
     is_torsion_free,
     nil_set,
+    squared_killers,
     torsion_sets,
 )
 from .reports import CONFIRMED, REFUTED, SKIPPED, CheckReport, claim_report
@@ -162,21 +164,35 @@ def _skipped(check_id: str, detail: dict) -> CheckReport:
 
 
 def check_lemma_squarefree(n_max: int, config: EngineConfig | None = None) -> CheckReport:
-    """1 is nilpotent in the Z_n-module Z_n exactly when n is not square free."""
+    """1 is nilpotent in the Z_n-module Z_n exactly when n is not square free,
+    settled in groups sized by row_blocks: one group's grid of t < n_max by
+    module fits one block."""
     _at_least("nmax", n_max, 2)
     cfg = _light_config(resolve(config))
     mismatches = []
     ns = range(2, n_max + 1)
-    for n, module in zip(ns, regular_zn_modules(ns, cfg)):
-        nilpotent, witness = is_nilpotent_squared(module, 1)
-        if nilpotent == _is_square_free(n):
-            mismatches.append({"n": n, "nilpotent": nilpotent,
-                               "square_free": _is_square_free(n),
-                               "witness": witness})
+    modules = regular_zn_modules(ns, cfg)
+    for lo, hi in row_blocks(len(ns), n_max):
+        group = list(islice(modules, hi - lo))
+        for n, (nilpotent, witness) in zip(ns[lo:hi], _one_is_nilpotent(group)):
+            if nilpotent == _is_square_free(n):
+                mismatches.append({"n": n, "nilpotent": nilpotent,
+                                   "square_free": _is_square_free(n),
+                                   "witness": witness})
     detail = {"n_max": n_max, "checked": n_max - 1, "mismatches": mismatches}
     return _report("lemma_squarefree", detail,
                    {"kind": "squarefree-mismatch", "n": mismatches[0]["n"]}
                    if mismatches else None)
+
+
+def _one_is_nilpotent(modules: list) -> list:
+    """is_nilpotent_squared(module, 1) for each regular Z(n) of modules; one
+    squared_killers pass settles those of untabulated rings with ZnRing's
+    own arithmetic."""
+    grouped = [m for m in modules if not m.ring.tabulated and m.ring.own_arithmetic()]
+    least = dict(zip(map(id, grouped), squared_killers(grouped).tolist()))
+    return [is_nilpotent_squared(m, 1) if id(m) not in least else
+            (True, least[id(m)]) if least[id(m)] >= 0 else (False, None) for m in modules]
 
 
 def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteModule,

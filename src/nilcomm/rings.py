@@ -1018,40 +1018,66 @@ def check_laws(structure, ring: FiniteRing, exhaustive: bool | None, samples: in
     return exhaustive
 
 
-def sampled_rows(structure, ring: FiniteRing, count: int) -> list[np.ndarray]:
-    """The rows the sampled regime checks: the spot laws' ids, then count
-    rows of each law family's ids, from one draw of a generator seeded by the
-    config and the structure's descriptor.  Above count elements the draw
-    leads with count spot ids, which stand for every id unless the structure
-    is tabulated."""
+def _sampled_draw(structure, ring, count):
+    """sampled_rows' draw: a generator seeded by the config and descriptor,
+    whether it leads with count spot ids (above count elements), and the
+    sizes of each family of count rows, the spot ids' then each law's."""
     n, nr, spotted = structure.size, ring.size, structure.size > count
-    drawn = draw_families(Random(_stable_seed(structure.config, structure.descriptor)), count,
-                          [(n,)] * spotted + ([(n,) * 3] if structure is ring else
-                                              [(n,) * 3, (nr, nr, n), (nr, n, n)]))
+    return (Random(_stable_seed(structure.config, structure.descriptor)), spotted,
+            [(n,)] * spotted + ([(n,) * 3] if structure is ring else
+                                [(n,) * 3, (nr, nr, n), (nr, n, n)]))
+
+
+def sampled_rows(structure, ring: FiniteRing, count: int) -> list[np.ndarray]:
+    """The rows the sampled regime checks, by _sampled_draw: the spot laws'
+    ids, then count rows of each law family's ids.  The spot ids stand for
+    every id unless the structure is tabulated."""
+    rng, spotted, families = _sampled_draw(structure, ring, count)
+    drawn = draw_families(rng, count, families)
     spot = drawn.pop(0) if spotted else None
-    return [np.arange(n)[:, None] if spot is None or structure.tabulated else spot, *drawn]
+    return [np.arange(structure.size)[:, None] if spot is None or structure.tabulated else spot,
+            *drawn]
+
+
+def grouped_rows(group) -> list[tuple[np.ndarray, np.ndarray]]:
+    """sampled_rows of every (structure, ring) of group, all untabulated Z(n)
+    or all their regular modules, of one config, stage by stage: a stage's
+    rows of every structure concatenated, and each row's n.  The structures'
+    own draws are joined, read as one array modulo a per-id n (every id a
+    Z(n) draws is below n) and gathered by index arithmetic."""
+    count = group[0][0].config.validation_samples
+    rngs, spots, families = zip(*(_sampled_draw(s, r, count) for s, r in group))
+    ns, spotted = np.array([ring.n for _, ring in group]), np.array(spots)
+    words = count * np.array([sum(map(len, f)) for f in families])
+    raw = (np.frombuffer(b"".join(rng.randbytes(8 * w) for rng, w in zip(rngs, words.tolist())),
+                         dtype="<u8") % np.repeat(ns, words).astype(np.uint64)).astype(np.int64)
+    starts, lengths = np.cumsum(words) - words, np.where(spotted, count, ns)
+    of = np.repeat(np.arange(len(group)), lengths)  # each spot row's structure
+    at = np.arange(len(of)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    stages = [(np.where(spotted[of], raw[starts[of] + at], at)[:, None], ns[of])]
+    for k in range(len(families[0]) - spots[0]):  # each law family, of triples
+        first = starts + count * (spotted + 3 * k)
+        stages.append((raw[first[:, None] + np.arange(3 * count)].reshape(-1, 3),
+                       np.repeat(ns, count)))
+    return stages
 
 
 def zn_laws_hold(checks) -> bool:
     """Whether check_laws would pass each (structure, ring) of checks, ring
     an untabulated ZnRing in the sampled regime and structure the ring or its
-    regular module.  Each structure keeps its own sampled_rows.  Each stage
-    (the rings' spot laws and family, then the modules' spot laws and each
-    family) evaluates law_set once over the rows of all of them, through
-    ZnRing's hooks reading a per-row modulus column, zero and one being ids
-    0 and 1.  False where a ring's hooks are not ZnRing's own.  A failure is
-    not located: check one structure at a time to report it."""
+    regular module.  The rings, then the modules, evaluate law_set once a
+    stage of grouped_rows, through ZnRing's hooks under each row's n.  False
+    where a ring's hooks are not ZnRing's own.  A failure is not located:
+    check one structure at a time to report it."""
     if not all(ring.own_arithmetic() for _, ring in checks):
         return False
     for own in (True, False):
         group = [(structure, ring) for structure, ring in checks if (structure is ring) is own]
-        rows = [sampled_rows(s, r, s.config.validation_samples) for s, r in group]
-        for stage, blocks in enumerate(zip(*rows)):
-            moduli = SimpleNamespace(n=np.repeat([r.n for _, r in group], list(map(len, blocks))))
-            vadd, vmul, vneg = (partial(hook, moduli)
+        for stage, (block, moduli) in enumerate(grouped_rows(group) if group else ()):
+            vadd, vmul, vneg = (partial(hook, SimpleNamespace(n=moduli))
                                 for hook in (ZnRing._vadd, ZnRing._vmul, ZnRing._vneg))
             spot_laws, families = law_set(0, 1, vadd, vneg, vmul, vadd, vmul, own)
-            masks = (spot_laws, *families)[stage](*np.concatenate(blocks).T)
+            masks = (spot_laws, *families)[stage](*block.T)
             if any(map(np.any, masks)):
                 return False
     return True
@@ -1083,17 +1109,11 @@ def _scan_laws(structure, add, act, radd, rmul, messages) -> None:
                              + messages[first + hit[3]].format(*hit[:3]))
 
 
-def draw_ids(rng: Random, count: int, *sizes: int) -> np.ndarray:
-    """count rows of seeded ids drawn at once, column j below sizes[j]; the
-    modulo bias is at most size / 2**64."""
-    return draw_families(rng, count, [sizes])[0]
-
-
 def draw_families(rng: Random, count: int, families) -> list[np.ndarray]:
-    """draw_ids(rng, count, *sizes) for each sizes of families in turn, from
-    one randbytes call.  Each family takes a whole number of 64-bit words,
-    and the generator's bytes do not depend on how they are asked for, so
-    the rows are the ones consecutive draw_ids calls give."""
+    """For each sizes of families, count rows of ids, column j below sizes[j]
+    (modulo bias at most size / 2**64), from one randbytes call: a family
+    takes whole 64-bit words and the generator's bytes do not depend on how
+    they are asked for, so the rows are those of one call per family."""
     raw = np.frombuffer(rng.randbytes(8 * count * sum(map(len, families))), dtype="<u8")
     out, lo = [], 0
     for sizes in families:

@@ -14,7 +14,13 @@ from nilcomm import (
     regular_module,
 )
 from nilcomm import rings
-from nilcomm.rings import draw_ids
+
+
+def draw_ids(rng: Random, count: int, *sizes: int) -> np.ndarray:
+    """count rows of seeded ids, column j below sizes[j]: the tests' reference
+    draw, one 64-bit word per id taken modulo its size."""
+    words = np.frombuffer(rng.randbytes(8 * count * len(sizes)), dtype="<u8")
+    return (words.reshape(count, len(sizes)) % np.array(sizes, dtype=np.uint64)).astype(np.int64)
 
 
 def record_sampled_draws(monkeypatch):

@@ -43,10 +43,11 @@ from nilcomm import (
     run_check,
 )
 from nilcomm.config import DEFAULT_CONFIG
+from nilcomm.nilpotency import is_nilpotent_squared, squared_killers
 from nilcomm.harness import DEFAULT_SAMPLES
 from nilcomm.rings import ZnRing
 
-from conftest import record_sampled_draws
+from conftest import draw_ids, record_sampled_draws
 from test_rings import _SkewZn
 
 # the fixed inventory of registered claim checks
@@ -545,22 +546,45 @@ def test_a_planted_defect_in_a_group_reports_the_per_structure_error(
 
 
 def test_groups_take_each_structures_own_draw(monkeypatch):
-    rows, sampled_rows = {}, rings.sampled_rows
-    monkeypatch.setattr(rings, "sampled_rows", lambda structure, ring, count: rows.setdefault(
-        structure.descriptor, sampled_rows(structure, ring, count)))
+    groups, grouped_rows = [], rings.grouped_rows
+    monkeypatch.setattr(rings, "grouped_rows", lambda group: (
+        groups.append(group), grouped_rows(group))[1])
     assert check_lemma_squarefree(200).status == "confirmed"
-    assert len(rows) == 2 * 160  # Z(41)..Z(200) and their regular modules
+    checked = {s.descriptor: (s, r) for group in groups for s, r in group}
+    assert len(checked) == 2 * 160  # Z(41)..Z(200) and their regular modules
     for n in (41, 64, 65, 200):
         for desc, sizes in ((f"Z({n})", [(n, n, n)]),
                             (f"regular(Z({n}))", [(n, n, n)] * 3)):
-            drawn = rings.draw_families(Random(rings._stable_seed(_LIGHT, desc)), 64,
-                                        [(n,)] * (n > 64) + sizes)
+            rng = Random(rings._stable_seed(_LIGHT, desc))
+            drawn = [draw_ids(rng, 64, *f) for f in [(n,)] * (n > 64) + sizes]
             want = drawn if n > 64 else [np.arange(n)[:, None], *drawn]
-            assert [r.tolist() for r in rows[desc]] == [w.tolist() for w in want], desc
+            got = rings.sampled_rows(*checked[desc], 64)
+            assert [r.tolist() for r in got] == [w.tolist() for w in want], desc
+    # each group's stages are its structures' own rows, concatenated
+    for group in groups:
+        rows = [rings.sampled_rows(s, r, 64) for s, r in group]
+        for (block, _), stage in zip(grouped_rows(group), zip(*rows)):
+            assert block.tolist() == np.concatenate(stage).tolist()
     # a per-structure check of the same ring hands first_broken the same rows
-    checked, _ = record_sampled_draws(monkeypatch)
+    first_broken_rows, _ = record_sampled_draws(monkeypatch)
     check_ring_axioms(ZnRing(65, _LIGHT, validate=False))
-    assert checked == [r.tolist() for r in rows["Z(65)"]]
+    assert first_broken_rows == [r.tolist() for r in rings.sampled_rows(*checked["Z(65)"], 64)]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("regular", [False, True])
+def test_a_mixed_group_gathers_each_structures_sampled_rows(seed, regular):
+    # up to 64 elements every id is a spot id; above, 64 drawn ones
+    cfg = _LIGHT.with_overrides(seed=seed)
+    zs = [ZnRing(n, cfg, validate=False) for n in (41, 63, 64, 65, 200, 997, 1000)]
+    group = [(modules.RegularModule(z, cfg, validate=False) if regular else z, z) for z in zs]
+    rows = [rings.sampled_rows(s, r, 64) for s, r in group]
+    stages = rings.grouped_rows(group)
+    assert len(stages) == len(rows[0]) == (4 if regular else 2)
+    for (block, moduli), stage in zip(stages, zip(*rows)):
+        assert block.dtype == np.int64
+        assert block.tolist() == np.concatenate(stage).tolist()
+        assert moduli.tolist() == [z.n for z, part in zip(zs, stage) for _ in part]
 
 
 def test_only_the_exhaustive_z_n_are_checked_one_at_a_time(monkeypatch):
@@ -614,3 +638,60 @@ def test_a_failing_group_interns_nothing_past_the_failure(monkeypatch, hook, x, 
         # the group's structures before the failure were checked and interned
         before = rings.interned(ZnRing, 96, config=_LIGHT)
         assert rings.interned(modules.RegularModule, before, config=_LIGHT) is not None
+
+
+# ---------------------------------------------------------------------------
+# The squared criterion of lemma_squarefree, one pass a group
+
+
+def test_one_squared_pass_a_group_equals_the_per_structure_criterion():
+    ns = range(2, 1001)
+    reg = list(modules.regular_zn_modules(ns, _LIGHT))
+    least = []
+    for lo, hi in rings.row_blocks(len(ns), ns[-1]):  # the lemma's groups
+        least += squared_killers(reg[lo:hi]).tolist()
+    assert [(t >= 0, t if t >= 0 else None) for t in least] == [
+        is_nilpotent_squared(module, 1) for module in reg]
+    # one group of every n in 2..1000 misses no t of any column
+    assert squared_killers(reg[::7]).tolist() == least[::7]
+
+
+def test_a_column_of_the_squared_pass_sees_only_its_own_elements(monkeypatch):
+    # 150 * 150 = 0 planted in Z(97), where 150 is no element: a pass over
+    # t < 200 must not find that t for the column of Z(97)
+    vmul = ZnRing._vmul
+    monkeypatch.setattr(ZnRing, "_vmul", lambda self, a, b: np.where(
+        (self.n == 97) & (a == 150) & (b == 150), 0, vmul(self, a, b)))
+    group = [harness._reg_zn(97, _LIGHT), harness._reg_zn(200, _LIGHT)]
+    assert squared_killers(group).tolist() == [-1, 20]
+    assert [is_nilpotent_squared(m, 1) for m in group] == [(False, None), (True, 20)]
+
+
+def test_only_untabulated_z_n_with_their_own_arithmetic_share_the_pass(monkeypatch):
+    skew = modules.RegularModule(_SkewZn(50, _LIGHT), _LIGHT, validate=False)
+    tabulated = regular_module(make_zn(8))
+    mixed = [harness._reg_zn(12, _LIGHT), skew, harness._reg_zn(49, _LIGHT), tabulated,
+             harness._reg_zn(50, _LIGHT)]
+    alone, one_each = [], harness.is_nilpotent_squared
+    monkeypatch.setattr(harness, "is_nilpotent_squared", lambda module, m: (
+        alone.append(module), one_each(module, m))[1])
+    assert harness._one_is_nilpotent(mixed) == [one_each(m, 1) for m in mixed]
+    assert alone == [skew, tabulated]
+    assert one_each(skew, 1) != one_each(harness._reg_zn(50, _LIGHT), 1)
+
+
+def test_a_planted_criterion_defect_reports_as_the_per_structure_loop(monkeypatch):
+    # 161^2 = -1 in Z(997), so the planted 161 * 161 = 0 makes 1 nilpotent
+    monkeypatch.setattr(ZnRing, "_vmul", _planted("_vmul", 997, 161, 161))
+    grouped = check_lemma_squarefree(1000)
+    # the loop of per-structure builds and criterion calls that the groups replace
+    monkeypatch.setattr(harness, "regular_zn_modules", lambda ns, cfg: (
+        harness._reg_zn(n, cfg) for n in ns))
+    monkeypatch.setattr(harness, "_one_is_nilpotent", lambda group: [
+        is_nilpotent_squared(module, 1) for module in group])
+    alone = check_lemma_squarefree(1000)
+    assert grouped.status == "refuted"
+    assert grouped.detail["mismatches"] == [
+        {"n": 997, "nilpotent": True, "square_free": True, "witness": 161}]
+    assert (grouped.status, grouped.detail) == (alone.status, alone.detail)
+    assert reverify_refutation(grouped)

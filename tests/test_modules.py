@@ -37,10 +37,10 @@ from nilcomm.config import DEFAULT_CONFIG
 from nilcomm.deciders import MODULE_PROPERTIES, decide
 from nilcomm.modules import SubModule, orbit
 from nilcomm.nilpotency import squared_killers
-from nilcomm.rings import ZnRing, _stable_seed, draw_ids, first_broken
+from nilcomm.rings import ZnRing, _stable_seed, first_broken
 
 import oracle
-from conftest import loop_products, mat_mod, record_sampled_draws, zn_module
+from conftest import draw_ids, loop_products, mat_mod, record_sampled_draws, zn_module
 from test_rings import _MODULE_LAW_REPLAYS, _SkewZn
 
 

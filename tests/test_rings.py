@@ -44,12 +44,11 @@ from nilcomm.rings import (
     ZnRing,
     _stable_seed,
     draw_families,
-    draw_ids,
     shape_fill,
 )
 
 import oracle
-from conftest import loop_products, record_sampled_draws
+from conftest import draw_ids, loop_products, record_sampled_draws
 
 
 def test_zn_basics():
