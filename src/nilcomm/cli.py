@@ -366,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", default=None,
                    help="comma-separated check ids; known ids: "
                         + ", ".join(registered_ids()))
-    p.add_argument("--nmax", type=int, default=1000,
+    p.add_argument("--nmax", type=int, default=HarnessOptions.nmax,
                    help="upper modulus for the square-free check (at least 2)")
-    p.add_argument("--samples", type=int, default=1000,
+    p.add_argument("--samples", type=int, default=HarnessOptions.samples,
                    help="random nonzero elements on which the 4x4 matrix nil "
                         "checks replay the single-unit witness (at least 1)")
     _add_common(p)

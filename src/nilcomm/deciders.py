@@ -78,6 +78,13 @@ class Verdict:
         return triple_witness(self.property, self.descriptor, self.witness, expect)
 
 
+# the witness kinds of a violating triple, each with the property its replay
+# tests
+TRIPLE_KINDS = {"not-semicommutative": PROP_SEMICOMMUTATIVE,
+                "not-nil-semicommutative": PROP_NIL_SEMI}
+_TRIPLE_KIND_OF = {prop: kind for kind, prop in TRIPLE_KINDS.items()}
+
+
 def triple_witness(prop: str, descriptor: str, triple,
                    expect: bool | None = None) -> dict:
     """The witness payload of a refuted claim for the violating triple
@@ -88,8 +95,7 @@ def triple_witness(prop: str, descriptor: str, triple,
     nil-semicommutativity violation.  expect, when given, is what the
     replay must return."""
     a, r, m = triple
-    kind = ("not-semicommutative" if prop == PROP_SEMICOMMUTATIVE
-            else "not-nil-semicommutative")
+    kind = _TRIPLE_KIND_OF.get(prop, _TRIPLE_KIND_OF[PROP_NIL_SEMI])
     payload = {"kind": kind, "descriptor": descriptor, "a": a, "r": r, "m": m}
     if expect is not None:
         payload["expect"] = expect

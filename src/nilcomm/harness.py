@@ -4,7 +4,8 @@ hierarchy of finite modules.
 Each check re-verifies one claim on concrete finite structures and returns
 a CheckReport: confirmed, refuted (with a witness a single evaluation can
 replay), or skipped with a reason.  Refutation is a first-class outcome;
-the suite verifies claims rather than assuming them.
+the suite verifies claims rather than assuming them.  Each witness kind is
+one row of WITNESS_KINDS, which gives its payload's fields and its replay.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 from random import Random
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,9 +23,11 @@ from .config import EngineConfig, resolve
 from .deciders import (
     PROP_NIL_SEMI,
     PROP_SEMICOMMUTATIVE,
+    TRIPLE_KINDS,
     is_nil_semicommutative,
     is_semicommutative,
     is_weakly_semicommutative,
+    replay,
     ring_is_nil_semicommutative,
     triple_witness,
     verify_nonsemicommutative_witness,
@@ -94,21 +98,13 @@ class HarnessOptions:
         _at_least("samples", self.samples, 1)
 
 
-@dataclass(frozen=True)
-class _CheckDef:
+class _CheckDef(NamedTuple):
+    """One registered claim: instances(cfg, opts) returns the reports of the
+    check's instances, which run_check combines into one."""
+
     check_id: str
     claim: str
-    runner: object
-
-
-_REGISTRY: dict[str, _CheckDef] = {}
-
-
-def _register(check_id: str, claim: str):
-    def deco(fn):
-        _REGISTRY[check_id] = _CheckDef(check_id, claim, fn)
-        return fn
-    return deco
+    instances: Callable
 
 
 def registered_ids() -> list[str]:
@@ -160,7 +156,59 @@ def _skipped(check_id: str, detail: dict) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Single-instance check operations (public; the registry wraps them)
+# Witness kinds
+
+
+class _WitnessKind(NamedTuple):
+    """One kind of refutation witness: the payload's fields after "kind", in
+    payload order, and its replay, which takes the structure the descriptor
+    field names (None for a kind without one), the witness and the config,
+    and is True when one evaluation reproduces what the witness records."""
+
+    fields: tuple[str, ...]
+    replay: Callable
+
+
+def _replay_triple(module, w: dict, cfg: EngineConfig) -> bool:
+    violated = replay(module, TRIPLE_KINDS[w["kind"]], [w["a"]], [w["r"]], [w["m"]])
+    return bool(violated[0]) == w.get("expect", True)
+
+
+def _replay_annihilator(module, w: dict, cfg: EngineConfig) -> bool:
+    module.ring.check_ids(w["r"])
+    module.check_ids(w["m"])
+    return (module.act(w["r"], w["m"]) == module.zero) == w["expect_zero"]
+
+
+# the triple kinds' payloads come from deciders.triple_witness, with an
+# optional "expect" (True by default) after these fields
+WITNESS_KINDS = {
+    **dict.fromkeys(TRIPLE_KINDS, _WitnessKind(("descriptor", "a", "r", "m"), _replay_triple)),
+    "squarefree-mismatch": _WitnessKind(("n",), lambda _, w, cfg:
+        is_nilpotent_squared(_reg_zn(w["n"], cfg), 1)[0] == _is_square_free(w["n"])),
+    "matrix-nil-gap": _WitnessKind(("descriptor", "m"), lambda module, w, cfg:
+        not is_nilpotent_squared(module, w["m"])[0]),
+    "nilpotent-element": _WitnessKind(("descriptor", "m", "expect"), lambda module, w, cfg:
+        is_nilpotent_squared(module, w["m"])[0] == w["expect"]),
+    "criterion-mismatch": _WitnessKind(("descriptor", "m"), lambda module, w, cfg:
+        is_nilpotent_squared(module, w["m"])[0] != is_nilpotent_power(module, w["m"])[0]),
+    "annihilator": _WitnessKind(("descriptor", "r", "m", "expect_zero"), _replay_annihilator),
+    "t-closure": _WitnessKind(("descriptor",), lambda module, w, cfg:
+        not torsion_sets(module, cfg).t_is_submodule),
+    "class-count": _WitnessKind(("descriptor", "expected", "got"), lambda structure, w, cfg:
+        structure.size != w["expected"]),
+    "theta-failure": _WitnessKind(("base_n", "n"), lambda _, w, cfg:
+        not verify_theta_iso(make_zn(w["base_n"], cfg), w["n"], cfg)),
+}
+
+
+def _witness(kind: str, **values) -> dict:
+    """The payload of a witness of kind, its fields in the table's order."""
+    return {"kind": kind, **{name: values[name] for name in WITNESS_KINDS[kind].fields}}
+
+
+# ---------------------------------------------------------------------------
+# Single-instance check operations (public; the registry lists instances)
 
 
 def check_lemma_squarefree(n_max: int, config: EngineConfig | None = None) -> CheckReport:
@@ -181,7 +229,7 @@ def check_lemma_squarefree(n_max: int, config: EngineConfig | None = None) -> Ch
                                    "witness": witness})
     detail = {"n_max": n_max, "checked": n_max - 1, "mismatches": mismatches}
     return _report("lemma_squarefree", detail,
-                   {"kind": "squarefree-mismatch", "n": mismatches[0]["n"]}
+                   _witness("squarefree-mismatch", n=mismatches[0]["n"])
                    if mismatches else None)
 
 
@@ -219,8 +267,8 @@ def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteMo
             "nil_size": nils.count,
             "covered": covered,
         }
-        gap = None if covered else int(np.argmin(nils.flags))
-        return _report("matrix_nil_coverage", detail, _nil_gap(module, gap))
+        return _report("matrix_nil_coverage", detail, None if covered else _witness(
+            "matrix-nil-gap", descriptor=module.descriptor, m=int(np.argmin(nils.flags))))
 
     count = sample if sample is not None else DEFAULT_SAMPLES
     rng = Random(cfg.seed)
@@ -244,14 +292,8 @@ def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteMo
         "passes": count - len(failures),
         "failures": failures,
     }
-    return _report("matrix_nil_coverage", detail,
-                   _nil_gap(module, failures[0]["m"] if failures else None))
-
-
-def _nil_gap(module: FiniteModule, m: int | None) -> dict | None:
-    """The witness of a non-nilpotent element m of the module, if any."""
-    return (None if m is None else
-            {"kind": "matrix-nil-gap", "descriptor": module.descriptor, "m": m})
+    return _report("matrix_nil_coverage", detail, _witness(
+        "matrix-nil-gap", descriptor=module.descriptor, m=failures[0]["m"]) if failures else None)
 
 
 def check_example_zpn(p: int, n: int, config: EngineConfig | None = None) -> CheckReport:
@@ -309,20 +351,15 @@ def check_example_matrix(shape_n: int, base_size: int,
         return _report("matrix_semicommutativity", detail,
                        None if nil.holds is True else nil.witness_payload())
 
-    # n >= 4: replay the printed construction over the given base
-    module = matrix_module(MatrixShape(FULL, shape_n), base,
-                           regular_module(base, cfg), cfg)
+    # n >= 4: replay the printed construction over the given base: with
+    # A = E(1,2) - E(1,3), L = E(2,3) and K = m(E(2,n) + E(3,n)), AK = 0
+    # while ALK = m E(1,n)
+    module = _mat_mod(FULL, shape_n, base_size, cfg)
     ring = module.ring
     one = base.one
-    a_grid = [[base.zero] * shape_n for _ in range(shape_n)]
-    a_grid[0][1] = one
-    a_grid[0][2] = base.neg(one)
-    A = ring.from_entries(a_grid)
+    A = ring.add(ring.unit(0, 1, one), ring.unit(0, 2, base.neg(one)))
     m_entry = 1  # any nonzero entry of the base module
-    k_grid = [[module.base.zero] * shape_n for _ in range(shape_n)]
-    k_grid[1][shape_n - 1] = m_entry
-    k_grid[2][shape_n - 1] = m_entry
-    K = module.from_entries(k_grid)
+    K = module.add(module.unit(1, shape_n - 1, m_entry), module.unit(2, shape_n - 1, m_entry))
     L = ring.unit(1, 2, one)
     ak = module.act(A, K)
     alk = module.act(A, module.act(L, K))
@@ -445,8 +482,8 @@ def check_torsion_free_props(module: FiniteModule,
     witness = None
     if not nil_trivial:
         bad = next(m for m in nils.members() if m != module.zero)
-        witness = {"kind": "nilpotent-element", "descriptor": module.descriptor,
-                   "m": bad, "expect": True}
+        witness = _witness("nilpotent-element", descriptor=module.descriptor,
+                           m=bad, expect=True)
     elif not all_hold:
         witness = next(v for v in verdicts.values()
                        if v.holds is not True).witness_payload()
@@ -530,8 +567,8 @@ def check_tor_t_sets(config: EngineConfig | None = None) -> CheckReport:
           and facts["three_in_tor"] and not facts["three_in_t"])
     detail = {"descriptor": module.descriptor, **facts}
     return _report("torsion_vs_regular_torsion", detail, None if ok else
-                   {"kind": "annihilator", "descriptor": module.descriptor,
-                    "r": 2, "m": 3, "expect_zero": True})
+                   _witness("annihilator", descriptor=module.descriptor,
+                            r=2, m=3, expect_zero=True))
 
 
 def check_t_submodule(module: FiniteModule,
@@ -557,7 +594,7 @@ def check_t_submodule(module: FiniteModule,
         "t_closed_act": ts.t_closed_act,
     }
     return _report("t_set_submodule", detail, None if ok else
-                   {"kind": "t-closure", "descriptor": module.descriptor})
+                   _witness("t-closure", descriptor=module.descriptor))
 
 
 def _cyclic_submodules(module: FiniteModule, cfg: EngineConfig):
@@ -638,82 +675,11 @@ def _first_witness(check_id: str, instances) -> CheckReport:
     return _report(check_id, {"instances": entries}, witness)
 
 
-@_register("lemma_squarefree",
-           "1 is nilpotent in the Z_n-module Z_n exactly when n has a "
-           "repeated prime factor")
-def _run_lemma_squarefree(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    return check_lemma_squarefree(opts.nmax, cfg)
+def _pair(n: int, cfg: EngineConfig) -> FiniteModule:
+    return make_product_module([_reg_zn(n, cfg), _reg_zn(n, cfg)], cfg)
 
 
-@_register("matrix_nil_coverage",
-           "over the full matrix ring, every matrix with module entries is "
-           "nilpotent (n >= 2)")
-def _run_matrix_nil(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    reports = [
-        check_lemma_matrix_nil(2, make_zn(2, cfg), _reg_zn(2, cfg), config=cfg),
-        check_lemma_matrix_nil(2, make_zn(4, cfg), _reg_zn(4, cfg), config=cfg),
-        check_lemma_matrix_nil(4, make_zn(2, cfg), _reg_zn(2, cfg),
-                               sample=opts.samples, config=cfg),
-    ]
-    return _merge("matrix_nil_coverage", reports)
-
-
-@_register("zpn_hierarchy",
-           "Z_{p^n} with n >= 2 is semicommutative and weakly semicommutative "
-           "but not nil-semicommutative, violated at (1, p^(n-1), 1)")
-def _run_zpn(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    reports = [check_example_zpn(2, 2, cfg), check_example_zpn(3, 2, cfg),
-               check_example_zpn(2, 3, cfg)]
-    return _merge("zpn_hierarchy", reports)
-
-
-@_register("matrix_semicommutativity",
-           "full matrix modules are nil-semicommutative for n >= 2, and an "
-           "explicit pair breaks semicommutativity at n >= 4")
-def _run_matrix_semi(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    reports = [check_example_matrix(2, 2, cfg),
-               check_example_matrix(4, 2, cfg, sample=opts.samples)]
-    return _merge("matrix_semicommutativity", reports)
-
-
-@_register("tn_zpn_not_nil_semicommutative",
-           "upper triangular matrices over Z_{p^n} (n >= 2) are not "
-           "nil-semicommutative")
-def _run_tn(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    return check_example_tn(2, 2, cfg)
-
-
-@_register("tn_field_not_nil_semicommutative",
-           "upper triangular matrices over the field Z_p are not "
-           "nil-semicommutative (n >= 2)")
-def _run_tn_field(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    return check_example_tn_field(2, 2, cfg)
-
-
-@_register("vn_not_nil_semicommutative",
-           "shift-polynomial matrices over the field Z_p are not "
-           "nil-semicommutative (n >= 2)")
-def _run_vn(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    return check_example_vn(2, 2, cfg)
-
-
-@_register("torsion_free_collapse",
-           "a torsion-free module has nil set {0} and is semicommutative, "
-           "nil-semicommutative and weakly semicommutative alike")
-def _run_torsion_free(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    z3 = _reg_zn(3, cfg)
-    pair = make_product_module([_reg_zn(3, cfg), _reg_zn(3, cfg)], cfg)
-    reports = [check_torsion_free_props(_reg_zn(2, cfg), cfg),
-               check_torsion_free_props(z3, cfg),
-               check_torsion_free_props(_reg_zn(5, cfg), cfg),
-               check_torsion_free_props(pair, cfg)]
-    return _merge("torsion_free_collapse", reports)
-
-
-@_register("criterion_equivalence",
-           "the squared and the power nilpotency criteria agree on every "
-           "element of every test module")
-def _run_criterion_equivalence(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
+def _criterion_equivalence(cfg: EngineConfig) -> CheckReport:
     modules = [_reg_zn(n, cfg) for n in range(2, 13)]
     modules += [
         _mat_mod(UPPER, 2, 2, cfg),
@@ -737,66 +703,11 @@ def _run_criterion_equivalence(cfg: EngineConfig, opts: HarnessOptions) -> Check
         "disagreements": disagreements,
     }
     first = disagreements[0] if disagreements else None
-    return _report("criterion_equivalence", detail, first and {
-        "kind": "criterion-mismatch", "descriptor": first["descriptor"],
-        "m": first["m"]})
+    return _report("criterion_equivalence", detail, first and _witness(
+        "criterion-mismatch", descriptor=first["descriptor"], m=first["m"]))
 
 
-@_register("submodule_equivalence",
-           "a module is nil-semicommutative exactly when every cyclic "
-           "submodule is")
-def _run_submodule_equivalence(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    modules = [_reg_zn(4, cfg), _reg_zn(3, cfg), _reg_zn(6, cfg),
-               _mat_mod(UPPER, 2, 2, cfg), _mat_mod(FULL, 2, 2, cfg),
-               _mat_mod(UPPER, 2, 4, cfg)]
-    return _merge("submodule_equivalence",
-                  [check_submodule_equivalence(module, cfg) for module in modules])
-
-
-@_register("commutative_nilpotency_transfer",
-           "for a commutative ring whose nonzero nilpotents have degree "
-           "above two, ring nil-semicommutativity passes to the regular "
-           "module")
-def _run_commutative(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    reports = [check_commutative_ring_prop(make_zn(6, cfg), cfg),
-               check_commutative_ring_prop(make_zn(4, cfg), cfg),
-               check_commutative_ring_prop(make_zn(8, cfg), cfg)]
-    return _merge("commutative_nilpotency_transfer", reports)
-
-
-@_register("hom_transfer",
-           "along a surjective ring hom, a module and its pullback agree on "
-           "nil-semicommutativity")
-def _run_hom_transfer(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    reports = [
-        check_hom_transfer(zn_reduction_hom(8, 4, cfg), _reg_zn(4, cfg), cfg),
-        check_hom_transfer(identity_hom(make_zn(3, cfg)), _reg_zn(3, cfg), cfg),
-        check_hom_transfer(zn_reduction_hom(6, 3, cfg), _reg_zn(3, cfg), cfg),
-    ]
-    return _merge("hom_transfer", reports)
-
-
-@_register("torsion_vs_regular_torsion",
-           "in the Z_6-module Z_6, 3 is torsion but not regular-torsion and "
-           "the regular-torsion set is {0}")
-def _run_tor_t(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    return check_tor_t_sets(cfg)
-
-
-@_register("t_set_submodule",
-           "over a finite domain, the regular-torsion set of a "
-           "nil-semicommutative module is a submodule")
-def _run_t_submodule(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    pair = make_product_module([_reg_zn(2, cfg), _reg_zn(2, cfg)], cfg)
-    reports = [check_t_submodule(_reg_zn(3, cfg), cfg),
-               check_t_submodule(pair, cfg)]
-    return _merge("t_set_submodule", reports)
-
-
-@_register("localization_wellformed",
-           "fraction classes, class counts and projection maps of central "
-           "localizations behave as computed partitions require")
-def _run_localization_wellformed(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
+def _localization_wellformed(cfg: EngineConfig) -> CheckReport:
     z12 = make_zn(12, cfg)
     s12 = multiplicative_closure(z12, [2], cfg)
     loc = localize_ring(z12, s12, cfg)
@@ -823,30 +734,11 @@ def _run_localization_wellformed(cfg: EngineConfig, opts: HarnessOptions) -> Che
         "unit_set_projection_bijective": unit_bijective,
     }
     return _report("localization_wellformed", detail, None if ok else
-                   {"kind": "class-count", "descriptor": loc.descriptor,
-                    "expected": 3, "got": loc.size})
+                   _witness("class-count", descriptor=loc.descriptor,
+                            expected=3, got=loc.size))
 
 
-@_register("localization_transfer", LOCALIZATION_TRANSFER_CLAIM)
-def _run_localization_transfer(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    z3 = make_zn(3, cfg)
-    z4 = make_zn(4, cfg)
-    z12 = make_zn(12, cfg)
-    reports = [
-        check_localization_transfer(regular_module(z3, cfg),
-                                    multiplicative_closure(z3, [], cfg), cfg),
-        check_localization_transfer(regular_module(z4, cfg),
-                                    multiplicative_closure(z4, [3], cfg), cfg),
-        check_localization_transfer(regular_module(z12, cfg),
-                                    multiplicative_closure(z12, [2], cfg), cfg),
-    ]
-    return _merge("localization_transfer", reports)
-
-
-@_register("nil_module_properties",
-           "a nil module is semicommutative, nil-semicommutative and weakly "
-           "semicommutative")
-def _run_nil_module_properties(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
+def _nil_module_properties(cfg: EngineConfig) -> CheckReport:
     def instance(module):
         if not is_nil_module(module, cfg):
             return {"descriptor": module.descriptor,
@@ -869,10 +761,7 @@ def _run_nil_module_properties(cfg: EngineConfig, opts: HarnessOptions) -> Check
                           [instance(m) for m in (zero_mod, _mat_mod(FULL, 2, 2, cfg))])
 
 
-@_register("submodules_inherit",
-           "every cyclic submodule of a nil-semicommutative module is "
-           "nil-semicommutative")
-def _run_submodules_inherit(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
+def _submodules_inherit(cfg: EngineConfig) -> CheckReport:
     def instance(module):
         whole = is_nil_semicommutative(module, cfg)
         if whole.holds is not True:
@@ -890,15 +779,11 @@ def _run_submodules_inherit(cfg: EngineConfig, opts: HarnessOptions) -> CheckRep
                  "distinct_cyclic_submodules": count,
                  "all_inherit": bad is None}, bad and bad.witness_payload())
 
-    pair = make_product_module([_reg_zn(2, cfg), _reg_zn(2, cfg)], cfg)
-    parents = [_mat_mod(FULL, 2, 2, cfg), _reg_zn(3, cfg), _reg_zn(6, cfg), pair]
+    parents = [_mat_mod(FULL, 2, 2, cfg), _reg_zn(3, cfg), _reg_zn(6, cfg), _pair(2, cfg)]
     return _first_witness("submodules_inherit", [instance(m) for m in parents])
 
 
-@_register("quotient_by_torsion",
-           "for a torsion-free module, nil-semicommutativity agrees with "
-           "that of the quotient by its torsion submodule")
-def _run_quotient_by_torsion(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
+def _quotient_by_torsion(cfg: EngineConfig) -> CheckReport:
     def instance(module):
         if not is_torsion_free(module, cfg):
             return {"descriptor": module.descriptor,
@@ -916,25 +801,117 @@ def _run_quotient_by_torsion(cfg: EngineConfig, opts: HarnessOptions) -> CheckRe
                  "quotient_holds": quot_v.holds,
                  "agree": agree}, None if agree else failing.witness_payload())
 
-    pair = make_product_module([_reg_zn(3, cfg), _reg_zn(3, cfg)], cfg)
-    modules = [_reg_zn(3, cfg), _reg_zn(5, cfg), pair, _reg_zn(4, cfg)]
+    modules = [_reg_zn(3, cfg), _reg_zn(5, cfg), _pair(3, cfg), _reg_zn(4, cfg)]
     return _first_witness("quotient_by_torsion", [instance(m) for m in modules])
 
 
-@_register("theta_iso",
-           "reading shift-polynomial coefficients as truncated polynomial "
-           "coefficients is a ring isomorphism")
-def _run_theta(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
-    cases = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2), (6, 2)]
-    results = []
-    bad = None
-    for base_n, n in cases:
+def _theta_iso(cfg: EngineConfig) -> CheckReport:
+    def instance(base_n, n):
         ok = verify_theta_iso(make_zn(base_n, cfg), n, cfg)
-        results.append({"base": f"Z({base_n})", "n": n, "isomorphic": ok})
-        if not ok and bad is None:
-            bad = (base_n, n)
-    return _report("theta_iso", {"instances": results}, bad and
-                   {"kind": "theta-failure", "base_n": bad[0], "n": bad[1]})
+        return ({"base": f"Z({base_n})", "n": n, "isomorphic": ok},
+                None if ok else _witness("theta-failure", base_n=base_n, n=n))
+
+    cases = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2), (6, 2)]
+    return _first_witness("theta_iso", [instance(*case) for case in cases])
+
+
+# the claims in registry order, each with the reports of its instances at
+# the given config and options, which run_check combines
+_REGISTRY: dict[str, _CheckDef] = {check.check_id: check for check in (
+    _CheckDef("lemma_squarefree",
+              "1 is nilpotent in the Z_n-module Z_n exactly when n has a "
+              "repeated prime factor",
+              lambda cfg, opts: [check_lemma_squarefree(opts.nmax, cfg)]),
+    _CheckDef("matrix_nil_coverage",
+              "over the full matrix ring, every matrix with module entries is "
+              "nilpotent (n >= 2)",
+              lambda cfg, opts: [
+                  check_lemma_matrix_nil(n, make_zn(base_n, cfg), _reg_zn(base_n, cfg), sample, cfg)
+                  for n, base_n, sample in ((2, 2, None), (2, 4, None), (4, 2, opts.samples))]),
+    _CheckDef("zpn_hierarchy",
+              "Z_{p^n} with n >= 2 is semicommutative and weakly semicommutative "
+              "but not nil-semicommutative, violated at (1, p^(n-1), 1)",
+              lambda cfg, opts: [check_example_zpn(p, n, cfg)
+                                 for p, n in ((2, 2), (3, 2), (2, 3))]),
+    _CheckDef("matrix_semicommutativity",
+              "full matrix modules are nil-semicommutative for n >= 2, and an "
+              "explicit pair breaks semicommutativity at n >= 4",
+              lambda cfg, opts: [check_example_matrix(2, 2, cfg),
+                                 check_example_matrix(4, 2, cfg, sample=opts.samples)]),
+    _CheckDef("tn_zpn_not_nil_semicommutative",
+              "upper triangular matrices over Z_{p^n} (n >= 2) are not "
+              "nil-semicommutative",
+              lambda cfg, opts: [check_example_tn(2, 2, cfg)]),
+    _CheckDef("tn_field_not_nil_semicommutative",
+              "upper triangular matrices over the field Z_p are not "
+              "nil-semicommutative (n >= 2)",
+              lambda cfg, opts: [check_example_tn_field(2, 2, cfg)]),
+    _CheckDef("vn_not_nil_semicommutative",
+              "shift-polynomial matrices over the field Z_p are not "
+              "nil-semicommutative (n >= 2)",
+              lambda cfg, opts: [check_example_vn(2, 2, cfg)]),
+    _CheckDef("torsion_free_collapse",
+              "a torsion-free module has nil set {0} and is semicommutative, "
+              "nil-semicommutative and weakly semicommutative alike",
+              lambda cfg, opts: [check_torsion_free_props(m, cfg) for m in (
+                  _reg_zn(2, cfg), _reg_zn(3, cfg), _reg_zn(5, cfg), _pair(3, cfg))]),
+    _CheckDef("criterion_equivalence",
+              "the squared and the power nilpotency criteria agree on every "
+              "element of every test module",
+              lambda cfg, opts: [_criterion_equivalence(cfg)]),
+    _CheckDef("submodule_equivalence",
+              "a module is nil-semicommutative exactly when every cyclic "
+              "submodule is",
+              lambda cfg, opts: [check_submodule_equivalence(m, cfg) for m in (
+                  _reg_zn(4, cfg), _reg_zn(3, cfg), _reg_zn(6, cfg), _mat_mod(UPPER, 2, 2, cfg),
+                  _mat_mod(FULL, 2, 2, cfg), _mat_mod(UPPER, 2, 4, cfg))]),
+    _CheckDef("commutative_nilpotency_transfer",
+              "for a commutative ring whose nonzero nilpotents have degree "
+              "above two, ring nil-semicommutativity passes to the regular "
+              "module",
+              lambda cfg, opts: [check_commutative_ring_prop(make_zn(n, cfg), cfg)
+                                 for n in (6, 4, 8)]),
+    _CheckDef("hom_transfer",
+              "along a surjective ring hom, a module and its pullback agree on "
+              "nil-semicommutativity",
+              lambda cfg, opts: [
+                  check_hom_transfer(zn_reduction_hom(8, 4, cfg), _reg_zn(4, cfg), cfg),
+                  check_hom_transfer(identity_hom(make_zn(3, cfg)), _reg_zn(3, cfg), cfg),
+                  check_hom_transfer(zn_reduction_hom(6, 3, cfg), _reg_zn(3, cfg), cfg)]),
+    _CheckDef("torsion_vs_regular_torsion",
+              "in the Z_6-module Z_6, 3 is torsion but not regular-torsion and "
+              "the regular-torsion set is {0}",
+              lambda cfg, opts: [check_tor_t_sets(cfg)]),
+    _CheckDef("t_set_submodule",
+              "over a finite domain, the regular-torsion set of a "
+              "nil-semicommutative module is a submodule",
+              lambda cfg, opts: [check_t_submodule(m, cfg)
+                                 for m in (_reg_zn(3, cfg), _pair(2, cfg))]),
+    _CheckDef("localization_wellformed",
+              "fraction classes, class counts and projection maps of central "
+              "localizations behave as computed partitions require",
+              lambda cfg, opts: [_localization_wellformed(cfg)]),
+    _CheckDef("localization_transfer", LOCALIZATION_TRANSFER_CLAIM,
+              lambda cfg, opts: [check_localization_transfer(
+                  _reg_zn(n, cfg), multiplicative_closure(make_zn(n, cfg), gens, cfg), cfg)
+                  for n, gens in ((3, []), (4, [3]), (12, [2]))]),
+    _CheckDef("nil_module_properties",
+              "a nil module is semicommutative, nil-semicommutative and weakly "
+              "semicommutative",
+              lambda cfg, opts: [_nil_module_properties(cfg)]),
+    _CheckDef("submodules_inherit",
+              "every cyclic submodule of a nil-semicommutative module is "
+              "nil-semicommutative",
+              lambda cfg, opts: [_submodules_inherit(cfg)]),
+    _CheckDef("quotient_by_torsion",
+              "for a torsion-free module, nil-semicommutativity agrees with "
+              "that of the quotient by its torsion submodule",
+              lambda cfg, opts: [_quotient_by_torsion(cfg)]),
+    _CheckDef("theta_iso",
+              "reading shift-polynomial coefficients as truncated polynomial "
+              "coefficients is a ring isomorphism",
+              lambda cfg, opts: [_theta_iso(cfg)]),
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -943,14 +920,16 @@ def _run_theta(cfg: EngineConfig, opts: HarnessOptions) -> CheckReport:
 
 def run_check(check_id: str, config: EngineConfig | None = None,
               options: HarnessOptions | None = None) -> CheckReport:
-    """Run one registered check; internal errors become skipped reports."""
+    """Run one registered check: a single instance's report as it is,
+    several merged into one; internal errors become skipped reports."""
     if check_id not in _REGISTRY:
         raise InvalidParameterError(f"unknown check id {check_id!r}")
     cfg = resolve(config)
     opts = options or HarnessOptions()
     start = time.perf_counter()
     try:
-        report = _REGISTRY[check_id].runner(cfg, opts)
+        reports = _REGISTRY[check_id].instances(cfg, opts)
+        report = reports[0] if len(reports) == 1 else _merge(check_id, reports)
     except DecisionCapError as exc:
         report = _skipped(check_id, {"reason": f"cap: {exc}"})
     except Exception as exc:  # a failed check must not abort the suite
@@ -989,46 +968,27 @@ def exit_code(reports: list[CheckReport]) -> int:
 
 
 def reverify_refutation(report_or_witness, config: EngineConfig | None = None) -> bool:
-    """Replay a refuted report's stored witness with one evaluation call."""
+    """Replay a refuted report's stored witness with one evaluation call,
+    through its kind's entry in WITNESS_KINDS.  A witness that is no dict,
+    or lacks its kind or a field its kind lists, raises
+    InvalidParameterError."""
     from .dsl import elaborate_text
 
     cfg = resolve(config)
-    if isinstance(report_or_witness, CheckReport):
-        witness = report_or_witness.detail.get("witness")
-    else:
-        witness = report_or_witness
+    witness = (report_or_witness.detail.get("witness")
+               if isinstance(report_or_witness, CheckReport) else report_or_witness)
     if not witness:
         return False
-    kind = witness["kind"]
-    if kind == "squarefree-mismatch":
-        module = regular_module(make_zn(witness["n"], cfg), cfg)
-        return is_nilpotent_squared(module, 1)[0] == _is_square_free(witness["n"])
-    if kind == "theta-failure":
-        return not verify_theta_iso(make_zn(witness["base_n"], cfg), witness["n"], cfg)
-    if kind == "class-count":
-        structure = elaborate_text(witness["descriptor"], cfg)
-        return structure.size != witness["expected"]
-    module = elaborate_text(witness["descriptor"], cfg)
-    if kind == "not-nil-semicommutative":
-        got = verify_not_nil_semicommutative_witness(
-            module, witness["a"], witness["r"], witness["m"])
-        return got == witness.get("expect", True)
-    if kind == "not-semicommutative":
-        got = verify_nonsemicommutative_witness(
-            module, witness["a"], witness["r"], witness["m"])
-        return got == witness.get("expect", True)
-    if kind == "nilpotent-element":
-        return is_nilpotent_squared(module, witness["m"])[0] == witness["expect"]
-    if kind == "matrix-nil-gap":
-        return not is_nilpotent_squared(module, witness["m"])[0]
-    if kind == "criterion-mismatch":
-        m = witness["m"]
-        return is_nilpotent_squared(module, m)[0] != is_nilpotent_power(module, m)[0]
-    if kind == "annihilator":
-        module.ring.check_ids(witness["r"])
-        module.check_ids(witness["m"])
-        return (module.act(witness["r"], witness["m"]) == module.zero) == \
-            witness["expect_zero"]
-    if kind == "t-closure":
-        return not torsion_sets(module, cfg).t_is_submodule
-    raise InvalidParameterError(f"unknown witness kind {kind!r}")
+    if not isinstance(witness, dict):
+        raise InvalidParameterError(f"a witness is a dict, got {type(witness).__name__}")
+    kind = witness.get("kind")
+    spec = WITNESS_KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise InvalidParameterError("witness has no field 'kind'" if kind is None
+                                    else f"unknown witness kind {kind!r}")
+    for name in spec.fields:
+        if name not in witness:
+            raise InvalidParameterError(f"{kind} witness has no field {name!r}")
+    structure = (elaborate_text(witness["descriptor"], cfg)
+                 if "descriptor" in spec.fields else None)
+    return spec.replay(structure, witness, cfg)

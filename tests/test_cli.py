@@ -133,6 +133,20 @@ def test_verify_paper_selection_and_exit_codes(capsys):
     assert code == 1
 
 
+def test_verify_paper_defaults_are_the_harness_options(monkeypatch):
+    from nilcomm.harness import HarnessOptions
+
+    args = build_parser().parse_args(["verify-paper"])
+    assert (args.nmax, args.samples) == (HarnessOptions().nmax, HarnessOptions().samples)
+    # one owner: a moved harness default moves the option's default with it
+    monkeypatch.setattr(HarnessOptions, "nmax", 77)
+    build_parser.cache_clear()
+    try:
+        assert build_parser().parse_args(["verify-paper"]).nmax == 77
+    finally:
+        build_parser.cache_clear()
+
+
 @pytest.mark.parametrize("argv", [
     ("--only", "matrix_nil_coverage,matrix_semicommutativity", "--samples", "0"),
     ("--samples", "-3"),

@@ -5,8 +5,8 @@ builds a refutation witness never runs there.  Each plant below flips
 decider verdicts (a holding verdict fails at a fixed triple, a failing
 one holds) or makes the pinned-triple replay fail, and runs one check.
 The goldens pin the report's JSON bytes and what replaying its witness
-returns, and each triple witness must reach the replay branch its kind
-names.  Regenerate (only when an output change is intended) with
+returns, and each triple witness must reach one pointwise replay, of the
+property its kind names.  Regenerate (only when an output change is intended) with
 
   PYTHONPATH=src python tests/test_failure_witnesses.py
 """
@@ -23,7 +23,7 @@ import pytest
 import nilcomm.deciders as deciders
 import nilcomm.harness as harness
 import nilcomm.localization as localization
-from nilcomm.deciders import PROP_NIL_SEMI, PROP_RING_NIL_SEMI
+from nilcomm.deciders import PROP_NIL_SEMI, PROP_RING_NIL_SEMI, PROP_SEMICOMMUTATIVE
 
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "failure_witnesses.json"
 
@@ -72,9 +72,10 @@ PLANTS = [(cid, "every") for cid in DECIDING_CHECKS] + [
     ("matrix_semicommutativity", "replay"),
 ]
 
+# the property each triple kind's replay tests
 TRIPLE_KINDS = {
-    "not-semicommutative": "verify_nonsemicommutative_witness",
-    "not-nil-semicommutative": "verify_not_nil_semicommutative_witness",
+    "not-semicommutative": PROP_SEMICOMMUTATIVE,
+    "not-nil-semicommutative": PROP_NIL_SEMI,
 }
 
 
@@ -121,17 +122,17 @@ def planted_report(check_id: str, flip: str):
 
 
 def _replay(report) -> tuple[bool, list]:
-    """Replay the witness, recording which pointwise verifier it reached."""
+    """Replay the witness, recording each pointwise replay it reached: the
+    property and the module's descriptor, then a, r and m of each triple."""
     calls = []
+    real = harness.replay
+
+    def spy(module, prop, a, r, m):
+        calls.append((prop, module.descriptor, *map(list, (a, r, m))))
+        return real(module, prop, a, r, m)
+
     with pytest.MonkeyPatch.context() as mp:
-        for name in TRIPLE_KINDS.values():
-            real = getattr(harness, name)
-
-            def spy(module, a, r, m, *args, _name=name, _real=real, **kw):
-                calls.append((_name, module.descriptor, a, r, m))
-                return _real(module, a, r, m, *args, **kw)
-
-            mp.setattr(harness, name, spy)
+        mp.setattr(harness, "replay", spy)
         return harness.reverify_refutation(report), calls
 
 
@@ -160,7 +161,7 @@ def test_planted_refutation_matches_golden(goldens, check_id, flip):
     witness = report.detail.get("witness")
     if witness is not None and witness["kind"] in TRIPLE_KINDS:
         assert calls == [(TRIPLE_KINDS[witness["kind"]], witness["descriptor"],
-                          witness["a"], witness["r"], witness["m"])]
+                          [witness["a"]], [witness["r"]], [witness["m"]])]
 
 
 def test_plants_reach_every_triple_witness_path(goldens):

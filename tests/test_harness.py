@@ -380,7 +380,7 @@ def _inside_run(monkeypatch, build):
 
     def check(cfg, opts):
         out.append(build(cfg))
-        return harness._report("theta_iso", {})
+        return [harness._report("theta_iso", {})]
 
     monkeypatch.setitem(harness._REGISTRY, "theta_iso", harness._CheckDef(
         "theta_iso", harness._REGISTRY["theta_iso"].claim, check))
