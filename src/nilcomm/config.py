@@ -29,9 +29,13 @@ class EngineConfig:
     tabulate_threshold: structures up to this size (a module's ring too)
         store int32 operation tables; larger ones compute operations per
         call and materialize a table only for an exhaustive scan.
-    full_check_budget: triple budget for exhaustive axiom checks at construction.
+    full_check_budget: budget of the exact axiom checks at construction:
+        the full scan's max(|R|^2|M|, |R||M|^2, |M|^3) triples, else, for a
+        tabulated structure, the generator proof's |G|(|M|^2 + |R||M| +
+        2|R|^2) cells (G the additive generators).
     validation_samples: sampled axiom triples per law family (one for
-        rings, three for modules) used above that budget.
+        rings, three for modules) used where neither exact check fits, or
+        the proof fails.
     seed: base seed for every sampled procedure.
     force: lift every decision-cap refusal.
     """

@@ -102,6 +102,9 @@ class RegularModule(FiniteModule):
     def act_table(self):
         return self.ring.mul_table()
 
+    def additive_generators(self):
+        return self.ring.additive_generators()
+
     def render(self, m):
         return self.ring.render(m)
 
@@ -423,7 +426,8 @@ def induced_module(hom: RingHom, module: FiniteModule,
 def check_module_axioms(module: FiniteModule, exhaustive: bool | None = None,
                         samples: int | None = None) -> None:
     """Verify the unitary left module axioms by check_laws, taking a passed
-    ring scan (ring.laws_scanned) as the full regime's for a module sharing
-    its ring's operations: each of its law instances is one of the ring's."""
+    exact check of the ring, scan or proof (ring.laws_exact), as its own
+    exact check's for a module sharing its ring's operations: each of its
+    law instances is one of the ring's."""
     check_laws(module, module.ring, exhaustive, samples,
-               scanned=module.shares_ring_ops and module.ring.laws_scanned)
+               exact=module.shares_ring_ops and module.ring.laws_exact)

@@ -22,12 +22,13 @@ from .rings import ZnRing, regular_elements, row_blocks
 
 @dataclass(eq=False)
 class NilSet:
-    """Nilpotent elements of one module as read-only arrays over its ids:
-    flags[m] marks a member, and killers[m] is the least t with act(t, m) != 0
-    and act(t*t, m) = 0, so (t, 2) witnesses m, or -1 where there is none
-    (at zero, which needs none, and at every non-member)."""
+    """Nilpotent elements of one module, named by its descriptor (the module
+    caches this set, so the set does not point back at it), as read-only
+    arrays over its ids: flags[m] marks a member, and killers[m] is the least
+    t with act(t, m) != 0 and act(t*t, m) = 0, so (t, 2) witnesses m, or -1
+    where there is none (at zero, which needs none, and at every non-member)."""
 
-    module: FiniteModule
+    descriptor: str
     flags: np.ndarray
     killers: np.ndarray
 
@@ -46,7 +47,7 @@ class NilSet:
 
     def to_json_dict(self) -> dict:
         return {
-            "descriptor": self.module.descriptor,
+            "descriptor": self.descriptor,
             "size": self.count,
             "members": self.members(),
             "witnesses": {str(m): {"t": t, "k": 2}
@@ -64,7 +65,6 @@ class TorsionSets:
     is closed under addition and the ring action.
     """
 
-    module: FiniteModule
     tor: np.ndarray
     t: np.ndarray
     tor_closed_add: bool
@@ -170,7 +170,7 @@ def nil_set(module: FiniteModule, config: EngineConfig | None = None) -> NilSet:
     flags = killers >= 0
     flags[module.zero] = True
     flags.flags.writeable = killers.flags.writeable = False  # shared by every caller
-    module._nil_cache = NilSet(module, flags, killers)
+    module._nil_cache = NilSet(module.descriptor, flags, killers)
     return module._nil_cache
 
 
@@ -199,7 +199,7 @@ def torsion_sets(module: FiniteModule,
     tor_add, tor_act = (hit is None for hit in escapes(module, tor))
     t_add, t_act = (hit is None for hit in escapes(module, t))
     tor.flags.writeable = t.flags.writeable = False
-    module._torsion_cache = TorsionSets(module, tor, t, tor_add, tor_act, t_add, t_act)
+    module._torsion_cache = TorsionSets(tor, t, tor_add, tor_act, t_add, t_act)
     return module._torsion_cache
 
 

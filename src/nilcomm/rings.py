@@ -248,6 +248,7 @@ class FiniteStructure:
         self.tabulated = False
         self._add_rows = None
         self._product_rows = None
+        self._generators = None
 
     def _bind(self, rows: int, vproduct, tabulate: bool):
         """Bind vadd and vneg, and return the vectorized product, whose left
@@ -296,6 +297,12 @@ class FiniteStructure:
             return composed_table(self._parts)
         return op_table(self._vadd, self.size, self.size, self._pair_cells)
 
+    def additive_generators(self) -> list[int]:
+        """additive_generators of the add table, kept after the first call."""
+        if self._generators is None:
+            self._generators = additive_generators(self.add_table())
+        return self._generators
+
     def _product_table(self) -> np.ndarray:
         """The product table, one row per left operand: the stored one, else
         built on first use and kept, as a module's nil set is."""
@@ -332,12 +339,15 @@ class FiniteStructure:
 class FiniteRing(FiniteStructure):
     """Base class: a finite associative ring with identity on ids 0..size-1,
     its product mul.  laws_scanned marks a ring whose exhaustive axiom scan
-    has passed, and tables_checked holds the add and mul tables its check
-    range-checked and found + commutative on."""
+    has passed, laws_exact one whose every law instance has passed, by that
+    scan or by the generator proof (laws_proven), and tables_checked holds
+    the add and mul tables its check range-checked and found + commutative
+    on."""
 
     _kind = "ring"
     one: int
     laws_scanned = False
+    laws_exact = False
     tables_checked = None
 
     def _seal(self, validate: bool = True) -> None:
@@ -952,48 +962,63 @@ def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
                       samples: int | None = None) -> None:
     """Verify the ring axioms by check_laws: its regular module's laws (act =
     mul) and the right identity a * 1 = a, sampled as one family of all five
-    laws per (a, b, c).  A full scan that passes sets ring.laws_scanned."""
-    if check_laws(ring, ring, exhaustive, samples):
-        ring.laws_scanned = True
+    laws per (a, b, c).  A full scan that passes sets ring.laws_scanned, and
+    it or a passed proof ring.laws_exact."""
+    exact = check_laws(ring, ring, exhaustive, samples)
+    if exact:
+        ring.laws_exact = True
+        ring.laws_scanned |= exact == "scan"
 
 
 def full_regime(config: EngineConfig, n: int, nr: int) -> bool:
     """check_laws' own choice of regime for n elements over a scalar ring of
     nr: exhaustive when max(|R|^2|M|, |R||M|^2, |M|^3) fits the budget and
     the cap."""
-    cost = _law_cost(n, nr)
-    return cost <= config.full_check_budget and config.allows(cost)
+    return _fits(config, _law_cost(n, nr))
 
 
 def _law_cost(n: int, nr: int) -> int:
     return max(nr * nr * n, nr * n * n, n ** 3)
 
 
+def _fits(config: EngineConfig, cost: int) -> bool:
+    return cost <= config.full_check_budget and config.allows(cost)
+
+
 def check_laws(structure, ring: FiniteRing, exhaustive: bool | None, samples: int | None,
-               scanned: bool = False) -> bool:
+               exact: bool = False) -> str | None:
     """Verify a ring's or module's axioms (law_set over its ops) over its
     scalar ring (a ring's is itself), raising AxiomError at the first failure;
-    True if it scanned.
+    "scan" or "proof" when every law instance passed, else None.
 
     The full regime runs when exhaustive, or when exhaustive is None and
-    full_regime holds; there a passed scan of the same tables (scanned)
-    counts.  Tabulated or scanned tables are range-checked, and + checked
-    commutative at every pair, unless a passed check of the ring did both
-    to these same tables (ring.tables_checked).  Then the spot laws hold at
-    every id, and _scan_laws scans every triple, or the spot laws hold at
-    the first of sampled_rows and each family at its `samples` rows."""
+    full_regime holds.  With exhaustive None and the full regime over
+    budget, a tabulated structure whose generator proof fits
+    (_proof_generators) is proven by laws_proven; only if that fails are
+    the samples drawn, and if no drawn triple breaks a law, _scan_laws
+    locates one.  Where the rule picks the scan or the proof, a passed
+    exact check of the same tables (exact) counts.  Tabulated or scanned
+    tables are range-checked, and + checked commutative at every pair,
+    unless a passed check of the ring did both to these same tables
+    (ring.tables_checked).  Then the spot laws hold at every id and
+    _scan_laws checks every triple, or the proof holds, or the spot laws
+    hold at the first of sampled_rows and each family at its `samples`
+    rows."""
     own = structure is ring
     what, spot_messages, family_messages, scan_messages = _MESSAGES[own]
     cfg, desc, n, nr = structure.config, structure.descriptor, structure.size, ring.size
+    gens = None
     if exhaustive is None:
         exhaustive = full_regime(cfg, n, nr)
-        if exhaustive and scanned:
-            return True
+        if not exhaustive and structure.tabulated:
+            gens = _proof_generators(cfg, structure, nr)
+        if exact and (exhaustive or gens is not None):
+            return "scan" if exhaustive else "proof"
     elif exhaustive:
         cost = _law_cost(n, nr)
         cfg.refuse_above_cap(cost, f"{desc}: {what} of {cost} triples")
     count = samples if samples is not None else cfg.validation_samples
-    rows = [np.arange(n)[:, None]] if exhaustive else sampled_rows(structure, ring, count)
+    drawn = None if exhaustive or gens is not None else sampled_rows(structure, ring, count)
     if structure.tabulated or exhaustive:
         add, act = structure.add_table(), structure.mul_table() if own else structure.act_table()
         checked = ring.tables_checked
@@ -1006,16 +1031,24 @@ def check_laws(structure, ring: FiniteRing, exhaustive: bool | None, samples: in
                                  + family_messages[0][0].format(*first_true(add != add.T)))
         if own and structure.tabulated:  # its stored tables, which a module may share
             ring.tables_checked = add, act
+        tables = add, act, *((add, act) if own else (ring.add_table(), ring.mul_table()))
     spot_laws, families = law_set(structure.zero, ring.one, structure.vadd, structure.vneg,
                                   structure.vmul if own else structure.vact,
                                   ring.vadd, ring.vmul, own)
-    first_broken(structure, rows[0], spot_laws, spot_messages)
+    first_broken(structure, np.arange(n)[:, None] if drawn is None else drawn[0],
+                 spot_laws, spot_messages)
     if exhaustive:  # nothing was drawn
-        _scan_laws(structure, add, act, *((add, act) if own else
-                                          (ring.add_table(), ring.mul_table())), scan_messages)
-    for laws, family, drawn in zip(families, family_messages, rows[1:]):
-        first_broken(structure, drawn, laws, family)
-    return exhaustive
+        _scan_laws(structure, *tables, scan_messages)
+        return "scan"
+    if gens is not None:  # nothing was drawn either, unless the proof fails
+        if laws_proven(*tables, gens):
+            return "proof"
+        drawn = sampled_rows(structure, ring, count)
+    for laws, family, rows in zip(families, family_messages, drawn[1:]):
+        first_broken(structure, rows, laws, family)
+    if gens is not None:  # the proof failed, so a law fails where nothing was drawn
+        _scan_laws(structure, *tables, scan_messages)
+    return None
 
 
 def _sampled_draw(structure, ring, count):
@@ -1083,30 +1116,105 @@ def zn_laws_hold(checks) -> bool:
     return True
 
 
+def additive_generators(add: np.ndarray) -> list[int]:
+    """Ids G whose closure under the add table's + is every id: the least
+    unreached id (0 last, as in a group every id reaches it), then the
+    reached set C closed under + (C <- C u (C+C) until nothing new appears),
+    until every id is reached."""
+    n = len(add)
+    reached, gens, count = np.zeros(n, dtype=bool), [], 0
+    while count < n:
+        rest = np.flatnonzero(~reached[1:])
+        gens.append(int(rest[0]) + 1 if len(rest) else 0)
+        reached[gens[-1]] = True
+        members = np.flatnonzero(reached)
+        while True:
+            for lo, hi in row_blocks(len(members), len(members)):
+                reached[add[members[lo:hi, None], members]] = True
+            count = int(np.count_nonzero(reached))
+            if count in (n, len(members)):
+                break
+            members = np.flatnonzero(reached)
+    return gens
+
+
+def _proof_generators(config: EngineConfig, structure, nr: int) -> list[int] | None:
+    """structure.additive_generators() when laws_proven's |G|(|M|^2 +
+    |R||M| + 2|R|^2) cells over a scalar ring of nr fit the budget and the
+    cap, else None; not computed when one generator's cells do not fit."""
+    nm = structure.size
+    per_generator = nm * nm + nr * nm + 2 * nr * nr
+    if not _fits(config, per_generator):
+        return None
+    gens = structure.additive_generators()
+    return gens if _fits(config, len(gens) * per_generator) else None
+
+
+def laws_proven(add, act, radd, rmul, gens=None) -> bool:
+    """Whether + is commutative at every pair of the add table and the four
+    laws _scan_laws checks hold at every triple, read at the additive
+    generators gens (additive_generators(add) when None) alone:
+    (x+g)+y = x+(g+y), r(m+g) = rm+rg, (r+s)g = rg+sg and (rs)g = r(sg) for
+    every x, y, m of M, r, s of R and g of G: |G|(|M|^2 + |R||M| + 2|R|^2)
+    cells in row blocks.  Each law's set of good elements is closed under +,
+    so holding at G it holds at every id G reaches, which is all of them:
+    - + associative (Light's test): A = {a : (x+a)+y = x+(a+y) for all x, y}
+      holds a+b with a and b, as (x+(a+b))+y = ((x+a)+b)+y = (x+a)+(b+y)
+      = x+(a+(b+y)) = x+((a+b)+y);
+    - r(m+n) = rm+rn, by associativity: for each r, {n : r(m+n) = rm+rn
+      for all m} holds n+n', as r(m+(n+n')) = r((m+n)+n') = (rm+rn)+rn'
+      = rm+(rn+rn') = rm+r(n+n');
+    - (r+s)m = rm+sm, by associativity, commutativity and left
+      distributivity: (r+s)(m+m') = (rm+sm)+(rm'+sm') = (rm+rm')+(sm+sm')
+      = r(m+m')+s(m+m');
+    - (rs)m = r(sm), by left distributivity: (rs)(m+m') = r(sm)+r(sm')
+      = r(sm+sm') = r(s(m+m')).
+    Where + does not commute nothing is proven, and the answer is False."""
+    if not (add == add.T).all():
+        return False
+    g = np.array(additive_generators(add) if gens is None else gens)
+    return not any(scan(rows, cells, lambda lo, hi: broken(lo, hi).any())
+                   for broken, rows, cells, _ in _law_blocks(add, act, radd, rmul, g))
+
+
 def _scan_laws(structure, add, act, radd, rmul, messages) -> None:
     """Every law but commutativity on the add and act tables over the scalar
-    ring's, failing where loops over (a, b, c) for + associative, (r, s, m) for
-    (r+s)m and (rs)m, then (r, m, n) for r(m+n) first fail; one message each."""
-    nm, nr = len(add), len(radd)
-
-    def assoc(lo, hi):
-        return (add[add[lo:hi]] != np.take(add[lo:hi], add, axis=1))[..., None]
-
-    def mixed(lo, hi):
-        ar = act[lo:hi]
-        return np.stack([act[radd[lo:hi]] != add[ar[:, None, :], act[None, :, :]],
-                         act[rmul[lo:hi]] != np.take(ar, act, axis=1)], axis=-1)
-
-    def dist(lo, hi):
-        ar = act[lo:hi]
-        return (np.take(ar, add, axis=1) != add[ar[:, :, None], ar[:, None, :]])[..., None]
-
-    for broken, rows, cells, first in zip((assoc, mixed, dist), (nm, nr, nr),
-                                          (nm * nm, 2 * nr * nm, nm * nm), (0, 1, 3)):
+    ring's, exactly: laws_proven, and where it fails the locator, which reads
+    the laws at every id and fails where loops over (a, b, c) for +
+    associative, (r, s, m) for (r+s)m and (rs)m, then (r, m, n) for r(m+n)
+    first fail; one message each."""
+    if laws_proven(add, act, radd, rmul):
+        return
+    for broken, rows, cells, first in _law_blocks(add, act, radd, rmul, np.arange(len(add))):
         hit = scan(rows, cells, lambda lo, hi: first_true(broken(lo, hi), lo))
         if hit is not None:
             raise AxiomError(f"{structure.descriptor}: "
                              + messages[first + hit[3]].format(*hit[:3]))
+
+
+def _law_blocks(add, act, radd, rmul, g):
+    """The four scanned laws with one id among the ids g of M (the middle one
+    of (x+g)+y, the last elsewhere), as three groups of (block, rows, cells
+    per row, the group's first message): block(lo, hi) masks, (row, id, id,
+    law), where for the rows lo..hi-1 (x+g)+y != x+(g+y) at (x, g, y);
+    (r+s)g != rg+sg, then (rs)g != r(sg), at (r, s, g); and r(m+g) != rm+rg
+    at (r, m, g).  With g every id, these are the locator's loops."""
+    nm, nr, k = len(add), len(radd), len(g)
+    add_g, act_g = add[g], act[:, g]  # g+y and rg
+
+    def assoc(lo, hi):
+        return (add[add[lo:hi, g]] != np.take(add[lo:hi], add_g, axis=1))[..., None]
+
+    def mixed(lo, hi):
+        return np.stack([act_g[radd[lo:hi]] != add[act_g[lo:hi, None, :], act_g[None, :, :]],
+                         act_g[rmul[lo:hi]] != np.take(act[lo:hi], act_g, axis=1)], axis=-1)
+
+    def dist(lo, hi):
+        ar = act[lo:hi]
+        return (np.take(ar, add[:, g], axis=1)
+                != add[ar[:, :, None], act_g[lo:hi, None, :]])[..., None]
+
+    return zip((assoc, mixed, dist), (nm, nr, nr), (k * nm, 2 * k * nr, k * nm), (0, 1, 3))
 
 
 def draw_families(rng: Random, count: int, families) -> list[np.ndarray]:

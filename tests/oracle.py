@@ -84,6 +84,31 @@ def least_violation(act, mul, zero, prop, nil):
     return None if not found else (min(found)[0], min(found)[2], min(found)[1])
 
 
+def law_failure(add, act, radd, rmul):
+    """The first broken law among + associative at (a, b, c), then (r+s)m =
+    rm+sm and (rs)m = r(sm) at (r, s, m), then r(m+n) = rm+rn at (r, m, n),
+    each loop in that order, as (0, 1, 2 or 3, the triple), or None."""
+    M, R = range(len(add)), range(len(radd))
+    for a in M:
+        for b in M:
+            for c in M:
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    return 0, (a, b, c)
+    for r in R:
+        for s in R:
+            for m in M:
+                if act[radd[r][s]][m] != add[act[r][m]][act[s][m]]:
+                    return 1, (r, s, m)
+                if act[rmul[r][s]][m] != act[r][act[s][m]]:
+                    return 2, (r, s, m)
+    for r in R:
+        for m in M:
+            for n in M:
+                if act[r][add[m][n]] != add[act[r][m]][act[r][n]]:
+                    return 3, (r, m, n)
+    return None
+
+
 def torsion_masks(act, mul, zero, ring_zero):
     R, M = range(len(act)), range(len(act[0]))
     regular = [s for s, flag in enumerate(ring_regular_flags(mul, ring_zero)) if flag]

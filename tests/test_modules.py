@@ -41,7 +41,7 @@ from nilcomm.rings import ZnRing, _stable_seed, first_broken
 
 import oracle
 from conftest import draw_ids, loop_products, mat_mod, record_sampled_draws, zn_module
-from test_rings import _MODULE_LAW_REPLAYS, _SkewZn
+from test_rings import _MODULE_LAW_REPLAYS, _SkewZn, _UncheckedRegularModule
 
 
 def test_regular_module_shares_ring_ops(z4_module):
@@ -435,17 +435,50 @@ def test_regular_module_takes_its_rings_exhaustive_scan(monkeypatch, ring_expr):
 
 
 @pytest.mark.parametrize("ring_expr, overrides", [
-    ("Z(41)", {}), ("T(2, Z(4))", {}),  # 41 and 64 elements: the rings are sampled
-    ("Z(20)", {"full_check_budget": 1000})])  # the ring is scanned, the module samples
+    # 41 and 64 elements: the rings are sampled, and their laws proven at 1
+    # and 3 additive generators, so their modules take the proof and draw nothing
+    ("Z(41)", {}), ("T(2, Z(4))", {}),
+    ("Z(20)", {"full_check_budget": 1000}),  # the ring is scanned, the module samples
+    ("M(2, Z(3))", {})])  # 81 elements, 4 generators: the proof does not fit
 def test_a_sampled_regular_module_draws_its_own_samples(monkeypatch, ring_expr, overrides):
     ring = elaborate_text(f"regular({ring_expr})").ring
-    assert ring.laws_scanned == bool(overrides)
+    proven = ring_expr in ("Z(41)", "T(2, Z(4))")
+    assert ring.laws_scanned == (ring_expr == "Z(20)")
+    assert ring.laws_exact == (ring.laws_scanned or proven)
     cfg = DEFAULT_CONFIG.with_overrides(**overrides)
     checked, draws = record_sampled_draws(monkeypatch)
     regular_module(ring, cfg)
-    # one draw; the spot laws at every id, then each family's samples
-    assert len(draws) == 1
-    assert [len(rows) for rows in checked] == [ring.size] + [cfg.validation_samples] * 3
+    if proven:
+        assert draws == [] and checked == []
+    else:
+        # one draw; the spot laws at every id, then each family's samples
+        assert len(draws) == 1
+        assert [len(rows) for rows in checked] == [ring.size] + [cfg.validation_samples] * 3
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: _SkewAction(50, DEFAULT_CONFIG), "skew(50): (r+s)m != rm+sm at (3, 49, 23)"),
+    (lambda: _SkewAction(90, DEFAULT_CONFIG), "skew(90): (rs)m != r(sm) at (10, 85, 1)"),
+    (lambda: _UncheckedRegularModule(_SkewZn(50, DEFAULT_CONFIG)),
+     "regular(Z(50)): (r+s)m != rm+sm at (21, 12, 5)")])
+def test_a_planted_defect_the_proof_finds_reports_the_first_drawn_triple(
+        monkeypatch, make, message):
+    # tabulated and sampled with a proof that fits: the proof fails, and the
+    # drawn families then report the first drawn broken triple, as the draw
+    # alone did
+    module = make()
+    nm, nr = module.size, module.ring.size
+    cfg = module.config
+    assert module.tabulated and nm ** 3 > cfg.full_check_budget
+    assert nm * nm + nr * nm + 2 * nr * nr <= cfg.full_check_budget  # |G| = 1
+    proofs, laws_proven = [], rings.laws_proven
+    monkeypatch.setattr(rings, "laws_proven", lambda *tables: (
+        proofs.append(laws_proven(*tables)), proofs[-1])[1])
+    _, draws = record_sampled_draws(monkeypatch)
+    with pytest.raises(AxiomError) as err:
+        check_module_axioms(module)
+    assert (proofs, len(draws)) == ([False], 1)
+    assert str(err.value) == message == _first_drawn_break(module)[0]
 
 
 @pytest.mark.parametrize("n", [2, 40])

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from nilcomm import (
@@ -16,6 +19,7 @@ from nilcomm import (
     torsion_sets,
 )
 from nilcomm.config import DEFAULT_CONFIG
+from nilcomm.deciders import MODULE_PROPERTIES, decide
 from nilcomm.harness import _light_config
 
 from conftest import zn_module
@@ -169,6 +173,24 @@ def test_cached_sets_still_respect_the_callers_cap(compute):
     with pytest.raises(DecisionCapError):
         compute(capped)
     assert compute(capped, cap100.with_overrides(force=True)) is compute(capped, forced)
+
+
+@pytest.mark.parametrize("expr", ["regular(Z(12))", "matmod(2, regular(Z(4)))"])
+def test_a_decided_module_is_freed_without_the_cyclic_collector(expr):
+    # the cached nil and torsion sets name their module by its descriptor, so
+    # dropping the module frees it and its tables at once
+    module = elaborate_text(expr)
+    gc.disable()
+    try:
+        for prop in MODULE_PROPERTIES:
+            decide(module, prop)
+        assert nil_set(module).to_json_dict()["descriptor"] == expr
+        torsion_sets(module)
+        gone = weakref.ref(module)
+        del module
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("expr, tabulated", [("regular(Z(12))", True),

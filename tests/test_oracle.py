@@ -24,13 +24,21 @@ from nilcomm.deciders import MODULE_PROPERTIES, decide, replay
 # (a, r, m) triples the oracle's plain loops visit per property
 TRIPLE_BUDGET = 1 << 15
 
+# the matrix, product and truncated-polynomial rings and modules drawn below
+LAYOUT_RINGS = ["T(2, Z(2))", "T(2, Z(3))", "S(2, Z(3))", "S(3, Z(2))",
+                "V(2, Z(4))", "V(3, Z(3))", "M(2, Z(2))", "polyq(Z(2), 4)",
+                "polyq(Z(3), 2)", "prod(Z(2), Z(6))", "prod(Z(3), polyq(Z(2), 2))",
+                # matrices whose entries are not Z(n): the generic entry product
+                "S(2, prod(Z(2), Z(2)))", "V(2, polyq(Z(2), 2))"]
+LAYOUT_MODULES = ["matmod(2, regular(Z(2)))", "trimod(2, regular(Z(2)))",
+                  "trimod(2, regular(Z(3)))", "trimod(3, regular(Z(2)))",
+                  "smod(2, regular(Z(4)))", "smod(3, regular(Z(2)))",
+                  "vmod(2, regular(Z(5)))", "vmod(3, regular(Z(3)))",
+                  "trimod(2, prodmod(regular(Z(2)), regular(Z(2))))"]
+
 small_rings = st.one_of(
     st.integers(2, 16).map(lambda n: f"Z({n})"),
-    st.sampled_from(["T(2, Z(2))", "T(2, Z(3))", "S(2, Z(3))", "S(3, Z(2))",
-                     "V(2, Z(4))", "V(3, Z(3))", "M(2, Z(2))", "polyq(Z(2), 4)",
-                     "polyq(Z(3), 2)", "prod(Z(2), Z(6))", "prod(Z(3), polyq(Z(2), 2))",
-                     # matrices whose entries are not Z(n): the generic entry product
-                     "S(2, prod(Z(2), Z(2)))", "V(2, polyq(Z(2), 2))"]),
+    st.sampled_from(LAYOUT_RINGS),
 )
 
 
@@ -38,11 +46,7 @@ small_rings = st.one_of(
 def modules(draw):
     base = draw(st.one_of(
         small_rings.map(lambda r: f"regular({r})"),
-        st.sampled_from(["matmod(2, regular(Z(2)))", "trimod(2, regular(Z(2)))",
-                         "trimod(2, regular(Z(3)))", "trimod(3, regular(Z(2)))",
-                         "smod(2, regular(Z(4)))", "smod(3, regular(Z(2)))",
-                         "vmod(2, regular(Z(5)))", "vmod(3, regular(Z(3)))",
-                         "trimod(2, prodmod(regular(Z(2)), regular(Z(2))))"]),
+        st.sampled_from(LAYOUT_MODULES),
         # a generator whose powers never reach 0
         st.integers(2, 16).flatmap(lambda n: st.integers(1, n - 1).filter(
             lambda s: all(pow(s, k, n) for k in range(1, n))).map(

@@ -443,6 +443,56 @@ def test_sampled_ring_check_reports_the_first_drawn_broken_triple():
     assert (first_law, triple[:len(named)]) == (law, named)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: _SkewZn(50, DEFAULT_CONFIG), "Z(50): mul not associative at (38, 21, 40)"),
+    (lambda: _SkewAddZn(50, DEFAULT_CONFIG), "Z(50): add not associative at (13, 39, 2)")])
+def test_a_tabulated_sampled_ring_whose_proof_fails_reports_the_first_drawn_triple(
+        monkeypatch, make, message):
+    # the proof fits (4 * 50^2 cells at one generator) and fails; then one
+    # draw, and the message the draw alone gave
+    ring = make()
+    assert ring.tabulated and ring.size ** 3 > ring.config.full_check_budget
+    _, draws = record_sampled_draws(monkeypatch)
+    with pytest.raises(AxiomError) as err:
+        check_ring_axioms(ring)
+    assert (str(err.value), len(draws)) == (message, 1)
+    law, ids = re.fullmatch(r"Z\(50\): (.+) at \(([\d, ]+)\)", message).groups()
+    assert _RING_LAW_REPLAYS[law](ring, *map(int, ids.split(", ")))
+    assert not ring.laws_exact
+
+
+class _OneCellZn(ZnRing):
+    """Z(n) with one planted product defect, (n-1)(n-1) gaining 1: so few
+    triples meet it that the sampled draw misses it.  Built unvalidated."""
+
+    def _seal(self, validate=True):
+        super()._seal(validate=False)
+
+    def _vmul(self, a, b):
+        return (a * b + (a == self.n - 1) * (b == self.n - 1)) % self.n
+
+
+def test_a_defect_the_draw_misses_is_located_once_the_proof_fails(monkeypatch):
+    ring = _OneCellZn(127, DEFAULT_CONFIG)
+    check_ring_axioms(ring, exhaustive=False)  # 2000 drawn triples, none broken
+    _, draws = record_sampled_draws(monkeypatch)
+    with pytest.raises(AxiomError) as err:
+        check_ring_axioms(ring)  # the proof fails; the same draw, then the locator
+    assert len(draws) == 1
+    assert str(err.value) == "Z(127): right distributivity fails at (126, 1, 125)"
+    assert _RING_LAW_REPLAYS["right distributivity fails"](ring, 126, 1, 125)
+
+
+@pytest.mark.parametrize("n, proven", [(41, True), (128, True), (129, False)])
+def test_a_tabulated_sampled_ring_draws_nothing_when_its_proof_fits(monkeypatch, n, proven):
+    # Z(n) has one additive generator: 4n^2 proof cells, at most 2^16 up to n = 128
+    checked, draws = record_sampled_draws(monkeypatch)
+    ring = make_zn(n)
+    assert ring.tabulated and not ring.laws_scanned
+    assert ring.laws_exact == proven == (4 * n * n <= ring.config.full_check_budget)
+    assert len(draws) == (not proven) and len(checked) == 1 + (not proven)
+
+
 @pytest.mark.parametrize("samples", [40, 50])  # 50 elements: spot ids drawn below 50 samples
 def test_sampled_ring_check_draws_once_what_consecutive_draws_gave(monkeypatch, samples):
     cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0)
