@@ -30,7 +30,7 @@ from .deciders import (
     PROP_REDUCED_I,
     PROP_SEMICOMMUTATIVE,
     PROP_WEAKLY,
-    decide,
+    decide_many,
 )
 from .dsl import elaborate, parse_structure
 from .errors import InvalidParameterError, NilcommError, ParseError
@@ -115,10 +115,7 @@ def cmd_classify(args) -> int:
                 raise NilcommError(
                     f"unknown property {p!r}; choose from "
                     f"{', '.join(MODULE_PROPERTIES)}")
-    results = []
-    for prop in props:
-        verdict = decide(module, prop, cfg)
-        results.append(verdict.to_json_dict())
+    results = [verdict.to_json_dict() for verdict in decide_many(module, props, cfg)]
     nils = nil_set(module, cfg)
     results.append({
         "kind": "nilset",
@@ -286,10 +283,8 @@ def cmd_search(args) -> int:
         expr = _FAMILY_EXPR[args.family](n, args.p)
         try:
             module = elaborate(parse_structure(expr), cfg)
-            verdicts = {
-                prop: decide(module, prop, cfg).holds
-                for prop in MODULE_PROPERTIES
-            }
+            verdicts = {v.property: v.holds
+                        for v in decide_many(module, MODULE_PROPERTIES, cfg)}
         except NilcommError as exc:
             instances.append({"descriptor": expr, "skipped": str(exc)})
             continue

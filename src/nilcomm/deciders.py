@@ -2,17 +2,21 @@
 
 Each property follows one pattern: a trigger on am (zero, or nilpotent)
 forces a condition on aRm.  _PROPERTIES defines each module property once,
-as a row of three tests over id arrays: the trigger's multiplier (a, or a^2),
-the trigger test on that product times m, and the violation test on x = rm
-given a.  Two evaluators read the table:
+as a row of two tests over id arrays: the trigger on am (or a^2 m), and the
+violation on x = rm given a.  The five rows share three triggers and three
+violations, two of these a trigger's complement (_Not).  Two evaluators:
 
 - decide scans the full (a, r, m) space over the action table and returns a
   Verdict: holds, or fails with the lexicographically least violating triple
   in (a, m, r) order.  r enters a row only through the orbit Rm, so the
   scan packs the rows a into 64-bit words and tests 64 of them at once
   against a whole orbit.  Above the decision cap (counted in nominal
-  (a, r, m) triples) it refuses unless the config sets force.  The ring
-  deciders run the same scan over the multiplication table.
+  (a, r, m) triples) it refuses unless the config sets force.  Its scan
+  state builds the table, each test's words (a complement's are its
+  trigger's, inverted) and each word's orbit OR once, on first use.
+  decide_many hands one state to a decide call per property: each still
+  checks the cap before it builds anything and is the unit timed and counted
+  per property.  The ring deciders run the scan over the mul table.
 - replay evaluates a row on given triples through vact/vmul, with nil
   membership by the squared criterion, so nothing is tabulated and no size
   limit applies.  The two witness verifiers are one call into it.
@@ -21,6 +25,7 @@ given a.  Two evaluators read the table:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -113,21 +118,12 @@ def _renders(ring: FiniteRing, target, triple) -> tuple[str, str, str]:
 
 
 class _Property(NamedTuple):
-    """One module property: (a, r, m) violates it when trigger(multiplier(a)
-    * m) holds and violation(a, r * m) does.  Each test takes its
-    evaluator's ops and id arrays, and returns a bool array."""
+    """One module property: (a, r, m) violates it when trigger(a, m) holds
+    and violation(a, r * m) does.  Each test takes its evaluator's ops and
+    id arrays, and returns a bool array."""
 
-    multiplier: Callable
     trigger: Callable
     violation: Callable
-
-
-def _a(ops, a):
-    return a
-
-
-def _a_squared(ops, a):
-    return ops.mul(a, a)
 
 
 def _is_zero(ops, y):
@@ -138,24 +134,37 @@ def _is_nil(ops, y):
     return ops.nil(y)
 
 
-def _ax_nonzero(ops, a, x):
-    return ops.act(a, x) != ops.zero
+class _On(NamedTuple):
+    """The trigger "test holds at a*m", or at a^2*m when squared."""
+
+    test: Callable
+    squared: bool = False
+
+    def __call__(self, ops, a, m):
+        return self.test(ops, ops.act(ops.mul(a, a) if self.squared else a, m))
 
 
-def _ax_not_nil(ops, a, x):
-    return ~ops.nil(ops.act(a, x))
+class _Not(NamedTuple):
+    """The violation "the trigger (one on a*m) fails at (a, x)"."""
+
+    trigger: _On
+
+    def __call__(self, ops, a, x):
+        return ~self.trigger(ops, a, x)
 
 
 def _nonzero_in_image(ops, a, x):
     return (x != ops.zero) & ops.in_image(a, x)
 
 
+_ZERO, _NIL = _On(_is_zero), _On(_is_nil)
+_EVERY_ROW = lambda ops, a, x: np.ones((len(a), 1), dtype=bool)  # its words: the rows' bits
 _PROPERTIES = {
-    PROP_SEMICOMMUTATIVE: _Property(_a, _is_zero, _ax_nonzero),
-    PROP_WEAKLY: _Property(_a, _is_zero, _ax_not_nil),
-    PROP_NIL_SEMI: _Property(_a, _is_nil, _ax_not_nil),
-    PROP_REDUCED_I: _Property(_a_squared, _is_zero, _ax_nonzero),
-    PROP_REDUCED_II: _Property(_a, _is_zero, _nonzero_in_image),
+    PROP_SEMICOMMUTATIVE: _Property(_ZERO, _Not(_ZERO)),
+    PROP_WEAKLY: _Property(_ZERO, _Not(_NIL)),
+    PROP_NIL_SEMI: _Property(_NIL, _Not(_NIL)),
+    PROP_REDUCED_I: _Property(_On(_is_zero, squared=True), _Not(_ZERO)),
+    PROP_REDUCED_II: _Property(_ZERO, _nonzero_in_image),
 }
 MODULE_PROPERTIES = tuple(_PROPERTIES)
 
@@ -173,20 +182,24 @@ def _row(prop: str) -> _Property:
 # The exhaustive scan over an action table
 
 
-class _TableOps:
-    """The scan's ops: products read from the action table, whose rows are
-    every a (a column) and whose columns every x of M; nil flags computed on
-    first use."""
+class _ScanState:
+    """The scan's ops over an action table (rows every a, columns every x of
+    M; a test's x is always every column), and what it builds on first use
+    and keeps for every property decided over it: the table, nil flags,
+    tests' packed masks and orbit ORs."""
 
-    def __init__(self, table: np.ndarray, zero: int, mul, nil_flags):
-        self.table, self.zero, self.mul = table, zero, mul
-        self.rows = np.arange(table.shape[0])[:, None]
-        self.cols = np.arange(table.shape[1])
-        self._nil_flags, self._flags = nil_flags, None
+    def __init__(self, table: Callable, target, ring: FiniteRing, nil_flags: Callable):
+        self._table, self.zero, self.mul = table, target.zero, ring.vmul
+        self.rows, self.cols = np.arange(ring.size), np.arange(target.size)
+        self._nil_flags, self._flags, self._packed, self._orbits = nil_flags, None, {}, {}
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        return self._table()
 
     def act(self, a, x):
-        # every row against every column is the table itself, not a gather
-        return self.table if a is self.rows and x is self.cols else self.table[a, x]
+        # rows of the table: every row is the table itself, not a gather
+        return self.table if a is self.rows else self.table[a]
 
     def nil(self, y):
         if self._flags is None:
@@ -196,91 +209,110 @@ class _TableOps:
         return self._flags[y.astype(np.intp)]
 
     def in_image(self, a, x):
-        """x in aM, for a column a of rows and a row x of ids."""
-        rows = self.act(a, self.cols)
-        image = np.zeros(rows.shape, dtype=bool)
-        np.put_along_axis(image, rows, True, axis=1)
-        return image[:, x]
+        """x in aM, for the rows a and every x: set at each flat (a, a*x)."""
+        at = self.act(a, x).astype(np.intp)
+        at += np.arange(0, at.size, at.shape[1])[:, None]
+        image = np.zeros(at.size, dtype=bool)
+        image[at.ravel()] = True
+        return image.reshape(at.shape)
+
+    def packed(self, test):
+        """(mask, words): a test at every row a and column, and its words (see
+        _lanes); a _Not's are its trigger's inverted within the rows."""
+        if test not in self._packed:
+            if isinstance(test, _Not):
+                mask, words = self.packed(test.trigger)
+                self._packed[test] = ~mask, ~words & self.packed(_EVERY_ROW)[1]
+            else:
+                mask = test(self, self.rows, self.cols)
+                self._packed[test] = mask, _lanes(mask)
+        return self._packed[test]
+
+    def orbit(self, violation, w: int) -> np.ndarray:
+        """Entry m: the OR of the violation's word w over the orbit Rm, in
+        blocks of columns sized in bytes (8 a cell each for index and word)."""
+        if (violation, w) not in self._orbits:
+            lane, act = self.packed(violation)[1][:, w].copy(), self.table
+            out = self._orbits[violation, w] = np.empty_like(lane)
+            for lo, hi in row_blocks(len(lane), 8 * len(act)):
+                out[lo:hi] = np.bitwise_or.reduce(lane[act[:, lo:hi].astype(np.intp)], axis=0)
+        return self._orbits[violation, w]
+
+    def least_violation(self, row: _Property):
+        """Least violation (a, m, r) of a property row, or None.  (a, m)
+        violates iff the trigger holds there and the violation at (a, r*m)
+        for some r, so a word of the trigger AND the violation's orbit OR
+        tests 64 rows at once: |R| |M| ceil(|R|/64) words gathered, never
+        more than a gather per triple's |R|^2 |M| cells.  Words run in order
+        and stop at the first hit: its least row, then column, is the least
+        (a, m), and the least r the first violated cell of a's row at
+        act[:, m].  A packed mask takes 8 ceil(|R|/64) bytes a column, at
+        most the int32 table's 4 |R| once |R| >= 2."""
+        hot = self.packed(row.trigger)[1]
+        for w in range(hot.shape[1]):
+            hit = _least_bit(hot[:, w] & self.orbit(row.violation, w))
+            if hit is not None:
+                a, m = 64 * w + hit[0], hit[1]
+                return a, m, int(self.packed(row.violation)[0][a, self.table[:, m]].argmax())
+        return None
 
 
 def _lanes(mask: np.ndarray) -> np.ndarray:
     """The columns of a bool mask as bit sets over its rows: entry [x, w]
-    holds mask[64w:64w+64, x] in a uint64 word whose byte j, bit i, is row
-    64w + 8j + i (see _least_bit); rows padded with zero bits to a multiple
+    holds mask[64w:64w+64, x] in a little-endian uint64 word whose bit k is
+    row 64w + k, on any platform; rows padded with zero bits to a multiple
     of 64."""
     packed = np.packbits(np.ascontiguousarray(mask.T), axis=1, bitorder="little")
     out = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
     out[:, :packed.shape[1]] = packed
-    return out.view(np.uint64)
-
-
-def _scan(ops: _TableOps, row: _Property):
-    """Least violation (a, m, r) of a property row over the table, or None.
-
-    The trigger hot[a, m] and bad[a, x] (the violation test on x = r*m) are
-    evaluated once, for every row a over all of M, and packed along a: one
-    uint64 word holds a column's bits for 64 rows.  (a, m) violates iff
-    hot[a, m] and bad[a, r*m] for some r, so OR-ing bad's words at act[:, m]
-    over r tests 64 rows at once against the whole orbit Rm.  That gathers
-    |R| |M| ceil(|R|/64) words where a gather per triple visits |R|^2 |M|
-    cells: never more, on any shape of table, so there is no other path.
-    Words of rows run in order and stop at the first with a hit; its least
-    row, then least column, is the least (a, m), and the least r is the
-    first bad cell of a's row at act[:, m].
-
-    Memory: the two packed masks take 8 ceil(|R|/64) bytes a column, at most
-    the int32 table's 4 |R| once |R| >= 2; a block's index and gathered
-    words take 8 bytes a cell each, so blocks are sized in bytes."""
-    act, a, every = ops.table, ops.rows, ops.cols
-    hot = row.trigger(ops, ops.act(row.multiplier(ops, a), every))
-    bad = row.violation(ops, a, every)
-    hot_words, bad_words = _lanes(hot), _lanes(bad)
-    for w in range(hot_words.shape[1]):
-        hits, lane = hot_words[:, w].copy(), bad_words[:, w].copy()
-        for lo, hi in row_blocks(len(hits), 8 * len(act)):
-            hits[lo:hi] &= np.bitwise_or.reduce(lane[act[:, lo:hi].astype(np.intp)], axis=0)
-        hit = _least_bit(hits)
-        if hit is not None:
-            a, m = 64 * w + hit[0], hit[1]
-            return a, m, int(bad[a, act[:, m]].argmax())
-    return None
+    return out.view("<u8")
 
 
 def _least_bit(words: np.ndarray):
     """(bit, index): the least bit set in any of the words, as packed by
     _lanes, then the least word with it; or None."""
-    if not words.any():
+    top = int(np.bitwise_or.reduce(words))
+    if not top:
         return None
-    bit = int(np.unpackbits(np.bitwise_or.reduce(words).reshape(1).view(np.uint8),
-                            bitorder="little").argmax())
-    byte = words.view(np.uint8).reshape(len(words), 8)[:, bit // 8]
-    return bit, int(np.flatnonzero(byte >> (bit % 8) & 1)[0])
+    bit = (top & -top).bit_length() - 1
+    return bit, int(np.flatnonzero(words >> bit & 1)[0])
 
 
-def decide(module: FiniteModule, prop: str,
-           config: EngineConfig | None = None) -> Verdict:
+def _module_scan(module: FiniteModule, cfg: EngineConfig) -> _ScanState:
+    return _ScanState(module.act_table, module, module.ring, lambda: nil_set(module, cfg).flags)
+
+
+def decide(module: FiniteModule, prop: str, config: EngineConfig | None = None,
+           scan: _ScanState | None = None) -> Verdict:
     """Decide one module property by exhaustive scan; above the decision cap
-    it refuses with DecisionCapError unless the config sets force."""
+    it refuses with DecisionCapError unless the config sets force.  scan is
+    decide_many's shared state; without one, decide builds its own."""
     cfg = resolve(config, module)
-    row = _row(prop)
-    desc = module.descriptor
+    row, desc = _row(prop), module.descriptor
     triples = module.ring.size ** 2 * module.size
     cfg.refuse_above_cap(triples, f"{desc}: {prop} scan of {triples} (a, r, m) triples")
-    act = module.act_table()
-    hit = _scan(_TableOps(act, module.zero, module.ring.vmul,
-                          lambda: nil_set(module, cfg).flags), row)
+    scan = scan or _module_scan(module, cfg)
+    hit = scan.least_violation(row)
     if hit is None:
         return Verdict(prop, True, METHOD_EXHAUSTIVE, None, desc)
     a, m, r = hit
     expl = ""
     if prop == PROP_REDUCED_II:
         # r*m = a*x != 0 for the least such x
-        w = int(act[r, m])
-        x = int(np.flatnonzero(act[a] == w)[0])
+        w = int(scan.table[r, m])
+        x = int(np.flatnonzero(scan.table[a] == w)[0])
         expl = f"a*x = r*m = {module.render(w)} != 0 with x = {module.render(x)}"
     return Verdict(prop, False, METHOD_EXHAUSTIVE, (a, r, m), desc,
                    explanation=expl,
                    witness_render=_renders(module.ring, module, (a, r, m)))
+
+
+def decide_many(module: FiniteModule, props, config: EngineConfig | None = None) -> list[Verdict]:
+    """decide(module, p, config) for each p in props, in order, over one
+    scan state whose masks the properties share (see the module docstring)."""
+    cfg = resolve(config, module)
+    scan = _module_scan(module, cfg)
+    return [decide(module, prop, cfg, scan=scan) for prop in props]
 
 
 def is_semicommutative(module, config=None) -> Verdict:
@@ -313,9 +345,8 @@ def _decide_ring(ring: FiniteRing, prop: str,
     cfg = resolve(config, ring)
     desc = ring.descriptor
     cfg.refuse_above_cap(ring.size ** 3, f"{desc}: {prop} scan of {ring.size ** 3} triples")
-    hit = _scan(_TableOps(ring.mul_table(), ring.zero, ring.vmul,
-                          lambda: nil_ring_set(ring, cfg)),
-                _PROPERTIES[_RING_ROWS[prop]])
+    hit = _ScanState(ring.mul_table, ring, ring, lambda: nil_ring_set(ring, cfg)).least_violation(
+        _PROPERTIES[_RING_ROWS[prop]])
     if hit is None:
         return Verdict(prop, True, METHOD_EXHAUSTIVE, None, desc)
     a, b, r = hit
@@ -364,7 +395,7 @@ def replay(module: FiniteModule, prop: str, a, r, m) -> np.ndarray:
     a, r, m = np.asarray(a), np.asarray(r), np.asarray(m)
     module.ring.check_ids(a, r)
     module.check_ids(m)
-    hot = np.flatnonzero(row.trigger(ops, ops.act(row.multiplier(ops, a), m)))
+    hot = np.flatnonzero(row.trigger(ops, a, m))
     out = np.zeros(len(a), dtype=bool)
     out[hot] = row.violation(ops, a[hot], ops.act(r[hot], m[hot]))
     return out

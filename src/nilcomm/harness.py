@@ -23,10 +23,10 @@ from .config import EngineConfig, resolve
 from .deciders import (
     PROP_NIL_SEMI,
     PROP_SEMICOMMUTATIVE,
+    PROP_WEAKLY,
     TRIPLE_KINDS,
+    decide_many,
     is_nil_semicommutative,
-    is_semicommutative,
-    is_weakly_semicommutative,
     replay,
     ring_is_nil_semicommutative,
     triple_witness,
@@ -84,6 +84,7 @@ from .rings import (
 
 
 DEFAULT_SAMPLES = 1000
+_SEMI_WEAK_NIL = (PROP_SEMICOMMUTATIVE, PROP_WEAKLY, PROP_NIL_SEMI)
 
 
 @dataclass(frozen=True)
@@ -304,9 +305,7 @@ def check_example_zpn(p: int, n: int, config: EngineConfig | None = None) -> Che
     if n < 2:
         raise InvalidParameterError("the prime-power split needs n >= 2")
     module = _reg_zn(p ** n, cfg)
-    semi = is_semicommutative(module, cfg)
-    weak = is_weakly_semicommutative(module, cfg)
-    nil = is_nil_semicommutative(module, cfg)
+    semi, weak, nil = decide_many(module, _SEMI_WEAK_NIL, cfg)
     pinned = (1, p ** (n - 1) % p ** n, 1)
     pinned_ok = verify_not_nil_semicommutative_witness(module, *pinned)
     ok = (semi.holds is True and weak.holds is True and nil.holds is False
@@ -341,8 +340,7 @@ def check_example_matrix(shape_n: int, base_size: int,
     detail: dict = {}
     if shape_n == 2:
         module = _mat_mod(FULL, 2, base_size, cfg)
-        nil = is_nil_semicommutative(module, cfg)
-        semi = is_semicommutative(module, cfg)
+        nil, semi = decide_many(module, (PROP_NIL_SEMI, PROP_SEMICOMMUTATIVE), cfg)
         detail["full"] = {
             "descriptor": module.descriptor,
             "nil_semicommutative": nil.to_json_dict(),
@@ -466,11 +464,9 @@ def check_torsion_free_props(module: FiniteModule,
                          "reason": "module is not torsion-free"})
     nils = nil_set(module, cfg)
     nil_trivial = nils.members() == [module.zero]
-    verdicts = {
-        "semicommutative": is_semicommutative(module, cfg),
-        "nil_semicommutative": is_nil_semicommutative(module, cfg),
-        "weakly_semicommutative": is_weakly_semicommutative(module, cfg),
-    }
+    verdicts = dict(zip(
+        ("semicommutative", "nil_semicommutative", "weakly_semicommutative"),
+        decide_many(module, (PROP_SEMICOMMUTATIVE, PROP_NIL_SEMI, PROP_WEAKLY), cfg)))
     all_hold = all(v.holds is True for v in verdicts.values())
     detail = {
         "descriptor": module.descriptor,
@@ -743,9 +739,7 @@ def _nil_module_properties(cfg: EngineConfig) -> CheckReport:
         if not is_nil_module(module, cfg):
             return {"descriptor": module.descriptor,
                     "reason": "not a nil module, skipped"}, None
-        semi = is_semicommutative(module, cfg)
-        weak = is_weakly_semicommutative(module, cfg)
-        nil = is_nil_semicommutative(module, cfg)
+        semi, weak, nil = decide_many(module, _SEMI_WEAK_NIL, cfg)
         entry = {
             "descriptor": module.descriptor,
             "nil_module": True,

@@ -51,7 +51,7 @@ class FiniteModule(FiniteStructure):
     the ring's action act.  shares_ring_ops marks one sealed with its ring's
     own operations and tables (the regular module)."""
 
-    _kind = "module"
+    _kind, _product = "module", "vact"
     shares_ring_ops = False
 
     def __init__(self, ring: FiniteRing, size: int, descriptor: str,
@@ -69,10 +69,12 @@ class FiniteModule(FiniteStructure):
             self.vmatact = ring.vmatmul
             self.tabulated = ring.tabulated
         else:
-            self.vact = self._bind(ring.size, self._vact,
-                                   max(self.size, ring.size) <= self.config.tabulate_threshold)
+            self._bind(ring.size, max(self.size, ring.size) <= self.config.tabulate_threshold)
         if validate:
             check_module_axioms(self)
+
+    def vact(self, r, m):
+        return self._vact(r, m)
 
     vmatact = FiniteStructure._grid_product
     act_table = FiniteStructure._product_table

@@ -250,22 +250,26 @@ class FiniteStructure:
         self._product_rows = None
         self._generators = None
 
-    def _bind(self, rows: int, vproduct, tabulate: bool):
-        """Bind vadd and vneg, and return the vectorized product, whose left
-        operand is an id below rows: over int32 tables when tabulate, else
-        the structural ops (vproduct the product's)."""
-        self._left_size, self._vproduct = rows, vproduct
+    # the structural ops, read through the class: a bound method kept on the
+    # instance would be a reference cycle, freed only by the cyclic collector
+    def vadd(self, a, b):
+        return self._vadd(a, b)
+
+    def vneg(self, a):
+        return self._vneg(a)
+
+    def _bind(self, rows: int, tabulate: bool) -> None:
+        """Over int32 tables when tabulate, shadow vadd, vneg and the product
+        (named by _product; its left operand an id below rows) by table
+        reads; else the structural ops serve."""
+        self._left_size, self.tabulated = rows, tabulate
         if tabulate:
             add = self.add_table()
             prod = self._tabulate_product()
             neg = self._vneg(np.arange(self.size)).astype(np.int32)
             self._add_rows, self._product_rows = add, prod
-            self.vadd, vproduct, self.vneg = ((lambda a, b: add[a, b]),
-                                              (lambda a, b: prod[a, b]), neg.__getitem__)
-        else:
-            self.vadd, self.vneg = self._vadd, self._vneg
-        self.tabulated, self._vproduct = tabulate, vproduct
-        return vproduct
+            self.vadd, self.vneg = (lambda a, b: add[a, b]), neg.__getitem__
+            setattr(self, self._product, lambda a, b: prod[a, b])
 
     def add(self, a: int, b: int) -> int:
         return int(self.vadd(a, b))
@@ -282,7 +286,7 @@ class FiniteStructure:
     def _grid_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Products of entry grids, (..., n, k) x (..., k, p) id arrays, under
         this structure's + and product; a module's left grid holds ring ids."""
-        products = self._vproduct(a[..., :, :, None], b[..., None, :, :])
+        products = getattr(self, self._product)(a[..., :, :, None], b[..., None, :, :])
         return reduce(self.vadd, np.moveaxis(products, -2, 0))
 
     def add_table(self) -> np.ndarray:
@@ -313,7 +317,8 @@ class FiniteStructure:
     def _tabulate_product(self) -> np.ndarray:
         """Build the product table from the structural product; a layout
         that defines its product by smaller tables overrides this."""
-        return op_table(self._vproduct, self._left_size, self.size, self._pair_cells)
+        return op_table(getattr(self, self._product), self._left_size, self.size,
+                        self._pair_cells)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -344,7 +349,7 @@ class FiniteRing(FiniteStructure):
     the add and mul tables its check range-checked and found + commutative
     on."""
 
-    _kind = "ring"
+    _kind, _product = "ring", "vmul"
     one: int
     laws_scanned = False
     laws_exact = False
@@ -356,9 +361,12 @@ class FiniteRing(FiniteStructure):
             raise InvalidParameterError(
                 f"{self.descriptor}: the trivial ring (0 = 1) is rejected"
             )
-        self.vmul = self._bind(self.size, self._vmul, self.size <= self.config.tabulate_threshold)
+        self._bind(self.size, self.size <= self.config.tabulate_threshold)
         if validate:
             check_ring_axioms(self)
+
+    def vmul(self, a, b):
+        return self._vmul(a, b)
 
     vmatmul = FiniteStructure._grid_product
     mul_table = FiniteStructure._product_table

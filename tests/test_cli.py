@@ -232,7 +232,7 @@ def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(*args):
         raise ValueError("planted fault")
 
-    monkeypatch.setattr(cli, "decide", broken)
+    monkeypatch.setattr(cli, "decide_many", broken)
     with pytest.raises(ValueError, match="planted fault"):
         main(["classify", "regular(Z(4))"])
 
@@ -267,6 +267,20 @@ def test_search_notes_capped_instances(capsys):
     doc = json.loads(out)
     skipped = [e for e in doc["results"] if "skipped" in e]
     assert skipped and "exceeds cap" in skipped[0]["skipped"]
+
+
+def test_search_refuses_each_capped_instance_with_its_first_propertys_scan(capsys):
+    # Z(n) for n >= 11 has n^3 > 1000 (a, r, m) triples: the instance is
+    # skipped with the refusal of the first property searched, before any
+    # property of it is decided
+    code, out, _ = run_cli(capsys, "search", "zn", "--n", "2..64",
+                           "--pattern", "semicommutative", "--cap", "1000", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert [e["skipped"] for e in doc["results"] if "skipped" in e] == [
+        f"regular(Z({n})): semicommutative scan of {n ** 3} (a, r, m) triples exceeds "
+        "cap 1000; re-run with force to override" for n in range(11, 65)]
+    assert doc["matches"] == [f"regular(Z({n}))" for n in range(2, 11)]
 
 
 def test_invalid_cap_env_value(capsys, monkeypatch):

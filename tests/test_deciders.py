@@ -13,6 +13,7 @@ from nilcomm import (
     is_semicommutative,
     is_weakly_semicommutative,
     cyclic_submodule,
+    elaborate_text,
     make_matrix_ring,
     make_zn,
     MatrixShape,
@@ -23,7 +24,8 @@ from nilcomm import (
     verify_not_nil_semicommutative_witness,
 )
 from nilcomm.config import DEFAULT_CONFIG
-from nilcomm.deciders import MODULE_PROPERTIES, PROP_NIL_SEMI, PROP_SEMICOMMUTATIVE, decide
+from nilcomm.deciders import (MODULE_PROPERTIES, PROP_NIL_SEMI, PROP_SEMICOMMUTATIVE, decide,
+                              decide_many)
 from nilcomm.rings import FULL, UPPER
 
 from conftest import mat_mod, zn_module
@@ -134,6 +136,29 @@ def test_printed_m4z2_witness_replays_above_cap(m4z2_module):
 def test_exhaustive_mode_raises_above_cap(m4z2_module):
     with pytest.raises(DecisionCapError):
         decide(m4z2_module, PROP_SEMICOMMUTATIVE)
+
+
+def test_decide_many_refuses_above_the_cap_before_building_a_table():
+    # 16^3 nominal triples past a cap of 100: the first property's refusal,
+    # as a loop of decide raises it, and no action table built
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0, decision_cap=100)
+    module = elaborate_text("matmod(2, regular(Z(2)))", cfg)
+    assert not module.tabulated
+    props = [PROP_NIL_SEMI, PROP_SEMICOMMUTATIVE, PROP_NIL_SEMI]
+    with pytest.raises(DecisionCapError) as many:
+        decide_many(module, props)
+    with pytest.raises(DecisionCapError) as loop:
+        [decide(module, p) for p in props]
+    assert str(many.value) == str(loop.value) == (
+        "matmod(2, regular(Z(2))): nil-semicommutative scan of 4096 (a, r, m) triples "
+        "exceeds cap 100; re-run with force to override")
+    # an unknown first property is refused as a loop of decide refuses it
+    with pytest.raises(InvalidParameterError, match="unknown module property"):
+        decide_many(module, ["no-such-property", PROP_SEMICOMMUTATIVE])
+    assert module._product_rows is None
+    forced = cfg.with_overrides(force=True)
+    assert decide_many(module, props, forced) == [decide(module, p, forced) for p in props]
+    assert module._product_rows is not None
 
 
 def test_ring_deciders():

@@ -19,7 +19,7 @@ from nilcomm import (
     torsion_sets,
 )
 from nilcomm.config import DEFAULT_CONFIG
-from nilcomm.deciders import MODULE_PROPERTIES, decide
+from nilcomm.deciders import MODULE_PROPERTIES, decide, decide_many
 from nilcomm.harness import _light_config
 
 from conftest import zn_module
@@ -188,6 +188,25 @@ def test_a_decided_module_is_freed_without_the_cyclic_collector(expr):
         torsion_sets(module)
         gone = weakref.ref(module)
         del module
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("expr", ["Z(4)", "M(2, Z(4))", "matmod(2, regular(Z(4)))"])
+def test_an_untabulated_structure_is_freed_without_the_cyclic_collector(expr):
+    # its structural ops are its class's hooks, not bound methods of itself
+    # kept on it, so dropping it frees it at once, also after a decision has
+    # built its product table
+    structure = elaborate_text(expr, DEFAULT_CONFIG.with_overrides(tabulate_threshold=0))
+    assert not structure.tabulated
+    gc.disable()
+    try:
+        if hasattr(structure, "ring"):
+            decide_many(structure, MODULE_PROPERTIES)
+        assert structure.add(structure.zero, structure.zero) == structure.zero
+        gone = weakref.ref(structure)
+        del structure
         assert gone() is None
     finally:
         gc.enable()

@@ -5,6 +5,8 @@ the DSL, under about 256 elements) with a fixed derandomized example list,
 so the suite stays deterministic.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -18,8 +20,9 @@ from nilcomm import (
     ring_is_semicommutative,
     torsion_sets,
 )
+from nilcomm import deciders
 from nilcomm.config import DEFAULT_CONFIG
-from nilcomm.deciders import MODULE_PROPERTIES, decide, replay
+from nilcomm.deciders import MODULE_PROPERTIES, decide, decide_many, replay
 
 # (a, r, m) triples the oracle's plain loops visit per property
 TRIPLE_BUDGET = 1 << 15
@@ -162,3 +165,58 @@ def test_engine_matches_oracle(expr):
                 (ring_is_nil_semicommutative, "nil-semicommutative", ring_nil)):
             want = oracle.least_violation(mul, mul, ring.zero, prop, flags)
             assert decider(ring).witness == want
+
+
+# every subset of the five properties in every order, each with its first
+# property repeated at the end
+ORDERS = [[*props, *props[:1]] for k in range(len(MODULE_PROPERTIES) + 1)
+          for props in itertools.permutations(MODULE_PROPERTIES, k)]
+
+# the 136-element ring on its 8-element quotient: least witnesses in rows 68
+# (the second word of rows) and 34 (the first)
+QUOT136 = ("quot(regular(prod(T(2, Z(2)), Z(17))), "
+           "gen(regular(prod(T(2, Z(2)), Z(17))), {1}))")
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(modules())
+@example(QUOT136)
+# 68 rows a, two words: semicommutativity holds over both, the nil,
+# reduced-i and reduced-ii scans stop in the first
+@example("regular(prod(Z(4), Z(17)))")
+def test_decide_many_is_a_loop_of_decide(expr):
+    # the shared state is built afresh for each order, so each property
+    # reads masks and orbit words that the ones before it built; the loop
+    # it must equal is the oracle's least witnesses
+    module = elaborate_text(expr)
+    nr, nm = module.ring.size, module.size
+    assume(nr * nr * nm <= 1 << 19)
+    want = {prop: decide(module, prop) for prop in MODULE_PROPERTIES}
+    act, mul, zero = oracle.tables(module)
+    nil = oracle.nil_flags(act, zero)
+    assert [want[p].witness for p in MODULE_PROPERTIES] == [
+        oracle.least_violation(act, mul, zero, p, nil) for p in MODULE_PROPERTIES]
+    for props in ORDERS:
+        assert decide_many(module, props) == [want[p] for p in props], props
+    ring = module.ring
+    if ring.size ** 3 <= 1 << 19:
+        mul = ring.mul_table().tolist()
+        ring_nil = oracle.ring_nil_flags(mul, ring.zero)
+        for decider, prop in ((ring_is_semicommutative, "semicommutative"),
+                              (ring_is_nil_semicommutative, "nil-semicommutative")):
+            assert decider(ring).witness == oracle.least_violation(
+                mul, mul, ring.zero, prop, ring_nil), prop
+
+
+def test_complement_words_equal_packing_the_violation():
+    # a*x != 0 and a*x not nil reuse their triggers' words complemented, with
+    # the padding rows of the last word cleared: the same words as packing
+    # the violation itself.  The verdicts cannot show the padding (a
+    # trigger's padding bits are zero), so the words are compared here
+    module = elaborate_text(QUOT136)
+    scan = deciders._module_scan(module, module.config)
+    for prop in MODULE_PROPERTIES:
+        violation = deciders._PROPERTIES[prop].violation
+        words = deciders._lanes(violation(scan, scan.rows, scan.cols))
+        assert np.array_equal(scan.packed(violation)[1], words), prop
