@@ -34,10 +34,8 @@ from .deciders import (
 )
 from .dsl import elaborate, parse_structure
 from .errors import InvalidParameterError, NilcommError, ParseError
-from .harness import HarnessOptions, exit_code, registered_ids, run_all
 from .modules import FiniteModule
 from .nilpotency import nil_set
-from .reports import REFUTED, SKIPPED
 
 DEFAULT_CLASSIFY = (PROP_SEMICOMMUTATIVE, PROP_WEAKLY, PROP_NIL_SEMI, PROP_REDUCED_I)
 
@@ -102,11 +100,6 @@ def _render_classify(doc: dict):
 
 def cmd_classify(args) -> int:
     cfg = _config_from_args(args)
-    start = time.perf_counter()
-    module = elaborate(parse_structure(args.expr), cfg)
-    if not isinstance(module, FiniteModule):
-        raise NilcommError(
-            f"classify wants a module expression, got {module.descriptor}")
     props = DEFAULT_CLASSIFY
     if args.properties:
         props = tuple(p.strip() for p in args.properties.split(","))
@@ -115,6 +108,11 @@ def cmd_classify(args) -> int:
                 raise NilcommError(
                     f"unknown property {p!r}; choose from "
                     f"{', '.join(MODULE_PROPERTIES)}")
+    start = time.perf_counter()
+    module = elaborate(parse_structure(args.expr), cfg)
+    if not isinstance(module, FiniteModule):
+        raise NilcommError(
+            f"classify wants a module expression, got {module.descriptor}")
     results = [verdict.to_json_dict() for verdict in decide_many(module, props, cfg)]
     nils = nil_set(module, cfg)
     results.append({
@@ -179,11 +177,19 @@ def _render_verify(doc: dict):
 
 
 def cmd_verify_paper(args) -> int:
+    # the registry loads here, the one command that runs it; its functions
+    # are read off the module at call time, where a profiler wraps them
+    from . import harness
+    from .reports import REFUTED, SKIPPED
+
     cfg = _config_from_args(args)
-    opts = HarnessOptions(nmax=args.nmax, samples=args.samples)
+    # the harness owns the defaults of the options left out
+    defaults = harness.HarnessOptions
+    opts = defaults(nmax=defaults.nmax if args.nmax is None else args.nmax,
+                    samples=defaults.samples if args.samples is None else args.samples)
     only = [c.strip() for c in args.only.split(",")] if args.only else None
     start = time.perf_counter()
-    reports = run_all(cfg, opts, only)
+    reports = harness.run_all(cfg, opts, only)
     runtime = int((time.perf_counter() - start) * 1000)
     results = [r.to_json_dict(timing=args.timing) for r in reports]
     summary = {
@@ -195,7 +201,7 @@ def cmd_verify_paper(args) -> int:
     doc = _document(selection, results, runtime, args.timing)
     doc["summary"] = summary
     _emit(doc, args.format, _render_verify)
-    return exit_code(reports)
+    return harness.exit_code(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nilset)
 
     p = subs.add_parser("verify-paper", help="run the named claim registry")
-    p.add_argument("--only", default=None,
-                   help="comma-separated check ids; known ids: "
-                        + ", ".join(registered_ids()))
-    p.add_argument("--nmax", type=int, default=HarnessOptions.nmax,
+    p.add_argument("--only", default=None, help="comma-separated check ids")
+    p.add_argument("--nmax", type=int, default=None,
                    help="upper modulus for the square-free check (at least 2)")
-    p.add_argument("--samples", type=int, default=HarnessOptions.samples,
+    p.add_argument("--samples", type=int, default=None,
                    help="random nonzero elements on which the 4x4 matrix nil "
                         "checks replay the single-unit witness (at least 1)")
     _add_common(p)

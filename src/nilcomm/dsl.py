@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 from .config import EngineConfig, resolve
 from .errors import ParseError
-from .localization import localize_module, localize_ring, multiplicative_closure
 from .modules import (
     cyclic_submodule,
     induced_module,
@@ -67,6 +66,19 @@ def _matrix_module(shape: str) -> tuple:
         MatrixShape(shape, n), base.ring, base, cfg)
 
 
+# localization loads when a loc or locmod expression is first built
+def _loc(cfg, ring, gens):
+    from . import localization
+    return localization.localize_ring(
+        ring, localization.multiplicative_closure(ring, gens, cfg), cfg)
+
+
+def _locmod(cfg, module, gens):
+    from . import localization
+    return localization.localize_module(
+        module, localization.multiplicative_closure(module.ring, gens, cfg), cfg)
+
+
 # name -> (result kind, argument kinds, builder); a trailing "*" repeats the
 # kind before it.  A builder takes the config and the built arguments, and
 # looks its constructor up by name when called, so it calls whatever the
@@ -81,8 +93,7 @@ _CONSTRUCTORS: dict[str, tuple] = {
              lambda cfg, *rings: make_product_ring(list(rings), cfg)),
     "polyq": (RING, (RING, INT),
               lambda cfg, base, n: make_poly_quotient_ring(base, n, cfg)),
-    "loc": (RING, (RING, SET), lambda cfg, base, gens: localize_ring(
-        base, multiplicative_closure(base, gens, cfg), cfg)),
+    "loc": (RING, (RING, SET), _loc),
     "zred": (HOM, (INT, INT), lambda cfg, m, n: zn_reduction_hom(m, n, cfg)),
     "idhom": (HOM, (RING,), lambda cfg, ring: identity_hom(ring)),
     "regular": (MODULE, (RING,), lambda cfg, ring: regular_module(ring, cfg)),
@@ -98,8 +109,7 @@ _CONSTRUCTORS: dict[str, tuple] = {
             lambda cfg, module, gens: submodule_generated(module, gens, cfg)),
     "quot": (MODULE, (MODULE, MODULE),
              lambda cfg, parent, sub: quotient_module(parent, sub, cfg)),
-    "locmod": (MODULE, (MODULE, SET), lambda cfg, module, gens: localize_module(
-        module, multiplicative_closure(module.ring, gens, cfg), cfg)),
+    "locmod": (MODULE, (MODULE, SET), _locmod),
     "induced": (MODULE, (HOM, MODULE),
                 lambda cfg, hom, module: induced_module(hom, module, cfg)),
 }

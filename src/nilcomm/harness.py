@@ -946,7 +946,8 @@ def run_all(config: EngineConfig | None = None,
     if only:
         unknown = [cid for cid in only if cid not in _REGISTRY]
         if unknown:
-            raise InvalidParameterError(f"unknown check ids: {', '.join(unknown)}")
+            raise InvalidParameterError(f"unknown check ids: {', '.join(unknown)}; "
+                                        f"known ids: {', '.join(ids)}")
         ids = [cid for cid in ids if cid in set(only)]
     with interning():
         return [run_check(cid, config, options) for cid in ids]

@@ -66,6 +66,17 @@ def test_threads_flag_is_a_usage_error(capsys):
         DEFAULT_CONFIG.with_overrides(threads=2)
 
 
+def test_classify_checks_properties_before_building(capsys, monkeypatch):
+    def planted(*args):
+        raise AssertionError("elaborated before the properties were checked")
+
+    monkeypatch.setattr(cli, "elaborate", planted)
+    code, out, err = run_cli(capsys, "classify", "regular(M(2, Z(6)))",
+                             "--properties", "semicommutative,bogus")
+    assert (code, out) == (1, "")
+    assert err.startswith("nilcomm: error: unknown property 'bogus'; choose from ")
+
+
 def test_classify_timing_flag(capsys):
     _, out, _ = run_cli(capsys, "classify", "regular(Z(4))", "--format", "json",
                         "--timing")
@@ -133,18 +144,26 @@ def test_verify_paper_selection_and_exit_codes(capsys):
     assert code == 1
 
 
-def test_verify_paper_defaults_are_the_harness_options(monkeypatch):
-    from nilcomm.harness import HarnessOptions
+def test_verify_paper_defaults_are_the_harness_options(capsys, monkeypatch):
+    from nilcomm import harness
 
-    args = build_parser().parse_args(["verify-paper"])
-    assert (args.nmax, args.samples) == (HarnessOptions().nmax, HarnessOptions().samples)
+    handed = []
+    monkeypatch.setattr(harness, "run_all",
+                        lambda cfg, opts, only: handed.append(opts) or [])
+    assert main(["verify-paper"]) == 0
+    assert handed == [harness.HarnessOptions()]
     # one owner: a moved harness default moves the option's default with it
-    monkeypatch.setattr(HarnessOptions, "nmax", 77)
-    build_parser.cache_clear()
-    try:
-        assert build_parser().parse_args(["verify-paper"]).nmax == 77
-    finally:
-        build_parser.cache_clear()
+    monkeypatch.setattr(harness.HarnessOptions, "nmax", 77)
+    assert main(["verify-paper", "--samples", "5"]) == 0
+    assert handed[1:] == [harness.HarnessOptions(nmax=77, samples=5)]
+    capsys.readouterr()
+
+
+def test_verify_paper_unknown_check_id_names_the_known_ones(capsys):
+    code, out, err = run_cli(capsys, "verify-paper", "--only", "missing_check")
+    assert (code, out) == (1, "")
+    assert "unknown check ids: missing_check; known ids: " in err
+    assert "lemma_squarefree" in err
 
 
 @pytest.mark.parametrize("argv", [
