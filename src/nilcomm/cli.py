@@ -23,7 +23,7 @@ import sys
 import time
 
 from . import __version__
-from .config import DEFAULT_CONFIG, cap_from_env
+from .config import DEFAULT_CONFIG, EngineConfig, cap_from_env
 from .deciders import (
     MODULE_PROPERTIES,
     PROP_NIL_SEMI,
@@ -43,7 +43,7 @@ _CHECK = "✓"
 _CROSS = "✗"
 
 
-def _config_from_args(args) -> "EngineConfig":
+def _config_from_args(args) -> EngineConfig:
     cap = cap_from_env(None)
     if args.cap is not None:
         cap = args.cap

@@ -21,21 +21,20 @@ class EngineConfig:
     construction_cap: largest element count a constructor may produce.
     decision_cap: largest step count an exhaustive scan may visit: (a, r, m)
         triples for a decision, element pairs for derived sets, nil and
-        torsion sets and hom checks, triples for full axiom scans, relation
-        checks for fractions, k * max(k, |R|) pairs for the closure scan of
-        a k-member submodule and for each pass of gen's closure loop, and
-        |M| * max(|M|, |R|) pairs for a quotient's coset scans.  Past it the
-        scan refuses with DecisionCapError (see refuse_above_cap).
+        torsion sets and hom checks, relation checks for fractions,
+        k * max(k, |R|) pairs for the closure scan of a k-member submodule
+        and for each pass of gen's closure loop, and |M| * max(|M|, |R|)
+        pairs for a quotient's coset scans.  Past it the scan refuses with
+        DecisionCapError (see refuse_above_cap).  The exact axiom check
+        counts against it too, and past it samples instead.
     tabulate_threshold: structures up to this size (a module's ring too)
         store int32 operation tables; larger ones compute operations per
         call and materialize a table only for an exhaustive scan.
-    full_check_budget: budget of the exact axiom checks at construction:
-        the full scan's max(|R|^2|M|, |R||M|^2, |M|^3) triples, else, for a
-        tabulated structure, the generator proof's |G|(|M|^2 + |R||M| +
-        2|R|^2) cells (G the additive generators).
+    full_check_budget: budget of the exact axiom check at construction: a
+        structure is checked exactly when |G| max(|M|^2, |R||M|, |R|^2) (G
+        its additive generators) fits it and the decision cap.
     validation_samples: sampled axiom triples per law family (one for
-        rings, three for modules) used where neither exact check fits, or
-        the proof fails.
+        rings, three for modules) used where the exact check does not fit.
     seed: base seed for every sampled procedure.
     force: lift every decision-cap refusal.
     """

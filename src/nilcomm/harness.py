@@ -117,8 +117,10 @@ def registered_ids() -> list[str]:
 
 
 def _light_config(cfg: EngineConfig) -> EngineConfig:
-    # bulk loops over many throwaway rings: skip tables, trim sampling
-    return cfg.with_overrides(tabulate_threshold=0, validation_samples=64)
+    # bulk loops over many throwaway rings: skip tables, trim sampling, and
+    # check Z(n) exactly only up to n = 40
+    return cfg.with_overrides(tabulate_threshold=0, validation_samples=64,
+                              full_check_budget=40 ** 2)
 
 
 def _reg_zn(n: int, cfg: EngineConfig) -> FiniteModule:

@@ -32,8 +32,8 @@ from .rings import (
     build,
     check_laws,
     componentwise,
+    exact_fits,
     first_true,
-    full_regime,
     intern,
     interned,
     make_matrix_ring,
@@ -104,8 +104,8 @@ class RegularModule(FiniteModule):
     def act_table(self):
         return self.ring.mul_table()
 
-    def additive_generators(self):
-        return self.ring.additive_generators()
+    def additive_generators(self, most=None):
+        return self.ring.additive_generators(most)
 
     def render(self, m):
         return self.ring.render(m)
@@ -330,7 +330,7 @@ def regular_zn_modules(ns, config: EngineConfig | None = None):
 
     def light(n):  # builds unvalidated without raising; untabulated and sampled
         return (2 <= n <= config.construction_cap and n > config.tabulate_threshold
-                and not full_regime(config, n, n))
+                and not exact_fits(config, 1, n, n))
 
     for grouped, run in groupby(ns, light):
         run = list(run)
@@ -425,11 +425,9 @@ def induced_module(hom: RingHom, module: FiniteModule,
 # Axiom validation
 
 
-def check_module_axioms(module: FiniteModule, exhaustive: bool | None = None,
-                        samples: int | None = None) -> None:
+def check_module_axioms(module: FiniteModule) -> None:
     """Verify the unitary left module axioms by check_laws, taking a passed
-    exact check of the ring, scan or proof (ring.laws_exact), as its own
-    exact check's for a module sharing its ring's operations: each of its
-    law instances is one of the ring's."""
-    check_laws(module, module.ring, exhaustive, samples,
-               exact=module.shares_ring_ops and module.ring.laws_exact)
+    exact check of the ring (ring.laws_exact) as its own exact check's for a
+    module sharing its ring's operations: each of its law instances is one
+    of the ring's."""
+    check_laws(module, module.ring, exact=module.shares_ring_ops and module.ring.laws_exact)

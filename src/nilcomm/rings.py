@@ -301,11 +301,15 @@ class FiniteStructure:
             return composed_table(self._parts)
         return op_table(self._vadd, self.size, self.size, self._pair_cells)
 
-    def additive_generators(self) -> list[int]:
-        """additive_generators of the add table, kept after the first call."""
+    def additive_generators(self, most: int | None = None) -> list[int] | None:
+        """additive_generators of the add table, kept once found; None where
+        it takes more than most."""
         if self._generators is None:
-            self._generators = additive_generators(self.add_table())
-        return self._generators
+            found = additive_generators(self.add_table(), most)
+            if found is None:
+                return None
+            self._generators = found
+        return self._generators if most is None or len(self._generators) <= most else None
 
     def _product_table(self) -> np.ndarray:
         """The product table, one row per left operand: the stored one, else
@@ -343,15 +347,12 @@ class FiniteStructure:
 
 class FiniteRing(FiniteStructure):
     """Base class: a finite associative ring with identity on ids 0..size-1,
-    its product mul.  laws_scanned marks a ring whose exhaustive axiom scan
-    has passed, laws_exact one whose every law instance has passed, by that
-    scan or by the generator proof (laws_proven), and tables_checked holds
-    the add and mul tables its check range-checked and found + commutative
-    on."""
+    its product mul.  laws_exact marks a ring whose every law instance has
+    passed its exact axiom check, and tables_checked holds the add and mul
+    tables its check range-checked and found + commutative on."""
 
     _kind, _product = "ring", "vmul"
     one: int
-    laws_scanned = False
     laws_exact = False
     tables_checked = None
 
@@ -952,82 +953,73 @@ _MODULE_LAWS = (("module addition not commutative at ({0}, {1})",
                  "module addition not associative at ({0}, {1}, {2})"),
                 ("(r+s)m != rm+sm at ({0}, {1}, {2})", "(rs)m != r(sm) at ({0}, {1}, {2})"),
                 ("r(m+n) != rm+rn at ({0}, {1}, {2})",))
-# check_laws' messages, a ring's and then a module's: the full scan's name, then
-# the spot laws', each family's and the scan's; the ring scan's (r+s)m at
-# (b, c, a) is (b+c)a.
+# check_laws' messages, a ring's and then a module's: the spot laws', each
+# family's and the exact check's; the ring's (r+s)m at (b, c, a) is (b+c)a.
 _MESSAGES = {
-    True: ("full axiom scan",
-           ("zero is not an additive identity at {0}", "neg fails at {0}",
+    True: (("zero is not an additive identity at {0}", "neg fails at {0}",
             "one is not a multiplicative identity at {0}"),
            (("add is not commutative at ({0}, {1})", *_RING_LAWS),),
            (_RING_LAWS[0], "right distributivity fails at ({2}, {0}, {1})", *_RING_LAWS[1:3])),
-    False: ("full module axiom scan",
-            ("act(1, m) != m at m={0}", "zero is not an additive identity at {0}",
+    False: (("act(1, m) != m at m={0}", "zero is not an additive identity at {0}",
              "neg fails at {0}"), _MODULE_LAWS, sum(_MODULE_LAWS, ())[1:])}
 
 
-def check_ring_axioms(ring: FiniteRing, exhaustive: bool | None = None,
-                      samples: int | None = None) -> None:
+def check_ring_axioms(ring: FiniteRing) -> None:
     """Verify the ring axioms by check_laws: its regular module's laws (act =
     mul) and the right identity a * 1 = a, sampled as one family of all five
-    laws per (a, b, c).  A full scan that passes sets ring.laws_scanned, and
-    it or a passed proof ring.laws_exact."""
-    exact = check_laws(ring, ring, exhaustive, samples)
-    if exact:
-        ring.laws_exact = True
-        ring.laws_scanned |= exact == "scan"
+    laws per (a, b, c).  ring.laws_exact records whether the check was
+    exact."""
+    ring.laws_exact = check_laws(ring, ring)
 
 
-def full_regime(config: EngineConfig, n: int, nr: int) -> bool:
-    """check_laws' own choice of regime for n elements over a scalar ring of
-    nr: exhaustive when max(|R|^2|M|, |R||M|^2, |M|^3) fits the budget and
-    the cap."""
-    return _fits(config, _law_cost(n, nr))
-
-
-def _law_cost(n: int, nr: int) -> int:
-    return max(nr * nr * n, nr * n * n, n ** 3)
-
-
-def _fits(config: EngineConfig, cost: int) -> bool:
+def exact_fits(config: EngineConfig, gens: int, n: int, nr: int) -> bool:
+    """Whether check_laws checks a structure of n elements with gens additive
+    generators over a scalar ring of nr exactly: when gens * max(n^2, nr*n,
+    nr^2) fits the budget and the cap.  laws_proven runs at most four times
+    that many cells."""
+    cost = gens * _generator_share(n, nr)
     return cost <= config.full_check_budget and config.allows(cost)
 
 
-def check_laws(structure, ring: FiniteRing, exhaustive: bool | None, samples: int | None,
-               exact: bool = False) -> str | None:
+def _generator_share(n: int, nr: int) -> int:
+    return max(n * n, nr * n, nr * nr)
+
+
+def _exact_generators(structure, nr: int) -> list[int] | None:
+    """structure.additive_generators() when exact_fits holds at them over a
+    scalar ring of nr, else None.  The search does not start where one
+    generator does not fit, and stops past as many as the budget holds."""
+    cfg, n = structure.config, structure.size
+    if not exact_fits(cfg, 1, n, nr):
+        return None
+    gens = structure.additive_generators(cfg.full_check_budget // _generator_share(n, nr))
+    return gens if gens is not None and exact_fits(cfg, len(gens), n, nr) else None
+
+
+def check_laws(structure, ring: FiniteRing, exact: bool = False) -> bool:
     """Verify a ring's or module's axioms (law_set over its ops) over its
     scalar ring (a ring's is itself), raising AxiomError at the first failure;
-    "scan" or "proof" when every law instance passed, else None.
+    True when the check was exact, every law instance passing.
 
-    The full regime runs when exhaustive, or when exhaustive is None and
-    full_regime holds.  With exhaustive None and the full regime over
-    budget, a tabulated structure whose generator proof fits
-    (_proof_generators) is proven by laws_proven; only if that fails are
-    the samples drawn, and if no drawn triple breaks a law, _scan_laws
-    locates one.  Where the rule picks the scan or the proof, a passed
-    exact check of the same tables (exact) counts.  Tabulated or scanned
-    tables are range-checked, and + checked commutative at every pair,
-    unless a passed check of the ring did both to these same tables
-    (ring.tables_checked).  Then the spot laws hold at every id and
-    _scan_laws checks every triple, or the proof holds, or the spot laws
-    hold at the first of sampled_rows and each family at its `samples`
-    rows."""
+    The check is exact when exact_fits holds at the structure's additive
+    generators, and then a passed exact check of the same tables (exact)
+    counts as its own.  An exact check builds the tables if the structure
+    has none.  Tabulated or exactly checked tables are range-checked, and +
+    checked commutative at every pair, unless a passed check of the ring did
+    both to these same tables (ring.tables_checked).  Then either the spot
+    laws hold at every id and _scan_laws proves the rest at the generators,
+    naming the least failing triple where the proof fails, or the spot laws
+    hold at the first of sampled_rows and each family at its
+    validation_samples rows."""
     own = structure is ring
-    what, spot_messages, family_messages, scan_messages = _MESSAGES[own]
-    cfg, desc, n, nr = structure.config, structure.descriptor, structure.size, ring.size
-    gens = None
-    if exhaustive is None:
-        exhaustive = full_regime(cfg, n, nr)
-        if not exhaustive and structure.tabulated:
-            gens = _proof_generators(cfg, structure, nr)
-        if exact and (exhaustive or gens is not None):
-            return "scan" if exhaustive else "proof"
-    elif exhaustive:
-        cost = _law_cost(n, nr)
-        cfg.refuse_above_cap(cost, f"{desc}: {what} of {cost} triples")
-    count = samples if samples is not None else cfg.validation_samples
-    drawn = None if exhaustive or gens is not None else sampled_rows(structure, ring, count)
-    if structure.tabulated or exhaustive:
+    spot_messages, family_messages, scan_messages = _MESSAGES[own]
+    desc, n = structure.descriptor, structure.size
+    gens = _exact_generators(structure, ring.size)
+    if exact and gens is not None:
+        return True
+    drawn = (None if gens is not None else
+             sampled_rows(structure, ring, structure.config.validation_samples))
+    if structure.tabulated or gens is not None:
         add, act = structure.add_table(), structure.mul_table() if own else structure.act_table()
         checked = ring.tables_checked
         if own or checked is None or checked[0] is not add or checked[1] is not act:
@@ -1045,18 +1037,12 @@ def check_laws(structure, ring: FiniteRing, exhaustive: bool | None, samples: in
                                   ring.vadd, ring.vmul, own)
     first_broken(structure, np.arange(n)[:, None] if drawn is None else drawn[0],
                  spot_laws, spot_messages)
-    if exhaustive:  # nothing was drawn
-        _scan_laws(structure, *tables, scan_messages)
-        return "scan"
-    if gens is not None:  # nothing was drawn either, unless the proof fails
-        if laws_proven(*tables, gens):
-            return "proof"
-        drawn = sampled_rows(structure, ring, count)
+    if gens is not None:  # nothing was drawn
+        _scan_laws(structure, *tables, scan_messages, gens)
+        return True
     for laws, family, rows in zip(families, family_messages, drawn[1:]):
         first_broken(structure, rows, laws, family)
-    if gens is not None:  # the proof failed, so a law fails where nothing was drawn
-        _scan_laws(structure, *tables, scan_messages)
-    return None
+    return False
 
 
 def _sampled_draw(structure, ring, count):
@@ -1124,38 +1110,30 @@ def zn_laws_hold(checks) -> bool:
     return True
 
 
-def additive_generators(add: np.ndarray) -> list[int]:
+def additive_generators(add: np.ndarray, most: int | None = None) -> list[int] | None:
     """Ids G whose closure under the add table's + is every id: the least
     unreached id (0 last, as in a group every id reaches it), then the
     reached set C closed under + (C <- C u (C+C) until nothing new appears),
-    until every id is reached."""
+    until every id is reached; None once that takes more than most ids.  A
+    sum outside 0..n-1 reads as the nearer end (np.put's clip), so a table
+    that check_laws' range check rejects still ends the search."""
     n = len(add)
     reached, gens, count = np.zeros(n, dtype=bool), [], 0
     while count < n:
+        if len(gens) == most:
+            return None
         rest = np.flatnonzero(~reached[1:])
         gens.append(int(rest[0]) + 1 if len(rest) else 0)
         reached[gens[-1]] = True
         members = np.flatnonzero(reached)
         while True:
             for lo, hi in row_blocks(len(members), len(members)):
-                reached[add[members[lo:hi, None], members]] = True
+                np.put(reached, add[members[lo:hi, None], members], True, mode="clip")
             count = int(np.count_nonzero(reached))
             if count in (n, len(members)):
                 break
             members = np.flatnonzero(reached)
     return gens
-
-
-def _proof_generators(config: EngineConfig, structure, nr: int) -> list[int] | None:
-    """structure.additive_generators() when laws_proven's |G|(|M|^2 +
-    |R||M| + 2|R|^2) cells over a scalar ring of nr fit the budget and the
-    cap, else None; not computed when one generator's cells do not fit."""
-    nm = structure.size
-    per_generator = nm * nm + nr * nm + 2 * nr * nr
-    if not _fits(config, per_generator):
-        return None
-    gens = structure.additive_generators()
-    return gens if _fits(config, len(gens) * per_generator) else None
 
 
 def laws_proven(add, act, radd, rmul, gens=None) -> bool:
@@ -1185,13 +1163,13 @@ def laws_proven(add, act, radd, rmul, gens=None) -> bool:
                    for broken, rows, cells, _ in _law_blocks(add, act, radd, rmul, g))
 
 
-def _scan_laws(structure, add, act, radd, rmul, messages) -> None:
+def _scan_laws(structure, add, act, radd, rmul, messages, gens=None) -> None:
     """Every law but commutativity on the add and act tables over the scalar
-    ring's, exactly: laws_proven, and where it fails the locator, which reads
-    the laws at every id and fails where loops over (a, b, c) for +
-    associative, (r, s, m) for (r+s)m and (rs)m, then (r, m, n) for r(m+n)
+    ring's, exactly: laws_proven at gens, and where it fails the locator,
+    which reads the laws at every id and fails where loops over (a, b, c) for
+    + associative, (r, s, m) for (r+s)m and (rs)m, then (r, m, n) for r(m+n)
     first fail; one message each."""
-    if laws_proven(add, act, radd, rmul):
+    if laws_proven(add, act, radd, rmul, gens):
         return
     for broken, rows, cells, first in _law_blocks(add, act, radd, rmul, np.arange(len(add))):
         hit = scan(rows, cells, lambda lo, hi: first_true(broken(lo, hi), lo))

@@ -1,8 +1,11 @@
 """The generator proof of the ring and module laws (rings.laws_proven) and
 the exact checker built on it (rings._scan_laws), against the plain loops of
-oracle.law_failure on honest, perturbed and hand-built tables."""
+oracle.law_failure on honest, perturbed and hand-built tables; and the one
+rule for when a structure's check is exact (rings.exact_fits)."""
 
+import importlib.util
 from itertools import permutations
+from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
@@ -10,10 +13,14 @@ import numpy as np
 import pytest
 
 import oracle
-from nilcomm import AxiomError, check_module_axioms, check_ring_axioms, elaborate_text
+import nilcomm.harness as harness
+import nilcomm.modules as modules
+import nilcomm.rings as rings
+from nilcomm import AxiomError, check_module_axioms, check_ring_axioms, elaborate_text, make_zn
 from nilcomm.config import DEFAULT_CONFIG
-from nilcomm.rings import _scan_laws, additive_generators, laws_proven
+from nilcomm.rings import _scan_laws, additive_generators, exact_fits, laws_proven
 
+from conftest import record_sampled_draws
 from test_modules import _SkewAction, _SkewSum
 from test_oracle import LAYOUT_MODULES, LAYOUT_RINGS
 from test_rings import _SkewAddZn, _SkewZn, _UncheckedRegularModule
@@ -151,8 +158,15 @@ def test_a_noncommutative_sum_breaks_a_law_its_generators_keep():
     ("Z(12)", [1]), ("prod(Z(2), Z(2))", [1, 2]), ("prod(Z(2), Z(4))", [1, 4]),
     ("M(2, Z(3))", [1, 3, 9, 27]), ("T(2, Z(4))", [1, 4, 16])])
 def test_additive_generators_reach_every_id(expr, gens):
-    add = elaborate_text(expr).add_table()
+    structure = elaborate_text(expr)
+    add = structure.add_table()
     assert additive_generators(add) == gens
+    # a search allowed fewer generators than it needs gives up, and so does
+    # the structure's, whose generators are kept once found
+    assert additive_generators(add, len(gens)) == gens
+    assert additive_generators(add, len(gens) - 1) is None
+    assert structure.additive_generators() == gens
+    assert structure.additive_generators(len(gens) - 1) is None
     reached = set(gens)
     while True:  # the closure under +, one sum at a time
         grown = reached | {int(add[x, y]) for x in reached for y in reached}
@@ -163,7 +177,7 @@ def test_additive_generators_reach_every_id(expr, gens):
 
 
 def _exhaustive_messages(threshold):
-    """Each planted defect's full-scan message, as the plain scan of every
+    """Each planted defect's exact-check message, as the plain scan of every
     triple reported it before the proof."""
     cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=threshold)
     return [
@@ -171,20 +185,109 @@ def _exhaustive_messages(threshold):
         (_SkewZn(50, cfg), "Z(50): right distributivity fails at (2, 1, 1)"),
         (_SkewAddZn(3, cfg), "Z(3): add not associative at (1, 1, 2)"),
         (_SkewAddZn(7, cfg), "Z(7): add not associative at (1, 1, 2)"),
+        (_SkewAddZn(50, cfg), "Z(50): add not associative at (1, 1, 2)"),
         (_UncheckedRegularModule(_SkewZn(5, cfg)),
          "regular(Z(5)): (r+s)m != rm+sm at (1, 1, 2)"),
+        (_UncheckedRegularModule(_SkewZn(50, cfg)),
+         "regular(Z(50)): (r+s)m != rm+sm at (1, 1, 2)"),
         (_UncheckedRegularModule(_SkewAddZn(7, cfg)),
          "regular(Z(7)): module addition not associative at (1, 1, 2)"),
         (_SkewSum(5, cfg), "skew-sum(5): module addition not commutative at (1, 2)"),
         (_SkewSum(12, cfg), "skew-sum(12): module addition not commutative at (1, 2)"),
         (_SkewAction(5, cfg), "skew(5): (r+s)m != rm+sm at (1, 1, 2)"),
-        (_SkewAction(50, cfg), "skew(50): (r+s)m != rm+sm at (1, 1, 2)")]
+        (_SkewAction(50, cfg), "skew(50): (r+s)m != rm+sm at (1, 1, 2)"),
+        (_SkewAction(90, cfg), "skew(90): (r+s)m != rm+sm at (1, 1, 2)")]
 
 
 @pytest.mark.parametrize("threshold", [1024, 0])  # tabulated and not
-def test_planted_defects_keep_their_exhaustive_messages(threshold):
+def test_planted_defects_keep_their_exhaustive_messages(monkeypatch, threshold):
+    # the proof fails and the locator names the least failing triple; nothing
+    # is drawn
+    _, draws = record_sampled_draws(monkeypatch)
     for structure, message in _exhaustive_messages(threshold):
-        check = check_module_axioms if hasattr(structure, "ring") else check_ring_axioms
+        ring = getattr(structure, "ring", structure)
+        assert exact_fits(structure.config, len(structure.additive_generators()),
+                          structure.size, ring.size)
+        check = check_ring_axioms if ring is structure else check_module_axioms
         with pytest.raises(AxiomError) as err:
-            check(structure, exhaustive=True)
+            check(structure)
         assert str(err.value) == message
+    assert draws == []
+
+
+# ---------------------------------------------------------------------------
+# The one rule for when the check is exact (rings.exact_fits)
+
+
+def test_the_rule_is_exact_wherever_either_earlier_rule_was():
+    # the two rules it replaced, inlined: the full scan's triples,
+    # max(|R|^2|M|, |R||M|^2, |M|^3), and the proof's cells at |G| generators,
+    # |G|(|M|^2 + |R||M| + 2|R|^2); each exact where it fit the budget and the cap
+    sizes = np.array([1, 2, 3, 4, 5, 8, 9, 16, 27, 40, 41, 64, 81, 128, 129, 256, 257, 1024])
+    nm, nr, g = np.meshgrid(sizes, sizes, sizes, indexing="ij")
+    within = g <= nm  # every structure has |G| <= |M|
+    nm, nr, g = nm[within], nr[within], g[within]
+    triples = np.maximum.reduce([nr * nr * nm, nr * nm * nm, nm ** 3])
+    cells = g * (nm * nm + nr * nm + 2 * nr * nr)
+    counted = g * np.maximum.reduce([nm * nm, nr * nm, nr * nr])
+    for budget in (0, 27, 40 ** 2, 2 ** 16, 2 ** 20):
+        for cap, force in ((26, False), (2 ** 16, False), (2 ** 24, False), (26, True)):
+            cfg = DEFAULT_CONFIG.with_overrides(full_check_budget=budget, decision_cap=cap,
+                                                force=force)
+            exact = np.frompyfunc(lambda *x: exact_fits(cfg, *x), 3, 1)(g, nm, nr).astype(bool)
+            fits = [(cost <= budget) & ((cost <= cap) | force) for cost in (triples, cells)]
+            # the rule: |G| max(|M|^2, |R||M|, |R|^2) within the budget and the cap
+            assert (exact == ((counted <= budget) & ((counted <= cap) | force))).all()
+            # exact wherever either earlier rule fit
+            assert not ((fits[0] | fits[1]) & ~exact).any()
+            # and the proof runs at most four times the counted cost
+            assert (cells[exact] <= 4 * budget).all()
+    # induced(zred(128, 2), prodmod(regular(Z(2)), regular(Z(2)))), 4 elements at
+    # 2 generators over 128: 65536 triples fit 2^16, 66592 proof cells do not
+    module = elaborate_text("induced(zred(128, 2), prodmod(regular(Z(2)), regular(Z(2))))")
+    assert len(module.additive_generators()) == 2 and module.ring.size == 128
+    assert exact_fits(module.config, 2, 4, 128)
+
+
+def _classify_corpus():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
+    loader = importlib.util.spec_from_file_location("perfbench_spec", path)
+    spec = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spec)
+    return spec.CLASSIFY_CORPUS
+
+
+# classify structures the earlier rules sampled: each draws nothing now
+_NEWLY_EXACT = {"T(3, Z(2))", "trimod(3, regular(Z(2)))", "M(2, Z(3))",
+                "matmod(2, regular(Z(3)))"}
+
+
+@pytest.mark.parametrize("expr", [*_classify_corpus(),
+                                  *(f"regular(Z({n}))" for n in range(2, 65))])
+def test_benchmark_structures_are_exact_by_the_rule(monkeypatch, expr):
+    # the classify corpus and the structures of search zn --n 2..64
+    calls, check_laws = [], rings.check_laws
+
+    def record(structure, ring, exact=False):
+        calls.append((structure, ring, check_laws(structure, ring, exact)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(rings, "check_laws", record)
+    monkeypatch.setattr(modules, "check_laws", record)
+    _, draws = record_sampled_draws(monkeypatch)
+    elaborate_text(expr)
+    assert calls
+    for structure, ring, exact in calls:
+        assert exact == exact_fits(structure.config, len(structure.additive_generators()),
+                                   structure.size, ring.size), structure.descriptor
+        assert exact or structure.descriptor not in _NEWLY_EXACT
+        if structure is ring:
+            assert ring.laws_exact == exact
+    assert len(draws) == sum(not exact for *_, exact in calls)  # one draw per sampled check
+
+
+def test_a_light_z_n_is_exact_up_to_40():
+    light = harness._light_config(DEFAULT_CONFIG)
+    for n in (2, 39, 40, 41, 42, 128, 129, 256, 257):
+        ring = make_zn(n, light)
+        assert not ring.tabulated and ring.laws_exact == (n <= 40)

@@ -37,11 +37,11 @@ from nilcomm.config import DEFAULT_CONFIG
 from nilcomm.deciders import MODULE_PROPERTIES, decide
 from nilcomm.modules import SubModule, orbit
 from nilcomm.nilpotency import squared_killers
-from nilcomm.rings import ZnRing, _stable_seed, first_broken
+from nilcomm.rings import ZnRing, _stable_seed, check_laws, exact_fits, first_broken
 
 import oracle
 from conftest import draw_ids, loop_products, mat_mod, record_sampled_draws, zn_module
-from test_rings import _MODULE_LAW_REPLAYS, _SkewZn, _UncheckedRegularModule
+from test_rings import _MODULE_LAW_REPLAYS, _SkewZn
 
 
 def test_regular_module_shares_ring_ops(z4_module):
@@ -241,13 +241,12 @@ def test_product_module():
 
 def test_full_module_axiom_validation(t2z4_module, m2z2_module, v2z2_module):
     for module in (zn_module(12), m2z2_module, v2z2_module,
-                   make_product_module([zn_module(3), zn_module(3)])):
-        check_module_axioms(module, exhaustive=True)
-    check_module_axioms(t2z4_module, exhaustive=True)
+                   make_product_module([zn_module(3), zn_module(3)]), t2z4_module):
+        assert check_laws(module, module.ring)  # its own exact check, not its ring's
 
 
 def test_sampled_module_axiom_validation(m4z2_module):
-    check_module_axioms(m4z2_module, exhaustive=False, samples=1500)
+    assert not check_laws(m4z2_module, m4z2_module.ring)
 
 
 def test_module_axiom_check_catches_broken_action():
@@ -297,12 +296,11 @@ class _TwistedAction(FiniteModule):
 
 
 def test_sampled_module_check_catches_a_planted_action_defect():
-    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0)
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0, full_check_budget=0)
     messages = []
     for _ in range(2):  # two fresh modules under one config
         module = _TwistedAction(12, cfg)
-        nr, nm = module.ring.size, module.size
-        assert max(nr * nr * nm, nr * nm * nm, nm ** 3) > cfg.full_check_budget
+        assert not exact_fits(cfg, 1, module.size, module.ring.size)
         with pytest.raises(AxiomError) as err:
             check_module_axioms(module)
         messages.append(str(err.value))
@@ -356,9 +354,9 @@ class _SkewAction(FiniteModule):
 
 
 def test_sampled_module_check_reports_the_earlier_of_two_broken_families():
-    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0)
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0, full_check_budget=0)
     module = _SkewAction(50, cfg)
-    assert module.size ** 3 > cfg.full_check_budget
+    assert not exact_fits(cfg, 1, 50, 50)
     with pytest.raises(AxiomError) as err:
         check_module_axioms(module)
     second, third = _first_drawn_break(module)  # the addition family holds
@@ -387,9 +385,9 @@ class _SkewSum(FiniteModule):
         return (r * m) % self.n
 
 
-@pytest.mark.parametrize("overrides", [{}, {"full_check_budget": 1}])  # scanned, sampled
+@pytest.mark.parametrize("overrides", [{}, {"full_check_budget": 1}])  # exact, sampled
 def test_a_tabulated_module_checks_its_sum_commutes_at_every_pair(overrides):
-    # before the spot laws, the table scan and the drawn families
+    # before the spot laws, the proof and the drawn families
     module = _SkewSum(5, DEFAULT_CONFIG.with_overrides(**overrides))
     assert module.tabulated
     with pytest.raises(AxiomError, match=re.escape(
@@ -399,11 +397,12 @@ def test_a_tabulated_module_checks_its_sum_commutes_at_every_pair(overrides):
 
 @pytest.mark.parametrize("samples", [30, 40])  # 36 elements: spot ids drawn below 36 samples
 def test_sampled_module_check_draws_once_what_consecutive_draws_gave(monkeypatch, samples):
-    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0)
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0, full_check_budget=0,
+                                        validation_samples=samples)
     module = elaborate_text("prodmod(regular(Z(6)), regular(Z(6)))", cfg)
     nm, nr = module.size, module.ring.size
     checked, draws = record_sampled_draws(monkeypatch)
-    check_module_axioms(module, exhaustive=False, samples=samples)
+    check_module_axioms(module)
     assert len(draws) == 1
     rng = Random(_stable_seed(cfg, module.descriptor))
     spots = draw_ids(rng, samples, nm) if samples < nm else np.arange(nm)[:, None]
@@ -426,29 +425,27 @@ def _record_law_scans(monkeypatch) -> list:
 def test_regular_module_takes_its_rings_exhaustive_scan(monkeypatch, ring_expr):
     scanned = _record_law_scans(monkeypatch)
     module = elaborate_text(f"regular({ring_expr})")
-    assert module.shares_ring_ops and module.ring.laws_scanned
+    assert module.shares_ring_ops and module.ring.laws_exact
     assert scanned[-1] == ring_expr  # the ring scanned last, the module not at all
     # the same laws still pass the module's own scan when it is asked for
     del scanned[:]
-    check_module_axioms(module, exhaustive=True)
+    assert check_laws(module, module.ring)
     assert scanned == [module.descriptor]
 
 
 @pytest.mark.parametrize("ring_expr, overrides", [
-    # 41 and 64 elements: the rings are sampled, and their laws proven at 1
-    # and 3 additive generators, so their modules take the proof and draw nothing
+    # the rings are proven at 1, 3 and 4 additive generators, and so are their
+    # modules under the same config: they take the proof and draw nothing
     ("Z(41)", {}), ("T(2, Z(4))", {}),
-    ("Z(20)", {"full_check_budget": 1000}),  # the ring is scanned, the module samples
-    ("M(2, Z(3))", {})])  # 81 elements, 4 generators: the proof does not fit
+    ("Z(20)", {"full_check_budget": 20 ** 2 - 1}),  # the module's own rule samples
+    ("M(2, Z(3))", {})])
 def test_a_sampled_regular_module_draws_its_own_samples(monkeypatch, ring_expr, overrides):
     ring = elaborate_text(f"regular({ring_expr})").ring
-    proven = ring_expr in ("Z(41)", "T(2, Z(4))")
-    assert ring.laws_scanned == (ring_expr == "Z(20)")
-    assert ring.laws_exact == (ring.laws_scanned or proven)
+    assert ring.laws_exact
     cfg = DEFAULT_CONFIG.with_overrides(**overrides)
     checked, draws = record_sampled_draws(monkeypatch)
     regular_module(ring, cfg)
-    if proven:
+    if not overrides:
         assert draws == [] and checked == []
     else:
         # one draw; the spot laws at every id, then each family's samples
@@ -456,40 +453,15 @@ def test_a_sampled_regular_module_draws_its_own_samples(monkeypatch, ring_expr, 
         assert [len(rows) for rows in checked] == [ring.size] + [cfg.validation_samples] * 3
 
 
-@pytest.mark.parametrize("make, message", [
-    (lambda: _SkewAction(50, DEFAULT_CONFIG), "skew(50): (r+s)m != rm+sm at (3, 49, 23)"),
-    (lambda: _SkewAction(90, DEFAULT_CONFIG), "skew(90): (rs)m != r(sm) at (10, 85, 1)"),
-    (lambda: _UncheckedRegularModule(_SkewZn(50, DEFAULT_CONFIG)),
-     "regular(Z(50)): (r+s)m != rm+sm at (21, 12, 5)")])
-def test_a_planted_defect_the_proof_finds_reports_the_first_drawn_triple(
-        monkeypatch, make, message):
-    # tabulated and sampled with a proof that fits: the proof fails, and the
-    # drawn families then report the first drawn broken triple, as the draw
-    # alone did
-    module = make()
-    nm, nr = module.size, module.ring.size
-    cfg = module.config
-    assert module.tabulated and nm ** 3 > cfg.full_check_budget
-    assert nm * nm + nr * nm + 2 * nr * nr <= cfg.full_check_budget  # |G| = 1
-    proofs, laws_proven = [], rings.laws_proven
-    monkeypatch.setattr(rings, "laws_proven", lambda *tables: (
-        proofs.append(laws_proven(*tables)), proofs[-1])[1])
-    _, draws = record_sampled_draws(monkeypatch)
-    with pytest.raises(AxiomError) as err:
-        check_module_axioms(module)
-    assert (proofs, len(draws)) == ([False], 1)
-    assert str(err.value) == message == _first_drawn_break(module)[0]
-
-
 @pytest.mark.parametrize("n", [2, 40])
 def test_regular_module_over_an_untabulated_ring_scans_its_own_laws(monkeypatch, n):
-    # one regime rule for rings and modules: the light ring's n^3 triples fit
-    # the budget, so the ring scans its laws untabulated and its module takes
-    # that scan as its own
+    # one regime rule for rings and modules: the light ring's n^2 fits the
+    # budget, so the ring checks its laws exactly, untabulated, and its module
+    # takes that check as its own
     cfg = harness._light_config(DEFAULT_CONFIG)
     scanned = _record_law_scans(monkeypatch)
     ring = make_zn(n, cfg)
-    assert not ring.tabulated and ring.laws_scanned
+    assert not ring.tabulated and ring.laws_exact
     regular_module(ring, cfg)
     assert scanned == [f"Z({n})"]
 
@@ -500,7 +472,9 @@ def test_a_ring_scans_its_laws_exactly_when_they_fit_the_budget(expr, light):
     cfg = harness._light_config(DEFAULT_CONFIG) if light else DEFAULT_CONFIG
     ring = elaborate_text(expr, cfg)
     assert ring.tabulated is not light
-    assert ring.laws_scanned == (ring.size ** 3 <= cfg.full_check_budget)
+    # every one fits 2^16; the light budget holds Z(40), not Z(41) or T(2, Z(4))
+    assert ring.laws_exact == (not light or ring.size <= 40) == exact_fits(
+        cfg, len(ring.additive_generators()), ring.size, ring.size)
 
 
 def test_regular_module_over_a_broken_ring_fails_its_own_scan():
@@ -510,7 +484,7 @@ def test_regular_module_over_a_broken_ring_fails_its_own_scan():
         regular_module(ring)
     with pytest.raises(AxiomError):
         check_ring_axioms(ring)
-    assert not ring.laws_scanned
+    assert not ring.laws_exact
 
 
 def _record_table_builds(monkeypatch) -> list:

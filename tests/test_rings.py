@@ -44,6 +44,7 @@ from nilcomm.rings import (
     ZnRing,
     _stable_seed,
     draw_families,
+    exact_fits,
     shape_fill,
 )
 
@@ -354,8 +355,8 @@ def test_trivial_ring_rejected_via_custom_class():
 class _MaxRing(FiniteRing):
     """Z(3)'s sum with max as its product: 1 is no identity, as max(1, 0) = 1."""
 
-    def __init__(self, validate=True):
-        super().__init__(3, "broken", DEFAULT_CONFIG)
+    def __init__(self, validate=True, config=DEFAULT_CONFIG):
+        super().__init__(3, "broken", config)
         self.zero = 0
         self.one = 1
         self._seal(validate)
@@ -375,9 +376,20 @@ def test_axiom_check_catches_broken_mul():
         _MaxRing()
     # a tabulated ring checks its spot laws at every element, even where it
     # draws fewer spot ids than it has elements
+    sampled = DEFAULT_CONFIG.with_overrides(full_check_budget=0, validation_samples=1)
     with pytest.raises(AxiomError, match=re.escape(
             "broken: one is not a multiplicative identity at 0")):
-        check_ring_axioms(_MaxRing(validate=False), exhaustive=False, samples=1)
+        check_ring_axioms(_MaxRing(validate=False, config=sampled))
+
+
+@pytest.mark.parametrize("n", [5, 50])
+@pytest.mark.parametrize("high", [False, True])
+def test_an_out_of_range_sum_fails_the_range_check_not_the_generator_search(n, high):
+    ring = ZnRing(n, validate=False)
+    add = ring.add_table()
+    add[3, 4] = add[4, 3] = n if high else -1
+    with pytest.raises(AxiomError, match=re.escape(f"Z({n}): add table has out-of-range ids")):
+        check_ring_axioms(ring)
 
 
 def test_full_axiom_validation_on_small_structures(t2z4_module, m2z2_module):
@@ -385,13 +397,15 @@ def test_full_axiom_validation_on_small_structures(t2z4_module, m2z2_module):
                  make_matrix_ring(MatrixShape(UPPER, 2), make_zn(4)),
                  m2z2_module.ring,
                  make_poly_quotient_ring(make_zn(3), 2),
-                 make_product_ring([make_zn(4), make_zn(3)])):
-        check_ring_axioms(ring, exhaustive=True)
-    check_ring_axioms(t2z4_module.ring, exhaustive=True)
+                 make_product_ring([make_zn(4), make_zn(3)]),
+                 t2z4_module.ring):
+        check_ring_axioms(ring)
+        assert ring.laws_exact
 
 
 def test_sampled_axiom_validation_on_large_ring(m4z2_module):
-    check_ring_axioms(m4z2_module.ring, exhaustive=False, samples=2000)
+    check_ring_axioms(m4z2_module.ring)
+    assert not m4z2_module.ring.laws_exact
 
 
 class _SkewZn(ZnRing):
@@ -421,11 +435,11 @@ _RING_LAW_REPLAYS = {
 
 
 def test_sampled_ring_check_reports_the_first_drawn_broken_triple():
-    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0)
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0, full_check_budget=0)
     messages = []
     for _ in range(2):  # two fresh rings under one config
         ring = _SkewZn(50, cfg)
-        assert not ring.tabulated and ring.size ** 3 > cfg.full_check_budget
+        assert not ring.tabulated and not exact_fits(cfg, 1, 50, 50)
         with pytest.raises(AxiomError) as err:
             check_ring_axioms(ring)
         messages.append(str(err.value))
@@ -443,24 +457,6 @@ def test_sampled_ring_check_reports_the_first_drawn_broken_triple():
     assert (first_law, triple[:len(named)]) == (law, named)
 
 
-@pytest.mark.parametrize("make, message", [
-    (lambda: _SkewZn(50, DEFAULT_CONFIG), "Z(50): mul not associative at (38, 21, 40)"),
-    (lambda: _SkewAddZn(50, DEFAULT_CONFIG), "Z(50): add not associative at (13, 39, 2)")])
-def test_a_tabulated_sampled_ring_whose_proof_fails_reports_the_first_drawn_triple(
-        monkeypatch, make, message):
-    # the proof fits (4 * 50^2 cells at one generator) and fails; then one
-    # draw, and the message the draw alone gave
-    ring = make()
-    assert ring.tabulated and ring.size ** 3 > ring.config.full_check_budget
-    _, draws = record_sampled_draws(monkeypatch)
-    with pytest.raises(AxiomError) as err:
-        check_ring_axioms(ring)
-    assert (str(err.value), len(draws)) == (message, 1)
-    law, ids = re.fullmatch(r"Z\(50\): (.+) at \(([\d, ]+)\)", message).groups()
-    assert _RING_LAW_REPLAYS[law](ring, *map(int, ids.split(", ")))
-    assert not ring.laws_exact
-
-
 class _OneCellZn(ZnRing):
     """Z(n) with one planted product defect, (n-1)(n-1) gaining 1: so few
     triples meet it that the sampled draw misses it.  Built unvalidated."""
@@ -473,32 +469,34 @@ class _OneCellZn(ZnRing):
 
 
 def test_a_defect_the_draw_misses_is_located_once_the_proof_fails(monkeypatch):
+    # sampled, 2000 drawn triples break no law
+    check_ring_axioms(_OneCellZn(127, DEFAULT_CONFIG.with_overrides(full_check_budget=0)))
     ring = _OneCellZn(127, DEFAULT_CONFIG)
-    check_ring_axioms(ring, exhaustive=False)  # 2000 drawn triples, none broken
     _, draws = record_sampled_draws(monkeypatch)
     with pytest.raises(AxiomError) as err:
-        check_ring_axioms(ring)  # the proof fails; the same draw, then the locator
-    assert len(draws) == 1
+        check_ring_axioms(ring)  # the proof fails, and the locator names the defect
+    assert draws == []
     assert str(err.value) == "Z(127): right distributivity fails at (126, 1, 125)"
     assert _RING_LAW_REPLAYS["right distributivity fails"](ring, 126, 1, 125)
 
 
-@pytest.mark.parametrize("n, proven", [(41, True), (128, True), (129, False)])
+@pytest.mark.parametrize("n, proven", [(41, True), (128, True), (256, True), (257, False)])
 def test_a_tabulated_sampled_ring_draws_nothing_when_its_proof_fits(monkeypatch, n, proven):
-    # Z(n) has one additive generator: 4n^2 proof cells, at most 2^16 up to n = 128
+    # Z(n) has one additive generator: the rule's n^2 fits 2^16 up to n = 256
     checked, draws = record_sampled_draws(monkeypatch)
     ring = make_zn(n)
-    assert ring.tabulated and not ring.laws_scanned
-    assert ring.laws_exact == proven == (4 * n * n <= ring.config.full_check_budget)
+    assert ring.tabulated
+    assert ring.laws_exact == proven == exact_fits(ring.config, 1, n, n)
     assert len(draws) == (not proven) and len(checked) == 1 + (not proven)
 
 
 @pytest.mark.parametrize("samples", [40, 50])  # 50 elements: spot ids drawn below 50 samples
 def test_sampled_ring_check_draws_once_what_consecutive_draws_gave(monkeypatch, samples):
-    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0)
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0, full_check_budget=0,
+                                        validation_samples=samples)
     ring = make_zn(50, cfg)
     checked, draws = record_sampled_draws(monkeypatch)
-    check_ring_axioms(ring, exhaustive=False, samples=samples)
+    check_ring_axioms(ring)
     assert len(draws) == 1
     rng = Random(_stable_seed(cfg, ring.descriptor))
     spots = draw_ids(rng, samples, 50) if samples < 50 else np.arange(50)[:, None]
@@ -578,12 +576,8 @@ _CAP143 = DEFAULT_CONFIG.with_overrides(decision_cap=143)
     (144, lambda cfg: nil_ring_set(make_zn(12, _CAP143), cfg)),
     (1728, lambda cfg: ring_is_nil_semicommutative(make_zn(12, _CAP143), cfg)),
     (144, lambda cfg: torsion_sets(regular_module(make_zn(12, _CAP143)), cfg)),
-    (27, lambda cfg: check_ring_axioms(make_zn(3, cfg), exhaustive=True)),
-    (27, lambda cfg: check_module_axioms(regular_module(make_zn(3, cfg), cfg),
-                                         exhaustive=True)),
 ], ids=["make_ring_hom", "verify_theta_iso", "multiplicative_closure", "center",
-        "regular_elements", "nil_ring_set", "ring_is_nil_semicommutative", "torsion_sets",
-        "check_ring_axioms", "check_module_axioms"])
+        "regular_elements", "nil_ring_set", "ring_is_nil_semicommutative", "torsion_sets"])
 def test_entry_points_refuse_one_below_their_count(count, call):
     below = DEFAULT_CONFIG.with_overrides(decision_cap=count - 1)
     with pytest.raises(DecisionCapError, match=f"exceeds cap {count - 1}; re-run with force"):
@@ -748,19 +742,20 @@ def test_mul_tables_from_entry_tables_match_the_op_and_the_plain_loop(
 @pytest.mark.parametrize("kind, threshold, message", [
     (FULL, 1024, "M(2, Z(3)): left distributivity fails at (35, 33, 53)"),  # sampled
     (FULL, 0, "M(2, Z(3)): left distributivity fails at (35, 33, 53)"),
-    (UPPER, 1024, "T(2, Z(3)): add not associative at (1, 1, 2)"),  # full scan
-    (UPPER, 0, "T(2, Z(3)): add not associative at (1, 1, 2)")])  # untabulated, full
+    (UPPER, 1024, "T(2, Z(3)): add not associative at (1, 1, 2)"),  # exact
+    (UPPER, 0, "T(2, Z(3)): add not associative at (1, 1, 2)")])  # untabulated, exact
 def test_matrix_ring_over_a_broken_sum_fails_its_check_as_before(kind, threshold, message):
-    # the same messages as an add table built entry by entry through op_table
-    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=threshold)
+    # the same messages as an add table built entry by entry through op_table;
+    # the budget lies between T(2, Z(3))'s 3 * 27^2 and M(2, Z(3))'s 4 * 81^2
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=threshold, full_check_budget=2 ** 14)
     with pytest.raises(AxiomError) as err:
         MatrixRing(MatrixShape(kind, 2), _SkewAddZn(3, cfg), cfg)
     assert str(err.value) == message
 
 
 def test_untabulated_matrix_ring_over_a_broken_sum_samples_above_the_budget():
-    # 27^3 triples over the budget: the sampled regime's first drawn break
-    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0, full_check_budget=27 ** 3 - 1)
+    # one generator's 27^2 over the budget: the sampled regime's first drawn break
+    cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0, full_check_budget=27 ** 2 - 1)
     with pytest.raises(AxiomError) as err:
         MatrixRing(MatrixShape(UPPER, 2), _SkewAddZn(3, cfg), cfg)
     assert str(err.value) == "T(2, Z(3)): add not associative at (19, 26, 16)"
@@ -823,7 +818,7 @@ def test_ring_and_regular_module_scans_name_one_broken_law_instance(make):
     found = []
     for check, structure in ((check_ring_axioms, ring), (check_module_axioms, module)):
         with pytest.raises(AxiomError) as err:
-            check(structure, exhaustive=True)
+            check(structure)  # exact: a few elements fit the default budget
         found.append(_law_at(str(err.value), structure.descriptor))
     (ring_law, ring_ids), (module_law, module_ids) = found
     # each message's ids break the law it names, replayed pointwise
