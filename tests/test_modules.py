@@ -41,7 +41,7 @@ from nilcomm.rings import ZnRing, _stable_seed, check_laws, exact_fits, first_br
 
 import oracle
 from conftest import draw_ids, loop_products, mat_mod, record_sampled_draws, zn_module
-from test_rings import _MODULE_LAW_REPLAYS, _SkewZn
+from test_rings import _MODULE_LAW_REPLAYS, _SkewZn, _UncheckedRegularModule
 
 
 def test_regular_module_shares_ring_ops(z4_module):
@@ -451,6 +451,34 @@ def test_a_sampled_regular_module_draws_its_own_samples(monkeypatch, ring_expr, 
         # one draw; the spot laws at every id, then each family's samples
         assert len(draws) == 1
         assert [len(rows) for rows in checked] == [ring.size] + [cfg.validation_samples] * 3
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda cfg: _SkewAction(50, cfg), "skew(50): (r+s)m != rm+sm at (3, 49, 23)"),
+    (lambda cfg: _SkewAction(90, cfg), "skew(90): (rs)m != r(sm) at (10, 85, 1)"),
+    (lambda cfg: _UncheckedRegularModule(_SkewZn(50, cfg)),
+     "regular(Z(50)): (r+s)m != rm+sm at (21, 12, 5)")])
+def test_a_planted_defect_the_proof_finds_reports_the_first_drawn_triple(
+        monkeypatch, make, message):
+    # tabulated, under a budget the exact check does not fit: one draw, and
+    # the drawn families report the first drawn broken triple
+    sampled = DEFAULT_CONFIG.with_overrides(full_check_budget=0)
+    module = make(sampled)
+    assert module.tabulated and not exact_fits(sampled, 1, module.size, module.ring.size)
+    _, draws = record_sampled_draws(monkeypatch)
+    with pytest.raises(AxiomError) as err:
+        check_module_axioms(module)
+    assert len(draws) == 1
+    assert str(err.value) == message == _first_drawn_break(module)[0]
+    # under the default budget the proof finds the same defect, and nothing
+    # is drawn
+    del draws[:]
+    module = make(DEFAULT_CONFIG)
+    assert exact_fits(DEFAULT_CONFIG, len(module.additive_generators()),
+                      module.size, module.ring.size)
+    with pytest.raises(AxiomError):
+        check_module_axioms(module)
+    assert draws == []
 
 
 @pytest.mark.parametrize("n", [2, 40])

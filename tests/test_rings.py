@@ -457,6 +457,33 @@ def test_sampled_ring_check_reports_the_first_drawn_broken_triple():
     assert (first_law, triple[:len(named)]) == (law, named)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda cfg: _SkewZn(50, cfg), "Z(50): mul not associative at (38, 21, 40)"),
+    (lambda cfg: _SkewAddZn(50, cfg), "Z(50): add not associative at (13, 39, 2)")])
+def test_a_tabulated_sampled_ring_whose_proof_fails_reports_the_first_drawn_triple(
+        monkeypatch, make, message):
+    # tabulated, under a budget the exact check does not fit: one draw, and
+    # the first drawn broken triple
+    sampled = DEFAULT_CONFIG.with_overrides(full_check_budget=0)
+    ring = make(sampled)
+    assert ring.tabulated and not exact_fits(sampled, 1, 50, 50)
+    _, draws = record_sampled_draws(monkeypatch)
+    with pytest.raises(AxiomError) as err:
+        check_ring_axioms(ring)
+    assert (str(err.value), len(draws)) == (message, 1)
+    law, ids = re.fullmatch(r"Z\(50\): (.+) at \(([\d, ]+)\)", message).groups()
+    assert _RING_LAW_REPLAYS[law](ring, *map(int, ids.split(", ")))
+    assert not ring.laws_exact
+    # under the default budget the proof fits (one generator), fails, and
+    # the locator names the defect without a draw
+    del draws[:]
+    ring = make(DEFAULT_CONFIG)
+    assert exact_fits(DEFAULT_CONFIG, 1, 50, 50)
+    with pytest.raises(AxiomError):
+        check_ring_axioms(ring)
+    assert draws == [] and not ring.laws_exact
+
+
 class _OneCellZn(ZnRing):
     """Z(n) with one planted product defect, (n-1)(n-1) gaining 1: so few
     triples meet it that the sampled draw misses it.  Built unvalidated."""
