@@ -13,8 +13,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
 from random import Random
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -59,7 +60,6 @@ from .nilpotency import (
     is_nilpotent_squared,
     is_torsion_free,
     nil_set,
-    squared_killers,
     torsion_sets,
 )
 from .reports import CONFIRMED, REFUTED, SKIPPED, CheckReport, claim_report
@@ -70,6 +70,7 @@ from .rings import (
     FiniteRing,
     MatrixShape,
     RingHom,
+    ZnRing,
     center,
     identity_hom,
     interning,
@@ -205,6 +206,11 @@ WITNESS_KINDS = {
 }
 
 
+# the type of each payload field: ids and counts are ints (a bool is none),
+# the fields below are not
+_FIELD_TYPES = {"descriptor": str, "expect": bool, "expect_zero": bool}
+
+
 def _witness(kind: str, **values) -> dict:
     """The payload of a witness of kind, its fields in the table's order."""
     return {"kind": kind, **{name: values[name] for name in WITNESS_KINDS[kind].fields}}
@@ -216,16 +222,13 @@ def _witness(kind: str, **values) -> dict:
 
 def check_lemma_squarefree(n_max: int, config: EngineConfig | None = None) -> CheckReport:
     """1 is nilpotent in the Z_n-module Z_n exactly when n is not square free,
-    settled in groups sized by row_blocks: one group's grid of t < n_max by
-    module fits one block."""
+    settled one list of regular_zn_modules at a time (see _one_is_nilpotent)."""
     _at_least("nmax", n_max, 2)
     cfg = _light_config(resolve(config))
     mismatches = []
-    ns = range(2, n_max + 1)
-    modules = regular_zn_modules(ns, cfg)
-    for lo, hi in row_blocks(len(ns), n_max):
-        group = list(islice(modules, hi - lo))
-        for n, (nilpotent, witness) in zip(ns[lo:hi], _one_is_nilpotent(group)):
+    for group in regular_zn_modules(range(2, n_max + 1), cfg):
+        for module, (nilpotent, witness) in zip(group, _one_is_nilpotent(group)):
+            n = module.ring.n
             if nilpotent == _is_square_free(n):
                 mismatches.append({"n": n, "nilpotent": nilpotent,
                                    "square_free": _is_square_free(n),
@@ -236,14 +239,24 @@ def check_lemma_squarefree(n_max: int, config: EngineConfig | None = None) -> Ch
                    if mismatches else None)
 
 
-def _one_is_nilpotent(modules: list) -> list:
-    """is_nilpotent_squared(module, 1) for each regular Z(n) of modules; one
-    squared_killers pass settles those of untabulated rings with ZnRing's
-    own arithmetic."""
-    grouped = [m for m in modules if not m.ring.tabulated and m.ring.own_arithmetic()]
-    least = dict(zip(map(id, grouped), squared_killers(grouped).tolist()))
-    return [is_nilpotent_squared(m, 1) if id(m) not in least else
-            (True, least[id(m)]) if least[id(m)] >= 0 else (False, None) for m in modules]
+def _one_is_nilpotent(group: list) -> list:
+    """is_nilpotent_squared(module, 1) for each regular Z(n) of group.  Where
+    every ring has ZnRing's own arithmetic, one pass settles them all: the
+    squared criterion at m = 1 through ZnRing._vmul under each n, with ids
+    t >= n masked off.  Otherwise each module is settled alone."""
+    if not all(module.ring.own_arithmetic() for module in group):
+        return [is_nilpotent_squared(module, 1) for module in group]
+    n = np.array([module.ring.n for module in group])
+    vmul = partial(ZnRing._vmul, SimpleNamespace(n=n))
+    least = np.full(len(n), -1)
+    for lo, hi in row_blocks(int(n.max()), len(n)):
+        t = np.arange(lo, hi)[:, None]
+        hit = (t < n) & (vmul(t, 1) != 0) & (vmul(vmul(t, t), 1) == 0)
+        found = hit.any(axis=0) & (least < 0)
+        least[found] = lo + hit.argmax(axis=0)[found]
+        if (least >= 0).all():
+            break
+    return [(True, t) if t >= 0 else (False, None) for t in least.tolist()]
 
 
 def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteModule,
@@ -273,6 +286,8 @@ def check_lemma_matrix_nil(shape_n: int, base: FiniteRing, base_module: FiniteMo
         return _report("matrix_nil_coverage", detail, None if covered else _witness(
             "matrix-nil-gap", descriptor=module.descriptor, m=int(np.argmin(nils.flags))))
 
+    if module.size == 1:  # the draw below would never find a nonzero id
+        raise InvalidParameterError(f"{module.descriptor}: no nonzero element to sample")
     count = sample if sample is not None else DEFAULT_SAMPLES
     rng = Random(cfg.seed)
     ring, zero = module.ring, module.zero
@@ -967,8 +982,8 @@ def exit_code(reports: list[CheckReport]) -> int:
 def reverify_refutation(report_or_witness, config: EngineConfig | None = None) -> bool:
     """Replay a refuted report's stored witness with one evaluation call,
     through its kind's entry in WITNESS_KINDS.  A witness that is no dict,
-    or lacks its kind or a field its kind lists, raises
-    InvalidParameterError."""
+    lacks its kind or a field its kind lists, or holds a field of another
+    type than _FIELD_TYPES gives it, raises InvalidParameterError."""
     from .dsl import elaborate_text
 
     cfg = resolve(config)
@@ -983,9 +998,14 @@ def reverify_refutation(report_or_witness, config: EngineConfig | None = None) -
     if spec is None:
         raise InvalidParameterError("witness has no field 'kind'" if kind is None
                                     else f"unknown witness kind {kind!r}")
-    for name in spec.fields:
+    optional = ("expect",) if kind in TRIPLE_KINDS and "expect" in witness else ()
+    for name in (*spec.fields, *optional):
         if name not in witness:
             raise InvalidParameterError(f"{kind} witness has no field {name!r}")
+        want, value = _FIELD_TYPES.get(name, int), witness[name]
+        if type(value) is not want:
+            raise InvalidParameterError(f"{kind} witness field {name!r} must be "
+                                        f"{want.__name__}, got {type(value).__name__}")
     structure = (elaborate_text(witness["descriptor"], cfg)
                  if "descriptor" in spec.fields else None)
     return spec.replay(structure, witness, cfg)

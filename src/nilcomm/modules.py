@@ -34,10 +34,7 @@ from .rings import (
     componentwise,
     exact_fits,
     first_true,
-    intern,
-    interned,
     make_matrix_ring,
-    make_zn,
     row_blocks,
     scan,
     zn_laws_hold,
@@ -318,14 +315,13 @@ _PAIR_ROW_IDS = 1 + 3 + 1 + 3 * 3
 
 
 def regular_zn_modules(ns, config: EngineConfig | None = None):
-    """Yield regular_module(make_zn(n, config), config) for each n of ns in
-    turn.  A run of n whose Z(n) check_laws would sample untabulated is built
-    in groups, sized by row_blocks: the group's Z(n) and regular modules not
-    yet interned are built unvalidated and checked together by zn_laws_hold,
-    each on its own draw, then interned under the two constructors' keys.  A
-    group that fails is built and checked again one structure at a time,
-    Z(n), regular(Z(n)), Z(n+1), ..., which raises the first failure's
-    AxiomError.  Every other n takes that per-structure path."""
+    """Yield the regular modules of Z(n), n in ns, in order, as lists sized
+    by row_blocks, each built afresh and never interned.  A list of the Z(n)
+    that check_laws would sample untabulated is built unvalidated and checked
+    together by zn_laws_hold, each structure on its own draw.  A list that
+    fails is built and checked again one structure at a time, Z(n),
+    regular(Z(n)), Z(n+1), ..., which raises the first failure's AxiomError;
+    every other list is built that way from the start."""
     config = resolve(config)
 
     def light(n):  # builds unvalidated without raising; untabulated and sampled
@@ -334,33 +330,12 @@ def regular_zn_modules(ns, config: EngineConfig | None = None):
 
     for grouped, run in groupby(ns, light):
         run = list(run)
-        for lo, hi in (row_blocks(len(run), _PAIR_ROW_IDS * config.validation_samples)
-                       if grouped else [(0, len(run))]):
-            modules = _checked_group(run[lo:hi], config) if grouped else None
-            if modules is None:
-                modules = (regular_module(make_zn(n, config), config) for n in run[lo:hi])
-            yield from modules
-
-
-def _checked_group(ns, config: EngineConfig) -> list | None:
-    """The regular modules of the light Z(n), n in ns, once zn_laws_hold
-    passes on those not interned (then interned), else None."""
-    modules, checks = [], []
-    for n in ns:
-        ring = interned(ZnRing, n, config=config)
-        if ring is None:
-            ring = ZnRing(n, config, validate=False)
-            checks.append((ring, ring))
-        module = interned(RegularModule, ring, config=config)
-        if module is None:
-            module = RegularModule(ring, config, validate=False)
-            checks.append((module, ring))
-        modules.append(module)
-    if not zn_laws_hold(checks):
-        return None
-    for structure, ring in checks:
-        intern(structure, ring.n if structure is ring else ring, config=config)
-    return modules
+        for lo, hi in row_blocks(len(run), _PAIR_ROW_IDS * config.validation_samples):
+            group = [RegularModule(ZnRing(n, config, not grouped), config, not grouped)
+                     for n in run[lo:hi]]
+            if grouped and not zn_laws_hold([(s, m.ring) for m in group for s in (m.ring, m)]):
+                group = [RegularModule(ZnRing(n, config), config) for n in run[lo:hi]]
+            yield group
 
 
 def matrix_module(shape: MatrixShape, base_ring: FiniteRing,

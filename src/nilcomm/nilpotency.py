@@ -10,14 +10,12 @@ power form walks orbits and exists for cross-checking and witness variety.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 
 from .config import EngineConfig, resolve
 from .modules import FiniteModule, escapes
-from .rings import ZnRing, regular_elements, row_blocks
+from .rings import regular_elements, row_blocks
 
 
 @dataclass(eq=False)
@@ -83,35 +81,23 @@ class TorsionSets:
         return self.t_closed_add and self.t_closed_act
 
 
-def squared_killers(module: FiniteModule | list, ms: np.ndarray | None = None) -> np.ndarray:
+def squared_killers(module: FiniteModule, ms: np.ndarray | None = None) -> np.ndarray:
     """The squared criterion over an id array ms: for each m, the least t
     with t*m != 0 and (t*t)*m = 0, or -1 where there is none (m = 0 among
     them).  Blocks of t run in order and stop once every nonzero m has its
     t.  ms None means all of M, read from rows of the action table; an id
-    array goes through vact, so nothing is tabulated.  A list of regular
-    modules of untabulated ZnRing with their own arithmetic instead gives m = 1
-    in each, through ZnRing._vmul under each n, with ids t >= n masked off."""
-    if isinstance(module, list):
-        n = np.array([each.ring.n for each in module])
-        vmul = partial(ZnRing._vmul, SimpleNamespace(n=n))
-        zero, size, ms, cells = 0, int(n.max(initial=0)), np.ones_like(n), 1
-        square = lambda t: vmul(t[:, None], t[:, None])
-        def times(t):  # t, or each column's t*t
-            t = t.reshape(len(t), -1)
-            return np.where(t < n, vmul(t, ms), zero)
+    array goes through vact, so nothing is tabulated."""
+    ring, zero = module.ring, module.zero
+    if ms is None:
+        ms, times, cells = np.arange(module.size), module.act_table().__getitem__, 1
     else:
-        ring, zero = module.ring, module.zero
-        size, square = ring.size, lambda t: ring.vmul(t, t)
-        if ms is None:
-            ms, times, cells = np.arange(module.size), module.act_table().__getitem__, 1
-        else:
-            times = lambda t: module.vact(t[:, None], ms)
-            cells = module.cells
+        times = lambda t: module.vact(t[:, None], ms)
+        cells = module.cells
     least = np.full(len(ms), -1)
     open_ = ms != zero
-    for lo, hi in row_blocks(size, len(ms) * cells):
+    for lo, hi in row_blocks(ring.size, len(ms) * cells):
         t = np.arange(lo, hi)
-        hit = (times(t) != zero) & (times(square(t)) == zero)
+        hit = (times(t) != zero) & (times(ring.vmul(t, t)) == zero)
         found = hit.any(axis=0) & open_
         least[found] = lo + hit.argmax(axis=0)[found]
         open_[found] = False

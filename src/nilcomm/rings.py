@@ -348,13 +348,11 @@ class FiniteStructure:
 class FiniteRing(FiniteStructure):
     """Base class: a finite associative ring with identity on ids 0..size-1,
     its product mul.  laws_exact marks a ring whose every law instance has
-    passed its exact axiom check, and tables_checked holds the add and mul
-    tables its check range-checked and found + commutative on."""
+    passed its exact axiom check."""
 
     _kind, _product = "ring", "vmul"
     one: int
     laws_exact = False
-    tables_checked = None
 
     def _seal(self, validate: bool = True) -> None:
         """Finalize construction: reject the trivial ring, bind ops, validate."""
@@ -694,10 +692,12 @@ _built: ContextVar[dict | None] = ContextVar("nilcomm_built", default=None)
 
 @contextmanager
 def interning():
-    """Within the block, the canonical constructors return the structure
-    already built for the same key: the class, the plain arguments, the
-    operand structures by identity and the EngineConfig.  A build that raises
-    leaves no entry; outside every block each call builds afresh."""
+    """Within the block, the canonical constructors (build) return the
+    structure already built for the same key: the class, the plain arguments,
+    the operand structures by identity and the EngineConfig.  A build that
+    raises leaves no entry; outside every block each call builds afresh.
+    Structures built by their classes directly, such as the light Z(n) of
+    modules.regular_zn_modules, never enter the table."""
     token = _built.set({})
     try:
         yield
@@ -706,27 +706,17 @@ def interning():
 
 
 def build(cls, *args, config: EngineConfig | None = None):
-    """cls(*args, config), interned inside an interning() block."""
-    found = interned(cls, *args, config=config)
-    if found is None:
-        found = cls(*args, config)
-        intern(found, *args, config=config)
-    return found
-
-
-def interned(cls, *args, config: EngineConfig | None = None):
-    """The structure build(cls, *args, config=config) would return without
-    building it, or None outside an interning() block or before its build."""
+    """cls(*args, config), built afresh outside an interning() block; inside
+    one, the structure entered under its key, built and entered at the first
+    call.  Only the canonical constructors call it: a class called directly
+    is never interned."""
     table = _built.get()
-    return None if table is None else table.get((cls, *args, resolve(config, *args)))
-
-
-def intern(structure, *args, config: EngineConfig | None = None) -> None:
-    """Enter a structure built and validated from args under the key build
-    gives its class; nothing outside an interning() block."""
-    table = _built.get()
-    if table is not None:
-        table[(type(structure), *args, resolve(config, *args))] = structure
+    if table is None:
+        return cls(*args, config)
+    key = (cls, *args, resolve(config, *args))
+    if key not in table:
+        table[key] = cls(*args, config)
+    return table[key]
 
 
 def make_zn(n: int, config: EngineConfig | None = None) -> ZnRing:
@@ -1005,12 +995,10 @@ def check_laws(structure, ring: FiniteRing, exact: bool = False) -> bool:
     generators, and then a passed exact check of the same tables (exact)
     counts as its own.  An exact check builds the tables if the structure
     has none.  Tabulated or exactly checked tables are range-checked, and +
-    checked commutative at every pair, unless a passed check of the ring did
-    both to these same tables (ring.tables_checked).  Then either the spot
-    laws hold at every id and _scan_laws proves the rest at the generators,
-    naming the least failing triple where the proof fails, or the spot laws
-    hold at the first of sampled_rows and each family at its
-    validation_samples rows."""
+    checked commutative at every pair.  Then either the spot laws hold at
+    every id and _scan_laws proves the rest at the generators, naming the
+    least failing triple where the proof fails, or the spot laws hold at the
+    first of sampled_rows and each family at its validation_samples rows."""
     own = structure is ring
     spot_messages, family_messages, scan_messages = _MESSAGES[own]
     desc, n = structure.descriptor, structure.size
@@ -1021,16 +1009,11 @@ def check_laws(structure, ring: FiniteRing, exact: bool = False) -> bool:
              sampled_rows(structure, ring, structure.config.validation_samples))
     if structure.tabulated or gens is not None:
         add, act = structure.add_table(), structure.mul_table() if own else structure.act_table()
-        checked = ring.tables_checked
-        if own or checked is None or checked[0] is not add or checked[1] is not act:
-            for name, t in (("add", add), ("mul" if own else "act", act)):
-                if t.min() < 0 or t.max() >= n:
-                    raise AxiomError(f"{desc}: {name} table has out-of-range ids")
-            if not (add == add.T).all():
-                raise AxiomError(f"{desc}: "
-                                 + family_messages[0][0].format(*first_true(add != add.T)))
-        if own and structure.tabulated:  # its stored tables, which a module may share
-            ring.tables_checked = add, act
+        for name, t in (("add", add), ("mul" if own else "act", act)):
+            if t.min() < 0 or t.max() >= n:
+                raise AxiomError(f"{desc}: {name} table has out-of-range ids")
+        if not (add == add.T).all():
+            raise AxiomError(f"{desc}: " + family_messages[0][0].format(*first_true(add != add.T)))
         tables = add, act, *((add, act) if own else (ring.add_table(), ring.mul_table()))
     spot_laws, families = law_set(structure.zero, ring.one, structure.vadd, structure.vneg,
                                   structure.vmul if own else structure.vact,

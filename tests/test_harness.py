@@ -1,4 +1,6 @@
+import re
 from collections import Counter
+from contextlib import contextmanager
 from random import Random
 
 import numpy as np
@@ -25,6 +27,7 @@ from nilcomm import (
     check_t_submodule,
     check_tor_t_sets,
     check_torsion_free_props,
+    cyclic_submodule,
     elaborate_text,
     exit_code,
     check_ring_axioms,
@@ -43,7 +46,7 @@ from nilcomm import (
     run_check,
 )
 from nilcomm.config import DEFAULT_CONFIG
-from nilcomm.nilpotency import is_nilpotent_squared, squared_killers
+from nilcomm.nilpotency import is_nilpotent_squared
 from nilcomm.harness import DEFAULT_SAMPLES
 from nilcomm.rings import ZnRing
 
@@ -169,6 +172,17 @@ def test_matrix_nil_modes(m4z2_module):
     assert sampled.status == "confirmed"
     assert sampled.detail["mode"] == "sampled-witness"
     assert sampled.detail["passes"] == 250
+
+
+def test_the_matrix_nil_sample_refuses_a_module_with_no_nonzero_element():
+    z2 = make_zn(2)
+    zero = cyclic_submodule(regular_module(z2), 0)
+    full = check_lemma_matrix_nil(2, z2, zero)
+    assert (full.status, full.detail["size"]) == ("confirmed", 1)
+    # the draw of nonzero ids would never end
+    with pytest.raises(InvalidParameterError, match=re.escape(
+            "matmod(2, cyclic(regular(Z(2)), 0)): no nonzero element to sample")):
+        check_lemma_matrix_nil(2, z2, zero, sample=3)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -537,7 +551,7 @@ def test_a_planted_defect_in_a_group_reports_the_per_structure_error(
     grouped = run_check("lemma_squarefree", options=opts)
     # the loop of per-structure builds and checks that the groups replace
     monkeypatch.setattr(harness, "regular_zn_modules", lambda ns, cfg: (
-        harness._reg_zn(n, cfg) for n in ns))
+        [harness._reg_zn(n, cfg)] for n in ns))
     alone = run_check("lemma_squarefree", options=opts)
     assert alone.status == "skipped" and alone.detail["reason"] == "internal-error"
     assert alone.detail["error"].startswith("AxiomError: " + failure)
@@ -605,22 +619,23 @@ def test_a_subclass_with_its_own_arithmetic_is_not_grouped():
     assert not rings.zn_laws_hold([(plain, plain), (skew, skew)])
 
 
-def test_grouped_structures_are_interned_under_the_constructors_keys(monkeypatch):
-    built, zn_laws_hold = [], modules.zn_laws_hold
-    monkeypatch.setattr(modules, "zn_laws_hold", lambda checks: (
-        built.extend(s for s, _ in checks), zn_laws_hold(checks))[1])
-    with rings.interning():
-        assert check_lemma_squarefree(200).status == "confirmed"
-        assert len(built) == 2 * 160
-        for structure in built:
-            if isinstance(structure, ZnRing):
-                assert make_zn(structure.n, _LIGHT) is structure
-            else:
-                assert regular_module(structure.ring, _LIGHT) is structure
-        # a second run builds nothing new
-        built.clear()
-        assert check_lemma_squarefree(200).status == "confirmed"
-        assert built == []
+def test_run_all_interns_no_light_z_n(monkeypatch):
+    tables = []
+
+    @contextmanager
+    def keeping():  # rings.interning, its table kept past the block
+        with rings.interning():
+            tables.append(rings._built.get())
+            yield
+
+    monkeypatch.setattr(harness, "interning", keeping)
+    reports = run_all(options=HarnessOptions(nmax=200, samples=50))
+    assert reports[0].detail["checked"] == 199
+    # the light Z(n) are built afresh and dropped: no key holds their config
+    [table] = tables
+    assert "regular(Z(2))" in {s.descriptor for s in table.values()}
+    assert _LIGHT not in {key[-1] for key in table}
+    assert not any(s.config == _LIGHT for s in table.values())
 
 
 @pytest.mark.parametrize("hook, x, y, ring_fails", [("_vmul", 1, 1, True),
@@ -628,16 +643,11 @@ def test_grouped_structures_are_interned_under_the_constructors_keys(monkeypatch
 def test_a_failing_group_interns_nothing_past_the_failure(monkeypatch, hook, x, y, ring_fails):
     monkeypatch.setattr(ZnRing, hook, _planted(hook, 97, x, y))
     with rings.interning():
-        with pytest.raises(AxiomError):
+        with pytest.raises(AxiomError, match=re.escape(
+                "Z(97): one is not a multiplicative identity at 1" if ring_fails
+                else "regular(Z(97)): act(1, m) != m at m=0")):
             check_lemma_squarefree(120)
-        ring = rings.interned(ZnRing, 97, config=_LIGHT)
-        assert (ring is None) is ring_fails
-        if ring is not None:
-            assert rings.interned(modules.RegularModule, ring, config=_LIGHT) is None
-        assert rings.interned(ZnRing, 98, config=_LIGHT) is None
-        # the group's structures before the failure were checked and interned
-        before = rings.interned(ZnRing, 96, config=_LIGHT)
-        assert rings.interned(modules.RegularModule, before, config=_LIGHT) is not None
+        assert rings._built.get() == {}
 
 
 # ---------------------------------------------------------------------------
@@ -645,15 +655,13 @@ def test_a_failing_group_interns_nothing_past_the_failure(monkeypatch, hook, x, 
 
 
 def test_one_squared_pass_a_group_equals_the_per_structure_criterion():
-    ns = range(2, 1001)
-    reg = list(modules.regular_zn_modules(ns, _LIGHT))
-    least = []
-    for lo, hi in rings.row_blocks(len(ns), ns[-1]):  # the lemma's groups
-        least += squared_killers(reg[lo:hi]).tolist()
-    assert [(t >= 0, t if t >= 0 else None) for t in least] == [
-        is_nilpotent_squared(module, 1) for module in reg]
+    groups = list(modules.regular_zn_modules(range(2, 1001), _LIGHT))
+    assert [len(group) for group in groups] == [39] + [73] * 13 + [11]
+    reg = [module for group in groups for module in group]
+    least = [t for group in groups for t in harness._one_is_nilpotent(group)]
+    assert least == [is_nilpotent_squared(module, 1) for module in reg]
     # one group of every n in 2..1000 misses no t of any column
-    assert squared_killers(reg[::7]).tolist() == least[::7]
+    assert harness._one_is_nilpotent(reg[::7]) == least[::7]
 
 
 def test_a_column_of_the_squared_pass_sees_only_its_own_elements(monkeypatch):
@@ -663,20 +671,24 @@ def test_a_column_of_the_squared_pass_sees_only_its_own_elements(monkeypatch):
     monkeypatch.setattr(ZnRing, "_vmul", lambda self, a, b: np.where(
         (self.n == 97) & (a == 150) & (b == 150), 0, vmul(self, a, b)))
     group = [harness._reg_zn(97, _LIGHT), harness._reg_zn(200, _LIGHT)]
-    assert squared_killers(group).tolist() == [-1, 20]
+    assert harness._one_is_nilpotent(group) == [(False, None), (True, 20)]
     assert [is_nilpotent_squared(m, 1) for m in group] == [(False, None), (True, 20)]
 
 
-def test_only_untabulated_z_n_with_their_own_arithmetic_share_the_pass(monkeypatch):
+def test_only_groups_of_z_n_with_their_own_arithmetic_share_the_pass(monkeypatch):
     skew = modules.RegularModule(_SkewZn(50, _LIGHT), _LIGHT, validate=False)
-    tabulated = regular_module(make_zn(8))
-    mixed = [harness._reg_zn(12, _LIGHT), skew, harness._reg_zn(49, _LIGHT), tabulated,
-             harness._reg_zn(50, _LIGHT)]
+    plain = [harness._reg_zn(12, _LIGHT), harness._reg_zn(49, _LIGHT),
+             regular_module(make_zn(8)), harness._reg_zn(50, _LIGHT)]
     alone, one_each = [], harness.is_nilpotent_squared
     monkeypatch.setattr(harness, "is_nilpotent_squared", lambda module, m: (
         alone.append(module), one_each(module, m))[1])
+    # a group of ZnRing's own arithmetic, a tabulated Z(8) among them, in one pass
+    assert harness._one_is_nilpotent(plain) == [one_each(m, 1) for m in plain]
+    assert alone == []
+    # a group holding a subclass with arithmetic of its own, one module at a time
+    mixed = [*plain[:2], skew, *plain[2:]]
     assert harness._one_is_nilpotent(mixed) == [one_each(m, 1) for m in mixed]
-    assert alone == [skew, tabulated]
+    assert alone == mixed
     assert one_each(skew, 1) != one_each(harness._reg_zn(50, _LIGHT), 1)
 
 
@@ -686,7 +698,7 @@ def test_a_planted_criterion_defect_reports_as_the_per_structure_loop(monkeypatc
     grouped = check_lemma_squarefree(1000)
     # the loop of per-structure builds and criterion calls that the groups replace
     monkeypatch.setattr(harness, "regular_zn_modules", lambda ns, cfg: (
-        harness._reg_zn(n, cfg) for n in ns))
+        [harness._reg_zn(n, cfg)] for n in ns))
     monkeypatch.setattr(harness, "_one_is_nilpotent", lambda group: [
         is_nilpotent_squared(module, 1) for module in group])
     alone = check_lemma_squarefree(1000)

@@ -537,16 +537,20 @@ def test_untabulated_module_builds_its_action_table_once(monkeypatch):
         (v.holds, v.witness) for v in (decide(tabulated, p) for p in MODULE_PROPERTIES)]
 
 
-def test_a_regular_module_skips_only_the_table_checks_its_ring_passed():
+def test_a_regular_module_checks_its_own_tables():
     # T(2, Z(6)) has 216 elements: tabulated, and sampled as |R|^3 exceeds the budget
     ring = elaborate_text("T(2, Z(6))")
-    add, mul = ring.tables_checked
-    assert ring.tabulated and add is ring.add_table() and mul is ring.mul_table()
+    assert ring.tabulated and not ring.laws_exact
     module = regular_module(ring)
-    assert module.add_table() is add and module.act_table() is mul
-    # a ring built unchecked marks nothing, so its module checks the tables itself
+    assert module.add_table() is ring.add_table() and module.act_table() is ring.mul_table()
+    # the shared tables, broken after the ring's check passed, fail the module's
+    ring.mul_table()[3, 4] = 216
+    with pytest.raises(AxiomError, match=re.escape(
+            "regular(T(2, Z(6))): act table has out-of-range ids")):
+        regular_module(ring)
+    # and so do the tables of a ring built unchecked
     unchecked = ZnRing(50, validate=False)
-    assert unchecked.tabulated and unchecked.tables_checked is None
+    assert unchecked.tabulated
     unchecked.mul_table()[3, 4] = 50
     with pytest.raises(AxiomError, match=re.escape(
             "regular(Z(50)): act table has out-of-range ids")):

@@ -61,7 +61,7 @@ def _plant_killer(mp, descriptor: str, m: int, t: int) -> None:
 
     def planted(module, ms=None):
         least = real(module, ms)
-        if not isinstance(module, list) and module.descriptor == descriptor:
+        if module.descriptor == descriptor:
             ids = np.arange(module.size) if ms is None else np.asarray(ms)
             least = np.where(ids == m, t, least)
         return least
@@ -187,12 +187,36 @@ def test_triple_payloads_carry_their_kinds_fields_in_order(prop, kind):
     assert triple_witness(prop, "regular(Z(4))", (1, 2, 1))["kind"] == kind
 
 
+_TRIPLE = triple_witness(PROP_SEMICOMMUTATIVE, "regular(Z(4))", (1, 2, 1))
+
+
 @pytest.mark.parametrize("witness,message", [
     ({"kind": "annihilator"}, "annihilator witness has no field 'descriptor'"),
     ({"kind": "theta-failure", "base_n": 2}, "theta-failure witness has no field 'n'"),
     ({"descriptor": "regular(Z(4))", "m": 1}, "witness has no field 'kind'"),
     (["not-semicommutative", "regular(Z(4))"], "a witness is a dict, got list"),
     ({"kind": "nilpotent"}, "unknown witness kind 'nilpotent'"),
+    # each field of its own type: ids and counts int (no bool), flags bool,
+    # the descriptor str
+    ({**_TRIPLE, "a": 1.5}, "not-semicommutative witness field 'a' must be int, got float"),
+    ({**_TRIPLE, "a": True}, "not-semicommutative witness field 'a' must be int, got bool"),
+    ({**_TRIPLE, "a": "2"}, "not-semicommutative witness field 'a' must be int, got str"),
+    ({**_TRIPLE, "expect": 1}, "not-semicommutative witness field 'expect' must be bool, "
+                               "got int"),
+    ({**_TRIPLE, "descriptor": ["regular(Z(4))"]},
+     "not-semicommutative witness field 'descriptor' must be str, got list"),
+    ({"kind": "annihilator", "descriptor": "regular(Z(4))", "r": 2.0, "m": 1,
+      "expect_zero": False}, "annihilator witness field 'r' must be int, got float"),
+    ({"kind": "annihilator", "descriptor": "regular(Z(4))", "r": 2, "m": 1,
+      "expect_zero": 0}, "annihilator witness field 'expect_zero' must be bool, got int"),
+    ({"kind": "nilpotent-element", "descriptor": "regular(Z(4))", "m": [1, 2],
+      "expect": True}, "nilpotent-element witness field 'm' must be int, got list"),
+    ({"kind": "squarefree-mismatch", "n": 4.0},
+     "squarefree-mismatch witness field 'n' must be int, got float"),
+    ({"kind": "class-count", "descriptor": "loc(Z(12), {2})", "expected": 4, "got": None},
+     "class-count witness field 'got' must be int, got NoneType"),
+    ({"kind": "theta-failure", "base_n": True, "n": 3},
+     "theta-failure witness field 'base_n' must be int, got bool"),
 ])
 def test_a_malformed_witness_raises_a_typed_error(witness, message):
     with pytest.raises(InvalidParameterError) as exc:
