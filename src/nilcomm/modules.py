@@ -2,8 +2,9 @@
 
 A module exposes vadd/vact/vneg on id arrays, their pointwise forms
 add/act/neg on dense ids, a descriptor in the structure DSL, and the same
-tabulate-small / compute-large split as the rings.  The regular module
-shares its ring's bound operations and tables outright.
+tabulate-small / compute-large split as the rings.  A module with its
+ring's ids, zero, + and product (the regular module, and a matrix module over
+one such) shares the ring's bound operations, tables and exact check outright.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ _MODULE_PREFIX = {FULL: "matmod", UPPER: "trimod", SPECIAL_UPPER: "smod", V_TYPE
 class FiniteModule(FiniteStructure):
     """Base class: a finite unitary left module on ids 0..size-1, its product
     the ring's action act.  shares_ring_ops marks one sealed with its ring's
-    own operations and tables (the regular module)."""
+    own operations, tables and additive generators: the regular module, and
+    a matrix module over a module that shares them."""
 
     _kind, _product = "module", "vact"
     shares_ring_ops = False
@@ -63,8 +65,9 @@ class FiniteModule(FiniteStructure):
         if share_ring_ops:
             self.shares_ring_ops = True
             self.vadd, self.vact, self.vneg = ring.vadd, ring.vmul, ring.vneg
-            self.vmatact = ring.vmatmul
-            self.tabulated = ring.tabulated
+            self.vmatact, self.tabulated = ring.vmatmul, ring.tabulated
+            self.add_table, self.act_table = ring.add_table, ring.mul_table
+            self.additive_generators = ring.additive_generators
         else:
             self._bind(ring.size, max(self.size, ring.size) <= self.config.tabulate_threshold)
         if validate:
@@ -95,15 +98,6 @@ class RegularModule(FiniteModule):
         self._pair_cells = ring.cells
         self._seal(validate, share_ring_ops=True)
 
-    def add_table(self):
-        return self.ring.add_table()
-
-    def act_table(self):
-        return self.ring.mul_table()
-
-    def additive_generators(self, most=None):
-        return self.ring.additive_generators(most)
-
     def render(self, m):
         return self.ring.render(m)
 
@@ -125,7 +119,7 @@ class MatrixModule(MatrixLayout, FiniteModule):
         super().__init__(ring, base_module.size, descriptor, config, shape.count)
         self._lay_out(shape, base_module)
         self.zero = self.codec.encode([base_module.zero] * len(self.positions))
-        self._seal()
+        self._seal(share_ring_ops=base_module.shares_ring_ops)
 
     def _vact(self, r, m):
         return self.ungrid(self.base.vmatact(self.ring.grid(r), self.grid(m)))

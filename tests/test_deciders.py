@@ -140,7 +140,8 @@ def test_exhaustive_mode_raises_above_cap(m4z2_module):
 
 def test_decide_many_refuses_above_the_cap_before_building_a_table():
     # 16^3 nominal triples past a cap of 100: the first property's refusal,
-    # as a loop of decide raises it, and no action table built
+    # as a loop of decide raises it, and no action table built: the module
+    # shares its ring's ops, so its action table is the ring's mul table
     cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0, decision_cap=100)
     module = elaborate_text("matmod(2, regular(Z(2)))", cfg)
     assert not module.tabulated
@@ -155,10 +156,10 @@ def test_decide_many_refuses_above_the_cap_before_building_a_table():
     # an unknown first property is refused as a loop of decide refuses it
     with pytest.raises(InvalidParameterError, match="unknown module property"):
         decide_many(module, ["no-such-property", PROP_SEMICOMMUTATIVE])
-    assert module._product_rows is None
+    assert module.ring._product_rows is None
     forced = cfg.with_overrides(force=True)
     assert decide_many(module, props, forced) == [decide(module, p, forced) for p in props]
-    assert module._product_rows is not None
+    assert module.act_table() is module.ring.mul_table()
 
 
 def test_ring_deciders():

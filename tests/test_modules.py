@@ -395,20 +395,29 @@ def test_a_tabulated_module_checks_its_sum_commutes_at_every_pair(overrides):
         check_module_axioms(module)
 
 
+def _reference_rows(module) -> list:
+    """The rows a sampled check of module draws, by the tests' reference
+    draw from its descriptor's seed: the spot ids (every id when tabulated
+    or not above the sample count), then each family's."""
+    cfg, nm, nr = module.config, module.size, module.ring.size
+    samples = cfg.validation_samples
+    rng = Random(_stable_seed(cfg, module.descriptor))
+    spots = draw_ids(rng, samples, nm) if samples < nm else None
+    if spots is None or module.tabulated:
+        spots = np.arange(nm)[:, None]
+    return [spots.tolist()] + [draw_ids(rng, samples, *sizes).tolist()
+                               for sizes in ((nm, nm, nm), (nr, nr, nm), (nr, nm, nm))]
+
+
 @pytest.mark.parametrize("samples", [30, 40])  # 36 elements: spot ids drawn below 36 samples
 def test_sampled_module_check_draws_once_what_consecutive_draws_gave(monkeypatch, samples):
     cfg = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0, full_check_budget=0,
                                         validation_samples=samples)
     module = elaborate_text("prodmod(regular(Z(6)), regular(Z(6)))", cfg)
-    nm, nr = module.size, module.ring.size
     checked, draws = record_sampled_draws(monkeypatch)
     check_module_axioms(module)
     assert len(draws) == 1
-    rng = Random(_stable_seed(cfg, module.descriptor))
-    spots = draw_ids(rng, samples, nm) if samples < nm else np.arange(nm)[:, None]
-    assert checked == [spots.tolist()] + [
-        draw_ids(rng, samples, *sizes).tolist()
-        for sizes in ((nm, nm, nm), (nr, nr, nm), (nr, nm, nm))]
+    assert checked == _reference_rows(module)
 
 
 def _record_law_scans(monkeypatch) -> list:
@@ -513,6 +522,62 @@ def test_regular_module_over_a_broken_ring_fails_its_own_scan():
     with pytest.raises(AxiomError):
         check_ring_axioms(ring)
     assert not ring.laws_exact
+
+
+@pytest.mark.parametrize("expr", ["matmod(2, regular(Z(2)))", "trimod(3, regular(Z(2)))",
+                                  "smod(3, regular(Z(3)))", "vmod(3, regular(Z(4)))",
+                                  "matmod(2, matmod(1, regular(Z(3))))"])
+def test_a_matrix_module_over_a_regular_module_takes_its_rings_exact_check(
+        monkeypatch, expr):
+    scanned = _record_law_scans(monkeypatch)
+    _, draws = record_sampled_draws(monkeypatch)
+    module = elaborate_text(expr)
+    assert module.shares_ring_ops and module.ring.laws_exact
+    assert module.act_table() is module.ring.mul_table()
+    assert module.add_table() is module.ring.add_table()
+    # the ring scanned last, the module not at all, and nothing drawn
+    assert scanned[-1] == module.ring.descriptor and module.descriptor not in scanned
+    assert draws == []
+
+
+@pytest.mark.parametrize("expr, nbytes", [
+    # 3 families of 3 ids, 2000 rows, 8 bytes an id; M(4, Z(2)) draws its
+    # 65536 spot ids too, untabulated
+    ("matmod(2, regular(Z(4)))", 144000), ("smod(3, regular(Z(4)))", 144000),
+    ("matmod(4, regular(Z(2)))", 160000)])
+def test_a_matrix_module_over_a_sampled_ring_draws_its_own_samples(
+        monkeypatch, expr, nbytes):
+    checked, draws = record_sampled_draws(monkeypatch)
+    module = elaborate_text(expr)
+    assert module.shares_ring_ops and not module.ring.laws_exact
+    # the ring's draw, then the module's own, seeded by its descriptor
+    assert len(draws) == 2 and draws[-1] == nbytes
+    assert checked[-4:] == _reference_rows(module)
+
+
+def test_a_matrix_module_over_a_product_base_keeps_its_own_tables_and_check(monkeypatch):
+    scanned = _record_law_scans(monkeypatch)
+    checked, draws = record_sampled_draws(monkeypatch)
+    module = elaborate_text("matmod(2, prodmod(regular(Z(2)), regular(Z(2))))")
+    assert not module.shares_ring_ops and module.tabulated
+    assert module.act_table() is module._product_rows
+    assert not np.array_equal(module.act_table(), module.ring.mul_table())
+    # M(2, Z(2)) is proven; the module's 256 elements at 8 additive
+    # generators exceed the budget, so it draws its own samples
+    assert scanned[-1] == module.ring.descriptor
+    assert draws == [144000] and checked[-4:] == _reference_rows(module)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({}, "M(2, Z(3)): right distributivity fails at (2, 1, 1)"),  # exact
+    ({"full_check_budget": 0}, "M(2, Z(3)): mul not associative at (35, 33, 53)")])
+def test_a_matrix_module_over_a_broken_ring_is_refused_by_the_rings_check(
+        overrides, message):
+    cfg = DEFAULT_CONFIG.with_overrides(**overrides)
+    skew = _SkewZn(3, cfg)  # built without its check
+    with pytest.raises(AxiomError) as err:
+        matrix_module(MatrixShape(FULL, 2), skew, _UncheckedRegularModule(skew), cfg)
+    assert str(err.value) == message
 
 
 def _record_table_builds(monkeypatch) -> list:
@@ -651,10 +716,10 @@ def test_composed_add_tables_match_the_op_and_the_plain_loop(expr, tabulate):
 def test_tabulated_matrix_module_builds_only_its_product_tables(monkeypatch):
     builds = _record_table_builds(monkeypatch)
     assert elaborate_text("matmod(2, regular(Z(4)))").tabulated
-    # Z(4)'s add and mul, then the 16x16 entry tables of the mul table of
-    # M(2, Z(4)) and of the action table; both 256x256 add tables are
-    # composed from Z(4)'s
-    assert builds == [(4, 4), (4, 4), (16, 16), (16, 16)]
+    # Z(4)'s add and mul, then the 16x16 entry table of the mul table of
+    # M(2, Z(4)), which the module shares as its action table; the 256x256
+    # add table is composed from Z(4)'s
+    assert builds == [(4, 4), (4, 4), (16, 16)]
 
 
 def test_composed_add_table_reads_a_repeated_part_once(monkeypatch):

@@ -6,6 +6,7 @@ so the suite stays deterministic.
 """
 
 import itertools
+from random import Random
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from conftest import draw_ids
 from nilcomm import (
+    FULL,
+    SPECIAL_UPPER,
+    UPPER,
+    V_TYPE,
+    MatrixShape,
     elaborate_text,
     nil_set,
     ring_is_nil_semicommutative,
@@ -220,3 +227,37 @@ def test_complement_words_equal_packing_the_violation():
         violation = deciders._PROPERTIES[prop].violation
         words = deciders._lanes(violation(scan, scan.rows, scan.cols))
         assert np.array_equal(scan.packed(violation)[1], words), prop
+
+
+# a matrix module over regular(R) against the regular module of the matrix
+# ring: the same ids, zero, + and product, so the same verdicts, least
+# witnesses and nil set.  The four shapes at n <= 3 over Z(2), Z(3), Z(4) and
+# the noncommutative T(2, Z(2)), each up to the oracle's 256 elements
+MATRIX_OVER_REGULAR = [
+    (f"{mod}({n}, regular({base}))", f"regular({ring}({n}, {base}))")
+    for mod, ring, kind in (("matmod", "M", FULL), ("trimod", "T", UPPER),
+                            ("smod", "S", SPECIAL_UPPER), ("vmod", "V", V_TYPE))
+    for base, size in (("Z(2)", 2), ("Z(3)", 3), ("Z(4)", 4), ("T(2, Z(2))", 8))
+    for n in (1, 2, 3) if size ** MatrixShape(kind, n).count <= 256]
+
+
+@pytest.mark.parametrize("expr, regular_expr", MATRIX_OVER_REGULAR)
+def test_matrix_module_over_a_regular_module_is_the_regular_module_of_its_ring(
+        expr, regular_expr):
+    module, regular = elaborate_text(expr), elaborate_text(regular_expr)
+    assert module.shares_ring_ops and module.ring.descriptor == regular.ring.descriptor
+    # the action table it would build from its entries is the one it shares
+    assert np.array_equal(module._tabulate_product(), module.ring.mul_table())
+    assert [(v.property, v.holds, v.witness) for v in decide_many(module, MODULE_PROPERTIES)] == [
+        (v.property, v.holds, v.witness) for v in decide_many(regular, MODULE_PROPERTIES)]
+    nils = nil_set(module), nil_set(regular)
+    assert [(s.flags.tolist(), s.killers.tolist()) for s in nils] == [
+        (s.flags.tolist(), s.killers.tolist()) for s in reversed(nils)]
+
+
+def test_a_nested_matrix_module_shares_its_rings_ops():
+    module = elaborate_text("matmod(2, matmod(2, regular(Z(2))))")
+    assert module.shares_ring_ops and not module.tabulated
+    assert module.vact == module.ring.vmul
+    r, m = draw_ids(Random(5), 512, module.ring.size, module.size).T
+    assert module.vact(r, m).tolist() == module._vact(r, m).tolist()
