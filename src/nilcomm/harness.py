@@ -11,6 +11,8 @@ one row of WITNESS_KINDS, which gives its payload's fields and its replay.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -77,6 +79,7 @@ from .rings import (
     make_zn,
     nil_ring_set,
     nilpotency_degree,
+    product_dtype,
     regular_elements,
     row_blocks,
     verify_theta_iso,
@@ -102,11 +105,14 @@ class HarnessOptions:
 
 class _CheckDef(NamedTuple):
     """One registered claim: instances(cfg, opts) returns the reports of the
-    check's instances, which run_check combines into one."""
+    check's instances, which run_check combines into one.  interns_nothing
+    states that the check builds no structure through the intern table of
+    run_all, so it shares none with another check (see run_all)."""
 
     check_id: str
     claim: str
     instances: Callable
+    interns_nothing: bool = False
 
 
 def registered_ids() -> list[str]:
@@ -243,14 +249,16 @@ def _one_is_nilpotent(group: list) -> list:
     """is_nilpotent_squared(module, 1) for each regular Z(n) of group.  Where
     every ring has ZnRing's own arithmetic, one pass settles them all: the
     squared criterion at m = 1 through ZnRing._vmul under each n, with ids
-    t >= n masked off.  Otherwise each module is settled alone."""
+    t >= n masked off, in the product_dtype of the largest n.  Otherwise
+    each module is settled alone."""
     if not all(module.ring.own_arithmetic() for module in group):
         return [is_nilpotent_squared(module, 1) for module in group]
-    n = np.array([module.ring.n for module in group])
+    top = max(module.ring.n for module in group)
+    n = np.array([module.ring.n for module in group], dtype=product_dtype(top))
     vmul = partial(ZnRing._vmul, SimpleNamespace(n=n))
     least = np.full(len(n), -1)
-    for lo, hi in row_blocks(int(n.max()), len(n)):
-        t = np.arange(lo, hi)[:, None]
+    for lo, hi in row_blocks(top, len(n)):
+        t = np.arange(lo, hi, dtype=n.dtype)[:, None]
         hit = (t < n) & (vmul(t, 1) != 0) & (vmul(vmul(t, t), 1) == 0)
         found = hit.any(axis=0) & (least < 0)
         least[found] = lo + hit.argmax(axis=0)[found]
@@ -832,7 +840,8 @@ _REGISTRY: dict[str, _CheckDef] = {check.check_id: check for check in (
     _CheckDef("lemma_squarefree",
               "1 is nilpotent in the Z_n-module Z_n exactly when n has a "
               "repeated prime factor",
-              lambda cfg, opts: [check_lemma_squarefree(opts.nmax, cfg)]),
+              lambda cfg, opts: [check_lemma_squarefree(opts.nmax, cfg)],
+              interns_nothing=True),
     _CheckDef("matrix_nil_coverage",
               "over the full matrix ring, every matrix with module entries is "
               "nilpotent (n >= 2)",
@@ -957,8 +966,10 @@ def run_check(check_id: str, config: EngineConfig | None = None,
 def run_all(config: EngineConfig | None = None,
             options: HarnessOptions | None = None,
             only: list[str] | None = None) -> list[CheckReport]:
-    """Run every registered check (or a selection) in registry order, each
-    structure built once per run (see rings.interning)."""
+    """Run every registered check (or a selection), reports in registry
+    order, each structure built once per run (see rings.interning).  The
+    checks that intern nothing run in a helper process beside the others
+    where _helper_ids allows; the reports are the same either way."""
     ids = registered_ids()
     if only:
         unknown = [cid for cid in only if cid not in _REGISTRY]
@@ -966,8 +977,67 @@ def run_all(config: EngineConfig | None = None,
             raise InvalidParameterError(f"unknown check ids: {', '.join(unknown)}; "
                                         f"known ids: {', '.join(ids)}")
         ids = [cid for cid in ids if cid in set(only)]
+    helper = _helper_ids(ids)
     with interning():
-        return [run_check(cid, config, options) for cid in ids]
+        if not helper:
+            return [run_check(cid, config, options) for cid in ids]
+        reports = _run_beside_helper(helper, [cid for cid in ids if cid not in helper],
+                                     config, options)
+    return [reports[cid] for cid in ids]
+
+
+def _helper_ids(ids: list[str]) -> list[str]:
+    """The checks of ids that run in a helper process: those that intern
+    nothing, when another check runs beside them, os.fork exists and this
+    process may run on two CPUs or more; none otherwise."""
+    helper = [cid for cid in ids if _REGISTRY[cid].interns_nothing]
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (not helper or len(helper) == len(ids) or not hasattr(os, "fork")
+            or affinity is None or len(affinity(0)) < 2):
+        return []
+    return helper
+
+
+def _run_beside_helper(helper: list[str], rest: list[str], config, options) -> dict:
+    """The reports of helper, run in a forked child, and of rest, run here
+    meanwhile, by check id.  The child pickles its reports into a pipe and
+    leaves through os._exit, so it flushes no inherited buffer and runs no
+    exit hook.  The pipe is read to its end before the child is reaped, so
+    reports of any size pass; the child is reaped in any case, and killed
+    first when this process leaves early.  A child that ends with another
+    status than 0, or sends nothing, gives each of its checks a skipped
+    internal-error report naming the status."""
+    read_fd, write_fd = os.pipe()
+    # fork, not spawn: a spawned child would import the package again, about
+    # as long as the lemma itself; the child calls no BLAS routine, so
+    # numpy's idle BLAS threads hold no lock it needs
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as out:
+                pickle.dump([run_check(cid, config, options) for cid in helper], out)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            reports = {cid: run_check(cid, config, options) for cid in rest}
+            sent = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0 and sent:
+        reports.update(zip(helper, pickle.loads(sent)))
+        return reports
+    ended = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+    return {**reports, **{cid: _skipped(cid, {
+        "reason": "internal-error",
+        "error": f"the helper process {ended} and sent no report"}) for cid in helper}}
 
 
 def exit_code(reports: list[CheckReport]) -> int:

@@ -1049,27 +1049,41 @@ def sampled_rows(structure, ring: FiniteRing, count: int) -> list[np.ndarray]:
             *drawn]
 
 
+def product_dtype(n: int):
+    """int32 where every product of two ids below n fits it, else int64."""
+    return np.int32 if n * n < 2 ** 31 else np.int64
+
+
 def grouped_rows(group) -> list[tuple[np.ndarray, np.ndarray]]:
     """sampled_rows of every (structure, ring) of group, all untabulated Z(n)
     or all their regular modules, of one config, stage by stage: a stage's
-    rows of every structure concatenated, and each row's n.  The structures'
-    own draws are joined, read as one array modulo a per-id n (every id a
-    Z(n) draws is below n) and gathered by index arithmetic."""
+    rows of every structure concatenated, and each row's n, in the
+    product_dtype of the largest n.  Each stage is a view of one row buffer,
+    into which each structure's draw is reduced modulo its n (every id a
+    Z(n) draws is below n)."""
     count = group[0][0].config.validation_samples
-    rngs, spots, families = zip(*(_sampled_draw(s, r, count) for s, r in group))
-    ns, spotted = np.array([ring.n for _, ring in group]), np.array(spots)
-    words = count * np.array([sum(map(len, f)) for f in families])
-    raw = (np.frombuffer(b"".join(rng.randbytes(8 * w) for rng, w in zip(rngs, words.tolist())),
-                         dtype="<u8") % np.repeat(ns, words).astype(np.uint64)).astype(np.int64)
-    starts, lengths = np.cumsum(words) - words, np.where(spotted, count, ns)
-    of = np.repeat(np.arange(len(group)), lengths)  # each spot row's structure
-    at = np.arange(len(of)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    stages = [(np.where(spotted[of], raw[starts[of] + at], at)[:, None], ns[of])]
-    for k in range(len(families[0]) - spots[0]):  # each law family, of triples
-        first = starts + count * (spotted + 3 * k)
-        stages.append((raw[first[:, None] + np.arange(3 * count)].reshape(-1, 3),
-                       np.repeat(ns, count)))
-    return stages
+    draws = [_sampled_draw(s, r, count) for s, r in group]
+    ns = [ring.n for _, ring in group]
+    dtype = product_dtype(max(ns))
+    spot_rows = [count if spotted else n for (_, spotted, _), n in zip(draws, ns)]
+    k = len(draws[0][2]) - draws[0][1]  # law families, each of triples
+    spots = sum(spot_rows)
+    rows = np.empty(spots + k * len(group) * 3 * count, dtype=dtype)
+    spot, triples = rows[:spots], rows[spots:].reshape(k, len(group), -1)
+    at = 0
+    for i, ((rng, spotted, _), n) in enumerate(zip(draws, ns)):
+        words = np.frombuffer(rng.randbytes(8 * count * (spotted + 3 * k)), dtype="<u8")
+        if spotted:
+            np.remainder(words[:count], np.uint64(n), out=spot[at:at + count], casting="unsafe")
+        else:
+            spot[at:at + n] = np.arange(n)
+        np.remainder(words[spotted * count:].reshape(k, -1), np.uint64(n),
+                     out=triples[:, i], casting="unsafe")
+        at += spot_rows[i]
+    moduli = np.array(ns, dtype=dtype)
+    per_triple = np.repeat(moduli, count)
+    return [(spot[:, None], np.repeat(moduli, spot_rows)),
+            *((family.reshape(-1, 3), per_triple) for family in triples)]
 
 
 def zn_laws_hold(checks) -> bool:

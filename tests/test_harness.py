@@ -1,4 +1,8 @@
+import json
+import os
 import re
+import signal
+import time
 from collections import Counter
 from contextlib import contextmanager
 from random import Random
@@ -134,13 +138,159 @@ def test_exit_codes(suite_reports):
     assert exit_code(confirmed_only) == 0
 
 
-def test_suite_is_deterministic():
+def _cpus(monkeypatch, *cpus):
+    """Let run_all see cpus as the CPUs this process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def _counting_forks(monkeypatch) -> list:
+    """The pids of the children os.fork starts from here on, in order."""
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def test_suite_is_deterministic(monkeypatch):
     opts = HarnessOptions(nmax=60, samples=50)
     only = ["lemma_squarefree", "zpn_hierarchy", "localization_transfer",
             "theta_iso"]
     first = [r.to_json_dict() for r in run_all(options=opts, only=only)]
     second = [r.to_json_dict() for r in run_all(options=opts, only=only)]
     assert first == second
+    # serial on one CPU, the lemma in a helper process on two (whatever the
+    # host has): the same reports
+    forks = _counting_forks(monkeypatch)
+    _cpus(monkeypatch, 0)
+    serial = [r.to_json_dict() for r in run_all(options=opts, only=only)]
+    assert forks == []
+    _cpus(monkeypatch, 0, 1)
+    split = [r.to_json_dict() for r in run_all(options=opts, only=only)]
+    assert len(forks) == 1
+    assert serial == split == first
+
+
+def test_only_a_mixed_selection_on_two_cpus_forks(monkeypatch):
+    forks = _counting_forks(monkeypatch)
+    _cpus(monkeypatch, 0, 1)
+    opts = HarnessOptions(nmax=30, samples=20)
+    for only in (["lemma_squarefree"], ["theta_iso", "zpn_hierarchy"]):
+        run_all(options=opts, only=only)
+    assert forks == []
+    mixed = ["lemma_squarefree", "theta_iso"]
+    for missing in ("sched_getaffinity", "fork"):
+        monkeypatch.delattr(os, missing)
+        run_all(options=opts, only=mixed)
+    assert forks == []
+
+
+def _instances(monkeypatch, check_id, instances):
+    """Give the registered check check_id the instance list instances."""
+    monkeypatch.setitem(harness._REGISTRY, check_id,
+                        harness._REGISTRY[check_id]._replace(instances=instances))
+
+
+def test_a_helper_that_dies_gives_a_skipped_report_naming_its_status(monkeypatch, capsys):
+    from nilcomm.cli import main
+
+    _cpus(monkeypatch, 0, 1)
+    argv = ["verify-paper", "--nmax", "60", "--samples", "50", "--format", "json"]
+    assert main(argv) == 2
+    before = json.loads(capsys.readouterr().out)["results"]
+    parent = os.getpid()
+
+    def dies(cfg, opts):  # in a helper process; raises if run here instead
+        if os.getpid() == parent:
+            raise RuntimeError("the lemma ran in the parent process")
+        os._exit(3)
+
+    _instances(monkeypatch, "lemma_squarefree", dies)
+    forks = _counting_forks(monkeypatch)
+    assert main(argv) == 1
+    after = json.loads(capsys.readouterr().out)["results"]
+    assert len(forks) == 1
+    assert [r["check_id"] for r in after] == EXPECTED_CHECK_IDS
+    assert (after[0]["status"], after[0]["detail"]) == ("skipped", {
+        "reason": "internal-error",
+        "error": "the helper process exited with status 3 and sent no report"})
+    assert after[1:] == before[1:]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_helper_report_larger_than_a_pipe_buffer_arrives_whole(monkeypatch):
+    _cpus(monkeypatch, 0, 1)
+    forks = _counting_forks(monkeypatch)
+    detail = {"reason": "padding", "filler": list(range(100_000))}  # about 0.5 MB pickled
+    _instances(monkeypatch, "lemma_squarefree",
+               lambda cfg, opts: [harness._skipped("lemma_squarefree", detail)])
+    lemma, theta = run_all(only=["lemma_squarefree", "theta_iso"])
+    assert len(forks) == 1
+    assert (lemma.status, lemma.detail) == ("skipped", detail)
+    assert theta.status == "confirmed"
+
+
+def test_run_all_leaves_no_helper_process(monkeypatch):
+    _cpus(monkeypatch, 0, 1)
+    forks = _counting_forks(monkeypatch)
+    ended, waitpid = [], os.waitpid
+
+    def recording(pid, options):  # each reaped child's wait status
+        done = waitpid(pid, options)
+        ended.append(done[1])
+        return done
+
+    monkeypatch.setattr(os, "waitpid", recording)
+    only = ["lemma_squarefree", "theta_iso"]
+    run_all(only=only)
+    assert len(forks) == 1 and os.WEXITSTATUS(ended[-1]) == 0
+    with pytest.raises(ChildProcessError):
+        waitpid(-1, os.WNOHANG)
+
+    def interrupted(cfg, opts):
+        raise KeyboardInterrupt
+
+    # the parent leaves while the helper still runs its check, which would
+    # take a minute: the helper is killed, then reaped
+    _instances(monkeypatch, "lemma_squarefree", lambda cfg, opts: time.sleep(60))
+    _instances(monkeypatch, "theta_iso", interrupted)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_all(only=only)
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 2 and os.WTERMSIG(ended[-1]) == signal.SIGKILL
+    with pytest.raises(ChildProcessError):
+        waitpid(-1, os.WNOHANG)
+
+
+def test_the_helper_flushes_no_inherited_buffer_and_runs_no_exit_hook(monkeypatch, tmp_path):
+    import atexit
+
+    _cpus(monkeypatch, 0, 1)
+    forks = _counting_forks(monkeypatch)
+    parent = os.getpid()
+
+    def hook():  # a child that ran it would leave its mark
+        if os.getpid() != parent:
+            (tmp_path / "hook").write_text("ran")
+
+    atexit.register(hook)
+    try:
+        with open(tmp_path / "buffered", "w") as out:
+            out.write("written once")  # still in this process's buffer at the fork
+            run_all(options=HarnessOptions(nmax=30, samples=20),
+                    only=["lemma_squarefree", "theta_iso"])
+    finally:
+        atexit.unregister(hook)
+    assert len(forks) == 1
+    assert (tmp_path / "buffered").read_text() == "written once"
+    assert not (tmp_path / "hook").exists()
 
 
 def test_run_all_selection():
@@ -587,18 +737,25 @@ def test_groups_take_each_structures_own_draw(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 7])
 @pytest.mark.parametrize("regular", [False, True])
-def test_a_mixed_group_gathers_each_structures_sampled_rows(seed, regular):
+@pytest.mark.parametrize("ns, dtype", [
+    ((41, 63, 64, 65, 200, 997, 1000), np.int32),
+    ((41, 46340), np.int32),  # 46340^2 < 2^31
+    ((41, 46341), np.int64),  # 46341^2 > 2^31
+])
+def test_a_mixed_group_gathers_each_structures_sampled_rows(seed, regular, ns, dtype):
     # up to 64 elements every id is a spot id; above, 64 drawn ones
     cfg = _LIGHT.with_overrides(seed=seed)
-    zs = [ZnRing(n, cfg, validate=False) for n in (41, 63, 64, 65, 200, 997, 1000)]
+    zs = [ZnRing(n, cfg, validate=False) for n in ns]
     group = [(modules.RegularModule(z, cfg, validate=False) if regular else z, z) for z in zs]
     rows = [rings.sampled_rows(s, r, 64) for s, r in group]
     stages = rings.grouped_rows(group)
     assert len(stages) == len(rows[0]) == (4 if regular else 2)
     for (block, moduli), stage in zip(stages, zip(*rows)):
-        assert block.dtype == np.int64
+        assert block.dtype == moduli.dtype == dtype
         assert block.tolist() == np.concatenate(stage).tolist()
         assert moduli.tolist() == [z.n for z, part in zip(zs, stage) for _ in part]
+    # no product of two ids overflows: every law holds
+    assert rings.zn_laws_hold(group)
 
 
 def test_only_the_exhaustive_z_n_are_checked_one_at_a_time(monkeypatch):
@@ -620,6 +777,7 @@ def test_a_subclass_with_its_own_arithmetic_is_not_grouped():
 
 
 def test_run_all_interns_no_light_z_n(monkeypatch):
+    _cpus(monkeypatch, 0)  # the lemma in this process, beside the table
     tables = []
 
     @contextmanager
@@ -662,6 +820,9 @@ def test_one_squared_pass_a_group_equals_the_per_structure_criterion():
     assert least == [is_nilpotent_squared(module, 1) for module in reg]
     # one group of every n in 2..1000 misses no t of any column
     assert harness._one_is_nilpotent(reg[::7]) == least[::7]
+    # on both sides of the int32 rule; 46340 = 2^2 * 5 * 7 * 331, 46341 = 3^2 * 19 * 271
+    wide = [harness._reg_zn(n, _LIGHT) for n in (46340, 46341)]
+    assert harness._one_is_nilpotent(wide) == [(True, 23170), (True, 15447)]
 
 
 def test_a_column_of_the_squared_pass_sees_only_its_own_elements(monkeypatch):
