@@ -1006,7 +1006,7 @@ def check_laws(structure, ring: FiniteRing, exact: bool = False) -> bool:
     if exact and gens is not None:
         return True
     drawn = (None if gens is not None else
-             sampled_rows(structure, ring, structure.config.validation_samples))
+             sampled_rows([(structure, ring)], structure.config.validation_samples))
     if structure.tabulated or gens is not None:
         add, act = structure.add_table(), structure.mul_table() if own else structure.act_table()
         for name, t in (("add", add), ("mul" if own else "act", act)):
@@ -1028,77 +1028,66 @@ def check_laws(structure, ring: FiniteRing, exact: bool = False) -> bool:
     return False
 
 
-def _sampled_draw(structure, ring, count):
-    """sampled_rows' draw: a generator seeded by the config and descriptor,
-    whether it leads with count spot ids (above count elements), and the
-    sizes of each family of count rows, the spot ids' then each law's."""
-    n, nr, spotted = structure.size, ring.size, structure.size > count
-    return (Random(_stable_seed(structure.config, structure.descriptor)), spotted,
-            [(n,)] * spotted + ([(n,) * 3] if structure is ring else
-                                [(n,) * 3, (nr, nr, n), (nr, n, n)]))
-
-
-def sampled_rows(structure, ring: FiniteRing, count: int) -> list[np.ndarray]:
-    """The rows the sampled regime checks, by _sampled_draw: the spot laws'
-    ids, then count rows of each law family's ids.  The spot ids stand for
-    every id unless the structure is tabulated."""
-    rng, spotted, families = _sampled_draw(structure, ring, count)
-    drawn = draw_families(rng, count, families)
-    spot = drawn.pop(0) if spotted else None
-    return [np.arange(structure.size)[:, None] if spot is None or structure.tabulated else spot,
-            *drawn]
-
-
 def product_dtype(n: int):
     """int32 where every product of two ids below n fits it, else int64."""
     return np.int32 if n * n < 2 ** 31 else np.int64
 
 
-def grouped_rows(group) -> list[tuple[np.ndarray, np.ndarray]]:
-    """sampled_rows of every (structure, ring) of group, all untabulated Z(n)
-    or all their regular modules, of one config, stage by stage: a stage's
-    rows of every structure concatenated, and each row's n, in the
-    product_dtype of the largest n.  Each stage is a view of one row buffer,
-    into which each structure's draw is reduced modulo its n (every id a
-    Z(n) draws is below n)."""
-    count = group[0][0].config.validation_samples
-    draws = [_sampled_draw(s, r, count) for s, r in group]
-    ns = [ring.n for _, ring in group]
-    dtype = product_dtype(max(ns))
-    spot_rows = [count if spotted else n for (_, spotted, _), n in zip(draws, ns)]
-    k = len(draws[0][2]) - draws[0][1]  # law families, each of triples
+def sampled_rows(group, count: int) -> list[np.ndarray]:
+    """The rows the sampled regime checks for each (structure, ring) of
+    group, all rings or all modules, stage by stage: the spot laws' ids, then
+    count rows of each law family's ids.  A stage holds every structure's
+    rows concatenated, a view of one row buffer in the product_dtype of the
+    largest size.  Each structure draws once: one randbytes call of a
+    generator seeded by its config and descriptor gives count spot ids
+    (above count elements) and then every family's triples, each 64-bit word
+    reduced modulo its column's size (bias at most size / 2**64) into the
+    buffer.  The spot ids stand for every id unless the structure is
+    untabulated above count elements."""
+    k = 1 if group[0][0] is group[0][1] else 3  # law families, each of triples
+    spot_rows = [count if s.size > count and not s.tabulated else s.size for s, _ in group]
     spots = sum(spot_rows)
-    rows = np.empty(spots + k * len(group) * 3 * count, dtype=dtype)
-    spot, triples = rows[:spots], rows[spots:].reshape(k, len(group), -1)
+    rows = np.empty(spots + k * len(group) * count * 3,
+                    dtype=product_dtype(max(max(s.size, r.size) for s, r in group)))
+    spot, triples = rows[:spots], rows[spots:].reshape(k, len(group), count, 3)
     at = 0
-    for i, ((rng, spotted, _), n) in enumerate(zip(draws, ns)):
+    for i, ((structure, ring), taken) in enumerate(zip(group, spot_rows)):
+        n, nr, spotted = structure.size, ring.size, structure.size > count
+        rng = Random(_stable_seed(structure.config, structure.descriptor))
         words = np.frombuffer(rng.randbytes(8 * count * (spotted + 3 * k)), dtype="<u8")
-        if spotted:
+        if taken < n:
             np.remainder(words[:count], np.uint64(n), out=spot[at:at + count], casting="unsafe")
         else:
             spot[at:at + n] = np.arange(n)
-        np.remainder(words[spotted * count:].reshape(k, -1), np.uint64(n),
+        # one scalar modulus where every column's size is n, as in every ring
+        sizes = (np.uint64(n) if nr == n else
+                 np.array([(n, n, n), (nr, nr, n), (nr, n, n)], dtype=np.uint64)[:, None])
+        np.remainder(words[spotted * count:].reshape(k, count, 3), sizes,
                      out=triples[:, i], casting="unsafe")
-        at += spot_rows[i]
-    moduli = np.array(ns, dtype=dtype)
-    per_triple = np.repeat(moduli, count)
-    return [(spot[:, None], np.repeat(moduli, spot_rows)),
-            *((family.reshape(-1, 3), per_triple) for family in triples)]
+        at += taken
+    return [spot[:, None], *(family.reshape(-1, 3) for family in triples)]
 
 
 def zn_laws_hold(checks) -> bool:
     """Whether check_laws would pass each (structure, ring) of checks, ring
     an untabulated ZnRing in the sampled regime and structure the ring or its
     regular module.  The rings, then the modules, evaluate law_set once a
-    stage of grouped_rows, through ZnRing's hooks under each row's n.  False
+    stage of sampled_rows, through ZnRing's hooks under each row's n.  False
     where a ring's hooks are not ZnRing's own.  A failure is not located:
     check one structure at a time to report it."""
     if not all(ring.own_arithmetic() for _, ring in checks):
         return False
     for own in (True, False):
         group = [(structure, ring) for structure, ring in checks if (structure is ring) is own]
-        for stage, (block, moduli) in enumerate(grouped_rows(group) if group else ()):
-            vadd, vmul, vneg = (partial(hook, SimpleNamespace(n=moduli))
+        if not group:
+            continue
+        count = group[0][0].config.validation_samples
+        stages = sampled_rows(group, count)
+        ns = np.array([ring.n for _, ring in group], dtype=stages[0].dtype)
+        # an untabulated Z(n) spots min(n, count) ids
+        moduli = np.repeat(ns, np.minimum(ns, count)), np.repeat(ns, count)
+        for stage, block in enumerate(stages):
+            vadd, vmul, vneg = (partial(hook, SimpleNamespace(n=moduli[stage > 0]))
                                 for hook in (ZnRing._vadd, ZnRing._vmul, ZnRing._vneg))
             spot_laws, families = law_set(0, 1, vadd, vneg, vmul, vadd, vmul, own)
             masks = (spot_laws, *families)[stage](*block.T)
@@ -1198,21 +1187,6 @@ def _law_blocks(add, act, radd, rmul, g):
                 != add[ar[:, :, None], act_g[lo:hi, None, :]])[..., None]
 
     return zip((assoc, mixed, dist), (nm, nr, nr), (k * nm, 2 * k * nr, k * nm), (0, 1, 3))
-
-
-def draw_families(rng: Random, count: int, families) -> list[np.ndarray]:
-    """For each sizes of families, count rows of ids, column j below sizes[j]
-    (modulo bias at most size / 2**64), from one randbytes call: a family
-    takes whole 64-bit words and the generator's bytes do not depend on how
-    they are asked for, so the rows are those of one call per family."""
-    raw = np.frombuffer(rng.randbytes(8 * count * sum(map(len, families))), dtype="<u8")
-    out, lo = [], 0
-    for sizes in families:
-        hi = lo + count * len(sizes)
-        out.append((raw[lo:hi].reshape(count, len(sizes))
-                    % np.array(sizes, dtype=np.uint64)).astype(np.int64))
-        lo = hi
-    return out
 
 
 def first_broken(structure, samples: np.ndarray, laws, messages) -> None:

@@ -35,6 +35,7 @@ from nilcomm import (
     elaborate_text,
     exit_code,
     check_ring_axioms,
+    check_module_axioms,
     make_matrix_ring,
     make_poly_quotient_ring,
     make_product_module,
@@ -710,9 +711,9 @@ def test_a_planted_defect_in_a_group_reports_the_per_structure_error(
 
 
 def test_groups_take_each_structures_own_draw(monkeypatch):
-    groups, grouped_rows = [], rings.grouped_rows
-    monkeypatch.setattr(rings, "grouped_rows", lambda group: (
-        groups.append(group), grouped_rows(group))[1])
+    groups, sampled_rows = [], rings.sampled_rows
+    monkeypatch.setattr(rings, "sampled_rows", lambda group, count: (
+        groups.append(group), sampled_rows(group, count))[1])
     assert check_lemma_squarefree(200).status == "confirmed"
     checked = {s.descriptor: (s, r) for group in groups for s, r in group}
     assert len(checked) == 2 * 160  # Z(41)..Z(200) and their regular modules
@@ -722,17 +723,17 @@ def test_groups_take_each_structures_own_draw(monkeypatch):
             rng = Random(rings._stable_seed(_LIGHT, desc))
             drawn = [draw_ids(rng, 64, *f) for f in [(n,)] * (n > 64) + sizes]
             want = drawn if n > 64 else [np.arange(n)[:, None], *drawn]
-            got = rings.sampled_rows(*checked[desc], 64)
+            got = sampled_rows([checked[desc]], 64)
             assert [r.tolist() for r in got] == [w.tolist() for w in want], desc
     # each group's stages are its structures' own rows, concatenated
     for group in groups:
-        rows = [rings.sampled_rows(s, r, 64) for s, r in group]
-        for (block, _), stage in zip(grouped_rows(group), zip(*rows)):
+        rows = [sampled_rows([pair], 64) for pair in group]
+        for block, stage in zip(sampled_rows(group, 64), zip(*rows)):
             assert block.tolist() == np.concatenate(stage).tolist()
     # a per-structure check of the same ring hands first_broken the same rows
     first_broken_rows, _ = record_sampled_draws(monkeypatch)
     check_ring_axioms(ZnRing(65, _LIGHT, validate=False))
-    assert first_broken_rows == [r.tolist() for r in rings.sampled_rows(*checked["Z(65)"], 64)]
+    assert first_broken_rows == [r.tolist() for r in sampled_rows([checked["Z(65)"]], 64)]
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -747,15 +748,35 @@ def test_a_mixed_group_gathers_each_structures_sampled_rows(seed, regular, ns, d
     cfg = _LIGHT.with_overrides(seed=seed)
     zs = [ZnRing(n, cfg, validate=False) for n in ns]
     group = [(modules.RegularModule(z, cfg, validate=False) if regular else z, z) for z in zs]
-    rows = [rings.sampled_rows(s, r, 64) for s, r in group]
-    stages = rings.grouped_rows(group)
+    rows = [rings.sampled_rows([pair], 64) for pair in group]
+    stages = rings.sampled_rows(group, 64)
     assert len(stages) == len(rows[0]) == (4 if regular else 2)
-    for (block, moduli), stage in zip(stages, zip(*rows)):
-        assert block.dtype == moduli.dtype == dtype
+    for i, (block, stage) in enumerate(zip(stages, zip(*rows))):
+        assert block.dtype == dtype
         assert block.tolist() == np.concatenate(stage).tolist()
-        assert moduli.tolist() == [z.n for z, part in zip(zs, stage) for _ in part]
+        # each structure's rows, which zn_laws_hold reads under its n
+        assert [len(part) for part in stage] == [64 if i else min(z.n, 64) for z in zs]
     # no product of two ids overflows: every law holds
     assert rings.zn_laws_hold(group)
+
+
+@pytest.mark.parametrize("n, dtype", [(46340, np.int32), (46341, np.int64)])
+def test_a_lone_sampled_z_n_checks_its_laws_in_the_product_dtype(monkeypatch, n, dtype):
+    # one structure is a group of one: it takes the groups' int32 rule, and
+    # its laws hold on either side of it
+    dtypes, sampled_rows = [], rings.sampled_rows
+
+    def spy(group, count):
+        rows = sampled_rows(group, count)
+        dtypes.extend(r.dtype for r in rows)
+        return rows
+
+    monkeypatch.setattr(rings, "sampled_rows", spy)
+    ring = ZnRing(n, _LIGHT, validate=False)
+    check_ring_axioms(ring)
+    check_module_axioms(modules.RegularModule(ring, _LIGHT, validate=False))
+    assert not ring.laws_exact
+    assert dtypes == [dtype] * (2 + 4)  # the ring's stages, then the module's
 
 
 def test_only_the_exhaustive_z_n_are_checked_one_at_a_time(monkeypatch):

@@ -118,6 +118,31 @@ def test_least_witness_past_the_first_word_of_rows():
     assert sorted(rows) == [34, 34, 68, 68, 68]
 
 
+# nil-semicommutativity does not pass to direct products: a = (1, E22) and
+# r = (1, 0) give am nilpotent through the M(2, Z(2)) block alone, and arm
+# = (1, 0) is not nilpotent, Z(2) having no nonzero nilpotent
+@pytest.mark.parametrize("expr, factors, witnesses", [
+    ("cyclic(regular(prod(Z(2), M(2, Z(2)))), 17)",
+     ("regular(Z(2))", "cyclic(regular(M(2, Z(2))), 1)"),
+     ((1, 2, 2), None, (17, 16, 5), (1, 2, 2), (1, 2, 2))),
+    ("regular(prod(Z(2), M(2, Z(2))))",
+     ("regular(Z(2))", "regular(M(2, Z(2)))"),
+     ((1, 2, 4), None, (17, 16, 17), (1, 2, 4), (1, 2, 4))),
+])
+def test_a_product_of_nil_semicommutative_factors_need_not_be(expr, factors, witnesses):
+    module = elaborate_text(expr)
+    act, mul, zero = oracle.tables(module)
+    nil = oracle.nil_flags(act, zero)
+    assert tuple(decide(module, prop).witness for prop in MODULE_PROPERTIES) == witnesses
+    assert tuple(oracle.least_violation(act, mul, zero, prop, nil)
+                 for prop in MODULE_PROPERTIES) == witnesses
+    for factor in map(elaborate_text, factors):
+        act, mul, zero = oracle.tables(factor)
+        assert decide(factor, "nil-semicommutative").holds
+        assert oracle.least_violation(act, mul, zero, "nil-semicommutative",
+                                      oracle.nil_flags(act, zero)) is None
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(modules())

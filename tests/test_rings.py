@@ -22,6 +22,7 @@ from nilcomm import (
     elaborate_text,
     make_matrix_ring,
     make_poly_quotient_ring,
+    make_product_module,
     make_product_ring,
     make_ring_hom,
     make_zn,
@@ -43,7 +44,6 @@ from nilcomm.rings import (
     PolyQuotientRing,
     ZnRing,
     _stable_seed,
-    draw_families,
     exact_fits,
     shape_fill,
 )
@@ -530,10 +530,29 @@ def test_sampled_ring_check_draws_once_what_consecutive_draws_gave(monkeypatch, 
     assert checked == [spots.tolist(), draw_ids(rng, samples, 50, 50, 50).tolist()]
 
 
-def test_one_draw_of_families_equals_one_draw_each():
-    families = [(7,), (5, 6, 7), (3, 3, 1000)]
-    fused, rng = draw_families(Random(11), 33, families), Random(11)
-    assert [x.tolist() for x in fused] == [draw_ids(rng, 33, *f).tolist() for f in families]
+def test_one_draw_of_families_equals_one_draw_each(m4z2_module):
+    # a structure's rows are those of consecutive draw_ids calls under its
+    # seed: its spot ids (above count elements), then each family's triples
+    untabulated = DEFAULT_CONFIG.with_overrides(tabulate_threshold=0)
+    z7 = make_zn(7, untabulated)
+    pair = make_product_module([regular_module(z7, untabulated)] * 2, untabulated)
+    assert not pair.tabulated and (pair.size, pair.ring.size) == (49, 7)
+    z50 = make_zn(50)
+    assert z50.tabulated
+    for structure, count, dtype in ((pair, 33, np.int32),  # columns below 49 and 7
+                                    (z50, 33, np.int32),  # its spot draw taken, unread
+                                    (m4z2_module, 64, np.int64)):  # 2^16 elements
+        ring = getattr(structure, "ring", structure)
+        n, nr = structure.size, ring.size
+        assert n > count
+        rng = Random(_stable_seed(structure.config, structure.descriptor))
+        spot = draw_ids(rng, count, n)
+        families = [(n, n, n)] if structure is ring else [(n, n, n), (nr, nr, n), (nr, n, n)]
+        want = [np.arange(n)[:, None] if structure.tabulated else spot,
+                *(draw_ids(rng, count, *sizes) for sizes in families)]
+        got = rings.sampled_rows([(structure, ring)], count)
+        assert [r.tolist() for r in got] == [w.tolist() for w in want], structure.descriptor
+        assert {r.dtype for r in got} == {np.dtype(dtype)}
 
 
 def _python_digits(eid, radices):
